@@ -62,7 +62,6 @@ from .linalg import (
     Tolerances,
     hermitian_eig,
     is_psd,
-    pseudoinverse,
     range_subspace,
     subspace_contained,
     subspace_relation,

@@ -11,12 +11,11 @@ the phase-space point.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .compatibility import HarnessReport
+from .compatibility import HarnessReport, _run_harness
 from .errors import StructureError
 from .linalg import DEFAULT_TOL, Tolerances
 from .sampling import SeededGenerator
@@ -278,45 +277,9 @@ def _classical_trial(gen: SeededGenerator, size: int, tol: Tolerances):
 
 
 def classical_theorem_harness(
-    seed: int,
-    size: int,
-    trials: int,
-    tol: Tolerances = DEFAULT_TOL,
-    jobs: int = 1,
+    seed: int, size: int, trials: int, tol: Tolerances = DEFAULT_TOL
 ) -> HarnessReport:
     """Random check of the verifier-inclusion theorem in classical theory."""
     if size < 2:
         raise StructureError("harness needs size at least 2")
-    if trials < 0:
-        raise StructureError("trials must be nonnegative")
-    root = SeededGenerator(seed)
-
-    def run(index: int):
-        return _classical_trial(root.child(index), size, tol)
-
-    if jobs > 1 and trials:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(trials)))
-    else:
-        results = [run(i) for i in range(trials)]
-
-    cases = []
-    checked_cases = 0
-    filtered = 0
-    for index, (checked, violations) in enumerate(results):
-        checked_cases += checked
-        if checked:
-            filtered += 1
-        for item in violations:
-            cases.append((index,) + tuple(item))
-    return HarnessReport(
-        theory="classical",
-        seed=seed,
-        algorithm=root.algorithm,
-        dim=size,
-        trials=trials,
-        filtered_trials=filtered,
-        checked_cases=checked_cases,
-        violations=len(cases),
-        cases=tuple(cases),
-    )
+    return _run_harness("classical", _classical_trial, seed, size, trials, tol)

@@ -19,7 +19,6 @@ from .classical import (
     validate_classical,
 )
 from .compatibility import (
-    are_compatible_elementary,
     pvm_commute,
     verifier_inclusion_harness,
     verify_witness,
@@ -32,12 +31,19 @@ from .errors import (
     SchemaError,
     StructureError,
 )
-from .instruments import Instrument, is_repeatable, to_elementary, validate_instrument
+from .instruments import (
+    Instrument,
+    _extract_elementary,
+    is_repeatable,
+    to_elementary,
+    validate_instrument,
+)
 from .linalg import DEFAULT_TOL, Tolerances
 from .operations import DensityState, is_atomic
 from .serialize import (
     SCHEMA_VERSION,
     ModelFile,
+    complex_to_pair,
     model_from_path,
     model_to_dict,
     state_to_dict,
@@ -114,7 +120,7 @@ def _cmd_classify(args, tol: Tolerances) -> tuple[int, dict]:
     ranks = None
     if report.is_valid and repeatable and all(atomic.values()):
         try:
-            prop = to_elementary(ins, tol)
+            prop = _extract_elementary(ins, tol)
         except (StructureError, ExtractionError):
             prop = None
         if prop is not None:
@@ -145,7 +151,7 @@ def _cmd_verifiers(args, tol: Tolerances) -> tuple[int, dict]:
         "command": "verifiers",
         "outcome": args.outcome,
         "support_dimension": support.dim,
-        "support_basis": [[_pair(v) for v in support.basis[:, i]] for i in range(support.dim)],
+        "support_basis": [[complex_to_pair(v) for v in column] for column in support.basis.T],
         "model": model_to_dict(ins),
     }
     if args.state is None:
@@ -163,11 +169,6 @@ def _cmd_verifiers(args, tol: Tolerances) -> tuple[int, dict]:
     }
     verdict = report.is_verifier and report.outcome == args.outcome
     return (0 if verdict else 1), out
-
-
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _cmd_comp(args, tol: Tolerances) -> tuple[int, dict]:
@@ -189,8 +190,9 @@ def _cmd_comp(args, tol: Tolerances) -> tuple[int, dict]:
 def _cmd_compat(args, tol: Tolerances) -> tuple[int, dict]:
     p, p_ins = _elementary(args.p, tol)
     q, q_ins = _elementary(args.q, tol)
-    compatible = are_compatible_elementary(p, q, tol)
     report = classify_relation(p, q, tol)
+    # Elementary properties are weakly compatible iff not complementary.
+    compatible = not report.complementary
     out = {
         "command": "compat",
         "compatible": compatible,
@@ -220,9 +222,9 @@ def _cmd_witness(args, tol: Tolerances) -> tuple[int, dict]:
 
 def _cmd_harness(args, tol: Tolerances) -> tuple[int, dict]:
     if args.theory == "quantum":
-        report = verifier_inclusion_harness(args.seed, args.dim, args.trials, tol, jobs=args.jobs)
+        report = verifier_inclusion_harness(args.seed, args.dim, args.trials, tol)
     else:
-        report = classical_theorem_harness(args.seed, args.dim, args.trials, tol, jobs=args.jobs)
+        report = classical_theorem_harness(args.seed, args.dim, args.trials, tol)
     out = {
         "command": "harness",
         "theory": report.theory,
@@ -269,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=1.0, metavar="F",
                         help="scale matrix/probability tolerances by this factor")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for harness trials")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate an instrument, state, or witness file")
@@ -315,7 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tol = DEFAULT_TOL.scaled(args.tol) if args.tol != 1.0 else DEFAULT_TOL
+    try:
+        tol = DEFAULT_TOL.scaled(args.tol) if args.tol != 1.0 else DEFAULT_TOL
+    except ValueError as exc:
+        parser.error(f"--tol {args.tol}: {exc}")
     try:
         code, out = args.func(args, tol)
     except (StructureError, SchemaError, ModelParseError, ExtractionError,

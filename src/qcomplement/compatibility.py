@@ -11,7 +11,6 @@ verifier-inclusion theorem on randomly generated post-processings.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,46 +323,31 @@ def _quantum_trial(gen: SeededGenerator, dim: int, tol: Tolerances):
     return checked, violations
 
 
-def verifier_inclusion_harness(
-    seed: int,
-    dim: int,
-    trials: int,
-    tol: Tolerances = DEFAULT_TOL,
-    jobs: int = 1,
+def _run_harness(
+    theory: str, trial, seed: int, dim: int, trials: int, tol: Tolerances
 ) -> HarnessReport:
-    """Random check of the verifier-inclusion theorem in quantum theory.
+    """Run ``trial(generator, dim, tol)`` for each trial index in turn and
+    aggregate the ``(checked, violations)`` pairs it returns.
 
-    Each trial draws a random projective elementary instrument and a random
-    post-processing, then asserts that every atomic nonzero composite outcome
-    has its verifier support inside the matched original outcome's support.
-    Zero violations are expected; aggregation is order-independent.
+    Trial ``i`` draws from child ``i`` of the seed's stream, so a report
+    depends only on the seed and the parameters.
     """
-    if dim < 2:
-        raise StructureError("harness needs dimension at least 2")
+    if seed < 0:
+        raise StructureError("seed must be nonnegative")
     if trials < 0:
         raise StructureError("trials must be nonnegative")
     root = SeededGenerator(seed)
-
-    def run(index: int):
-        return _quantum_trial(root.child(index), dim, tol)
-
-    if jobs > 1 and trials:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(trials)))
-    else:
-        results = [run(i) for i in range(trials)]
-
     cases = []
     checked_cases = 0
     filtered = 0
-    for index, (checked, violations) in enumerate(results):
+    for index in range(trials):
+        checked, violations = trial(root.child(index), dim, tol)
         checked_cases += checked
         if checked:
             filtered += 1
-        for item in violations:
-            cases.append((index,) + item)
+        cases.extend((index,) + tuple(item) for item in violations)
     return HarnessReport(
-        theory="quantum",
+        theory=theory,
         seed=seed,
         algorithm=root.algorithm,
         dim=dim,
@@ -373,3 +357,18 @@ def verifier_inclusion_harness(
         violations=len(cases),
         cases=tuple(cases),
     )
+
+
+def verifier_inclusion_harness(
+    seed: int, dim: int, trials: int, tol: Tolerances = DEFAULT_TOL
+) -> HarnessReport:
+    """Random check of the verifier-inclusion theorem in quantum theory.
+
+    Each trial draws a random projective elementary instrument and a random
+    post-processing, then asserts that every atomic nonzero composite outcome
+    has its verifier support inside the matched original outcome's support.
+    Zero violations are expected.
+    """
+    if dim < 2:
+        raise StructureError("harness needs dimension at least 2")
+    return _run_harness("quantum", _quantum_trial, seed, dim, trials, tol)

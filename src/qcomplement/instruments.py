@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError, PreconditionError, StructureError
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, hermitian_eig, range_subspace
+from .linalg import DEFAULT_TOL, Tolerances, _trusted, as_matrix, hermitian_eig, range_subspace
 from .operations import (
     OperationReport,
     QuantumOperation,
@@ -22,6 +22,7 @@ from .operations import (
     choi_distance,
     coarse_grain_ops,
     compose_seq,
+    is_atomic,
     projector_operation,
     validate_operation,
 )
@@ -85,18 +86,17 @@ class InstrumentReport:
 
 
 def validate_instrument(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> InstrumentReport:
-    """Per-outcome CPTNI checks plus completeness of the summed effect.
+    """Per-outcome trace-non-increase plus completeness of the summed effect.
 
-    Violations are listed in the report, not raised, so callers can inspect
-    exactly which outcome failed.
+    Complete positivity holds by Kraus form and is not re-checked. Violations
+    are listed in the report, not raised, so callers can inspect exactly which
+    outcome failed.
     """
     problems: list[str] = []
     outcome_reports: dict[str, OperationReport] = {}
     for label, op in ins.outcomes.items():
         rep = validate_operation(op, tol)
         outcome_reports[label] = rep
-        if not rep.is_cp:
-            problems.append(f"outcome {label!r} is not completely positive")
         if not rep.is_tni:
             problems.append(f"outcome {label!r} is not trace-non-increasing")
     residual = float(np.linalg.norm(ins.total_effect() - np.eye(ins.dim_in)))
@@ -169,7 +169,8 @@ class ElementaryProperty:
 
 def _dominant_kraus(op: QuantumOperation, tol: Tolerances) -> np.ndarray:
     """Single effective Kraus matrix of a Choi-rank-one operation."""
-    w, v = hermitian_eig(0.5 * (choi(op).matrix + choi(op).matrix.conj().T), tol)
+    c = choi(op).matrix
+    w, v = hermitian_eig(0.5 * (c + c.conj().T), tol)
     weight = max(float(w[0]), 0.0)
     return np.sqrt(weight) * v[:, 0].reshape(op.dim_out, op.dim_in)
 
@@ -183,8 +184,6 @@ def to_elementary(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> ElementaryP
     global phases drop out. Numerical inconsistency in the extracted family
     raises ``ExtractionError``.
     """
-    from .operations import is_atomic
-
     if ins.dim_in != ins.dim_out:
         raise PreconditionError("elementary properties need dim_in = dim_out")
     if not is_repeatable(ins, tol):
@@ -192,7 +191,12 @@ def to_elementary(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> ElementaryP
     for label, op in ins.outcomes.items():
         if not is_atomic(op, tol):
             raise PreconditionError(f"outcome {label!r} is not atomic")
+    return _extract_elementary(ins, tol)
 
+
+def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
+    """The extraction step of ``to_elementary``, for a square instrument whose
+    repeatability and per-outcome atomicity the caller has established."""
     d = ins.dim_in
     projectors: dict[str, np.ndarray] = {}
     for label, op in ins.outcomes.items():
@@ -215,7 +219,7 @@ def to_elementary(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> ElementaryP
     total = sum(projectors.values())
     if float(np.linalg.norm(total - np.eye(d))) > tol.mat_eq:
         raise ExtractionError("extracted projectors do not sum to the identity")
-    return ElementaryProperty(base=ins, projectors=projectors)
+    return _trusted(ElementaryProperty, base=ins, projectors=projectors)
 
 
 @dataclass(frozen=True)
@@ -294,4 +298,4 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
         raise StructureError("projectors do not sum to the identity (incomplete PVM)")
 
     ins = Instrument(d, d, {label: projector_operation(p) for label, p in mats.items()})
-    return ElementaryProperty(base=ins, projectors=mats)
+    return _trusted(ElementaryProperty, base=ins, projectors=mats)

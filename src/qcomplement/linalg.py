@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: eigendecomposition, pseudoinverse, PSD tests,
-and subspace (range) comparison.
+"""Dense complex-matrix kernel: eigendecomposition, PSD tests, and subspace
+(range) comparison.
 
 Every decision procedure in the package reduces to the primitives here, so the
 tolerance semantics are fixed in one place:
@@ -8,6 +8,10 @@ tolerance semantics are fixed in one place:
 * PSD tests tolerate eigenvalues down to ``-eig_cut * max(1, spectral norm)``,
 * subspace comparison uses principal angles rather than projector differences,
   which is stabler for near-degenerate bases.
+
+Input is validated once, where it enters the package: public constructors run
+their checks, while values the package derives from already-checked values are
+assembled with ``_trusted`` and skip them.
 """
 
 from __future__ import annotations
@@ -54,6 +58,20 @@ class SubspaceRelation(enum.Enum):
     ORTHOGONAL = "orthogonal"
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set as
+    given, skipping ``__post_init__``.
+
+    Only for values the package derived from already-validated inputs, whose
+    construction guarantees what the checks would test; every field must be
+    given in the form ``__post_init__`` would have normalised it to.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d complex array or raise ``StructureError``."""
     from .errors import StructureError
@@ -96,13 +114,6 @@ def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     w, v = np.linalg.eigh(arr)
     # eigh returns ascending order; reversing keeps ties deterministic.
     return w[::-1], v[:, ::-1]
-
-
-def pseudoinverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below
-    ``eig_cut * sigma_max`` treated as zero."""
-    arr = as_matrix(m)
-    return np.linalg.pinv(arr, rcond=tol.eig_cut)
 
 
 def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -165,13 +176,14 @@ def range_subspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     ``eig_cut * sigma_max``."""
     arr = as_matrix(m)
     if arr.size == 0:
-        return Subspace(arr.shape[0], np.zeros((arr.shape[0], 0), dtype=complex))
+        empty = np.zeros((arr.shape[0], 0), dtype=complex)
+        return _trusted(Subspace, ambient_dim=arr.shape[0], basis=empty)
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
         rank = int(np.count_nonzero(s > tol.eig_cut * s[0]))
-    return Subspace(arr.shape[0], u[:, :rank])
+    return _trusted(Subspace, ambient_dim=arr.shape[0], basis=u[:, :rank])
 
 
 def subspace_relation(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> SubspaceRelation:

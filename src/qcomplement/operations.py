@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from .errors import StructureError
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, is_hermitian, is_psd
+from .linalg import DEFAULT_TOL, Tolerances, _trusted, as_matrix, is_hermitian, is_psd
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ class ChoiMatrix:
 def choi(op: QuantumOperation) -> ChoiMatrix:
     """Choi matrix sum_k vec(K_k) vec(K_k)^dag with row-major vec."""
     vecs = np.stack([k.reshape(-1) for k in op.kraus])
-    return ChoiMatrix(op.dim_in, op.dim_out, np.einsum("ki,kj->ij", vecs, vecs.conj()))
+    matrix = np.einsum("ki,kj->ij", vecs, vecs.conj())
+    return _trusted(ChoiMatrix, dim_in=op.dim_in, dim_out=op.dim_out, matrix=matrix)
 
 
 def choi_distance(a: QuantumOperation, b: QuantumOperation) -> float:
@@ -92,24 +93,24 @@ def ops_equal(a: QuantumOperation, b: QuantumOperation, tol: Tolerances = DEFAUL
 
 @dataclass(frozen=True)
 class OperationReport:
-    is_cp: bool
     is_tni: bool
     is_tp: bool
 
     @property
     def is_valid(self) -> bool:
-        return self.is_cp and self.is_tni
+        return self.is_tni
 
 
 def validate_operation(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> OperationReport:
-    """Check complete positivity (Choi PSD, a numerical cross-check for Kraus
-    form), trace-non-increase (I - E PSD) and trace preservation (E = I)."""
-    c = choi(op).matrix
-    cp = is_psd(c, tol) if is_hermitian(c, tol) else False
+    """Check trace-non-increase (I - E PSD) and trace preservation (E = I).
+
+    Complete positivity needs no check: every Kraus family defines a CP map,
+    its Choi matrix being a sum of rank-one PSD terms.
+    """
     effect = op.effect()
     tni = is_psd(np.eye(op.dim_in) - effect, tol)
     tp = float(np.linalg.norm(effect - np.eye(op.dim_in))) <= tol.mat_eq
-    return OperationReport(is_cp=cp, is_tni=tni, is_tp=tp)
+    return OperationReport(is_tni=tni, is_tp=tp)
 
 
 def is_atomic(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -211,9 +212,9 @@ def zero_operation(dim_in: int, dim_out: int) -> QuantumOperation:
 def projector_operation(projector) -> QuantumOperation:
     """The single-Kraus map rho -> P rho P for a projector (or any matrix) P."""
     mat = as_matrix(projector, "projector")
-    if mat.shape[0] != mat.shape[1]:
-        raise StructureError("projector must be square")
-    return QuantumOperation(mat.shape[0], mat.shape[0], (mat,))
+    if mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
+        raise StructureError("projector must be square and nonempty")
+    return _trusted(QuantumOperation, dim_in=mat.shape[0], dim_out=mat.shape[0], kraus=(mat,))
 
 
 def _extended_kraus(op: QuantumOperation, state: DensityState) -> tuple[list[np.ndarray], tuple[int, ...]]:
@@ -240,15 +241,13 @@ def apply(op: QuantumOperation, state: DensityState, tol: Tolerances = DEFAULT_T
     clamped to [0, 1]; the conditional state is the renormalised output when
     the probability exceeds ``prob_eq``, otherwise ``None``.
     """
-    mats, out_dims = _extended_kraus(op, state)
-    out = np.zeros((prod(out_dims), prod(out_dims)), dtype=complex)
-    for k in mats:
-        out += k @ state.matrix @ k.conj().T
+    out = apply_unnormalized(op, state)
     raw = float(np.real(np.trace(out)))
     probability = min(1.0, max(0.0, raw))
     if probability <= tol.prob_eq:
         return probability, None
-    return probability, DensityState(out_dims, _hermitized(out) / raw)
+    dims = (op.dim_out,) + state.dims[1:]
+    return probability, _trusted(DensityState, dims=dims, matrix=_hermitized(out) / raw)
 
 
 def apply_unnormalized(op: QuantumOperation, state: DensityState) -> np.ndarray:
@@ -268,13 +267,15 @@ def compose_seq(second: QuantumOperation, first: QuantumOperation) -> QuantumOpe
             f"second expects {second.dim_in}"
         )
     mats = tuple(k2 @ k1 for k2 in second.kraus for k1 in first.kraus)
-    return QuantumOperation(first.dim_in, second.dim_out, mats)
+    return _trusted(QuantumOperation, dim_in=first.dim_in, dim_out=second.dim_out, kraus=mats)
 
 
 def compose_par(a: QuantumOperation, b: QuantumOperation) -> QuantumOperation:
     """Parallel composition a (tensor) b; dimensions multiply."""
     mats = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
-    return QuantumOperation(a.dim_in * b.dim_in, a.dim_out * b.dim_out, mats)
+    return _trusted(
+        QuantumOperation, dim_in=a.dim_in * b.dim_in, dim_out=a.dim_out * b.dim_out, kraus=mats
+    )
 
 
 def coarse_grain_ops(parts) -> QuantumOperation:
@@ -286,4 +287,4 @@ def coarse_grain_ops(parts) -> QuantumOperation:
     if len(dims) != 1:
         raise StructureError(f"operations act between different spaces: {sorted(dims)}")
     mats = tuple(k for p in parts for k in p.kraus)
-    return QuantumOperation(parts[0].dim_in, parts[0].dim_out, mats)
+    return _trusted(QuantumOperation, dim_in=parts[0].dim_in, dim_out=parts[0].dim_out, kraus=mats)

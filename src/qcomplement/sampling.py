@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import StructureError
 from .instruments import ElementaryProperty, Instrument, from_pvm
+from .linalg import _trusted
 from .operations import DensityState, QuantumOperation
 
 STREAM_ALGORITHM = "pcg64"
@@ -95,6 +96,10 @@ def random_instrument(
     labels = list(labels)
     if not labels:
         raise StructureError("instrument needs at least one outcome")
+    if min(d_in, d_out, kraus_per_outcome) < 1:
+        raise StructureError("dimensions and kraus_per_outcome must be positive")
+    if len(labels) * kraus_per_outcome * d_out < d_in:
+        raise StructureError("the Kraus matrices need at least d_in rows in total to normalise")
     rng = gen.rng
     raw = {
         label: [_ginibre(d_out, d_in, rng) for _ in range(kraus_per_outcome)]
@@ -107,7 +112,9 @@ def random_instrument(
     w, v = np.linalg.eigh(total)
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     outcomes = {
-        label: QuantumOperation(d_in, d_out, tuple(k @ inv_sqrt for k in mats))
+        label: _trusted(
+            QuantumOperation, dim_in=d_in, dim_out=d_out, kraus=tuple(k @ inv_sqrt for k in mats)
+        )
         for label, mats in raw.items()
     }
     return Instrument(d_in, d_out, outcomes)

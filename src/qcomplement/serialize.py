@@ -59,7 +59,14 @@ def complex_from_pair(data, path: str) -> complex:
     return complex(re, im)
 
 
-def matrix_from_lists(data, path: str) -> np.ndarray:
+def _real_from_number(data, path: str) -> float:
+    _expect(isinstance(data, (int, float)), "entries must be numbers", path)
+    return float(data)
+
+
+def _matrix_from_lists(data, path: str, entry) -> np.ndarray:
+    """Row-major nested arrays to a matrix, each entry parsed by
+    ``entry(value, path)``."""
     _expect(isinstance(data, list) and data, "matrix must be a nonempty array of rows", path)
     rows = []
     width = None
@@ -68,23 +75,8 @@ def matrix_from_lists(data, path: str) -> np.ndarray:
         if width is None:
             width = len(row)
         _expect(len(row) == width, "matrix rows must share one length", f"{path}[{i}]")
-        rows.append([complex_from_pair(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(rows, dtype=complex)
-
-
-def real_matrix_from_lists(data, path: str) -> np.ndarray:
-    _expect(isinstance(data, list) and data, "matrix must be a nonempty array of rows", path)
-    rows = []
-    width = None
-    for i, row in enumerate(data):
-        _expect(isinstance(row, list) and row, "matrix rows must be nonempty arrays", f"{path}[{i}]")
-        if width is None:
-            width = len(row)
-        _expect(len(row) == width, "matrix rows must share one length", f"{path}[{i}]")
-        for j, v in enumerate(row):
-            _expect(isinstance(v, (int, float)), "entries must be numbers", f"{path}[{i}][{j}]")
-        rows.append([float(v) for v in row])
-    return np.array(rows, dtype=float)
+        rows.append([entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    return np.array(rows)
 
 
 def _expect_count(data, key: str, path: str) -> int:
@@ -112,7 +104,8 @@ def operation_from_dict(data, path: str = "$") -> QuantumOperation:
         f"{path}.kraus",
     )
     mats = tuple(
-        matrix_from_lists(entry, f"{path}.kraus[{i}]") for i, entry in enumerate(data["kraus"])
+        _matrix_from_lists(entry, f"{path}.kraus[{i}]", complex_from_pair)
+        for i, entry in enumerate(data["kraus"])
     )
     for i, k in enumerate(mats):
         _expect(
@@ -182,7 +175,7 @@ def classical_instrument_from_dict(data, path: str = "$") -> ClassicalInstrument
         label = entry.get("label")
         _expect(isinstance(label, str) and label, "'label' must be a nonempty string", f"{here}.label")
         _expect(label not in outcomes, f"duplicate outcome label {label!r}", f"{here}.label")
-        mat = real_matrix_from_lists(entry.get("matrix"), f"{here}.matrix")
+        mat = _matrix_from_lists(entry.get("matrix"), f"{here}.matrix", _real_from_number)
         _expect(
             mat.shape == (size_out, size_in),
             f"matrix has shape {mat.shape}, expected ({size_out}, {size_in})",
@@ -214,7 +207,8 @@ def state_from_dict(data, path: str = "$") -> DensityState:
             [complex_from_pair(v, f"{path}.vector[{i}]") for i, v in enumerate(raw)]
         )
         return pure_state(vec, dims)
-    return DensityState(tuple(dims), matrix_from_lists(data["matrix"], f"{path}.matrix"))
+    matrix = _matrix_from_lists(data["matrix"], f"{path}.matrix", complex_from_pair)
+    return DensityState(tuple(dims), matrix)
 
 
 def witness_to_dict(w: ExclusionWitness) -> dict:

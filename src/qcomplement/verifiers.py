@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSeedError, StructureError
 from .instruments import Instrument
-from .linalg import DEFAULT_TOL, Subspace, Tolerances, hermitian_eig
+from .linalg import DEFAULT_TOL, Subspace, Tolerances, _trusted, hermitian_eig
 from .operations import DensityState, QuantumOperation, apply, apply_unnormalized
 
 
@@ -71,7 +71,7 @@ def verifier_support(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> Sub
     """
     w, v = hermitian_eig(op.effect(), tol)
     count = int(np.count_nonzero(w >= 1.0 - tol.prob_eq))
-    return Subspace(op.dim_in, v[:, :count])
+    return _trusted(Subspace, ambient_dim=op.dim_in, basis=v[:, :count])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,13 +184,16 @@ class TestHarness:
         assert out["violations"] == 0
         assert out["generator"] == "pcg64" and out["seed"] == 3
 
-    def test_classical_with_jobs(self, capsys):
-        code, out = run_json(
-            capsys,
-            ["--json", "--jobs", "2", "harness", "--theory", "classical", "--dim", "3",
-             "--trials", "15", "--seed", "4"],
-        )
-        assert code == 0 and out["violations"] == 0
+    @pytest.mark.parametrize("theory, dim, digest", [
+        ("quantum", "4", "586324d3df7425d3"),
+        ("classical", "6", "f458190d8a78ab5e"),
+    ])
+    def test_seeded_report_is_stable(self, capsys, theory, dim, digest):
+        code = main(["--json", "harness", "--theory", theory, "--dim", dim,
+                     "--trials", "200", "--seed", "42"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
 class TestGlobalFlags:
@@ -203,3 +211,24 @@ class TestGlobalFlags:
         out = capsys.readouterr().out
         assert code == 0
         assert "elementary: True" in out
+
+
+Z_MODEL = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "z.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "0", "classify", Z_MODEL],
+    ["--tol", "-1", "classify", Z_MODEL],
+    ["--tol", "nan", "classify", Z_MODEL],
+    ["--tol", "1e7", "classify", Z_MODEL],
+    ["harness", "--theory", "quantum", "--dim", "3", "--trials", "5", "--seed", "-5"],
+    ["harness", "--theory", "classical", "--dim", "3", "--trials", "5", "--seed", "-5"],
+])
+def test_bad_input_exits_2_without_traceback(argv):
+    src = str(Path(qc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    child = subprocess.run([sys.executable, "-m", "qcomplement", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 2
+    assert "error" in child.stderr
+    assert "Traceback" not in child.stderr

@@ -317,9 +317,3 @@ class TestInclusionHarness:
     def test_dim_two_seed_matrix(self):
         for seed in (0, 1, 2, 3):
             assert qc.verifier_inclusion_harness(seed=seed, dim=2, trials=25).violations == 0
-
-    def test_jobs_parallel_agrees(self):
-        serial = qc.verifier_inclusion_harness(seed=9, dim=2, trials=20, jobs=1)
-        parallel = qc.verifier_inclusion_harness(seed=9, dim=2, trials=20, jobs=4)
-        assert serial.checked_cases == parallel.checked_cases
-        assert serial.violations == parallel.violations == 0

@@ -13,10 +13,6 @@ def random_hermitian(rng, d):
     return a + a.conj().T
 
 
-def random_complex(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
 class TestHermitianEig:
     def test_identity(self):
         w, _ = qc.hermitian_eig(np.eye(2))
@@ -47,34 +43,6 @@ class TestHermitianEig:
         m = random_hermitian(np.random.default_rng(seed), d)
         _, v = qc.hermitian_eig(m)
         assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-10
-
-
-class TestPseudoinverse:
-    def test_diagonal_rank_deficient(self):
-        assert np.allclose(qc.pseudoinverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-
-    def test_unitary(self):
-        u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        assert np.allclose(qc.pseudoinverse(u), u.conj().T, atol=1e-12)
-
-    def test_rectangular_penrose(self):
-        m = random_complex(np.random.default_rng(5), 3, 5)
-        p = qc.pseudoinverse(m)
-        assert np.linalg.norm(m @ p @ m - m) <= 1e-9
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10**6), rows=st.integers(1, 6), cols=st.integers(1, 6),
-           rank_drop=st.integers(0, 2))
-    def test_penrose_identities(self, seed, rows, cols, rank_drop):
-        rng = np.random.default_rng(seed)
-        rank = max(1, min(rows, cols) - rank_drop)
-        m = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
-        p = qc.pseudoinverse(m)
-        scale = max(1.0, np.linalg.norm(m))
-        assert np.linalg.norm(m @ p @ m - m) <= 1e-9 * scale
-        assert np.linalg.norm(p @ m @ p - p) <= 1e-9 * max(1.0, np.linalg.norm(p))
-        assert np.linalg.norm((m @ p).conj().T - m @ p) <= 1e-9 * scale
-        assert np.linalg.norm((p @ m).conj().T - p @ m) <= 1e-9 * scale
 
 
 class TestIsPsd:

@@ -71,16 +71,16 @@ class TestChoi:
 class TestValidateOperation:
     def test_identity(self):
         rep = qc.validate_operation(qc.identity_operation(2))
-        assert rep.is_cp and rep.is_tni and rep.is_tp
+        assert rep.is_tni and rep.is_tp
 
     def test_projector_not_tp(self):
         rep = qc.validate_operation(qc.projector_operation(proj(E0)))
-        assert rep.is_cp and rep.is_tni and not rep.is_tp
+        assert rep.is_tni and not rep.is_tp
 
     def test_inflated_identity_not_tni(self):
         op = qc.QuantumOperation(2, 2, (np.sqrt(1.5) * np.eye(2, dtype=complex),))
         rep = qc.validate_operation(op)
-        assert rep.is_cp and not rep.is_tni
+        assert not rep.is_tni
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), scale=st.floats(0.2, 1.6))
@@ -89,6 +89,15 @@ class TestValidateOperation:
         rep = qc.validate_operation(op)
         top = float(np.linalg.eigvalsh(op.effect())[-1])
         assert rep.is_tni == (top <= 1.0 + 1e-9)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), d_in=st.integers(1, 5), d_out=st.integers(1, 5),
+           n_kraus=st.integers(1, 4), log_scale=st.floats(-6.0, 6.0))
+    def test_kraus_form_is_completely_positive(self, seed, d_in, d_out, n_kraus, log_scale):
+        # Why validate_operation need not check complete positivity.
+        op = random_operation(seed, d_in, d_out, n_kraus, scale=10.0 ** log_scale)
+        assert qc.is_psd(qc.choi(op).matrix)
 
 
 class TestIsAtomic:

@@ -121,6 +121,16 @@ class TestRandomInstrument:
         ins = qc.random_instrument(2, 2, ["a", "b", "c"], qc.SeededGenerator(3))
         assert all(qc.is_atomic(op) for op in ins.outcomes.values())
 
+    @pytest.mark.parametrize("d_in, d_out, labels, kraus", [
+        (0, 2, ["a"], 1),
+        (2, 0, ["a"], 1),
+        (2, 2, ["a"], 0),
+        (3, 2, ["a"], 1),
+    ])
+    def test_rejects_shapes_it_cannot_normalise(self, d_in, d_out, labels, kraus):
+        with pytest.raises(StructureError):
+            qc.random_instrument(d_in, d_out, labels, qc.SeededGenerator(1), kraus)
+
     def test_multi_kraus(self):
         ins = qc.random_instrument(2, 2, ["a"], qc.SeededGenerator(4), kraus_per_outcome=3)
         assert qc.validate_instrument(ins).is_valid
