@@ -23,7 +23,7 @@ from .compatibility import (
     verifier_inclusion_harness,
     verify_witness,
 )
-from .complementarity import classify_relation
+from .complementarity import are_complementary, classify_relation
 from .errors import (
     DegenerateSeedError,
     ExtractionError,
@@ -190,7 +190,7 @@ def _cmd_comp(args, tol: Tolerances) -> tuple[int, dict]:
 def _cmd_compat(args, tol: Tolerances) -> tuple[int, dict]:
     p, p_ins = _elementary(args.p, tol)
     q, q_ins = _elementary(args.q, tol)
-    report = classify_relation(p, q, tol)
+    report = are_complementary(p, q, tol)
     # Elementary properties are weakly compatible iff not complementary.
     compatible = not report.complementary
     out = {

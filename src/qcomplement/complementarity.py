@@ -5,7 +5,8 @@ fails to verify the other. For projective instruments this reduces to
 comparing the projector supports: the properties are non-complementary iff
 the support families match under a bijection of outcomes. Degrees (strong,
 mild, weak) are classified per verifier state from the outcome distribution
-it induces on the other property.
+it induces on the other property. Support matching, the witness search and
+both degree tables read one overlap matrix between the two range frames.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import StructureError
 from .instruments import ElementaryProperty
-from .linalg import DEFAULT_TOL, Subspace, SubspaceRelation, Tolerances, range_subspace, subspace_relation
+from .linalg import DEFAULT_TOL, Tolerances, range_subspace
 from .operations import DensityState, pure_state
 
 
@@ -69,34 +70,7 @@ def outcome_entropy(probabilities, base2: bool = True) -> float:
     return total if base2 else total * math.log(2.0)
 
 
-def _outcome_probabilities(
-    verifier: DensityState, q: ElementaryProperty, tol: Tolerances
-) -> dict[str, float]:
-    if verifier.dims[0] != q.dim:
-        raise StructureError(
-            f"state's first factor has dimension {verifier.dims[0]}, property "
-            f"lives on dimension {q.dim}"
-        )
-    rest = prod(verifier.dims[1:]) if len(verifier.dims) > 1 else 1
-    probs: dict[str, float] = {}
-    for label, proj in q.projectors.items():
-        full = proj if rest == 1 else np.kron(proj, np.eye(rest))
-        probs[label] = float(np.real(np.trace(full @ verifier.matrix)))
-    return probs
-
-
-def degree_for_verifier(
-    verifier: DensityState, q: ElementaryProperty, tol: Tolerances = DEFAULT_TOL
-) -> DegreeVerdict:
-    """Classify how undetermined property ``q`` is on a given verifier state.
-
-    Boundary handling: a probability within ``prob_eq`` of 1 counts as
-    certain (not complementary on this state), within ``prob_eq`` of 0 as
-    vanishing. Strong means all outcomes uniform at 1/|Y|; mild means all
-    outcomes strictly inside (0, 1); weak allows vanishing outcomes as long
-    as none is certain.
-    """
-    probs = _outcome_probabilities(verifier, q, tol)
+def _degree(probs: dict[str, float], tol: Tolerances) -> DegreeVerdict:
     values = list(probs.values())
     n = len(values)
     eps = tol.prob_eq
@@ -112,70 +86,111 @@ def degree_for_verifier(
     return DegreeVerdict(kind=kind, probabilities=probs, entropy_bits=outcome_entropy(clamped))
 
 
-def _support_map(p: ElementaryProperty, tol: Tolerances) -> dict[str, Subspace]:
-    return {label: range_subspace(proj, tol) for label, proj in p.projectors.items()}
+def degree_for_verifier(
+    verifier: DensityState, q: ElementaryProperty, tol: Tolerances = DEFAULT_TOL
+) -> DegreeVerdict:
+    """Classify how undetermined property ``q`` is on a given verifier state.
 
-
-def _match_supports(
-    p_supports: dict[str, Subspace], q_supports: dict[str, Subspace], tol: Tolerances
-) -> dict[str, str] | None:
-    """Bijection matching equal supports, or None when the multisets differ.
-
-    Supports within one property are pairwise orthogonal and nonzero, so a
-    greedy scan is exact: no two outcomes of the same property can share a
-    support.
+    Boundary handling: a probability within ``prob_eq`` of 1 counts as
+    certain (not complementary on this state), within ``prob_eq`` of 0 as
+    vanishing. Strong means all outcomes uniform at 1/|Y|; mild means all
+    outcomes strictly inside (0, 1); weak allows vanishing outcomes as long
+    as none is certain.
     """
-    if len(p_supports) != len(q_supports):
-        return None
-    unmatched = list(q_supports)
-    mapping: dict[str, str] = {}
-    for x, sub_x in p_supports.items():
-        for y in unmatched:
-            if subspace_relation(sub_x, q_supports[y], tol) is SubspaceRelation.EQUAL:
-                mapping[x] = y
-                unmatched.remove(y)
-                break
-        else:
-            return None
-    return mapping
+    if verifier.dims[0] != q.dim:
+        raise StructureError(
+            f"state's first factor has dimension {verifier.dims[0]}, property "
+            f"lives on dimension {q.dim}"
+        )
+    ancilla = np.eye(prod(verifier.dims[1:]))
+    probs = {
+        label: float(np.real(np.trace(np.kron(proj, ancilla) @ verifier.matrix)))
+        for label, proj in q.projectors.items()
+    }
+    return _degree(probs, tol)
 
 
-def _verified_outcome(vector: np.ndarray, prop: ElementaryProperty, tol: Tolerances) -> str | None:
-    for label, proj in prop.projectors.items():
-        if float(np.real(vector.conj() @ (proj @ vector))) >= 1.0 - tol.prob_eq:
-            return label
+def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes' range bases side by side, U = [A_x1 | A_x2 | ...], and the
+    block indicator whose entry (i, x) is 1 when column i of U spans outcome x."""
+    bases = [range_subspace(proj, tol).basis for proj in prop.projectors.values()]
+    owner = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
+    return np.hstack(bases), (owner[:, None] == np.arange(len(bases))).astype(float)
+
+
+def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerances):
+    """First vector of ``frame``, or uniform superposition of two from one
+    block, that verifies no outcome of the other property.
+
+    ``coords`` holds each frame vector's coordinates in the other frame and
+    ``weights`` their squared norms per other outcome. Within one range, the
+    states that still verify the other property fall into pairwise-orthogonal
+    intersection subspaces. Hence either some basis vector already fails, or
+    two basis vectors verify distinct outcomes and their superposition fails.
+    """
+    hit = weights >= 1.0 - tol.prob_eq
+    verified = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)  # first outcome, or -1
+    for block in blocks.T:
+        rows = np.flatnonzero(block)
+        failed = rows[verified[rows] < 0]
+        if failed.size:
+            return frame[:, failed[0]]
+        for i, j in combinations(rows, 2):
+            if verified[i] != verified[j]:
+                mixed = (np.abs(coords[i] + coords[j]) ** 2 / 2.0) @ other_blocks
+                if not (mixed >= 1.0 - tol.prob_eq).any():
+                    return (frame[:, i] + frame[:, j]) / np.sqrt(2.0)
     return None
 
 
-def _search_witness(
-    p: ElementaryProperty, q: ElementaryProperty, tol: Tolerances
-) -> DensityState | None:
-    """Deterministic pure verifier of one property failing the other.
+def _degree_table(labels, other_labels, rows, tol: Tolerances) -> dict[str, DegreeVerdict]:
+    return {
+        x: _degree({y: float(v) for y, v in zip(other_labels, row)}, tol)
+        for x, row in zip(labels, rows)
+    }
 
-    Within a projector's range, the states that still verify the other
-    property fall into pairwise-orthogonal intersection subspaces. Hence
-    either some range basis vector already fails, or two basis vectors verify
-    distinct opposite outcomes and their uniform superposition fails.
+
+def _relation(
+    p: ElementaryProperty, q: ElementaryProperty, tol: Tolerances, tables: bool
+) -> ComplementarityReport:
+    """One pass over the overlap C = U_P^dag U_Q of the two range frames.
+
+    Block (x, y) of C compares the supports of x and y: they are equal when
+    every row and every column of the block has norm at least 1 - mat_eq.
+    Rows of C are P's range vectors in Q's frame (columns are Q's in P's),
+    which the witness search thresholds at prob_eq. Block sums of |C|^2 give
+    M[x, y] = tr(P_x Q_y), whose row x over rank P_x is the outcome
+    distribution of Q on the maximally mixed state of P_x's range.
     """
-    for first, second in ((p, q), (q, p)):
-        for proj in first.projectors.values():
-            basis = range_subspace(proj, tol).basis
-            verified = []
-            failed = None
-            for i in range(basis.shape[1]):
-                outcome = _verified_outcome(basis[:, i], second, tol)
-                if outcome is None:
-                    failed = basis[:, i]
-                    break
-                verified.append(outcome)
-            if failed is not None:
-                return pure_state(failed)
-            for i, j in combinations(range(len(verified)), 2):
-                if verified[i] != verified[j]:
-                    candidate = (basis[:, i] + basis[:, j]) / np.sqrt(2.0)
-                    if _verified_outcome(candidate, second, tol) is None:
-                        return pure_state(candidate)
-    return None
+    if p.dim != q.dim:
+        raise StructureError(f"properties live on different dimensions: {p.dim} vs {q.dim}")
+    frame_p, blocks_p = _frame(p, tol)
+    frame_q, blocks_q = _frame(q, tol)
+    overlap = frame_p.conj().T @ frame_q
+    weight = np.abs(overlap) ** 2
+    to_q = weight @ blocks_q
+    to_p = weight.T @ blocks_p
+    # Vectors of each frame whose norm within block (x, y) falls short.
+    short_p = np.sqrt(to_q) < 1.0 - tol.mat_eq
+    short_q = np.sqrt(to_p) < 1.0 - tol.mat_eq
+    equal = (blocks_p.T @ short_p == 0) & (short_q.T @ blocks_q == 0)
+    # Supports within one property are orthogonal, so each support equals at
+    # most one of the other's; a match exists iff ``equal`` is a permutation.
+    mapping = None
+    if (equal.sum(axis=0) == 1).all() and (equal.sum(axis=1) == 1).all():
+        mapping = {x: q.labels[y] for x, y in zip(p.labels, equal.argmax(axis=1))}
+    witness = None
+    if mapping is None:
+        vector = _witness_vector(frame_p, overlap, to_q, blocks_p, blocks_q, tol)
+        if vector is None:
+            vector = _witness_vector(frame_q, overlap.conj().T, to_p, blocks_q, blocks_p, tol)
+        witness = None if vector is None else pure_state(vector)
+    degree_table, reverse = {}, {}
+    if tables:
+        m = blocks_p.T @ to_q
+        degree_table = _degree_table(p.labels, q.labels, m / blocks_p.sum(axis=0)[:, None], tol)
+        reverse = _degree_table(q.labels, p.labels, m.T / blocks_q.sum(axis=0)[:, None], tol)
+    return ComplementarityReport(mapping is None, mapping, witness, degree_table, reverse)
 
 
 def are_complementary(
@@ -191,21 +206,7 @@ def are_complementary(
     are already distinguishable as subspaces while no state fails
     verification measurably, and the witness is then None.
     """
-    if p.dim != q.dim:
-        raise StructureError(f"properties live on different dimensions: {p.dim} vs {q.dim}")
-    mapping = _match_supports(_support_map(p, tol), _support_map(q, tol), tol)
-    if mapping is not None:
-        return ComplementarityReport(complementary=False, matched_bijection=mapping)
-    return ComplementarityReport(
-        complementary=True,
-        matched_bijection=None,
-        witness=_search_witness(p, q, tol),
-    )
-
-
-def _range_mixed_state(projector: np.ndarray) -> DensityState:
-    trace = float(np.real(np.trace(projector)))
-    return DensityState((projector.shape[0],), projector / trace)
+    return _relation(p, q, tol, tables=False)
 
 
 def classify_relation(
@@ -219,19 +220,4 @@ def classify_relation(
     The table is reported per outcome, both directions, without collapsing to
     a single pairwise label.
     """
-    report = are_complementary(p, q, tol)
-    degree_table = {
-        x: degree_for_verifier(_range_mixed_state(proj), q, tol)
-        for x, proj in p.projectors.items()
-    }
-    reverse = {
-        y: degree_for_verifier(_range_mixed_state(proj), p, tol)
-        for y, proj in q.projectors.items()
-    }
-    return ComplementarityReport(
-        complementary=report.complementary,
-        matched_bijection=report.matched_bijection,
-        witness=report.witness,
-        degree_table=degree_table,
-        reverse_degree_table=reverse,
-    )
+    return _relation(p, q, tol, tables=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError, PreconditionError, StructureError
-from .linalg import DEFAULT_TOL, Tolerances, _trusted, as_matrix, hermitian_eig, range_subspace
+from .linalg import DEFAULT_TOL, Tolerances, _trusted, as_matrix, range_subspace
 from .operations import (
     OperationReport,
     QuantumOperation,
@@ -167,12 +167,12 @@ class ElementaryProperty:
         }
 
 
-def _dominant_kraus(op: QuantumOperation, tol: Tolerances) -> np.ndarray:
+def _dominant_kraus(op: QuantumOperation) -> np.ndarray:
     """Single effective Kraus matrix of a Choi-rank-one operation."""
     c = choi(op).matrix
-    w, v = hermitian_eig(0.5 * (c + c.conj().T), tol)
-    weight = max(float(w[0]), 0.0)
-    return np.sqrt(weight) * v[:, 0].reshape(op.dim_out, op.dim_in)
+    w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
+    weight = max(float(w[-1]), 0.0)
+    return np.sqrt(weight) * v[:, -1].reshape(op.dim_out, op.dim_in)
 
 
 def to_elementary(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
@@ -200,7 +200,7 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     d = ins.dim_in
     projectors: dict[str, np.ndarray] = {}
     for label, op in ins.outcomes.items():
-        kraus = _dominant_kraus(op, tol)
+        kraus = _dominant_kraus(op)
         support = range_subspace(kraus, tol)
         if support.dim == 0:
             raise ExtractionError(f"outcome {label!r} is the zero map, it admits no verifier")

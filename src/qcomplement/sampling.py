@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .instruments import ElementaryProperty, Instrument, from_pvm
+from .instruments import ElementaryProperty, Instrument
 from .linalg import _trusted
-from .operations import DensityState, QuantumOperation
+from .operations import DensityState, QuantumOperation, projector_operation
 
 STREAM_ALGORITHM = "pcg64"
 
@@ -65,7 +65,10 @@ def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
         block = u[:, start : start + rank]
         projectors[f"x{i}"] = block @ block.conj().T
         start += rank
-    return from_pvm(projectors)
+    # Blocks of one unitary: orthogonal, idempotent and complete by construction.
+    outcomes = {label: projector_operation(p) for label, p in projectors.items()}
+    ins = _trusted(Instrument, dim_in=d, dim_out=d, outcomes=outcomes)
+    return _trusted(ElementaryProperty, base=ins, projectors=projectors)
 
 
 def random_density(d: int, rank: int, gen: SeededGenerator) -> DensityState:

@@ -44,24 +44,30 @@ def _expect(condition: bool, message: str, path: str):
         raise SchemaError(message, path)
 
 
+def _is_count(value) -> bool:
+    """A positive JSON integer; JSON booleans are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def complex_from_pair(data, path: str) -> complex:
     _expect(
         isinstance(data, (list, tuple)) and len(data) == 2,
         "complex entries must be two-element [re, im] arrays",
         path,
     )
-    re, im = data
-    _expect(
-        isinstance(re, (int, float)) and isinstance(im, (int, float)),
-        "complex entry parts must be numbers",
-        path,
-    )
-    return complex(re, im)
+    return complex(_real_from_number(data[0], path), _real_from_number(data[1], path))
 
 
 def _real_from_number(data, path: str) -> float:
-    _expect(isinstance(data, (int, float)), "entries must be numbers", path)
-    return float(data)
+    _expect(
+        isinstance(data, (int, float)) and not isinstance(data, bool),
+        "entries must be numbers",
+        path,
+    )
+    try:
+        return float(data)
+    except OverflowError:
+        raise SchemaError("number is too large for a float", path) from None
 
 
 def _matrix_from_lists(data, path: str, entry) -> np.ndarray:
@@ -82,7 +88,7 @@ def _matrix_from_lists(data, path: str, entry) -> np.ndarray:
 def _expect_count(data, key: str, path: str) -> int:
     _expect(key in data, f"missing field {key!r}", path)
     value = data[key]
-    _expect(isinstance(value, int) and value >= 1, f"{key!r} must be a positive integer", f"{path}.{key}")
+    _expect(_is_count(value), f"{key!r} must be a positive integer", f"{path}.{key}")
     return value
 
 
@@ -193,7 +199,7 @@ def state_from_dict(data, path: str = "$") -> DensityState:
     _expect(isinstance(data, dict), "state must be an object", path)
     dims = data.get("dims")
     _expect(
-        isinstance(dims, list) and dims and all(isinstance(d, int) and d >= 1 for d in dims),
+        isinstance(dims, list) and dims and all(_is_count(d) for d in dims),
         "'dims' must be a nonempty array of positive integers",
         f"{path}.dims",
     )
@@ -228,7 +234,7 @@ def witness_from_dict(data, path: str = "$") -> ExclusionWitness:
     _expect(
         isinstance(dims_out, list)
         and len(dims_out) == 2
-        and all(isinstance(d, int) and d >= 1 for d in dims_out),
+        and all(_is_count(d) for d in dims_out),
         "'dims_out' must be a two-element array of positive integers",
         f"{path}.C.dims_out",
     )

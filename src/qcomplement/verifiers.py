@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSeedError, StructureError
 from .instruments import Instrument
-from .linalg import DEFAULT_TOL, Subspace, Tolerances, _trusted, hermitian_eig
+from .linalg import DEFAULT_TOL, Subspace, Tolerances, _trusted
 from .operations import DensityState, QuantumOperation, apply, apply_unnormalized
 
 
@@ -69,9 +69,10 @@ def verifier_support(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> Sub
     factor) lies inside this subspace; the subspace may be empty, in which
     case the operation has no verifiers.
     """
-    w, v = hermitian_eig(op.effect(), tol)
+    # The effect is Hermitian by construction; eigh's order is ascending.
+    w, v = np.linalg.eigh(op.effect())
     count = int(np.count_nonzero(w >= 1.0 - tol.prob_eq))
-    return _trusted(Subspace, ambient_dim=op.dim_in, basis=v[:, :count])
+    return _trusted(Subspace, ambient_dim=op.dim_in, basis=v[:, ::-1][:, :count])
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,11 @@ class TestGlobalFlags:
 Z_MODEL = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "z.json")
 
 
+def _one_by_one_instrument(dim_in="1", entry="[1, 0]"):
+    return ('{"kind": "quantum-instrument", "dim_in": %s, "dim_out": 1, '
+            '"outcomes": [{"label": "a", "kraus": [[[%s]]]}]}' % (dim_in, entry))
+
+
 @pytest.mark.parametrize("argv", [
     ["--tol", "0", "classify", Z_MODEL],
     ["--tol", "-1", "classify", Z_MODEL],
@@ -223,8 +228,17 @@ Z_MODEL = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "z.json
     ["--tol", "1e7", "classify", Z_MODEL],
     ["harness", "--theory", "quantum", "--dim", "3", "--trials", "5", "--seed", "-5"],
     ["harness", "--theory", "classical", "--dim", "3", "--trials", "5", "--seed", "-5"],
+    # Model texts, written to a file: an integer too large for a float, and
+    # JSON booleans where a count or a number belongs.
+    ["validate", _one_by_one_instrument(entry="[1%s, 0]" % ("0" * 400))],
+    ["validate", _one_by_one_instrument(dim_in="true")],
+    ["validate", _one_by_one_instrument(entry="[true, false]")],
 ])
-def test_bad_input_exits_2_without_traceback(argv):
+def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+    if argv[-1].startswith("{"):
+        model = tmp_path / "model.json"
+        model.write_text(argv[-1])
+        argv = [*argv[:-1], str(model)]
     src = str(Path(qc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     child = subprocess.run([sys.executable, "-m", "qcomplement", *argv], env=env,

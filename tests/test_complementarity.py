@@ -273,3 +273,87 @@ class TestClassifyRelation:
             entropy_max = abs(verdict.entropy_bits - math.log2(d)) <= 1e-6
             uniform = all(abs(v - 1.0 / d) <= 1e-7 for v in verdict.probabilities.values())
             assert is_strong and entropy_max and uniform
+
+
+def _reference_relation(p, q):
+    """Bijection and both degree tables rebuilt from public primitives: greedy
+    EQUAL matching of range subspaces, and ``degree_for_verifier`` on the
+    maximally mixed state of each range."""
+    supports_q = {y: qc.range_subspace(m) for y, m in q.projectors.items()}
+    unmatched, mapping = list(supports_q), {}
+    for x, m in p.projectors.items():
+        support = qc.range_subspace(m)
+        y = next((y for y in unmatched
+                  if qc.subspace_relation(support, supports_q[y]) is qc.SubspaceRelation.EQUAL), None)
+        if y is None:
+            mapping = None
+            break
+        mapping[x] = y
+        unmatched.remove(y)
+    if unmatched:
+        mapping = None
+
+    def table(a, b):
+        return {x: qc.degree_for_verifier(qc.DensityState((a.dim,), m / np.trace(m).real), b)
+                for x, m in a.projectors.items()}
+
+    return mapping, table(p, q), table(q, p)
+
+
+def _random_pair(kind, seed):
+    gen = qc.SeededGenerator(seed)
+    rng = gen.rng
+    d = int(rng.integers(2, 6))
+    p = qc.random_pvm(d, qc.random_rank_profile(d, int(rng.integers(1, d + 1)), rng), gen.child(0))
+    if kind == "self":
+        return p, p
+    if kind == "relabelled":
+        return p, qc.from_pvm({f"r{x}": m for x, m in reversed(p.projectors.items())})
+    return p, qc.random_pvm(d, qc.random_rank_profile(d, int(rng.integers(1, d + 1)), rng), gen.child(1))
+
+
+def _rotated_pair(rank, theta):
+    # Rank 1: a qubit basis rotated by theta. Rank 2: two planes of C^4 whose
+    # shared boundary vectors are rotated by theta.
+    c, s = np.cos(theta), np.sin(theta)
+    if rank == 1:
+        return TestAreComplementary._rotated_pair(theta)
+    e = np.eye(4)
+    p = qc.from_pvm({"lo": proj(e[0]) + proj(e[1]), "hi": proj(e[2]) + proj(e[3])})
+    q = qc.from_pvm({"lo": proj(e[0]) + proj(c * e[1] + s * e[2]),
+                     "hi": proj(-s * e[1] + c * e[2]) + proj(e[3])})
+    return p, q
+
+
+ORACLE_PAIRS = (
+    [pytest.param(_random_pair, kind, seed, id=f"{kind}-{seed}")
+     for kind in ("self", "relabelled", "independent") for seed in range(10)]
+    + [pytest.param(_rotated_pair, rank, theta, id=f"rank{rank}-{theta:.1e}")
+       for rank in (1, 2) for theta in np.geomspace(1e-6, 1e-3, 13)]
+)
+
+
+@pytest.mark.parametrize("build, a, b", ORACLE_PAIRS)
+def test_overlap_pass_matches_reference(build, a, b):
+    p, q = build(a, b)
+    for first, second in ((p, q), (q, p)):
+        mapping, table, reverse = _reference_relation(first, second)
+        report = qc.classify_relation(first, second)
+        assert report.complementary == (mapping is None)
+        assert report.matched_bijection == mapping
+        verdict = qc.are_complementary(first, second)
+        assert (verdict.complementary, verdict.matched_bijection) == (report.complementary, mapping)
+        assert (verdict.witness is None) == (report.witness is None)
+        if report.witness is not None:
+            assert np.array_equal(verdict.witness.matrix, report.witness.matrix)
+            verifies = [any(qc.is_verifier(op, report.witness) for op in prop.base.outcomes.values())
+                        for prop in (first, second)]
+            assert verifies[0] != verifies[1]
+        for got, want in ((report.degree_table, table), (report.reverse_degree_table, reverse)):
+            assert list(got) == list(want)
+            for label, expected in want.items():
+                assert got[label].kind is expected.kind
+                assert list(got[label].probabilities) == list(expected.probabilities)
+                for key, value in got[label].probabilities.items():
+                    assert abs(value - expected.probabilities[key]) <= 1e-12
+                    assert math.copysign(1.0, value) == 1.0
