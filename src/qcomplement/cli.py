@@ -116,16 +116,13 @@ def _cmd_classify(args, tol: Tolerances) -> tuple[int, dict]:
     square = ins.dim_in == ins.dim_out
     repeatable = square and is_repeatable(ins, tol)
     atomic = {label: is_atomic(op, tol) for label, op in ins.outcomes.items()}
-    elementary = False
     ranks = None
     if report.is_valid and repeatable and all(atomic.values()):
         try:
-            prop = _extract_elementary(ins, tol)
+            ranks = _extract_elementary(ins, tol).rank_profile()
         except (StructureError, ExtractionError):
-            prop = None
-        if prop is not None:
-            elementary = True
-            ranks = prop.rank_profile()
+            pass
+    elementary = ranks is not None
     out = {
         "command": "classify",
         "valid": report.is_valid,

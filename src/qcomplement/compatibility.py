@@ -21,7 +21,7 @@ from .instruments import ElementaryProperty, Instrument
 from .linalg import DEFAULT_TOL, Tolerances, subspace_contained
 from .operations import (
     QuantumOperation,
-    choi,
+    _core_norm,
     choi_distance,
     coarse_grain_ops,
     compose_seq,
@@ -263,10 +263,6 @@ class HarnessReport:
     cases: tuple = ()
 
 
-def _choi_norm(op: QuantumOperation) -> float:
-    return float(np.linalg.norm(choi(op).matrix))
-
-
 def _conditional_family(
     t: Instrument, gen: SeededGenerator, rng: np.random.Generator
 ) -> dict[str, Instrument]:
@@ -308,13 +304,13 @@ def _quantum_trial(gen: SeededGenerator, dim: int, tol: Tolerances):
     violations = []
     for y in g.labels:
         g_y = g[y]
-        if _choi_norm(g_y) <= tol.mat_eq:
+        if _core_norm(g_y) <= tol.mat_eq:
             continue
         if not is_atomic(g_y, tol):
             continue
         checked += 1
         matched = max(
-            t.labels, key=lambda x: _choi_norm(compose_seq(cond[x][y], t[x]))
+            t.labels, key=lambda x: _core_norm(compose_seq(cond[x][y], t[x]))
         )
         support_g = verifier_support(g_y, tol)
         support_t = verifier_support(t[matched], tol)

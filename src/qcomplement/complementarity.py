@@ -15,7 +15,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import prod
 
 import numpy as np
 
@@ -83,7 +82,7 @@ def _degree(probs: dict[str, float], tol: Tolerances) -> DegreeVerdict:
     else:
         kind = DegreeKind.WEAK
     clamped = [min(1.0, max(0.0, p)) for p in values]
-    return DegreeVerdict(kind=kind, probabilities=probs, entropy_bits=outcome_entropy(clamped))
+    return DegreeVerdict(kind, dict(zip(probs, clamped)), outcome_entropy(clamped))
 
 
 def degree_for_verifier(
@@ -95,16 +94,18 @@ def degree_for_verifier(
     certain (not complementary on this state), within ``prob_eq`` of 0 as
     vanishing. Strong means all outcomes uniform at 1/|Y|; mild means all
     outcomes strictly inside (0, 1); weak allows vanishing outcomes as long
-    as none is certain.
+    as none is certain. Reported probabilities are clamped to [0, 1].
     """
     if verifier.dims[0] != q.dim:
         raise StructureError(
             f"state's first factor has dimension {verifier.dims[0]}, property "
             f"lives on dimension {q.dim}"
         )
-    ancilla = np.eye(prod(verifier.dims[1:]))
+    # tr((P (x) I) rho) = tr(P rho_1), with rho_1 the partial trace over the ancillas.
+    rest = verifier.dim // q.dim
+    reduced = np.einsum("iaja->ij", verifier.matrix.reshape(q.dim, rest, q.dim, rest))
     probs = {
-        label: float(np.real(np.trace(np.kron(proj, ancilla) @ verifier.matrix)))
+        label: float(np.real(np.einsum("ij,ji->", proj, reduced)))
         for label, proj in q.projectors.items()
     }
     return _degree(probs, tol)

@@ -18,7 +18,8 @@ from .linalg import DEFAULT_TOL, Tolerances, _trusted, as_matrix, range_subspace
 from .operations import (
     OperationReport,
     QuantumOperation,
-    choi,
+    _core_norm,
+    _kraus_columns,
     choi_distance,
     coarse_grain_ops,
     compose_seq,
@@ -122,13 +123,8 @@ def is_repeatable(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
         raise StructureError("repeatability needs dim_in = dim_out")
     for x, op_x in ins.outcomes.items():
         for xp, op_xp in ins.outcomes.items():
-            combined = compose_seq(op_x, op_xp)
-            if x == xp:
-                if choi_distance(combined, op_x) > tol.mat_eq:
-                    return False
-            else:
-                if float(np.linalg.norm(choi(combined).matrix)) > tol.mat_eq:
-                    return False
+            if _core_norm(compose_seq(op_x, op_xp), op_x if x == xp else None) > tol.mat_eq:
+                return False
     return True
 
 
@@ -146,11 +142,9 @@ class ElementaryProperty:
     def __post_init__(self):
         if set(self.projectors) != set(self.base.outcomes):
             raise StructureError("projector labels do not match instrument outcomes")
-        object.__setattr__(
-            self,
-            "projectors",
-            {label: as_matrix(p, f"projector {label!r}") for label, p in self.projectors.items()},
-        )
+        mats = {label: as_matrix(p, f"projector {label!r}") for label, p in self.projectors.items()}
+        _check_pvm(mats, self.base.dim_in, DEFAULT_TOL)
+        object.__setattr__(self, "projectors", mats)
 
     @property
     def dim(self) -> int:
@@ -168,11 +162,10 @@ class ElementaryProperty:
 
 
 def _dominant_kraus(op: QuantumOperation) -> np.ndarray:
-    """Single effective Kraus matrix of a Choi-rank-one operation."""
-    c = choi(op).matrix
-    w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
-    weight = max(float(w[-1]), 0.0)
-    return np.sqrt(weight) * v[:, -1].reshape(op.dim_out, op.dim_in)
+    """Single effective Kraus matrix of a Choi-rank-one operation: the top
+    singular pair of V, as Choi = V V^dag, up to a global phase."""
+    u, s, _ = np.linalg.svd(_kraus_columns(op.kraus), full_matrices=False)
+    return s[0] * u[:, 0].reshape(op.dim_out, op.dim_in)
 
 
 def to_elementary(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
@@ -197,11 +190,9 @@ def to_elementary(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> ElementaryP
 def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     """The extraction step of ``to_elementary``, for a square instrument whose
     repeatability and per-outcome atomicity the caller has established."""
-    d = ins.dim_in
     projectors: dict[str, np.ndarray] = {}
     for label, op in ins.outcomes.items():
-        kraus = _dominant_kraus(op)
-        support = range_subspace(kraus, tol)
+        support = range_subspace(_dominant_kraus(op), tol)
         if support.dim == 0:
             raise ExtractionError(f"outcome {label!r} is the zero map, it admits no verifier")
         proj = support.projector()
@@ -210,15 +201,7 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
                 f"outcome {label!r}: projector map does not reproduce the operation"
             )
         projectors[label] = proj
-
-    labels = list(projectors)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if float(np.linalg.norm(projectors[a] @ projectors[b])) > tol.mat_eq:
-                raise ExtractionError(f"projectors {a!r} and {b!r} are not orthogonal")
-    total = sum(projectors.values())
-    if float(np.linalg.norm(total - np.eye(d))) > tol.mat_eq:
-        raise ExtractionError("extracted projectors do not sum to the identity")
+    _check_pvm(projectors, ins.dim_in, tol, ExtractionError)
     return _trusted(ElementaryProperty, base=ins, projectors=projectors)
 
 
@@ -269,33 +252,33 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
     Hermitian idempotent; the family must be pairwise orthogonal and sum to
     the identity, all within ``mat_eq``.
     """
-    if isinstance(projectors, dict):
-        items = list(projectors.items())
-    else:
-        items = list(projectors)
+    items = list(projectors.items() if isinstance(projectors, dict) else projectors)
     if not items:
         raise StructureError("a PVM needs at least one projector")
     mats = {label: as_matrix(p, f"projector {label!r}") for label, p in items}
-    dims = {m.shape for m in mats.values()}
-    if len(dims) != 1 or any(s[0] != s[1] for s in dims):
-        raise StructureError(f"projectors must be square and share dimensions, got {dims}")
-    d = next(iter(dims))[0]
+    d = next(iter(mats.values())).shape[0]
+    _check_pvm(mats, d, tol)
+    ins = Instrument(d, d, {label: projector_operation(p) for label, p in mats.items()})
+    return _trusted(ElementaryProperty, base=ins, projectors=mats)
 
+
+def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=StructureError):
+    """Raise ``error`` unless ``mats`` are nonzero d x d orthogonal projectors,
+    pairwise orthogonal and summing to the identity, all within ``mat_eq``."""
     for label, p in mats.items():
+        if p.shape != (d, d):
+            raise error(f"projector {label!r} has shape {p.shape}, expected ({d}, {d})")
         if float(np.linalg.norm(p - p.conj().T)) > tol.mat_eq:
-            raise StructureError(f"projector {label!r} is not Hermitian")
+            raise error(f"projector {label!r} is not Hermitian")
         if float(np.linalg.norm(p @ p - p)) > tol.mat_eq:
-            raise StructureError(f"projector {label!r} is not idempotent")
+            raise error(f"projector {label!r} is not idempotent")
         if float(np.real(np.trace(p))) < 0.5:
-            raise StructureError(f"projector {label!r} is zero, it admits no verifier")
+            raise error(f"projector {label!r} is zero, it admits no verifier")
     labels = list(mats)
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
             if float(np.linalg.norm(mats[a] @ mats[b])) > tol.mat_eq:
-                raise StructureError(f"projectors {a!r} and {b!r} are not orthogonal")
+                raise error(f"projectors {a!r} and {b!r} are not orthogonal")
     total = sum(mats.values())
     if float(np.linalg.norm(total - np.eye(d))) > tol.mat_eq:
-        raise StructureError("projectors do not sum to the identity (incomplete PVM)")
-
-    ins = Instrument(d, d, {label: projector_operation(p) for label, p in mats.items()})
-    return _trusted(ElementaryProperty, base=ins, projectors=mats)
+        raise error("projectors do not sum to the identity (incomplete PVM)")

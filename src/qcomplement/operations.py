@@ -1,11 +1,11 @@
 """Quantum operations as Kraus families.
 
 An operation is a completely positive trace-non-increasing map given by a
-nonempty list of Kraus matrices. Equality of maps is always decided on the
-Choi matrix (Frobenius distance), since Kraus lists are not unique. The Choi
-convention is row-major vectorisation of each Kraus operator, i.e. the Choi
-matrix lives on output x input and the Choi of the identity channel is the
-unnormalised maximally entangled projector.
+nonempty list of Kraus matrices. Maps are equal iff their Choi matrices are,
+since Kraus lists are not unique; the Choi matrix sums vec(K) vec(K)^dag over
+row-major vec, on output x input. Decisions never build it: distances and ranks
+come from a K x K core of the K Kraus matrices, exactly. ``choi()`` builds the
+d^2 x d^2 matrix for audits and as the test oracle.
 """
 
 from __future__ import annotations
@@ -80,11 +80,34 @@ def choi(op: QuantumOperation) -> ChoiMatrix:
     return _trusted(ChoiMatrix, dim_in=op.dim_in, dim_out=op.dim_out, matrix=matrix)
 
 
+def _kraus_columns(kraus) -> np.ndarray:
+    """V with the row-major vec of each Kraus matrix as a column: Choi = V V^dag."""
+    return np.stack([k.reshape(-1) for k in kraus], axis=1)
+
+
+def _choi_core(plus: QuantumOperation, minus: QuantumOperation | None = None) -> np.ndarray:
+    """K x K core R S R^dag of Choi(plus) - Choi(minus) = Q (R S R^dag) Q^dag,
+    where [V_plus | V_minus] = Q R and S = +1/-1 marks each column's side. Q has
+    orthonormal columns: same Frobenius norm and nonzero spectrum, no digits
+    lost to the cancellation of a Gram-matrix identity for the squared norm."""
+    v = _kraus_columns(plus.kraus)
+    if minus is None:  # S = I: R^dag R = V^dag V has the same norm and spectrum
+        return v.conj().T @ v
+    r = np.linalg.qr(np.hstack([v, _kraus_columns(minus.kraus)]), mode="r")
+    signs = np.repeat([1.0, -1.0], [len(plus.kraus), len(minus.kraus)])
+    return (r * signs) @ r.conj().T
+
+
+def _core_norm(plus: QuantumOperation, minus: QuantumOperation | None = None) -> float:
+    """Frobenius norm of Choi(plus) - Choi(minus), or of Choi(plus) alone."""
+    return float(np.linalg.norm(_choi_core(plus, minus)))
+
+
 def choi_distance(a: QuantumOperation, b: QuantumOperation) -> float:
     """Frobenius distance between the Choi matrices of two maps."""
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise StructureError("operations act between different spaces")
-    return float(np.linalg.norm(choi(a).matrix - choi(b).matrix))
+    return _core_norm(a, b)
 
 
 def ops_equal(a: QuantumOperation, b: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -119,7 +142,7 @@ def is_atomic(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> bool:
     Atomic operations sit on extremal rays of the CP cone; a Kraus list
     of mutually proportional matrices still counts as atomic.
     """
-    w = np.linalg.eigvalsh(_hermitized(choi(op).matrix))
+    w = np.linalg.eigvalsh(_hermitized(_choi_core(op)))
     top = float(w[-1])
     if top <= 0.0:
         return True

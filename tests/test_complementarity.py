@@ -157,6 +157,16 @@ class TestDegreeForVerifier:
         with pytest.raises(StructureError):
             qc.degree_for_verifier(qc.basis_state(3, 0), qubit_z())
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_eigenvector_probabilities_stay_in_unit_interval(self, seed):
+        # Raw traces on an eigenvector of Q_x0 land an ulp outside [0, 1].
+        q = qc.random_pvm(3, [1, 1, 1], qc.SeededGenerator(seed))
+        _, vecs = np.linalg.eigh(q.projectors["x0"])
+        verdict = qc.degree_for_verifier(qc.pure_state(vecs[:, -1]), q)
+        assert verdict.kind is DegreeKind.NOT_COMPLEMENTARY_HERE
+        for p in verdict.probabilities.values():
+            assert 0.0 <= p <= 1.0 and math.copysign(1.0, p) > 0
+
     def test_composite_verifier_uses_first_factor(self):
         ancilla_state = qc.pure_state(np.kron([1.0, 0.0], [1.0, 1.0]), dims=(2, 2))
         verdict = qc.degree_for_verifier(ancilla_state, qubit_x())

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,14 @@ class TestFromPvm:
         with pytest.raises(StructureError, match="zero"):
             qc.from_pvm({"a": np.eye(2), "b": np.zeros((2, 2))})
 
+    def test_constructor_rejects_zero_projector(self):
+        with pytest.raises(StructureError, match="zero"):
+            qc.ElementaryProperty(z_instrument(), {"z0": np.eye(2), "z1": np.zeros((2, 2))})
+
+    def test_constructor_rejects_non_idempotent(self):
+        with pytest.raises(StructureError, match="idempotent"):
+            qc.ElementaryProperty(z_instrument(), {"z0": 0.5 * np.eye(2), "z1": 0.5 * np.eye(2)})
+
 
 class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
@@ -209,3 +219,28 @@ class TestRoundTrip:
         assert qc.is_repeatable(merged)
         with pytest.raises(PreconditionError, match="atomic"):
             qc.to_elementary(merged)
+
+    @pytest.mark.parametrize("d", [24, 32])
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_large_d_extraction_with_two_kraus_per_outcome(self, d, coarse):
+        gen = qc.SeededGenerator(d)
+        rng = gen.rng
+        ranks = [d // 2, d // 4, d - d // 2 - d // 4] if coarse else [1] * d
+        prop = qc.random_pvm(d, ranks, gen.child(0))
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(ranks)))
+        # Two proportional Kraus matrices per outcome: still atomic, but the
+        # maps are no longer given by one matrix each.
+        phased = qc.instrument_from_operations(
+            [
+                (label, qc.QuantumOperation(d, d, (c * p / np.sqrt(2), 1j * c * p / np.sqrt(2))))
+                for c, (label, p) in zip(phases, prop.projectors.items())
+            ]
+        )
+        start = time.perf_counter()
+        recovered = qc.to_elementary(phased)
+        elapsed = time.perf_counter() - start
+        worst = max(
+            np.linalg.norm(recovered.projectors[label] - prop.projectors[label])
+            for label in prop.labels
+        )
+        assert worst <= 1e-8 and elapsed < 10.0, f"error {worst:.2e} in {elapsed:.1f}s"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import StructureError
+from qcomplement.instruments import _dominant_kraus
 from helpers import E0, E1, PLUS, proj, z_instrument
 
 
@@ -98,6 +99,87 @@ class TestValidateOperation:
         # Why validate_operation need not check complete positivity.
         op = random_operation(seed, d_in, d_out, n_kraus, scale=10.0 ** log_scale)
         assert qc.is_psd(qc.choi(op).matrix)
+
+
+KRAUS_FAMILY = dict(
+    seed=st.integers(0, 10**6), d_in=st.integers(1, 5), d_out=st.integers(1, 5),
+    n_kraus=st.integers(1, 4), log_scale=st.floats(-6.0, 6.0),
+)
+
+
+def remixed(op: qc.QuantumOperation, seed: int, eps: float) -> qc.QuantumOperation:
+    """The same map through a unitarily mixed Kraus list, then its first
+    matrix moved by ``eps`` times the operation's scale."""
+    rng = np.random.default_rng(seed + 1)
+    n = len(op.kraus)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    mats = [sum(u[j, i] * op.kraus[i] for i in range(n)) for j in range(n)]
+    shape = (op.dim_out, op.dim_in)
+    mats[0] = mats[0] + eps * np.linalg.norm(op.kraus[0]) * rng.standard_normal(shape)
+    return qc.QuantumOperation(op.dim_in, op.dim_out, tuple(mats))
+
+
+def near_proportional(seed, d_in, d_out, n_kraus, scale, eps) -> qc.QuantumOperation:
+    """Multiples of one matrix, each moved by ``eps`` relative to it."""
+    rng = np.random.default_rng(seed + 2)
+    k = random_operation(seed, d_in, d_out, 1, scale=scale).kraus[0]
+    noise = random_operation(seed + 3, d_in, d_out, n_kraus, scale=scale).kraus
+    coeffs = rng.standard_normal(n_kraus) + 1j * rng.standard_normal(n_kraus)
+    return qc.QuantumOperation(d_in, d_out, tuple(c * k + eps * e for c, e in zip(coeffs, noise)))
+
+
+def dense_rank_at_most_one(op: qc.QuantumOperation) -> bool:
+    c = qc.choi(op).matrix
+    w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+    return w[-1] <= 0.0 or int(np.count_nonzero(w > qc.DEFAULT_TOL.eig_cut * w[-1])) <= 1
+
+
+class TestKrausCoreAgainstChoi:
+    """Decisions read a K x K core of the Kraus list; the dense Choi matrix
+    is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**KRAUS_FAMILY, eps=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1.0]))
+    def test_distance_matches_dense(self, seed, d_in, d_out, n_kraus, log_scale, eps):
+        a = random_operation(seed, d_in, d_out, n_kraus, scale=10.0 ** log_scale)
+        b = remixed(a, seed, eps)
+        ca, cb = qc.choi(a).matrix, qc.choi(b).matrix
+        bound = 1e-13 * (np.linalg.norm(ca) + np.linalg.norm(cb))
+        assert abs(qc.choi_distance(a, b) - np.linalg.norm(ca - cb)) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(**KRAUS_FAMILY, eps=st.sampled_from([None, 0.0, 1e-7, 1e-6, 1e-3, 1e-2]))
+    def test_atomic_and_dominant_kraus_match_dense(
+        self, seed, d_in, d_out, n_kraus, log_scale, eps
+    ):
+        scale = 10.0 ** log_scale
+        if eps is None:
+            op = random_operation(seed, d_in, d_out, n_kraus, scale=scale)
+        else:
+            op = near_proportional(seed, d_in, d_out, n_kraus, scale, eps)
+        assert qc.is_atomic(op) == dense_rank_at_most_one(op)
+        if qc.is_atomic(op):
+            # Eckart-Young: the best rank-one Choi matrix misses by the rest of the spectrum.
+            c = qc.choi(op).matrix
+            w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+            single = qc.QuantumOperation(d_in, d_out, (_dominant_kraus(op),))
+            gap = np.linalg.norm(qc.choi(single).matrix - c)
+            assert gap <= np.sqrt(np.sum(w[:-1] ** 2)) + 1e-13 * np.linalg.norm(c)
+
+    @pytest.mark.parametrize(
+        "seed, eps, target",
+        [(0, 6.804712447687378e-10, 1.59e-8), (3, 4.67947344088482e-11, 1.83e-9)],
+    )
+    def test_near_threshold_pairs_keep_the_dense_verdict(self, seed, eps, target):
+        # A Gram-matrix identity for the squared norm reads 0 and 2.4e-7 here.
+        a = random_operation(seed, 4, 4, 3, scale=1.0)
+        b = remixed(a, seed, eps)
+        ca, cb = qc.choi(a).matrix, qc.choi(b).matrix
+        dense = float(np.linalg.norm(ca - cb))
+        assert abs(dense - target) <= 1e-3 * target
+        bound = 1e-13 * (np.linalg.norm(ca) + np.linalg.norm(cb))
+        assert abs(qc.choi_distance(a, b) - dense) <= bound
+        assert qc.ops_equal(a, b) == (dense <= qc.DEFAULT_TOL.mat_eq)
 
 
 class TestIsAtomic:
