@@ -11,13 +11,14 @@ the phase-space point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compatibility import HarnessReport, _run_harness
 from .errors import StructureError
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, _trusted
 from .sampling import SeededGenerator
 
 
@@ -178,26 +179,80 @@ def classical_verifier_checks(
     return ClassicalVerifierReport(is_verifier=verifier, is_strong=strong)
 
 
+def _verifier_mask(matrices: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Per matrix in a stack (or for one matrix), which input points it
+    accepts with probability one: column sums at least 1 − ``prob_eq``."""
+    return matrices.sum(axis=-2) >= 1.0 - tol.prob_eq
+
+
 def verifier_points(op: ClassicalOperation, tol: Tolerances = DEFAULT_TOL) -> frozenset[int]:
     """Phase-space points on which the operation fires with probability one.
 
     A state is a verifier iff its support lies inside this set.
     """
-    col_sums = op.matrix.sum(axis=0)
-    return frozenset(int(j) for j in np.nonzero(col_sums >= 1.0 - tol.prob_eq)[0])
+    return frozenset(int(j) for j in np.nonzero(_verifier_mask(op.matrix, tol))[0])
+
+
+def _index(value, name: str) -> int:
+    """``value`` as an int; booleans and non-integers raise ``StructureError``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise StructureError(f"{name} must be an integer, got {value!r}")
 
 
 def fine_grained_instrument(size: int, permutation=None) -> ClassicalInstrument:
     """The unique classical elementary property, optionally relabelled."""
-    order = list(range(size)) if permutation is None else [int(p) for p in permutation]
+    size = _index(size, "size")
+    if size < 1:
+        raise StructureError(f"size must be at least 1, got {size}")
+    if permutation is None:
+        order = list(range(size))
+    else:
+        order = [_index(p, "permutation entry") for p in permutation]
     if sorted(order) != list(range(size)):
         raise StructureError(f"permutation must rearrange 0..{size - 1}, got {order}")
     outcomes = {}
     for i, point in enumerate(order):
         mat = np.zeros((size, size))
         mat[point, point] = 1.0
-        outcomes[f"x{i}"] = ClassicalOperation(size, size, mat)
-    return ClassicalInstrument(size, size, outcomes)
+        outcomes[f"x{i}"] = _trusted(ClassicalOperation, size_in=size, size_out=size, matrix=mat)
+    return _trusted(ClassicalInstrument, size_in=size, size_out=size, outcomes=outcomes)
+
+
+def _check_inclusion(
+    t: ClassicalInstrument,
+    realisation: np.ndarray,
+    post: np.ndarray,
+    branch: np.ndarray,
+    tol: Tolerances,
+) -> tuple[int, list]:
+    """Check verifier inclusion for every composite outcome at once.
+
+    ``realisation[x]`` is the (n·m)×n realisation of outcome x of ``t``;
+    composite outcome y post-processes branch ``branch[y]`` alone, with the
+    n×(n·m) matrix ``post[y]``, so g_y = post[y] @ realisation[branch[y]].
+    Outcomes whose g_y has other than exactly one entry above ``prob_eq``
+    are not atomic and are skipped; each atomic one is matched to the
+    outcome of ``t`` contributing most to it (the first on a tie), and its
+    verifier points must lie inside that outcome's.
+    """
+    x_labels = t.labels
+    g = post @ realisation[branch]
+    atomic = np.count_nonzero(np.abs(g) > tol.prob_eq, axis=(1, 2)) == 1
+    contribution = np.zeros((len(branch), len(x_labels)))
+    contribution[np.arange(len(branch)), branch] = np.abs(g).sum(axis=(1, 2))
+    matched = contribution.argmax(axis=1)
+    g_points = _verifier_mask(g, tol)
+    t_points = _verifier_mask(np.stack([t[x].matrix for x in x_labels]), tol)[matched]
+    violations = [
+        (f"y{y}", x_labels[matched[y]],
+         np.nonzero(g_points[y])[0].tolist(), np.nonzero(t_points[y])[0].tolist())
+        for y in np.nonzero(atomic & np.any(g_points & ~t_points, axis=1))[0]
+    ]
+    return int(np.count_nonzero(atomic)), violations
 
 
 def _classical_trial(gen: SeededGenerator, size: int, tol: Tolerances):
@@ -211,69 +266,34 @@ def _classical_trial(gen: SeededGenerator, size: int, tol: Tolerances):
     """
     rng = gen.rng
     n = size
-    perm = [int(v) for v in rng.permutation(n)]
-    t = fine_grained_instrument(n, perm)
-    x_labels = list(t.labels)
-    point_of = {label: perm[i] for i, label in enumerate(x_labels)}
+    perm = rng.permutation(n)
+    t = fine_grained_instrument(n, perm.tolist())
 
     m = int(rng.integers(1, 4))
-    sigma = {}
-    for x in x_labels:
-        raw = rng.random(m) + 1e-3
-        sigma[x] = raw / raw.sum()
+    raw = rng.random((n, m)) + 1e-3
+    sigma = raw / raw.sum(axis=1, keepdims=True)
 
-    # Realisation branch per heralded point: (E_pp p) tensor sigma_x.
-    c_ops = {}
-    for x in x_labels:
-        mat = np.zeros((n * m, n))
-        p = point_of[x]
-        mat[p * m : (p + 1) * m, p] = sigma[x]
-        c_ops[x] = ClassicalOperation(n, n * m, mat)
+    # Realisation branch per heralded point p = perm[x]: (E_pp p) tensor sigma_x.
+    realisation = np.zeros((n, n * m, n))
+    realisation[np.arange(n)[:, None], perm[:, None] * m + np.arange(m), perm[:, None]] = sigma
 
     extra = int(rng.integers(0, 3))
-    y_labels = [f"y{i}" for i in range(n + extra)]
-    order = rng.permutation(n)
-    assignment = {}
-    for i, y in enumerate(y_labels):
-        assignment[y] = x_labels[order[i]] if i < n else x_labels[int(rng.integers(0, n))]
+    branch = np.concatenate([rng.permutation(n), rng.integers(0, n, size=extra)])
 
-    post: dict[str, dict[str, np.ndarray]] = {}
-    for z in x_labels:
-        branch_ys = [y for y in y_labels if assignment[y] == z]
-        out_point = {y: int(rng.integers(0, n)) for y in branch_ys}
-        deterministic = bool(rng.random() < 0.5)
-        mats = {y: np.zeros((n, n * m)) for y in y_labels}
-        for u in range(n * m):
-            if deterministic:
-                weights = np.zeros(len(branch_ys))
-                weights[int(rng.integers(0, len(branch_ys)))] = 1.0
-            else:
-                raw = rng.random(len(branch_ys)) + 1e-3
-                weights = raw / raw.sum()
-            for w_val, y in zip(weights, branch_ys):
-                mats[y][out_point[y], u] += w_val
-        post[z] = mats
-
-    checked = 0
-    violations = []
-    for y in y_labels:
-        g_y = np.zeros((n, n))
-        for z in x_labels:
-            g_y += post[z][y] @ c_ops[z].matrix
-        nz = np.nonzero(np.abs(g_y) > tol.prob_eq)
-        if len(nz[0]) == 0 or len(nz[0]) > 1:
-            continue
-        checked += 1
-        g_op = ClassicalOperation(n, n, g_y)
-        matched = max(
-            x_labels,
-            key=lambda x: float(np.abs(post[x][y] @ c_ops[x].matrix).sum()),
-        )
-        g_points = verifier_points(g_op, tol)
-        t_points = verifier_points(t[matched], tol)
-        if not g_points <= t_points:
-            violations.append((y, matched, sorted(g_points), sorted(t_points)))
-    return checked, violations
+    # Composite outcome y reads branch[y] only: one matrix per y.
+    post = np.zeros((n + extra, n, n * m))
+    inputs = np.arange(n * m)
+    for z in range(n):
+        ys = np.nonzero(branch == z)[0]
+        out_point = rng.integers(0, n, size=len(ys))
+        if rng.random() < 0.5:
+            weights = np.zeros((n * m, len(ys)))
+            weights[inputs, rng.integers(0, len(ys), size=n * m)] = 1.0
+        else:
+            raw = rng.random((n * m, len(ys))) + 1e-3
+            weights = raw / raw.sum(axis=1, keepdims=True)
+        post[ys, out_point, inputs[:, None]] = weights
+    return _check_inclusion(t, realisation, post, branch, tol)
 
 
 def classical_theorem_harness(

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcomplement as qc
+from qcomplement.classical import _check_inclusion, _classical_trial
+from qcomplement.compatibility import _run_harness
 from qcomplement.errors import StructureError
+from qcomplement.linalg import DEFAULT_TOL
 
 
 def bit_readout() -> qc.ClassicalInstrument:
@@ -111,6 +116,24 @@ class TestClassicalIsElementary:
         assert not ok_scaled
 
 
+class TestFineGrainedInstrument:
+    def test_non_integer_entry_rejected(self):
+        with pytest.raises(StructureError, match="integer"):
+            qc.fine_grained_instrument(3, [0, 1.5, 2])
+
+    def test_boolean_entries_rejected(self):
+        with pytest.raises(StructureError, match="integer"):
+            qc.fine_grained_instrument(2, [True, False])
+
+    def test_numpy_integer_entries_accepted(self):
+        ins = qc.fine_grained_instrument(3, np.array([2, 0, 1]))
+        assert qc.verifier_points(ins["x0"]) == {2}
+
+    def test_empty_size_rejected(self):
+        with pytest.raises(StructureError):
+            qc.fine_grained_instrument(0)
+
+
 class TestClassicalVerifierChecks:
     def test_point_mass_is_strong(self):
         report = qc.classical_verifier_checks(measure_and_prepare_zero_map(), qc.point_mass(2, 0))
@@ -186,3 +209,118 @@ class TestClassicalHarness:
             composite = identity @ ins[label].matrix
             g_op = qc.ClassicalOperation(3, 3, composite)
             assert qc.verifier_points(g_op) == qc.verifier_points(ins[label])
+
+
+def _loop_trial(gen, size, tol):
+    """Reference trial: the loop form the array trial replaced, draw for draw."""
+    rng = gen.rng
+    n = size
+    perm = [int(v) for v in rng.permutation(n)]
+    t = qc.fine_grained_instrument(n, perm)
+    x_labels = list(t.labels)
+    point_of = {label: perm[i] for i, label in enumerate(x_labels)}
+
+    m = int(rng.integers(1, 4))
+    sigma = {}
+    for x in x_labels:
+        raw = rng.random(m) + 1e-3
+        sigma[x] = raw / raw.sum()
+
+    c_ops = {}
+    for x in x_labels:
+        mat = np.zeros((n * m, n))
+        p = point_of[x]
+        mat[p * m : (p + 1) * m, p] = sigma[x]
+        c_ops[x] = qc.ClassicalOperation(n, n * m, mat)
+
+    extra = int(rng.integers(0, 3))
+    y_labels = [f"y{i}" for i in range(n + extra)]
+    order = rng.permutation(n)
+    assignment = {}
+    for i, y in enumerate(y_labels):
+        assignment[y] = x_labels[order[i]] if i < n else x_labels[int(rng.integers(0, n))]
+
+    post = {}
+    for z in x_labels:
+        branch_ys = [y for y in y_labels if assignment[y] == z]
+        out_point = {y: int(rng.integers(0, n)) for y in branch_ys}
+        deterministic = bool(rng.random() < 0.5)
+        mats = {y: np.zeros((n, n * m)) for y in y_labels}
+        for u in range(n * m):
+            if deterministic:
+                weights = np.zeros(len(branch_ys))
+                weights[int(rng.integers(0, len(branch_ys)))] = 1.0
+            else:
+                raw = rng.random(len(branch_ys)) + 1e-3
+                weights = raw / raw.sum()
+            for w_val, y in zip(weights, branch_ys):
+                mats[y][out_point[y], u] += w_val
+        post[z] = mats
+
+    checked = 0
+    violations = []
+    for y in y_labels:
+        g_y = np.zeros((n, n))
+        for z in x_labels:
+            g_y += post[z][y] @ c_ops[z].matrix
+        nz = np.nonzero(np.abs(g_y) > tol.prob_eq)
+        if len(nz[0]) == 0 or len(nz[0]) > 1:
+            continue
+        checked += 1
+        g_op = qc.ClassicalOperation(n, n, g_y)
+        matched = max(
+            x_labels,
+            key=lambda x: float(np.abs(post[x][y] @ c_ops[x].matrix).sum()),
+        )
+        g_points = qc.verifier_points(g_op, tol)
+        t_points = qc.verifier_points(t[matched], tol)
+        if not g_points <= t_points:
+            violations.append((y, matched, sorted(g_points), sorted(t_points)))
+    return checked, violations
+
+
+class TestArrayTrial:
+    @pytest.mark.parametrize("size, seeds, trials", [
+        (2, 40, 10), (3, 40, 10), (4, 30, 10), (6, 20, 10), (12, 10, 8),
+    ])
+    def test_matches_loop_reference(self, size, seeds, trials):
+        for seed in range(seeds):
+            want = _run_harness("classical", _loop_trial, seed, size, trials, DEFAULT_TOL)
+            got = _run_harness("classical", _classical_trial, seed, size, trials, DEFAULT_TOL)
+            assert got == want, (size, seed)
+
+    def test_batched_draws_equal_scalar_draws(self):
+        # The array trial draws in batches what the loop form drew one by one.
+        for seed in range(50):
+            scalar = np.random.Generator(np.random.PCG64(seed))
+            batched = np.random.Generator(np.random.PCG64(seed))
+            for k in (1, 2, 3, 7):
+                assert [int(scalar.integers(0, k)) for _ in range(5)] == \
+                    batched.integers(0, k, size=5).tolist()
+                assert scalar.random() == batched.random()
+                assert np.array_equal(np.stack([scalar.random(k) for _ in range(4)]),
+                                      batched.random((4, k)))
+
+    def test_check_reports_a_misplaced_verifier_point(self):
+        # The realisation of x0 heralds point 1 although x0 reads point 0, so
+        # composite y0 (post-processing branch x0) verifies point 1 only.
+        t = qc.fine_grained_instrument(2)
+        realisation = np.zeros((2, 2, 2))
+        realisation[0, 1, 1] = 1.0
+        realisation[1, 1, 1] = 1.0
+        post = np.zeros((2, 2, 2))
+        post[0, 0, 1] = 1.0
+        post[1, 1, 1] = 1.0
+        checked, violations = _check_inclusion(t, realisation, post, np.array([0, 1]), DEFAULT_TOL)
+        assert checked == 2
+        assert violations == [("y0", "x0", [1], [0])]
+
+    def test_traced_peak_memory_at_size_48(self):
+        tracemalloc.start()
+        try:
+            report = qc.classical_theorem_harness(5, 48, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.violations == 0
+        assert peak < 32 * 2**20

@@ -187,6 +187,7 @@ class TestHarness:
     @pytest.mark.parametrize("theory, dim, digest", [
         ("quantum", "4", "586324d3df7425d3"),
         ("classical", "6", "f458190d8a78ab5e"),
+        ("classical", "12", "69a919d5d54aa43f"),
     ])
     def test_seeded_report_is_stable(self, capsys, theory, dim, digest):
         code = main(["--json", "harness", "--theory", theory, "--dim", dim,
