@@ -60,7 +60,6 @@ from .linalg import (
     Subspace,
     SubspaceRelation,
     Tolerances,
-    hermitian_eig,
     is_psd,
     range_subspace,
     subspace_contained,
@@ -76,12 +75,10 @@ from .operations import (
     choi,
     choi_distance,
     coarse_grain_ops,
-    compose_par,
     compose_seq,
     identity_operation,
     is_atomic,
     maximally_mixed,
-    ops_equal,
     projector_operation,
     pure_state,
     validate_operation,
@@ -95,7 +92,7 @@ from .sampling import (
     random_pvm,
     random_rank_profile,
 )
-from .serialize import ModelFile, model_to_dict, parse_model
+from .serialize import ModelFile, model_to_dict
 from .verifiers import (
     VerifierReport,
     canonical_verifier,

@@ -11,14 +11,13 @@ the phase-space point.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compatibility import HarnessReport, _run_harness
 from .errors import StructureError
-from .linalg import DEFAULT_TOL, Tolerances, _trusted
+from .linalg import DEFAULT_TOL, Tolerances, _index, _trusted
 from .sampling import SeededGenerator
 
 
@@ -193,16 +192,6 @@ def verifier_points(op: ClassicalOperation, tol: Tolerances = DEFAULT_TOL) -> fr
     return frozenset(int(j) for j in np.nonzero(_verifier_mask(op.matrix, tol))[0])
 
 
-def _index(value, name: str) -> int:
-    """``value`` as an int; booleans and non-integers raise ``StructureError``."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise StructureError(f"{name} must be an integer, got {value!r}")
-
-
 def fine_grained_instrument(size: int, permutation=None) -> ClassicalInstrument:
     """The unique classical elementary property, optionally relabelled."""
     size = _index(size, "size")
@@ -300,6 +289,4 @@ def classical_theorem_harness(
     seed: int, size: int, trials: int, tol: Tolerances = DEFAULT_TOL
 ) -> HarnessReport:
     """Random check of the verifier-inclusion theorem in classical theory."""
-    if size < 2:
-        raise StructureError("harness needs size at least 2")
     return _run_harness("classical", _classical_trial, seed, size, trials, tol)

@@ -18,7 +18,7 @@ import numpy as np
 from .complementarity import are_complementary
 from .errors import StructureError
 from .instruments import ElementaryProperty, Instrument
-from .linalg import DEFAULT_TOL, Tolerances, subspace_contained
+from .linalg import DEFAULT_TOL, Tolerances, _index, subspace_contained
 from .operations import (
     QuantumOperation,
     _core_norm,
@@ -29,7 +29,13 @@ from .operations import (
     is_atomic,
     zero_operation,
 )
-from .sampling import SeededGenerator, random_instrument, random_pvm, random_rank_profile
+from .sampling import (
+    STREAM_ALGORITHM,
+    SeededGenerator,
+    random_instrument,
+    random_pvm,
+    random_rank_profile,
+)
 from .verifiers import verifier_support
 
 
@@ -50,7 +56,7 @@ class ExclusionWitness:
     post: dict[str, Instrument]
 
     def __post_init__(self):
-        d_b, d_e = (int(x) for x in self.dims_out)
+        d_b, d_e = (_index(x, "declared output factor") for x in self.dims_out)
         if d_b < 1 or d_e < 1:
             raise StructureError("declared output factors must be positive")
         if d_b * d_e != self.c.dim_out:
@@ -328,6 +334,10 @@ def _run_harness(
     Trial ``i`` draws from child ``i`` of the seed's stream, so a report
     depends only on the seed and the parameters.
     """
+    noun = "dimension" if theory == "quantum" else "size"
+    dim, seed, trials = _index(dim, noun), _index(seed, "seed"), _index(trials, "trials")
+    if dim < 2:
+        raise StructureError(f"harness needs {noun} at least 2")
     if seed < 0:
         raise StructureError("seed must be nonnegative")
     if trials < 0:
@@ -345,7 +355,7 @@ def _run_harness(
     return HarnessReport(
         theory=theory,
         seed=seed,
-        algorithm=root.algorithm,
+        algorithm=STREAM_ALGORITHM,
         dim=dim,
         trials=trials,
         filtered_trials=filtered,
@@ -365,6 +375,4 @@ def verifier_inclusion_harness(
     has its verifier support inside the matched original outcome's support.
     Zero violations are expected.
     """
-    if dim < 2:
-        raise StructureError("harness needs dimension at least 2")
     return _run_harness("quantum", _quantum_trial, seed, dim, trials, tol)

@@ -50,8 +50,8 @@ class ComplementarityReport:
     reverse_degree_table: dict[str, DegreeVerdict] = field(default_factory=dict)
 
 
-def outcome_entropy(probabilities, base2: bool = True) -> float:
-    """Shannon entropy of an outcome distribution, in bits by default.
+def outcome_entropy(probabilities) -> float:
+    """Shannon entropy of an outcome distribution, in bits.
 
     Entries must be nonnegative and sum to one within ``prob_eq``; the
     convention 0 log 0 = 0 applies.
@@ -66,7 +66,7 @@ def outcome_entropy(probabilities, base2: bool = True) -> float:
         p = max(p, 0.0)
         if p > 0.0:
             total -= p * math.log2(p)
-    return total if base2 else total * math.log(2.0)
+    return total
 
 
 def _degree(probs: dict[str, float], tol: Tolerances) -> DegreeVerdict:
@@ -102,8 +102,7 @@ def degree_for_verifier(
             f"lives on dimension {q.dim}"
         )
     # tr((P (x) I) rho) = tr(P rho_1), with rho_1 the partial trace over the ancillas.
-    rest = verifier.dim // q.dim
-    reduced = np.einsum("iaja->ij", verifier.matrix.reshape(q.dim, rest, q.dim, rest))
+    reduced = verifier.reduce(0).matrix
     probs = {
         label: float(np.real(np.einsum("ij,ji->", proj, reduced)))
         for label, proj in q.projectors.items()

@@ -17,9 +17,12 @@ assembled with ``_trusted`` and skip them.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import StructureError
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,18 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int; booleans and non-integers raise ``StructureError``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise StructureError(f"{name} must be an integer, got {value!r}")
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d complex array or raise ``StructureError``."""
-    from .errors import StructureError
-
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:
         raise StructureError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
@@ -93,27 +104,12 @@ def is_hermitian(m, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _require_hermitian(m, tol: Tolerances, name: str) -> np.ndarray:
-    from .errors import StructureError
-
     arr = as_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise StructureError(f"{name} must be square, got shape {arr.shape}")
     if not is_hermitian(arr, tol):
         raise StructureError(f"{name} is not Hermitian within tolerance")
     return arr
-
-
-def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a Hermitian matrix.
-
-    Returns ``(w, V)`` with real eigenvalues ``w`` sorted descending and
-    orthonormal eigenvector columns ``V`` in matching order, so that
-    ``V @ diag(w) @ V.conj().T`` reconstructs the input.
-    """
-    arr = _require_hermitian(m, tol, "matrix")
-    w, v = np.linalg.eigh(arr)
-    # eigh returns ascending order; reversing keeps ties deterministic.
-    return w[::-1], v[:, ::-1]
 
 
 def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -139,8 +135,6 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        from .errors import StructureError
-
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise StructureError(
@@ -194,8 +188,6 @@ def subspace_relation(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -
     norm within ``mat_eq``. ``ORTHOGONAL`` requires all cross inner products
     at most ``mat_eq``.
     """
-    from .errors import StructureError
-
     if a.ambient_dim != b.ambient_dim:
         raise StructureError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"

@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from .errors import StructureError
-from .linalg import DEFAULT_TOL, Tolerances, _trusted, as_matrix, is_hermitian, is_psd
+from .linalg import DEFAULT_TOL, Tolerances, _index, _trusted, as_matrix, is_hermitian, is_psd
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,6 @@ def choi_distance(a: QuantumOperation, b: QuantumOperation) -> float:
     return _core_norm(a, b)
 
 
-def ops_equal(a: QuantumOperation, b: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return choi_distance(a, b) <= tol.mat_eq
-
-
 @dataclass(frozen=True)
 class OperationReport:
     is_tni: bool
@@ -166,7 +162,7 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_index(d, "state dimension") for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise StructureError("state dims must be positive")
         mat = as_matrix(self.matrix, "state matrix")
@@ -197,7 +193,7 @@ class DensityState:
         col_idx = list(range(n))
         col_idx[keep] = n
         reduced = np.einsum(shaped, row_idx + col_idx, [keep, n])
-        return DensityState((self.dims[keep],), reduced)
+        return _trusted(DensityState, dims=(self.dims[keep],), matrix=reduced)
 
 
 def pure_state(vector, dims=None) -> DensityState:
@@ -291,14 +287,6 @@ def compose_seq(second: QuantumOperation, first: QuantumOperation) -> QuantumOpe
         )
     mats = tuple(k2 @ k1 for k2 in second.kraus for k1 in first.kraus)
     return _trusted(QuantumOperation, dim_in=first.dim_in, dim_out=second.dim_out, kraus=mats)
-
-
-def compose_par(a: QuantumOperation, b: QuantumOperation) -> QuantumOperation:
-    """Parallel composition a (tensor) b; dimensions multiply."""
-    mats = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
-    return _trusted(
-        QuantumOperation, dim_in=a.dim_in * b.dim_in, dim_out=a.dim_out * b.dim_out, kraus=mats
-    )
 
 
 def coarse_grain_ops(parts) -> QuantumOperation:

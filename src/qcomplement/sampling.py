@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import StructureError
 from .instruments import ElementaryProperty, Instrument
-from .linalg import _trusted
+from .linalg import _index, _trusted
 from .operations import DensityState, QuantumOperation, projector_operation
 
 STREAM_ALGORITHM = "pcg64"
@@ -26,7 +26,6 @@ class SeededGenerator:
 
     seed: int
     path: tuple[int, ...] = ()
-    algorithm: str = STREAM_ALGORITHM
 
     @property
     def rng(self) -> np.random.Generator:
@@ -36,7 +35,7 @@ class SeededGenerator:
 
     def child(self, index: int) -> "SeededGenerator":
         """Independent stream for one trial; safe to use concurrently."""
-        return SeededGenerator(self.seed, self.path + (int(index),), self.algorithm)
+        return SeededGenerator(self.seed, self.path + (_index(index, "child index"),))
 
 
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -22,7 +22,10 @@ from .operations import DensityState, QuantumOperation, pure_state
 
 SCHEMA_VERSION = "qcomplement/1"
 
-MODEL_KINDS = ("quantum-instrument", "classical-instrument", "state", "witness")
+# No valid Kraus, state or substochastic matrix has an entry above 1 in modulus.
+# The cap sits far above that, where the eighth power of an entry, which the
+# Frobenius norm of a Kraus-space core reaches, still fits in a double.
+_ENTRY_LIMIT = 1e30
 
 
 def complex_to_pair(z) -> list[float]:
@@ -65,9 +68,12 @@ def _real_from_number(data, path: str) -> float:
         path,
     )
     try:
-        return float(data)
+        value = float(data)
     except OverflowError:
         raise SchemaError("number is too large for a float", path) from None
+    if not abs(value) <= _ENTRY_LIMIT:
+        raise SchemaError(f"entries must be finite and at most {_ENTRY_LIMIT:.0e} in magnitude", path)
+    return value
 
 
 def _matrix_from_lists(data, path: str, entry) -> np.ndarray:
@@ -90,14 +96,6 @@ def _expect_count(data, key: str, path: str) -> int:
     value = data[key]
     _expect(_is_count(value), f"{key!r} must be a positive integer", f"{path}.{key}")
     return value
-
-
-def operation_to_dict(op: QuantumOperation) -> dict:
-    return {
-        "dim_in": op.dim_in,
-        "dim_out": op.dim_out,
-        "kraus": [matrix_to_lists(k) for k in op.kraus],
-    }
 
 
 def operation_from_dict(data, path: str = "$") -> QuantumOperation:
@@ -134,25 +132,34 @@ def instrument_to_dict(ins: Instrument) -> dict:
     }
 
 
-def instrument_from_dict(data, path: str = "$") -> Instrument:
-    _expect(isinstance(data, dict), "instrument must be an object", path)
-    _expect(data.get("type", "quantum") == "quantum", "'type' must be 'quantum'", f"{path}.type")
-    dim_in = _expect_count(data, "dim_in", path)
-    dim_out = _expect_count(data, "dim_out", path)
+def _outcomes_from_list(data: dict, path: str, operation) -> dict:
+    """The nonempty ``outcomes`` array of an instrument document as
+    ``{label: operation(entry, entry_path)}``, labels nonempty and distinct."""
     entries = data.get("outcomes")
     _expect(isinstance(entries, list) and entries, "'outcomes' must be a nonempty array", f"{path}.outcomes")
-    outcomes: dict[str, QuantumOperation] = {}
+    outcomes = {}
     for i, entry in enumerate(entries):
         here = f"{path}.outcomes[{i}]"
         _expect(isinstance(entry, dict), "outcome must be an object", here)
         label = entry.get("label")
         _expect(isinstance(label, str) and label, "'label' must be a nonempty string", f"{here}.label")
         _expect(label not in outcomes, f"duplicate outcome label {label!r}", f"{here}.label")
-        op = operation_from_dict(
+        outcomes[label] = operation(entry, here)
+    return outcomes
+
+
+def instrument_from_dict(data, path: str = "$") -> Instrument:
+    _expect(isinstance(data, dict), "instrument must be an object", path)
+    _expect(data.get("type", "quantum") == "quantum", "'type' must be 'quantum'", f"{path}.type")
+    dim_in = _expect_count(data, "dim_in", path)
+    dim_out = _expect_count(data, "dim_out", path)
+
+    def operation(entry, here):
+        return operation_from_dict(
             {"dim_in": dim_in, "dim_out": dim_out, "kraus": entry.get("kraus")}, here
         )
-        outcomes[label] = op
-    return Instrument(dim_in, dim_out, outcomes)
+
+    return Instrument(dim_in, dim_out, _outcomes_from_list(data, path, operation))
 
 
 def classical_instrument_to_dict(ins: ClassicalInstrument) -> dict:
@@ -172,23 +179,17 @@ def classical_instrument_from_dict(data, path: str = "$") -> ClassicalInstrument
     _expect(data.get("type", "classical") == "classical", "'type' must be 'classical'", f"{path}.type")
     size_in = _expect_count(data, "size_in", path)
     size_out = _expect_count(data, "size_out", path)
-    entries = data.get("outcomes")
-    _expect(isinstance(entries, list) and entries, "'outcomes' must be a nonempty array", f"{path}.outcomes")
-    outcomes: dict[str, ClassicalOperation] = {}
-    for i, entry in enumerate(entries):
-        here = f"{path}.outcomes[{i}]"
-        _expect(isinstance(entry, dict), "outcome must be an object", here)
-        label = entry.get("label")
-        _expect(isinstance(label, str) and label, "'label' must be a nonempty string", f"{here}.label")
-        _expect(label not in outcomes, f"duplicate outcome label {label!r}", f"{here}.label")
+
+    def operation(entry, here):
         mat = _matrix_from_lists(entry.get("matrix"), f"{here}.matrix", _real_from_number)
         _expect(
             mat.shape == (size_out, size_in),
             f"matrix has shape {mat.shape}, expected ({size_out}, {size_in})",
             f"{here}.matrix",
         )
-        outcomes[label] = ClassicalOperation(size_in, size_out, mat)
-    return ClassicalInstrument(size_in, size_out, outcomes)
+        return ClassicalOperation(size_in, size_out, mat)
+
+    return ClassicalInstrument(size_in, size_out, _outcomes_from_list(data, path, operation))
 
 
 def state_to_dict(state: DensityState) -> dict:
@@ -297,7 +298,7 @@ def model_from_text(text: str) -> ModelFile:
     kind = data.get("kind")
     if kind is None:
         raise SchemaError("missing mandatory 'kind' field", "$.kind")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise SchemaError(
             f"unknown kind {kind!r}, expected one of {list(_PARSERS)}", "$.kind"
         )
@@ -308,11 +309,3 @@ def model_from_text(text: str) -> ModelFile:
 def model_from_path(path) -> ModelFile:
     text = Path(path).read_text()
     return model_from_text(text)
-
-
-def parse_model(source) -> ModelFile:
-    """Parse a model from a path or from raw JSON text."""
-    text = str(source)
-    if text.lstrip().startswith("{"):
-        return model_from_text(text)
-    return model_from_path(text)

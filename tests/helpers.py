@@ -60,3 +60,8 @@ def bell_state() -> qc.DensityState:
     v = np.zeros(4)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return qc.pure_state(v, dims=(2, 2))
+
+
+# (seed, dim or size, trials) that are not all integers; each must raise
+# StructureError at the harness boundary.
+NON_INTEGER_HARNESS_ARGS = [(1, 2.5, 3), (1, 3, 2.0), (1.0, 3, 2), (True, 3, 2)]

@@ -10,6 +10,7 @@ from qcomplement.classical import _check_inclusion, _classical_trial
 from qcomplement.compatibility import _run_harness
 from qcomplement.errors import StructureError
 from qcomplement.linalg import DEFAULT_TOL
+from helpers import NON_INTEGER_HARNESS_ARGS
 
 
 def bit_readout() -> qc.ClassicalInstrument:
@@ -199,6 +200,11 @@ class TestClassicalHarness:
     def test_size_two_seed_matrix(self):
         for seed in (0, 1, 2, 3):
             assert qc.classical_theorem_harness(seed=seed, size=2, trials=25).violations == 0
+
+    @pytest.mark.parametrize("seed, size, trials", NON_INTEGER_HARNESS_ARGS)
+    def test_rejects_non_integer_arguments(self, seed, size, trials):
+        with pytest.raises(StructureError, match="must be an integer"):
+            qc.classical_theorem_harness(seed, size, trials)
 
     def test_identity_conditionals_inclusion_is_equality(self):
         # Trivial ancilla, identity routing: the composite equals the original

@@ -215,6 +215,25 @@ class TestGlobalFlags:
 
 
 Z_MODEL = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "z.json")
+X_MODEL = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "x.json")
+
+
+@pytest.mark.parametrize("entry, codes", [
+    # Beyond the entry cap: bad input. Before the cap, 1e200 overflowed to NaN
+    # and comp called this instrument elementary and complementary to x.
+    (1e200, (2, 2, 2)),
+    # At the cap the arithmetic stays finite: an invalid, non-repeatable map.
+    (1e30, (1, 1, 2)),
+])
+def test_huge_kraus_entry(entry, codes, tmp_path, capsys):
+    doc = json.loads(Path(Z_MODEL).read_text())
+    doc["outcomes"][0]["kraus"][0][0][0] = [entry, 0.0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    got = tuple(main(argv) for argv in (
+        ["validate", str(path)], ["classify", str(path)], ["comp", str(path), X_MODEL]))
+    capsys.readouterr()
+    assert got == codes
 
 
 def _one_by_one_instrument(dim_in="1", entry="[1, 0]"):

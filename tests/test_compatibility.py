@@ -5,7 +5,17 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import StructureError
-from helpers import E0, E1, proj, qubit_x, qubit_z, qutrit_basis_proj, qutrit_fine, z_instrument
+from helpers import (
+    E0,
+    E1,
+    NON_INTEGER_HARNESS_ARGS,
+    proj,
+    qubit_x,
+    qubit_z,
+    qutrit_basis_proj,
+    qutrit_fine,
+    z_instrument,
+)
 
 
 def random_pvm_pair(seed: int, d: int):
@@ -31,6 +41,14 @@ def perturbed_witness(w: qc.ExclusionWitness, epsilon: float) -> qc.ExclusionWit
         partition=w.partition,
         post=w.post,
     )
+
+
+class TestExclusionWitnessConstruction:
+    @pytest.mark.parametrize("dims_out", [(2.9, 1.2), (2, 1.0), (True, 2)])
+    def test_rejects_non_integer_factors(self, dims_out):
+        w = qc.self_witness(z_instrument())
+        with pytest.raises(StructureError, match="must be an integer"):
+            qc.ExclusionWitness(c=w.c, dims_out=dims_out, partition=w.partition, post=w.post)
 
 
 class TestSelfWitness:
@@ -317,3 +335,8 @@ class TestInclusionHarness:
     def test_dim_two_seed_matrix(self):
         for seed in (0, 1, 2, 3):
             assert qc.verifier_inclusion_harness(seed=seed, dim=2, trials=25).violations == 0
+
+    @pytest.mark.parametrize("seed, dim, trials", NON_INTEGER_HARNESS_ARGS)
+    def test_rejects_non_integer_arguments(self, seed, dim, trials):
+        with pytest.raises(StructureError, match="must be an integer"):
+            qc.verifier_inclusion_harness(seed, dim, trials)

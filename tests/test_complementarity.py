@@ -201,11 +201,6 @@ class TestOutcomeEntropy:
     def test_three_quarters(self):
         assert abs(qc.outcome_entropy([0.75, 0.25]) - ENTROPY_THREE_QUARTERS) < 1e-12
 
-    def test_nats_flag(self):
-        bits = qc.outcome_entropy([0.75, 0.25])
-        nats = qc.outcome_entropy([0.75, 0.25], base2=False)
-        assert abs(nats - bits * math.log(2.0)) < 1e-12
-
     def test_rejects_negative(self):
         with pytest.raises(StructureError):
             qc.outcome_entropy([1.2, -0.2])

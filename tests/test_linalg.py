@@ -8,43 +8,6 @@ from qcomplement.errors import StructureError
 from qcomplement.linalg import Subspace, SubspaceRelation
 
 
-def random_hermitian(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return a + a.conj().T
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, _ = qc.hermitian_eig(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-
-    def test_diagonal_descending(self):
-        w, _ = qc.hermitian_eig(np.diag([1.0, -1.0]))
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(11)
-        m = random_hermitian(rng, 4)
-        w, v = qc.hermitian_eig(m)
-        residual = np.linalg.norm(v @ np.diag(w) @ v.conj().T - m)
-        assert residual <= 1e-10 * max(1.0, np.max(np.abs(w)))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(StructureError):
-            qc.hermitian_eig(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(StructureError):
-            qc.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10**6), d=st.integers(1, 8))
-    def test_eigenvectors_orthonormal(self, seed, d):
-        m = random_hermitian(np.random.default_rng(seed), d)
-        _, v = qc.hermitian_eig(m)
-        assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-10
-
-
 class TestIsPsd:
     def test_identity(self):
         assert qc.is_psd(np.eye(3))

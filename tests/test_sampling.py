@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import StructureError
+from qcomplement.sampling import STREAM_ALGORITHM
 
 
 class TestHaarUnitary:
@@ -109,7 +110,22 @@ class TestSeededGenerator:
         assert np.array_equal(a, b)
 
     def test_algorithm_recorded(self):
-        assert qc.SeededGenerator(0).algorithm == "pcg64"
+        assert STREAM_ALGORITHM == "pcg64"
+        assert isinstance(qc.SeededGenerator(0).child(3).rng.bit_generator, np.random.PCG64)
+        assert qc.verifier_inclusion_harness(0, 2, 1).algorithm == STREAM_ALGORITHM
+        assert qc.classical_theorem_harness(0, 2, 1).algorithm == STREAM_ALGORITHM
+
+    def test_stream_algorithm_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            qc.SeededGenerator(0, algorithm="mt19937")
+
+    @pytest.mark.parametrize("index", [1.5, True, np.True_, "1", None])
+    def test_child_rejects_non_integer_index(self, index):
+        with pytest.raises(StructureError, match="child index must be an integer"):
+            qc.SeededGenerator(0).child(index)
+
+    def test_child_accepts_numpy_integer(self):
+        assert qc.SeededGenerator(0).child(np.int64(4)).path == (4,)
 
 
 class TestRandomInstrument:

@@ -83,6 +83,48 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="unknown kind"):
             model_from_text(json.dumps({"kind": "mystery"}))
 
+    @pytest.mark.parametrize("kind", [[True], {}, ["state"], 3])
+    def test_non_string_kind(self, kind):
+        with pytest.raises(SchemaError, match="unknown kind"):
+            model_from_text(json.dumps({"kind": kind}))
+
+    @pytest.mark.parametrize("value", [1e200, -1e31, 1e308, 10**40])
+    @pytest.mark.parametrize("kind, where, path", [
+        ("quantum-instrument", ("outcomes", 0, "kraus", 0, 0, 0, 0), "$.outcomes[0].kraus[0][0][0]"),
+        ("classical-instrument", ("outcomes", 1, "matrix", 1, 1), "$.outcomes[1].matrix[1][1]"),
+        ("state", ("matrix", 0, 1, 1), "$.matrix[0][1]"),
+    ])
+    def test_entry_beyond_limit_names_path(self, value, kind, where, path):
+        value_of = {
+            "quantum-instrument": z_instrument(),
+            "classical-instrument": qc.fine_grained_instrument(2),
+            "state": qc.basis_state(2, 0),
+        }
+        doc = model_to_dict(value_of[kind])
+        container = doc
+        for step in where[:-1]:
+            container = container[step]
+        container[where[-1]] = value
+        with pytest.raises(SchemaError, match="at most 1e\\+30") as err:
+            model_from_text(json.dumps(doc))
+        assert str(err.value).startswith(path + ":")
+
+    @pytest.mark.parametrize("mutate, message, path", [
+        (lambda outcomes: outcomes.__setitem__(1, 7), "outcome must be an object", "$.outcomes[1]"),
+        (lambda outcomes: outcomes[0].pop("label"), "'label' must be a nonempty string",
+         "$.outcomes[0].label"),
+        (lambda outcomes: outcomes[1].__setitem__("label", outcomes[0]["label"]),
+         "duplicate outcome label", "$.outcomes[1].label"),
+        (lambda outcomes: outcomes.clear(), "'outcomes' must be a nonempty array", "$.outcomes"),
+    ])
+    @pytest.mark.parametrize("value", ["quantum", "classical"])
+    def test_outcome_list_errors_name_path(self, mutate, message, path, value):
+        doc = model_to_dict(z_instrument() if value == "quantum" else qc.fine_grained_instrument(2))
+        mutate(doc["outcomes"])
+        with pytest.raises(SchemaError, match=message) as err:
+            model_from_text(json.dumps(doc))
+        assert str(err.value).startswith(path + ":")
+
     def test_scalar_complex_entry_names_path(self):
         doc = instrument_to_dict(z_instrument())
         doc["outcomes"][0]["kraus"][0][1][1] = 0.0
@@ -113,16 +155,3 @@ class TestSchemaErrors:
     def test_non_object_document(self):
         with pytest.raises(SchemaError, match="object"):
             model_from_text("[1, 2]")
-
-
-class TestParseModel:
-    def test_accepts_raw_text(self):
-        doc = {"kind": "state", "dims": [2], "vector": [[1.0, 0.0], [0.0, 0.0]]}
-        model = qc.parse_model(json.dumps(doc))
-        assert model.kind == "state"
-
-    def test_accepts_path(self, tmp_path):
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps({"kind": "state", "dims": [2], "vector": [[1, 0], [0, 0]]}))
-        model = qc.parse_model(path)
-        assert model.kind == "state"
