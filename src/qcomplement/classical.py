@@ -17,7 +17,7 @@ import numpy as np
 
 from .compatibility import HarnessReport, _run_harness
 from .errors import StructureError
-from .linalg import DEFAULT_TOL, Tolerances, _index, _trusted
+from .linalg import DEFAULT_TOL, Tolerances, _check_entries, _index, _trusted
 from .sampling import SeededGenerator
 
 
@@ -25,8 +25,7 @@ def _as_real_matrix(m, name: str) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise StructureError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise StructureError(f"{name} contains non-finite entries")
+    _check_entries(arr, name)
     return arr
 
 

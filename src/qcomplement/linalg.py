@@ -85,18 +85,35 @@ def _index(value, name: str) -> int:
     raise StructureError(f"{name} must be an integer, got {value!r}")
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d complex array or raise ``StructureError``."""
-    arr = np.asarray(m, dtype=complex)
+# No valid Kraus, state or substochastic matrix has an entry above 1 in modulus.
+# The cap sits far above that, where the eighth power of an entry, which the
+# Frobenius norm of a Kraus-space core reaches, still fits in a double.
+_ENTRY_LIMIT = 1e30
+# The kernel's Hermitian, PSD and range checks take any finite matrix: they
+# also see derived ones, such as an effect built from capped Kraus entries.
+_FINITE = float(np.finfo(float).max)
+
+
+def _check_entries(arr: np.ndarray, name: str, limit: float = _ENTRY_LIMIT) -> None:
+    """Raise ``StructureError`` unless every entry of the real array ``arr``
+    is at most ``limit`` in magnitude; NaN and infinities fail the one
+    comparison too."""
+    if arr.size and not np.abs(arr).max() <= limit:
+        raise StructureError(f"{name} entries must be finite and at most {limit:.0e} in magnitude")
+
+
+def as_matrix(m, name: str = "matrix", limit: float = _ENTRY_LIMIT) -> np.ndarray:
+    """Coerce to a 2-d C-ordered complex array whose real and imaginary parts
+    are at most ``limit`` in magnitude, or raise ``StructureError``."""
+    arr = np.asarray(m, dtype=complex, order="C")
     if arr.ndim != 2:
         raise StructureError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr.view(float))):
-        raise StructureError(f"{name} contains non-finite entries")
+    _check_entries(arr.view(float), name, limit)
     return arr
 
 
 def is_hermitian(m, tol: Tolerances = DEFAULT_TOL) -> bool:
-    arr = as_matrix(m)
+    arr = as_matrix(m, limit=_FINITE)
     if arr.shape[0] != arr.shape[1]:
         return False
     scale = max(1.0, float(np.linalg.norm(arr)))
@@ -104,7 +121,7 @@ def is_hermitian(m, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _require_hermitian(m, tol: Tolerances, name: str) -> np.ndarray:
-    arr = as_matrix(m, name)
+    arr = as_matrix(m, name, _FINITE)
     if arr.shape[0] != arr.shape[1]:
         raise StructureError(f"{name} must be square, got shape {arr.shape}")
     if not is_hermitian(arr, tol):
@@ -168,7 +185,7 @@ class Subspace:
 def range_subspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the column space at numerical rank threshold
     ``eig_cut * sigma_max``."""
-    arr = as_matrix(m)
+    arr = as_matrix(m, limit=_FINITE)
     if arr.size == 0:
         empty = np.zeros((arr.shape[0], 0), dtype=complex)
         return _trusted(Subspace, ambient_dim=arr.shape[0], basis=empty)

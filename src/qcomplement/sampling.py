@@ -88,6 +88,24 @@ def random_rank_profile(d: int, parts: int, rng: np.random.Generator) -> list[in
     return list(np.diff(edges).astype(int))
 
 
+def _kraus_draw(d_in: int, d_out: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` jointly normalised Gaussian Kraus matrices, as a
+    (count, d_out, d_in) array: sum K^dag K = I.
+
+    One (count, 2, d_out, d_in) normal draw holds the real and imaginary parts
+    of each matrix in turn, the same numbers ``count`` calls of ``_ginibre``
+    draw.
+    """
+    parts = rng.standard_normal((count, 2, d_out, d_in))
+    raw = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+    total = np.zeros((d_in, d_in), dtype=complex)
+    for k in raw:
+        total += k.conj().T @ k
+    w, v = np.linalg.eigh(total)
+    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    return raw @ inv_sqrt
+
+
 def random_instrument(
     d_in: int, d_out: int, labels, gen: SeededGenerator, kraus_per_outcome: int = 1
 ) -> Instrument:
@@ -102,21 +120,10 @@ def random_instrument(
         raise StructureError("dimensions and kraus_per_outcome must be positive")
     if len(labels) * kraus_per_outcome * d_out < d_in:
         raise StructureError("the Kraus matrices need at least d_in rows in total to normalise")
-    rng = gen.rng
-    raw = {
-        label: [_ginibre(d_out, d_in, rng) for _ in range(kraus_per_outcome)]
-        for label in labels
-    }
-    total = np.zeros((d_in, d_in), dtype=complex)
-    for mats in raw.values():
-        for k in mats:
-            total += k.conj().T @ k
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    kraus = _kraus_draw(d_in, d_out, len(labels) * kraus_per_outcome, gen.rng)
+    kraus = kraus.reshape(len(labels), kraus_per_outcome, d_out, d_in)
     outcomes = {
-        label: _trusted(
-            QuantumOperation, dim_in=d_in, dim_out=d_out, kraus=tuple(k @ inv_sqrt for k in mats)
-        )
-        for label, mats in raw.items()
+        label: _trusted(QuantumOperation, dim_in=d_in, dim_out=d_out, kraus=tuple(mats))
+        for label, mats in zip(labels, kraus)
     }
     return Instrument(d_in, d_out, outcomes)

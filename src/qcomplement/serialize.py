@@ -18,14 +18,10 @@ from .classical import ClassicalInstrument, ClassicalOperation
 from .compatibility import ExclusionWitness
 from .errors import ModelParseError, SchemaError
 from .instruments import Instrument
+from .linalg import _ENTRY_LIMIT
 from .operations import DensityState, QuantumOperation, pure_state
 
 SCHEMA_VERSION = "qcomplement/1"
-
-# No valid Kraus, state or substochastic matrix has an entry above 1 in modulus.
-# The cap sits far above that, where the eighth power of an entry, which the
-# Frobenius norm of a Kraus-space core reaches, still fits in a double.
-_ENTRY_LIMIT = 1e30
 
 
 def complex_to_pair(z) -> list[float]:

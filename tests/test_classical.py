@@ -26,6 +26,11 @@ class TestValidateClassical:
     def test_fine_grained_valid(self):
         assert qc.validate_classical(bit_readout()).is_valid
 
+    @pytest.mark.parametrize("entry", [1e200, -1e31, np.inf, np.nan])
+    def test_rejects_entries_beyond_the_cap(self, entry):
+        with pytest.raises(StructureError, match="must be finite and at most 1e\\+30"):
+            qc.ClassicalOperation(2, 2, np.array([[entry, 0.0], [0.0, 1.0]]))
+
     def test_negative_entry(self):
         bad = qc.ClassicalInstrument(2, 2, {
             "a": qc.ClassicalOperation(2, 2, np.array([[1.0, 0.0], [0.0, -0.1]])),

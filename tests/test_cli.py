@@ -185,7 +185,9 @@ class TestHarness:
         assert out["generator"] == "pcg64" and out["seed"] == 3
 
     @pytest.mark.parametrize("theory, dim, digest", [
+        ("quantum", "3", "01f90661274cae66"),
         ("quantum", "4", "586324d3df7425d3"),
+        ("quantum", "6", "3642ba85f2416610"),
         ("classical", "6", "f458190d8a78ab5e"),
         ("classical", "12", "69a919d5d54aa43f"),
     ])

@@ -3,9 +3,10 @@
 Each example takes one of the demo model files, mutates one entry (drops a
 key or an array element, or puts a boolean, a string, null, a huge number or
 a nested list where a value belongs) and runs ``cli.main`` in-process with the
-mutated document in one argument slot of a subcommand. The result must be
-0, 1 or 2; no other exception may escape, 2 must come with an error message,
-and 1 (a false verdict) only with the verdict in the report.
+mutated document in one argument slot of a subcommand, or as the ``--state``
+file of ``verifiers``. The result must be 0, 1 or 2; no other exception may
+escape, 2 must come with an error message, and 1 (a false verdict) only with
+the verdict in the report.
 """
 
 import contextlib
@@ -22,6 +23,13 @@ from qcomplement.cli import main
 MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 DOCUMENTS = {path.name: json.loads(path.read_text()) for path in sorted(MODELS.glob("*.json"))}
 NAMES = sorted(DOCUMENTS)
+STATES = [name for name in NAMES if DOCUMENTS[name]["kind"] == "state"]
+# The demo states are qubit states: every outcome of every qubit instrument.
+QUBIT_OUTCOMES = [
+    (name, entry["label"]) for name, doc in DOCUMENTS.items()
+    if doc["kind"] == "quantum-instrument" and doc["dim_in"] == 2
+    for entry in doc["outcomes"]
+]
 LABELS = sorted(
     {entry["label"] for doc in DOCUMENTS.values() for entry in doc.get("outcomes", ())}
 ) + ["missing"]
@@ -40,11 +48,11 @@ REPLACEMENTS = st.sampled_from([True, False, "x", None, 10**400, 1e308, -1e200, 
 
 
 @st.composite
-def mutated_documents(draw):
-    """One demo document with one entry dropped or replaced. The entry's depth
-    is drawn first and uniformly, so a top-level field and a single matrix
-    entry, seven levels down, are both hit often."""
-    name = draw(st.sampled_from(NAMES))
+def mutated_documents(draw, names=NAMES):
+    """One of the named demo documents with one entry dropped or replaced. The
+    entry's depth is drawn first and uniformly, so a top-level field and a
+    single matrix entry, seven levels down, are both hit often."""
+    name = draw(st.sampled_from(names))
     doc = json.loads(json.dumps(DOCUMENTS[name]))
     depth = draw(st.integers(0, 7))
     container = doc
@@ -99,6 +107,23 @@ def test_mutated_models_keep_the_exit_code_contract(
             if with_state is not None:
                 argv += ["--state", str(MODELS / with_state)]
         code, out, err = _run(argv)
+    _assert_contract(command, verdict_key, argv, text, code, out, err)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(QUBIT_OUTCOMES), text=mutated_documents(STATES))
+def test_mutated_states_keep_the_exit_code_contract(target, text):
+    model, outcome = target
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / "state.json"
+        mutated.write_text(text)
+        argv = ["--json", "verifiers", str(MODELS / model), "--outcome", outcome,
+                "--state", str(mutated)]
+        code, out, err = _run(argv)
+    _assert_contract("verifiers", COMMANDS["verifiers"][1], argv, text, code, out, err)
+
+
+def _assert_contract(command, verdict_key, argv, text, code, out, err):
     assert code in (0, 1, 2), (argv, text, code)
     if code == 2:
         assert err.startswith("error: ") or "error:" in err, (argv, text, err)

@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcomplement as qc
+from qcomplement.compatibility import _check_inclusion, _quantum_trial, _run_harness
 from qcomplement.errors import StructureError
+from qcomplement.linalg import DEFAULT_TOL
+from qcomplement.operations import _core_norm
+from qcomplement.sampling import _kraus_draw
 from helpers import (
     E0,
     E1,
@@ -340,3 +344,104 @@ class TestInclusionHarness:
     def test_rejects_non_integer_arguments(self, seed, dim, trials):
         with pytest.raises(StructureError, match="must be an integer"):
             qc.verifier_inclusion_harness(seed, dim, trials)
+
+
+def _conditional_family(t, gen, rng):
+    """Random conditional family biased so post-processed outcomes are atomic.
+
+    Each composite outcome receives its contribution from exactly one branch
+    (single-Kraus conditional operations, zero elsewhere).
+    """
+    x_labels = list(t.labels)
+    n = len(x_labels)
+    d = t.dim_out
+    extra = int(rng.integers(0, 3))
+    y_labels = [f"y{i}" for i in range(n + extra)]
+    order = rng.permutation(n)
+    assignment = {}
+    for i, y in enumerate(y_labels):
+        assignment[y] = x_labels[order[i]] if i < n else x_labels[int(rng.integers(0, n))]
+    zero = qc.zero_operation(d, d)
+    cond = {}
+    for idx, x in enumerate(x_labels):
+        branch_ys = [y for y in y_labels if assignment[y] == x]
+        branch = qc.random_instrument(d, d, branch_ys, gen.child(idx + 1))
+        cond[x] = qc.Instrument(
+            d, d, {y: branch[y] if y in branch_ys else zero for y in y_labels}
+        )
+    return cond
+
+
+def _loop_trial(gen, dim, tol):
+    """Reference trial: the per-outcome loop form the array trial replaced,
+    draw for draw, on Instrument and QuantumOperation objects."""
+    rng = gen.rng
+    n_out = int(rng.integers(2, dim + 1))
+    prop = qc.random_pvm(dim, qc.random_rank_profile(dim, n_out, rng), gen.child(0))
+    t = prop.base
+    cond = _conditional_family(t, gen, rng)
+    g, _ = qc.postprocessing_witness(t, cond)
+
+    checked = 0
+    violations = []
+    for y in g.labels:
+        g_y = g[y]
+        if _core_norm(g_y) <= tol.mat_eq:
+            continue
+        if not qc.is_atomic(g_y, tol):
+            continue
+        checked += 1
+        matched = max(
+            t.labels, key=lambda x: _core_norm(qc.compose_seq(cond[x][y], t[x]))
+        )
+        support_g = qc.verifier_support(g_y, tol)
+        support_t = qc.verifier_support(t[matched], tol)
+        if support_g.dim and not qc.subspace_contained(support_g, support_t, tol):
+            violations.append((y, matched, support_g.dim, support_t.dim))
+    return checked, violations
+
+
+class TestArrayTrial:
+    @pytest.mark.parametrize("dim, seeds", [(2, 50), (3, 50), (4, 40), (6, 40), (8, 30)])
+    def test_matches_loop_reference(self, dim, seeds):
+        for seed in range(seeds):
+            want = _run_harness("quantum", _loop_trial, seed, dim, 3, DEFAULT_TOL)
+            got = _run_harness("quantum", _quantum_trial, seed, dim, 3, DEFAULT_TOL)
+            assert got == want, (dim, seed)
+
+    def test_kraus_draw_equals_random_instrument(self):
+        # One batched normal draw holds what one _ginibre call per matrix drew.
+        for seed in range(20):
+            for d_in, d_out, n_labels, per_outcome in (
+                (1, 1, 1, 1), (2, 2, 3, 1), (3, 3, 2, 2), (4, 2, 2, 1), (2, 5, 1, 3), (8, 8, 4, 1),
+            ):
+                gen = qc.SeededGenerator(seed, (d_in, d_out))
+                labels = [f"o{i}" for i in range(n_labels)]
+                ins = qc.random_instrument(d_in, d_out, labels, gen, per_outcome)
+                drawn = _kraus_draw(d_in, d_out, n_labels * per_outcome, gen.rng)
+                assert np.array_equal(np.stack([k for x in labels for k in ins[x].kraus]), drawn)
+
+    def test_check_reports_a_support_outside_the_matched_range(self):
+        # Composite outcomes read from a qubit Z measurement, branch by branch:
+        # y0 fires on |+> from branch x0, whose range is |0>: a violation;
+        # y1 fires on |1> from branch x1: inside;
+        # y2 is the zero map; y3 (two orthogonal Kraus matrices, rank two) is
+        # not atomic, though its support |0> leaves branch x1's range;
+        # y4 has two proportional Kraus matrices (atomic) firing on |1> from x0.
+        zero = np.zeros((2, 2))
+        plus = proj(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        flip = np.array([[0.0, 0.0], [1.0, 0.0]])
+        composite = np.array([
+            [plus, zero],
+            [proj(E1), zero],
+            [zero, zero],
+            [proj(E0), flip],
+            [proj(E1), 2j * proj(E1)],
+        ], dtype=complex)
+        projectors = np.stack([proj(E0), proj(E1)]).astype(complex)
+        branch = np.array([0, 1, 0, 1, 0])
+        checked, violations = _check_inclusion(
+            ("x0", "x1"), projectors, composite, branch, DEFAULT_TOL
+        )
+        assert checked == 3
+        assert violations == [("y0", "x0", 1, 1), ("y4", "x0", 1, 1)]

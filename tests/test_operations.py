@@ -69,6 +69,29 @@ class TestChoi:
         assert np.allclose(qc.choi(op).output_trace(), op.effect().T)
 
 
+class TestEntryCap:
+    # Entries beyond 1e30 overflowed the Kraus-space core to NaN, which passes
+    # every `> tol` test: with this Kraus matrix, is_repeatable said True.
+    @pytest.mark.parametrize("entry", [1e200, -1e31, 1e30j * 2, np.inf, np.nan])
+    def test_quantum_operation_rejects_entries_beyond_the_cap(self, entry):
+        with pytest.raises(StructureError, match="must be finite"):
+            qc.QuantumOperation(2, 2, (np.diag([entry, 0.0]),))
+
+    def test_density_state_rejects_entries_beyond_the_cap(self):
+        with pytest.raises(StructureError, match="must be finite and at most 1e\\+30"):
+            qc.DensityState((2,), np.diag([1e200, 1.0 - 1e200]))
+
+    def test_entries_at_the_cap_stay_finite(self):
+        op = qc.QuantumOperation(2, 2, (np.diag([1e30, 0.0]),))
+        assert not qc.validate_operation(op).is_tni
+        assert np.isfinite(qc.choi_distance(op, qc.identity_operation(2)))
+
+    def test_transposed_kraus_matrix_is_accepted(self):
+        k = np.array([[1.0, 0.5j], [0.0, 0.5]])
+        op = qc.QuantumOperation(2, 2, (k.T, np.eye(2).T))
+        assert np.array_equal(op.kraus[0], k.T) and op.kraus[0].flags.c_contiguous
+
+
 class TestValidateOperation:
     def test_identity(self):
         rep = qc.validate_operation(qc.identity_operation(2))
