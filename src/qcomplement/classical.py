@@ -220,23 +220,18 @@ def _check_inclusion(
     """Check verifier inclusion for every composite outcome at once.
 
     ``realisation[x]`` is the (n·m)×n realisation of outcome x of ``t``;
-    composite outcome y post-processes branch ``branch[y]`` alone, with the
-    n×(n·m) matrix ``post[y]``, so g_y = post[y] @ realisation[branch[y]].
-    Outcomes whose g_y has other than exactly one entry above ``prob_eq``
-    are not atomic and are skipped; each atomic one is matched to the
-    outcome of ``t`` contributing most to it (the first on a tie), and its
-    verifier points must lie inside that outcome's.
+    composite outcome y reads branch ``branch[y]`` alone, with the n×(n·m)
+    post-processing ``post[y]``: g_y = post[y] @ realisation[branch[y]].
+    Outcomes with exactly one entry of g_y above ``prob_eq`` are atomic, and
+    their verifier points must lie inside those of the branch they read.
     """
     x_labels = t.labels
     g = post @ realisation[branch]
     atomic = np.count_nonzero(np.abs(g) > tol.prob_eq, axis=(1, 2)) == 1
-    contribution = np.zeros((len(branch), len(x_labels)))
-    contribution[np.arange(len(branch)), branch] = np.abs(g).sum(axis=(1, 2))
-    matched = contribution.argmax(axis=1)
     g_points = _verifier_mask(g, tol)
-    t_points = _verifier_mask(np.stack([t[x].matrix for x in x_labels]), tol)[matched]
+    t_points = _verifier_mask(np.stack([t[x].matrix for x in x_labels]), tol)[branch]
     violations = [
-        (f"y{y}", x_labels[matched[y]],
+        (f"y{y}", x_labels[branch[y]],
          np.nonzero(g_points[y])[0].tolist(), np.nonzero(t_points[y])[0].tolist())
         for y in np.nonzero(atomic & np.any(g_points & ~t_points, axis=1))[0]
     ]

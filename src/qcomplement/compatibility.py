@@ -273,39 +273,27 @@ def _check_inclusion(
 ) -> tuple[int, list]:
     """Check verifier inclusion for every composite outcome at once.
 
-    ``projectors[x]`` is outcome ``x_labels[x]`` of a projective instrument;
-    ``composite[y]`` stacks the Kraus matrices of composite outcome y, which
-    post-processes branch ``branch[y]`` alone. From the core of each stack's
-    vec columns, outcomes with core norm at most ``mat_eq`` or rank above one
-    (not atomic) are skipped; each atomic one is matched to the branch whose
-    core norm is largest (the first on a tie). Verifier supports, the
-    eigenvalue-1 eigenspaces of all effects, come from one batched ``eigh``;
-    a composite support is inside the matched one when every row of
-    V_g^dag V_t has norm at least 1 - ``mat_eq``.
+    ``composite[y]`` is the one Kraus matrix of composite outcome y, which
+    reads outcome ``x_labels[branch[y]]`` of a projective instrument alone;
+    ``projectors[x]`` is outcome x's projector. One Kraus matrix is atomic
+    when it is nonzero (squared norm above ``mat_eq``). Each nonzero outcome's
+    verifier support, from one batched ``eigh`` of all effects, must lie in
+    its branch's: every row of V_g^dag V_t has norm at least 1 - ``mat_eq``.
     """
-    n_y, count = composite.shape[:2]
-    vecs = composite.reshape(n_y, count, -1)
-    core = vecs.conj() @ vecs.transpose(0, 2, 1)
-    norms = np.linalg.norm(core, axis=(1, 2))
-    spectrum = np.linalg.eigvalsh(core)
-    rank = np.count_nonzero(spectrum > tol.eig_cut * spectrum[:, -1:], axis=1)
-    atomic = (norms > tol.mat_eq) & (rank <= 1)
-    contribution = np.zeros((n_y, len(x_labels)))
-    contribution[np.arange(n_y), branch] = norms
-    matched = contribution.argmax(axis=1)
-
-    effects = (composite.conj().swapaxes(-1, -2) @ composite).sum(axis=1)
+    n_y = len(composite)
+    nonzero = np.linalg.norm(composite, axis=(1, 2)) ** 2 > tol.mat_eq
+    effects = composite.conj().swapaxes(-1, -2) @ composite
     w, v = np.linalg.eigh(np.concatenate([effects, projectors.conj().swapaxes(-1, -2) @ projectors]))
     support = w >= 1.0 - tol.prob_eq
-    g_in, t_in = support[:n_y], support[n_y:][matched]
-    cross = v[:n_y].conj().swapaxes(-1, -2) @ v[n_y:][matched]
+    g_in, t_in = support[:n_y], support[n_y:][branch]
+    cross = v[:n_y].conj().swapaxes(-1, -2) @ v[n_y:][branch]
     row_norms = np.linalg.norm(cross * t_in[:, None, :], axis=2)
     escapes = np.any(g_in & (row_norms < 1.0 - tol.mat_eq), axis=1)
     violations = [
-        (f"y{y}", x_labels[matched[y]], int(g_in[y].sum()), int(t_in[y].sum()))
-        for y in np.nonzero(atomic & escapes)[0]
+        (f"y{y}", x_labels[branch[y]], int(g_in[y].sum()), int(t_in[y].sum()))
+        for y in np.nonzero(nonzero & escapes)[0]
     ]
-    return int(np.count_nonzero(atomic)), violations
+    return int(np.count_nonzero(nonzero)), violations
 
 
 def _quantum_trial(gen: SeededGenerator, dim: int, tol: Tolerances):
@@ -313,9 +301,8 @@ def _quantum_trial(gen: SeededGenerator, dim: int, tol: Tolerances):
 
     Draws a random projective elementary instrument, then a post-processing
     in which each composite outcome y reads one branch, ``branch[y]``, with
-    one Kraus matrix K_y; each branch's matrices are drawn jointly
-    normalised. Single-branch outcomes make the composites atomic; unbiased
-    draws almost never are and would starve the filter.
+    one Kraus matrix K_y, drawn jointly normalised per branch; so the
+    composite A_y = K_y P_branch[y] is atomic whenever it is nonzero.
     """
     rng = gen.rng
     n_out = int(rng.integers(2, dim + 1))
@@ -330,8 +317,7 @@ def _quantum_trial(gen: SeededGenerator, dim: int, tol: Tolerances):
         ys = np.nonzero(branch == x)[0]
         kraus[ys] = _kraus_draw(dim, dim, len(ys), gen.child(x + 1).rng)
     projectors = np.stack(list(prop.projectors.values()))
-    composite = (kraus @ projectors[branch])[:, None]
-    return _check_inclusion(prop.base.labels, projectors, composite, branch, tol)
+    return _check_inclusion(prop.base.labels, projectors, kraus @ projectors[branch], branch, tol)
 
 
 def _run_harness(
@@ -380,13 +366,10 @@ def verifier_inclusion_harness(
     """Random check of the verifier-inclusion theorem in quantum theory.
 
     Each trial draws a random projective elementary instrument and a random
-    post-processing in which each composite outcome reads one branch, and
-    checks all composite outcomes in one array pass. Outcomes that are zero
-    or not atomic (rank of the stacked vec(K) columns above one) are skipped.
-    Each remaining one is matched to the branch with the largest core norm.
-    The verifier supports of all composite and original effects come from one
-    batched ``eigh``. An outcome is a violation when some vector of its
-    support keeps less than 1 - ``mat_eq`` of its norm on the matched
-    outcome's support. Zero violations are expected.
+    post-processing in which each composite outcome reads one branch with one
+    Kraus matrix. Every nonzero composite outcome is checked against the
+    branch it reads: a violation is a vector of its verifier support that
+    keeps less than 1 - ``mat_eq`` of its norm on that branch's support.
+    Zero violations are expected.
     """
     return _run_harness("quantum", _quantum_trial, seed, dim, trials, tol)

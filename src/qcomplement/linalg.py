@@ -112,32 +112,36 @@ def as_matrix(m, name: str = "matrix", limit: float = _ENTRY_LIMIT) -> np.ndarra
     return arr
 
 
-def is_hermitian(m, tol: Tolerances = DEFAULT_TOL) -> bool:
-    arr = as_matrix(m, limit=_FINITE)
+def _is_hermitian(arr: np.ndarray, tol: Tolerances) -> bool:
+    """``is_hermitian`` for a matrix ``as_matrix`` already coerced."""
     if arr.shape[0] != arr.shape[1]:
         return False
     scale = max(1.0, float(np.linalg.norm(arr)))
     return float(np.linalg.norm(arr - arr.conj().T)) <= tol.mat_eq * scale
 
 
-def _require_hermitian(m, tol: Tolerances, name: str) -> np.ndarray:
-    arr = as_matrix(m, name, _FINITE)
-    if arr.shape[0] != arr.shape[1]:
-        raise StructureError(f"{name} must be square, got shape {arr.shape}")
-    if not is_hermitian(arr, tol):
-        raise StructureError(f"{name} is not Hermitian within tolerance")
-    return arr
+def is_hermitian(m, tol: Tolerances = DEFAULT_TOL) -> bool:
+    return _is_hermitian(as_matrix(m, limit=_FINITE), tol)
 
 
-def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the minimum eigenvalue is at least
-    ``-eig_cut * max(1, spectral norm)``. Input must be Hermitian."""
-    arr = _require_hermitian(m, tol, "matrix")
+def _is_psd(arr: np.ndarray, tol: Tolerances) -> bool:
+    """``is_psd`` for a coerced matrix already known to be Hermitian."""
     if arr.shape[0] == 0:
         return True
     w = np.linalg.eigvalsh(arr)
     scale = max(1.0, float(np.max(np.abs(w))))
     return float(w[0]) >= -tol.eig_cut * scale
+
+
+def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff the minimum eigenvalue is at least
+    ``-eig_cut * max(1, spectral norm)``. Input must be Hermitian."""
+    arr = as_matrix(m, "matrix", _FINITE)
+    if arr.shape[0] != arr.shape[1]:
+        raise StructureError(f"matrix must be square, got shape {arr.shape}")
+    if not _is_hermitian(arr, tol):
+        raise StructureError("matrix is not Hermitian within tolerance")
+    return _is_psd(arr, tol)
 
 
 @dataclass(frozen=True)

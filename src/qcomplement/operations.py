@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from .errors import StructureError
-from .linalg import DEFAULT_TOL, Tolerances, _index, _trusted, as_matrix, is_hermitian, is_psd
+from .linalg import _FINITE, DEFAULT_TOL, Tolerances, _index, _is_hermitian, _is_psd, _trusted, as_matrix
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def validate_operation(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> O
     its Choi matrix being a sum of rank-one PSD terms.
     """
     effect = op.effect()
-    tni = is_psd(np.eye(op.dim_in) - effect, tol)
+    # I - E is Hermitian by construction; the coercion only checks it is finite.
+    tni = _is_psd(as_matrix(np.eye(op.dim_in) - effect, limit=_FINITE), tol)
     tp = float(np.linalg.norm(effect - np.eye(op.dim_in))) <= tol.mat_eq
     return OperationReport(is_tni=tni, is_tp=tp)
 
@@ -169,9 +170,9 @@ class DensityState:
         d = prod(dims)
         if mat.shape != (d, d):
             raise StructureError(f"state matrix has shape {mat.shape}, expected ({d}, {d})")
-        if not is_hermitian(mat):
+        if not _is_hermitian(mat, DEFAULT_TOL):
             raise StructureError("state matrix is not Hermitian within tolerance")
-        if not is_psd(mat):
+        if not _is_psd(mat, DEFAULT_TOL):
             raise StructureError("state matrix is not positive semidefinite")
         if abs(float(np.real(np.trace(mat))) - 1.0) > DEFAULT_TOL.prob_eq:
             raise StructureError("state matrix does not have unit trace")

@@ -44,6 +44,7 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary(d: int, gen: SeededGenerator) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a Ginibre matrix."""
+    d = _index(d, "dimension")
     if d < 1:
         raise StructureError("dimension must be at least 1")
     q, r = np.linalg.qr(_ginibre(d, d, gen.rng))
@@ -54,7 +55,8 @@ def haar_unitary(d: int, gen: SeededGenerator) -> np.ndarray:
 
 def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
     """Haar-rotated coordinate-block PVM with the requested rank profile."""
-    ranks = [int(r) for r in ranks]
+    d = _index(d, "dimension")
+    ranks = [_index(r, "rank") for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != d:
         raise StructureError(f"ranks must be positive and sum to {d}, got {ranks}")
     u = haar_unitary(d, gen)
@@ -72,6 +74,7 @@ def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
 
 def random_density(d: int, rank: int, gen: SeededGenerator) -> DensityState:
     """Random mixed state of the given rank (normalised Wishart factor)."""
+    d, rank = _index(d, "dimension"), _index(rank, "rank")
     if not 1 <= rank <= d:
         raise StructureError(f"rank must be in [1, {d}], got {rank}")
     g = _ginibre(d, rank, gen.rng)
@@ -81,6 +84,7 @@ def random_density(d: int, rank: int, gen: SeededGenerator) -> DensityState:
 
 def random_rank_profile(d: int, parts: int, rng: np.random.Generator) -> list[int]:
     """Random composition of d into the given number of positive parts."""
+    d, parts = _index(d, "dimension"), _index(parts, "parts")
     if not 1 <= parts <= d:
         raise StructureError(f"parts must be in [1, {d}], got {parts}")
     cuts = np.sort(rng.choice(np.arange(1, d), size=parts - 1, replace=False))
@@ -114,6 +118,8 @@ def random_instrument(
     With one Kraus matrix per outcome, every outcome is atomic.
     """
     labels = list(labels)
+    d_in, d_out = _index(d_in, "d_in"), _index(d_out, "d_out")
+    kraus_per_outcome = _index(kraus_per_outcome, "kraus_per_outcome")
     if not labels:
         raise StructureError("instrument needs at least one outcome")
     if min(d_in, d_out, kraus_per_outcome) < 1:

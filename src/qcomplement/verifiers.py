@@ -36,7 +36,7 @@ def canonical_verifier(
     verifier. Seeds with vanishing outcome probability are rejected.
     """
     probability, conditional = apply(op, seed, tol)
-    if conditional is None or probability <= tol.prob_eq:
+    if conditional is None:
         raise DegenerateSeedError(
             f"seed state meets the operation with probability {probability:.3e}"
         )

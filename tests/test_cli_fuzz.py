@@ -6,7 +6,8 @@ a nested list where a value belongs) and runs ``cli.main`` in-process with the
 mutated document in one argument slot of a subcommand, or as the ``--state``
 file of ``verifiers``. The result must be 0, 1 or 2; no other exception may
 escape, 2 must come with an error message, and 1 (a false verdict) only with
-the verdict in the report.
+the verdict in the report. A last test draws whole argument vectors: every
+subcommand, with arguments missing, extra or unknown, and bad option values.
 """
 
 import contextlib
@@ -121,6 +122,58 @@ def test_mutated_states_keep_the_exit_code_contract(target, text):
                 "--state", str(mutated)]
         code, out, err = _run(argv)
     _assert_contract("verifiers", COMMANDS["verifiers"][1], argv, text, code, out, err)
+
+
+# Option values around every boundary --tol and the harness sizes have. Sizes
+# stay at 3 or below: one harness call allocates memory cubic in --dim.
+TOLS = ["0", "-1", "nan", "inf", "1e-320", "1e7", "x", "1e-3", "100"]
+SIZES = ["-1", "0", "1", "2", "3", "2.5", "x"]
+SEEDS = ["-5", "0", "7", str(2**70), "x"]
+PATHS = [str(MODELS / name) for name in NAMES] + [str(MODELS / "missing.json"), str(MODELS)]
+VERDICT_KEYS = {command: key for command, (_, key) in COMMANDS.items()} | {"harness": "violations"}
+
+
+@st.composite
+def argument_vectors(draw):
+    """``--json``, maybe ``--tol``, one of the seven subcommands and its
+    arguments, with at most one argument then dropped, added or unknown.
+    Returns the subcommand and the argument vector."""
+    command = draw(st.sampled_from(sorted(VERDICT_KEYS)))
+    head = ["--json"]
+    if draw(st.booleans()):
+        head += ["--tol", draw(st.sampled_from(TOLS))]
+    if command == "harness":
+        values = {
+            "--theory": st.sampled_from(["quantum", "classical", "bogus"]),
+            "--dim": st.sampled_from(SIZES),
+            "--trials": st.sampled_from(SIZES),
+            "--seed": st.sampled_from(SEEDS),
+        }
+        args = [[option, draw(value)] for option, value in values.items()]
+    else:
+        args = [[path] for path in draw(st.lists(
+            st.sampled_from(PATHS), min_size=COMMANDS[command][0], max_size=COMMANDS[command][0]
+        ))]
+        if command == "verifiers":
+            args.append(["--outcome", draw(st.sampled_from(LABELS))])
+            if draw(st.booleans()):
+                args.append(["--state", draw(st.sampled_from(PATHS))])
+    change = draw(st.sampled_from([None, None, "missing", "extra", "unknown"]))
+    if change == "missing":
+        del args[draw(st.integers(0, len(args) - 1))]
+    elif change == "extra":
+        args.append([draw(st.sampled_from(PATHS + ["3"]))])
+    elif change == "unknown":
+        args.insert(draw(st.integers(0, len(args))), [draw(st.sampled_from(["--bogus", "-z"]))])
+    return command, head + [command] + [a for group in args for a in group]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=argument_vectors())
+def test_argument_vectors_keep_the_exit_code_contract(drawn):
+    command, argv = drawn
+    code, out, err = _run(argv)
+    _assert_contract(command, VERDICT_KEYS[command], argv, None, code, out, err)
 
 
 def _assert_contract(command, verdict_key, argv, text, code, out, err):

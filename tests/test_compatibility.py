@@ -422,26 +422,17 @@ class TestArrayTrial:
                 assert np.array_equal(np.stack([k for x in labels for k in ins[x].kraus]), drawn)
 
     def test_check_reports_a_support_outside_the_matched_range(self):
-        # Composite outcomes read from a qubit Z measurement, branch by branch:
-        # y0 fires on |+> from branch x0, whose range is |0>: a violation;
-        # y1 fires on |1> from branch x1: inside;
-        # y2 is the zero map; y3 (two orthogonal Kraus matrices, rank two) is
-        # not atomic, though its support |0> leaves branch x1's range;
-        # y4 has two proportional Kraus matrices (atomic) firing on |1> from x0.
+        # Composite outcomes read from a qubit Z measurement, branch by branch,
+        # one Kraus matrix each: y0 fires on |+> from branch x0, whose range is
+        # |0>: a violation; y1 fires on |1> from branch x1: inside; y2 is the
+        # zero map (not counted); y3 fires on |1> from x0: a violation.
         zero = np.zeros((2, 2))
         plus = proj(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        flip = np.array([[0.0, 0.0], [1.0, 0.0]])
-        composite = np.array([
-            [plus, zero],
-            [proj(E1), zero],
-            [zero, zero],
-            [proj(E0), flip],
-            [proj(E1), 2j * proj(E1)],
-        ], dtype=complex)
+        composite = np.array([plus, proj(E1), zero, proj(E1)], dtype=complex)
         projectors = np.stack([proj(E0), proj(E1)]).astype(complex)
-        branch = np.array([0, 1, 0, 1, 0])
+        branch = np.array([0, 1, 0, 0])
         checked, violations = _check_inclusion(
             ("x0", "x1"), projectors, composite, branch, DEFAULT_TOL
         )
         assert checked == 3
-        assert violations == [("y0", "x0", 1, 1), ("y4", "x0", 1, 1)]
+        assert violations == [("y0", "x0", 1, 1), ("y3", "x0", 1, 1)]

@@ -366,3 +366,50 @@ class TestDensityState:
     def test_pure_state_normalises(self):
         state = qc.pure_state([2.0, 0.0])
         assert abs(np.trace(state.matrix).real - 1.0) < 1e-12
+
+
+class TestCheckOnce:
+    @staticmethod
+    def _counted(monkeypatch, name):
+        """Count the calls of ``linalg.<name>`` made through any module that
+        holds the name, operations included."""
+        from qcomplement import linalg, operations
+
+        calls = []
+        original = getattr(linalg, name, None)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (linalg, operations):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("build", [
+        lambda: qc.DensityState((2,), np.eye(2) / 2),
+        lambda: qc.pure_state([1.0, 1j]),
+    ])
+    def test_state_is_coerced_and_tested_once(self, monkeypatch, build):
+        coerced = self._counted(monkeypatch, "as_matrix")
+        hermitian = self._counted(monkeypatch, "_is_hermitian")
+        build()
+        assert (len(coerced), len(hermitian)) == (1, 1)
+
+    def test_validate_operation_coerces_i_minus_e_once(self, monkeypatch):
+        op = qc.QuantumOperation(2, 2, (np.sqrt(1.5) * np.eye(2, dtype=complex),))
+        coerced = self._counted(monkeypatch, "as_matrix")
+        hermitian = self._counted(monkeypatch, "_is_hermitian")
+        assert not qc.validate_operation(op).is_tni
+        assert len(coerced) <= 1 and not hermitian
+
+    def test_messages_unchanged(self):
+        with pytest.raises(StructureError, match="state matrix is not Hermitian"):
+            qc.DensityState((2,), np.array([[0.5, 1.0], [0.0, 0.5]]))
+        with pytest.raises(StructureError, match="state matrix is not positive semidefinite"):
+            qc.DensityState((2,), np.diag([1.5, -0.5]))
+        with pytest.raises(StructureError, match="matrix is not Hermitian"):
+            qc.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(StructureError, match="matrix must be square"):
+            qc.is_psd(np.zeros((2, 3)))

@@ -151,3 +151,23 @@ class TestRandomInstrument:
         ins = qc.random_instrument(2, 2, ["a"], qc.SeededGenerator(4), kraus_per_outcome=3)
         assert qc.validate_instrument(ins).is_valid
         assert qc.validate_operation(ins["a"]).is_tp
+
+
+class TestIntegerArguments:
+    # A float or boolean size is an error, not a truncation or a numpy TypeError.
+    @pytest.mark.parametrize("call", [
+        lambda gen: qc.haar_unitary(2.5, gen),
+        lambda gen: qc.random_pvm(2, [1.9, 1.2], gen),
+        lambda gen: qc.random_pvm(2, [True, True], gen),
+        lambda gen: qc.random_pvm(2.0, [1, 1], gen),
+        lambda gen: qc.random_density(3, 1.5, gen),
+        lambda gen: qc.random_density(3.0, 1, gen),
+        lambda gen: qc.random_rank_profile(3, 2.0, gen.rng),
+        lambda gen: qc.random_rank_profile(True, 1, gen.rng),
+        lambda gen: qc.random_instrument(2, 2, ["a"], gen, 1.5),
+        lambda gen: qc.random_instrument(2.0, 2, ["a"], gen),
+        lambda gen: qc.random_instrument(2, 2.0, ["a"], gen),
+    ])
+    def test_rejects_non_integers(self, call):
+        with pytest.raises(StructureError, match="must be an integer"):
+            call(qc.SeededGenerator(1))
