@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import cache
+from itertools import chain
 
 from .classical import (
     classical_is_elementary,
@@ -43,7 +46,7 @@ from .operations import DensityState, is_atomic
 from .serialize import (
     SCHEMA_VERSION,
     ModelFile,
-    complex_to_pair,
+    matrix_to_lists,
     model_from_path,
     model_to_dict,
     state_to_dict,
@@ -148,7 +151,7 @@ def _cmd_verifiers(args, tol: Tolerances) -> tuple[int, dict]:
         "command": "verifiers",
         "outcome": args.outcome,
         "support_dimension": support.dim,
-        "support_basis": [[complex_to_pair(v) for v in column] for column in support.basis.T],
+        "support_basis": matrix_to_lists(support.basis.T),
         "model": model_to_dict(ins),
     }
     if args.state is None:
@@ -259,7 +262,37 @@ def _short(value):
     return value
 
 
+def _holds_object(items: list) -> bool:
+    """True iff a dict sits at some depth of the nested list ``items``;
+    each level is one scan of the level's types."""
+    while items:
+        types = set(map(type, items))
+        if dict in types:
+            return True
+        if list not in types:
+            return False
+        if types != {list}:
+            items = [x for x in items if type(x) is list]
+        items = list(chain.from_iterable(items))
+    return False
+
+
+def _dumps(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, except that a list holding no object
+    (a matrix, a vector, a list of labels) prints on one line through the C
+    encoder. Reports hold only string keys, dicts, lists and scalars."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{inner}{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items())
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, list) and _holds_object(value):
+        return "[\n" + ",\n".join(inner + _dumps(v, inner) for v in value) + f"\n{indent}]"
+    return json.dumps(value)
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; every caller shares it."""
     parser = argparse.ArgumentParser(
         prog="qcomplement",
         description="Decision procedures for instruments: elementary-property "
@@ -323,10 +356,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = {"schema": SCHEMA_VERSION, **out}
-    if args.json:
-        print(json.dumps(out, indent=2))
-    else:
-        _print_human(out)
+    try:
+        if args.json:
+            print(_dumps(out))
+        else:
+            _print_human(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped reading, as `head` does; the verdict stands. The
+        # exit-time flush goes to the null device instead of failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

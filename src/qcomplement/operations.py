@@ -163,19 +163,7 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(_index(d, "state dimension") for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise StructureError("state dims must be positive")
-        mat = as_matrix(self.matrix, "state matrix")
-        d = prod(dims)
-        if mat.shape != (d, d):
-            raise StructureError(f"state matrix has shape {mat.shape}, expected ({d}, {d})")
-        if not _is_hermitian(mat, DEFAULT_TOL):
-            raise StructureError("state matrix is not Hermitian within tolerance")
-        if not _is_psd(mat, DEFAULT_TOL):
-            raise StructureError("state matrix is not positive semidefinite")
-        if abs(float(np.real(np.trace(mat))) - 1.0) > DEFAULT_TOL.prob_eq:
-            raise StructureError("state matrix does not have unit trace")
+        dims, mat = _state_fields(self.dims, self.matrix, psd_test=True)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
 
@@ -197,6 +185,33 @@ class DensityState:
         return _trusted(DensityState, dims=(self.dims[keep],), matrix=reduced)
 
 
+def _state_fields(dims, matrix, psd_test: bool) -> tuple[tuple[int, ...], np.ndarray]:
+    """The checked ``dims`` and coerced ``matrix`` of a state; raises
+    ``StructureError`` as the ``DensityState`` docstring says. ``psd_test``
+    is off only for matrices PSD by construction."""
+    dims = tuple(_index(d, "state dimension") for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise StructureError("state dims must be positive")
+    mat = as_matrix(matrix, "state matrix")
+    d = prod(dims)
+    if mat.shape != (d, d):
+        raise StructureError(f"state matrix has shape {mat.shape}, expected ({d}, {d})")
+    if not _is_hermitian(mat, DEFAULT_TOL):
+        raise StructureError("state matrix is not Hermitian within tolerance")
+    if psd_test and not _is_psd(mat, DEFAULT_TOL):
+        raise StructureError("state matrix is not positive semidefinite")
+    if abs(float(np.real(np.trace(mat))) - 1.0) > DEFAULT_TOL.prob_eq:
+        raise StructureError("state matrix does not have unit trace")
+    return dims, mat
+
+
+def _built_state(dims, matrix) -> DensityState:
+    """A state whose matrix is PSD by construction (v v^dag, a Wishart
+    product): every ``DensityState`` check but the eigenvalue PSD test."""
+    dims, mat = _state_fields(dims, matrix, psd_test=False)
+    return _trusted(DensityState, dims=dims, matrix=mat)
+
+
 def pure_state(vector, dims=None) -> DensityState:
     """Density state |v><v| from a (normalised or unnormalised) state vector."""
     vec = np.asarray(vector, dtype=complex).reshape(-1)
@@ -206,7 +221,7 @@ def pure_state(vector, dims=None) -> DensityState:
     vec = vec / norm
     if dims is None:
         dims = (vec.size,)
-    return DensityState(tuple(dims), np.outer(vec, vec.conj()))
+    return _built_state(dims, np.outer(vec, vec.conj()))
 
 
 def basis_state(d: int, index: int, dims=None) -> DensityState:

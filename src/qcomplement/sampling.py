@@ -15,7 +15,7 @@ import numpy as np
 from .errors import StructureError
 from .instruments import ElementaryProperty, Instrument
 from .linalg import _index, _trusted
-from .operations import DensityState, QuantumOperation, projector_operation
+from .operations import DensityState, QuantumOperation, _built_state, projector_operation
 
 STREAM_ALGORITHM = "pcg64"
 
@@ -79,7 +79,7 @@ def random_density(d: int, rank: int, gen: SeededGenerator) -> DensityState:
         raise StructureError(f"rank must be in [1, {d}], got {rank}")
     g = _ginibre(d, rank, gen.rng)
     m = g @ g.conj().T
-    return DensityState((d,), m / float(np.real(np.trace(m))))
+    return _built_state((d,), m / float(np.real(np.trace(m))))
 
 
 def random_rank_profile(d: int, parts: int, rng: np.random.Generator) -> list[int]:

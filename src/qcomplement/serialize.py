@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +25,13 @@ from .operations import DensityState, QuantumOperation, pure_state
 SCHEMA_VERSION = "qcomplement/1"
 
 
-def complex_to_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def matrix_to_lists(m) -> list[list[list[float]]]:
-    arr = np.asarray(m, dtype=complex)
-    return [[complex_to_pair(v) for v in row] for row in arr]
+    arr = np.ascontiguousarray(m, dtype=complex)
+    return arr.view(float).reshape(*arr.shape, 2).tolist()
 
 
 def real_matrix_to_lists(m) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _expect(condition: bool, message: str, path: str):
@@ -72,16 +68,45 @@ def _real_from_number(data, path: str) -> float:
     return value
 
 
-def _matrix_from_lists(data, path: str, entry) -> np.ndarray:
-    """Row-major nested arrays to a matrix, each entry parsed by
-    ``entry(value, path)``."""
+def _floats(leaves: list) -> np.ndarray | None:
+    """``leaves`` as one float vector, or ``None`` unless every one is a JSON
+    number (a boolean is not) at most ``_ENTRY_LIMIT`` in magnitude; the
+    caller's walk then names the first bad entry."""
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        arr = np.array(leaves, dtype=float)
+    except OverflowError:
+        return None
+    return arr if np.abs(arr).max() <= _ENTRY_LIMIT else None
+
+
+def _complexes(pairs: list) -> np.ndarray | None:
+    """A list of ``[re, im]`` pairs as one complex vector, or ``None`` if any
+    entry is malformed. The complex values are a view of the float pairs, so
+    every bit, signed zeros included, is as written."""
+    if not (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}):
+        return None
+    arr = _floats(list(chain.from_iterable(pairs)))
+    return None if arr is None else arr.view(complex)
+
+
+def _matrix_from_lists(data, path: str, pairs: bool) -> np.ndarray:
+    """Row-major nested arrays to a matrix of ``[re, im]`` pairs (``pairs``)
+    or of real numbers. Well-formed JSON entries convert in one call; any
+    other input takes the entry-by-entry walk, which raises the
+    ``SchemaError`` of the first bad entry."""
     _expect(isinstance(data, list) and data, "matrix must be a nonempty array of rows", path)
+    width = len(data[0]) if isinstance(data[0], list) else 0
+    if width and all(isinstance(row, list) and len(row) == width for row in data):
+        flat = list(chain.from_iterable(data))
+        arr = _complexes(flat) if pairs else _floats(flat)
+        if arr is not None:
+            return arr.reshape(len(data), width)
+    entry = complex_from_pair if pairs else _real_from_number
     rows = []
-    width = None
     for i, row in enumerate(data):
         _expect(isinstance(row, list) and row, "matrix rows must be nonempty arrays", f"{path}[{i}]")
-        if width is None:
-            width = len(row)
         _expect(len(row) == width, "matrix rows must share one length", f"{path}[{i}]")
         rows.append([entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
     return np.array(rows)
@@ -104,7 +129,7 @@ def operation_from_dict(data, path: str = "$") -> QuantumOperation:
         f"{path}.kraus",
     )
     mats = tuple(
-        _matrix_from_lists(entry, f"{path}.kraus[{i}]", complex_from_pair)
+        _matrix_from_lists(entry, f"{path}.kraus[{i}]", pairs=True)
         for i, entry in enumerate(data["kraus"])
     )
     for i, k in enumerate(mats):
@@ -177,7 +202,7 @@ def classical_instrument_from_dict(data, path: str = "$") -> ClassicalInstrument
     size_out = _expect_count(data, "size_out", path)
 
     def operation(entry, here):
-        mat = _matrix_from_lists(entry.get("matrix"), f"{here}.matrix", _real_from_number)
+        mat = _matrix_from_lists(entry.get("matrix"), f"{here}.matrix", pairs=False)
         _expect(
             mat.shape == (size_out, size_in),
             f"matrix has shape {mat.shape}, expected ({size_out}, {size_in})",
@@ -206,11 +231,13 @@ def state_from_dict(data, path: str = "$") -> DensityState:
     if has_vector:
         raw = data["vector"]
         _expect(isinstance(raw, list) and raw, "'vector' must be a nonempty array", f"{path}.vector")
-        vec = np.array(
-            [complex_from_pair(v, f"{path}.vector[{i}]") for i, v in enumerate(raw)]
-        )
+        vec = _complexes(raw)
+        if vec is None:
+            vec = np.array(
+                [complex_from_pair(v, f"{path}.vector[{i}]") for i, v in enumerate(raw)]
+            )
         return pure_state(vec, dims)
-    matrix = _matrix_from_lists(data["matrix"], f"{path}.matrix", complex_from_pair)
+    matrix = _matrix_from_lists(data["matrix"], f"{path}.matrix", pairs=True)
     return DensityState(tuple(dims), matrix)
 
 

@@ -268,3 +268,73 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     assert child.returncode == 2
     assert "error" in child.stderr
     assert "Traceback" not in child.stderr
+
+
+MODELS = Path(Z_MODEL).parent
+JSON_COMMANDS = [
+    *(["validate", str(path)] for path in sorted(MODELS.glob("*.json"))),
+    *(["classify", str(MODELS / name)] for name in
+      ("z.json", "x.json", "qutrit_fine.json", "qutrit_coarse.json", "classical_bit.json")),
+    ["verifiers", str(MODELS / "z.json"), "--outcome", "z0"],
+    ["verifiers", str(MODELS / "z.json"), "--outcome", "z0", "--state", str(MODELS / "state_zero.json")],
+    ["verifiers", str(MODELS / "x.json"), "--outcome", "x+", "--state", str(MODELS / "state_plus.json")],
+    ["comp", str(MODELS / "z.json"), str(MODELS / "x.json")],
+    ["comp", str(MODELS / "qutrit_fine.json"), str(MODELS / "qutrit_coarse.json")],
+    ["compat", str(MODELS / "z.json"), str(MODELS / "z.json")],
+    ["compat", str(MODELS / "qutrit_fine.json"), str(MODELS / "qutrit_coarse.json")],
+    ["witness", str(MODELS / "z.json"), str(MODELS / "z.json"), str(MODELS / "z_self_witness.json")],
+    ["harness", "--theory", "quantum", "--dim", "2", "--trials", "3", "--seed", "1"],
+    ["harness", "--theory", "classical", "--dim", "3", "--trials", "3", "--seed", "1"],
+]
+
+
+def _holds_object(value) -> bool:
+    return isinstance(value, dict) or (
+        isinstance(value, list) and any(_holds_object(v) for v in value))
+
+
+def _object_free_lists(value):
+    """The outermost nonempty lists in ``value`` with no object at any depth."""
+    if isinstance(value, list) and value and not _holds_object(value):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for inner in value.values() if isinstance(value, dict) else value:
+            yield from _object_free_lists(inner)
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: " ".join(
+    Path(a).name if "/" in a else a for a in argv))
+def test_json_report_prints_each_object_free_list_on_one_line(argv, capsys, monkeypatch):
+    code = main(["--json", *argv])
+    text = capsys.readouterr().out
+    monkeypatch.setattr("qcomplement.cli._dumps", lambda out: json.dumps(out, indent=2))
+    assert main(["--json", *argv]) == code
+    parent_style = capsys.readouterr().out
+    doc = json.loads(text)
+    # The same document, and the indent-2 text is exactly what re-indenting gives.
+    assert doc == json.loads(parent_style)
+    assert json.dumps(doc, indent=2) + "\n" == parent_style
+    lines = text.splitlines()
+    flat = list(_object_free_lists(doc))
+    for value in flat:
+        one_line = json.dumps(value)
+        assert any(line.endswith((one_line, one_line + ",")) for line in lines)
+    # Each such list takes one line instead of its indent-2 lines.
+    saved = sum(len(json.dumps(value, indent=2).splitlines()) - 1 for value in flat)
+    assert len(lines) == len(parent_style.splitlines()) - saved
+
+
+def test_closed_stdout_keeps_the_verdict(tmp_path):
+    """A reader that stops early, as ``head`` does, gets the verdict's exit
+    code and no traceback, though the report overflows the pipe buffer."""
+    model = tmp_path / "rank1_d32.json"
+    model.write_text(json.dumps(model_to_dict(qc.random_pvm(32, [1] * 32, qc.SeededGenerator(0)).base)))
+    env = {**os.environ, "PYTHONPATH": str(Path(qc.__file__).resolve().parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "qcomplement", "--json", "classify", str(model)],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        first = child.stdout.read(1)
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        code = child.wait(timeout=120)
+    assert first == b"{"
+    assert code == 0 and "Traceback" not in stderr

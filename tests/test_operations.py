@@ -413,3 +413,32 @@ class TestCheckOnce:
             qc.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(StructureError, match="matrix must be square"):
             qc.is_psd(np.zeros((2, 3)))
+
+
+class TestBuiltStates:
+    """``pure_state`` and ``random_density`` build matrices PSD by
+    construction, so they skip the eigenvalue PSD test and keep the rest."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: qc.pure_state([1.0, 1j, -0.5]),
+        lambda: qc.pure_state([1.0, 0.0, 0.0, 1.0], dims=(2, 2)),
+        lambda: qc.random_density(4, 2, qc.SeededGenerator(3)),
+    ])
+    def test_no_psd_test(self, monkeypatch, build):
+        psd = TestCheckOnce._counted(monkeypatch, "_is_psd")
+        eig = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: eig.append(a) or original(*a, **k))
+        state = build()
+        assert (len(psd), len(eig)) == (0, 0)
+        qc.DensityState(state.dims, state.matrix)  # the full checks pass all the same
+
+    def test_other_checks_kept(self):
+        with np.errstate(invalid="ignore"), pytest.raises(StructureError, match="finite"):
+            qc.pure_state([np.inf, 0.0])
+        with pytest.raises(StructureError, match="shape"):
+            qc.pure_state([1.0, 0.0], dims=(3,))
+        with pytest.raises(StructureError, match="must be an integer"):
+            qc.pure_state([1.0, 0.0], dims=(2.0,))
+        with np.errstate(over="ignore"), pytest.raises(StructureError, match="unit trace"):
+            qc.pure_state([1e300, 1e300])

@@ -1,11 +1,24 @@
 import json
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcomplement as qc
+from qcomplement import serialize
 from qcomplement.errors import ModelParseError, SchemaError
-from qcomplement.serialize import instrument_to_dict, model_from_text, model_to_dict
+from qcomplement.serialize import (
+    classical_instrument_from_dict,
+    instrument_to_dict,
+    matrix_to_lists,
+    model_from_text,
+    model_to_dict,
+    operation_from_dict,
+    state_from_dict,
+)
 from helpers import z_instrument
 
 
@@ -155,3 +168,130 @@ class TestSchemaErrors:
     def test_non_object_document(self):
         with pytest.raises(SchemaError, match="object"):
             model_from_text("[1, 2]")
+
+
+# Every leaf kind the bulk parse must carry bit for bit: ints, signed zeros,
+# subnormals, the entry cap and ordinary floats.
+_LEAVES = st.one_of(
+    st.integers(-10**29, 10**29),
+    st.sampled_from([0, -0.0, 0.0, 5e-324, -5e-324, 1.1e-308, -1.1e-308, 1e30, -1e30, 10**30]),
+    st.floats(min_value=-1e30, max_value=1e30, allow_nan=False),
+)
+_PAIRS = st.lists(_LEAVES, min_size=2, max_size=2)
+
+
+def _rows(entries):
+    return st.integers(1, 6).flatmap(
+        lambda width: st.lists(st.lists(entries, min_size=width, max_size=width),
+                               min_size=1, max_size=6))
+
+
+def _complex_oracle(pairs) -> np.ndarray:
+    return np.array([complex(float(re), float(im)) for re, im in pairs], dtype=complex)
+
+
+def _parsed(kind: str, data):
+    """The array the model parser makes of ``data`` in a ``kind`` document,
+    without the state checks that random entries would fail."""
+    if kind == "kraus":
+        return operation_from_dict({"dim_in": len(data[0]), "dim_out": len(data),
+                                    "kraus": [data]}).kraus[0]
+    if kind == "classical":
+        doc = {"size_in": len(data[0]), "size_out": len(data),
+               "outcomes": [{"label": "a", "matrix": data}]}
+        return classical_instrument_from_dict(doc)["a"].matrix
+    if kind == "state-vector":
+        with mock.patch.object(serialize, "pure_state", lambda vector, dims: vector):
+            return state_from_dict({"dims": [1], "vector": data})
+    with mock.patch.object(serialize, "DensityState", lambda dims, matrix: matrix):
+        return state_from_dict({"dims": [1], "matrix": data})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["kraus", "classical", "state-matrix", "state-vector"]))
+def test_bulk_parse_equals_per_entry_oracle_bit_for_bit(data, kind):
+    if kind == "state-vector":
+        raw = data.draw(st.lists(_PAIRS, min_size=1, max_size=6))
+        want = _complex_oracle(raw)
+    elif kind == "classical":
+        raw = data.draw(_rows(_LEAVES))
+        want = np.array([[float(v) for v in row] for row in raw], dtype=float)
+    else:
+        raw = data.draw(_rows(_PAIRS))
+        want = np.array([_complex_oracle(row) for row in raw], dtype=complex)
+    got = _parsed(kind, json.loads(json.dumps(raw)))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# (name, bad value, where it goes, message); "leaf" replaces a number, "entry" a
+# whole matrix or vector entry, "row" makes one row one entry longer.
+_BAD_ENTRIES = [
+    ("boolean", True, "leaf", "entries must be numbers"),
+    ("string", "1.0", "leaf", "entries must be numbers"),
+    ("null", None, "leaf", "entries must be numbers"),
+    ("one-element pair", [1.0], "entry", "complex entries must be two-element [re, im] arrays"),
+    ("three-element pair", [1.0, 0.0, 0.0], "entry",
+     "complex entries must be two-element [re, im] arrays"),
+    ("nested list", [[1.0, 0.0], [0.0, 0.0]], "entry", "entries must be numbers"),
+    ("10**400", 10**400, "leaf", "number is too large for a float"),
+    ("1e31", 1e31, "leaf", "entries must be finite and at most 1e+30 in magnitude"),
+    ("ragged row", None, "row", "matrix rows must share one length"),
+]
+# A classical entry is itself a number: a one- or three-element list there is
+# not one.
+_CLASSICAL_MESSAGES = {"one-element pair": "entries must be numbers",
+                       "three-element pair": "entries must be numbers"}
+
+
+def _bad_document(kind: str, bad, where: str, rng: random.Random):
+    """A document of ``kind`` with one bad entry at a random position, and
+    the JSON path the error must name."""
+    n = rng.randint(2, 5)
+    if kind == "state-vector":
+        doc = {"kind": "state", "dims": [n], "vector": [[1.0, 0.0]] * n}
+        i = rng.randrange(n)
+        entries, j, here = doc["vector"], i, f"$.vector[{i}]"
+    else:
+        if kind == "classical":
+            rows = np.eye(n).tolist()
+            doc = {"kind": "classical-instrument", "size_in": n, "size_out": n,
+                   "outcomes": [{"label": "a", "matrix": rows}]}
+            path = "$.outcomes[0].matrix"
+        elif kind == "kraus":
+            rows = matrix_to_lists(np.eye(n))
+            doc = {"kind": "quantum-instrument", "dim_in": n, "dim_out": n,
+                   "outcomes": [{"label": "a", "kraus": [rows]}]}
+            path = "$.outcomes[0].kraus[0]"
+        else:
+            rows = matrix_to_lists(np.eye(n) / n)
+            doc = {"kind": "state", "dims": [n], "matrix": rows}
+            path = "$.matrix"
+        if where == "row":  # row 0 sets the length, so a later row is ragged
+            i = rng.randrange(1, n)
+            rows[i] = [*rows[i], rows[i][0]]
+            return doc, f"{path}[{i}]"
+        i, j = rng.randrange(n), rng.randrange(n)
+        entries, here = rows[i], f"{path}[{i}][{j}]"
+    if where == "entry" or kind == "classical":
+        entries[j] = bad
+    else:
+        entries[j] = [bad, 0.0] if rng.random() < 0.5 else [0.0, bad]
+    return doc, here
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind, name, bad, where, message", [
+    pytest.param(kind, *bad, id=f"{kind}-{bad[0]}")
+    for kind in ("kraus", "classical", "state-matrix", "state-vector")
+    for bad in _BAD_ENTRIES
+    if not (kind == "state-vector" and bad[2] == "row")  # a vector has no rows
+])
+def test_bad_entry_names_message_and_path(kind, name, bad, where, message, seed):
+    rng = random.Random(f"{kind} {name} {seed}")
+    doc, path = _bad_document(kind, bad, where, rng)
+    if kind == "classical":
+        message = _CLASSICAL_MESSAGES.get(name, message)
+    with pytest.raises(SchemaError) as err:
+        model_from_text(json.dumps(doc))
+    assert str(err.value) == f"{path}: {message}"
