@@ -42,6 +42,8 @@ class ClassicalOperation:
     matrix: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "size_in", _index(self.size_in, "size_in"))
+        object.__setattr__(self, "size_out", _index(self.size_out, "size_out"))
         arr = _as_real_matrix(self.matrix, "classical matrix")
         if arr.shape != (self.size_out, self.size_in):
             raise StructureError(
@@ -57,6 +59,8 @@ class ClassicalInstrument:
     outcomes: dict[str, ClassicalOperation]
 
     def __post_init__(self):
+        object.__setattr__(self, "size_in", _index(self.size_in, "size_in"))
+        object.__setattr__(self, "size_out", _index(self.size_out, "size_out"))
         if not self.outcomes:
             raise StructureError("classical instrument needs at least one outcome")
         for label, op in self.outcomes.items():
@@ -84,6 +88,7 @@ class ClassicalState:
     probs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "size", _index(self.size, "size"))
         probs = np.asarray(self.probs, dtype=float).reshape(-1)
         if probs.shape != (self.size,):
             raise StructureError(f"probs has length {probs.size}, expected {self.size}")
@@ -95,6 +100,7 @@ class ClassicalState:
 
 
 def point_mass(size: int, index: int) -> ClassicalState:
+    size, index = _index(size, "size"), _index(index, "point")
     if not 0 <= index < size:
         raise StructureError(f"point {index} out of range for size {size}")
     probs = np.zeros(size)

@@ -18,7 +18,7 @@ import numpy as np
 from .complementarity import are_complementary
 from .errors import StructureError
 from .instruments import ElementaryProperty, Instrument
-from .linalg import DEFAULT_TOL, Tolerances, _index
+from .linalg import DEFAULT_TOL, Tolerances, _index, _supports
 from .operations import (
     QuantumOperation,
     choi_distance,
@@ -283,8 +283,7 @@ def _check_inclusion(
     n_y = len(composite)
     nonzero = np.linalg.norm(composite, axis=(1, 2)) ** 2 > tol.mat_eq
     effects = composite.conj().swapaxes(-1, -2) @ composite
-    w, v = np.linalg.eigh(np.concatenate([effects, projectors.conj().swapaxes(-1, -2) @ projectors]))
-    support = w >= 1.0 - tol.prob_eq
+    v, support = _supports(np.concatenate([effects, projectors.conj().swapaxes(-1, -2) @ projectors]), tol)
     g_in, t_in = support[:n_y], support[n_y:][branch]
     cross = v[:n_y].conj().swapaxes(-1, -2) @ v[n_y:][branch]
     row_norms = np.linalg.norm(cross * t_in[:, None, :], axis=2)

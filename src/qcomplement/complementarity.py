@@ -6,7 +6,7 @@ comparing the projector supports: the properties are non-complementary iff
 the support families match under a bijection of outcomes. Degrees (strong,
 mild, weak) are classified per verifier state from the outcome distribution
 it induces on the other property. Support matching, the witness search and
-both degree tables read one overlap matrix between the two range frames.
+both degree tables read one overlap matrix between the two support frames.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import StructureError
 from .instruments import ElementaryProperty
-from .linalg import DEFAULT_TOL, Tolerances, range_subspace
+from .linalg import DEFAULT_TOL, Tolerances, _supports
 from .operations import DensityState, pure_state
 
 
@@ -111,11 +111,13 @@ def degree_for_verifier(
 
 
 def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The outcomes' range bases side by side, U = [A_x1 | A_x2 | ...], and the
-    block indicator whose entry (i, x) is 1 when column i of U spans outcome x."""
-    bases = [range_subspace(proj, tol).basis for proj in prop.projectors.values()]
-    owner = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
-    return np.hstack(bases), (owner[:, None] == np.arange(len(bases))).astype(float)
+    """The outcomes' verifier-support bases side by side, U = [A_x1 | A_x2 | ...],
+    from one batched ``_supports`` of the effects P^dag P, and the block
+    indicator whose entry (i, x) is 1 when column i of U spans outcome x."""
+    projectors = np.stack(list(prop.projectors.values()))
+    v, keep = _supports(projectors.conj().swapaxes(-1, -2) @ projectors, tol)
+    owner = np.nonzero(keep)[0]
+    return v.swapaxes(-1, -2)[keep].T, (owner[:, None] == np.arange(len(v))).astype(float)
 
 
 def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerances):
@@ -123,7 +125,7 @@ def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerance
     block, that verifies no outcome of the other property.
 
     ``coords`` holds each frame vector's coordinates in the other frame and
-    ``weights`` their squared norms per other outcome. Within one range, the
+    ``weights`` their squared norms per other outcome. Within one support, the
     states that still verify the other property fall into pairwise-orthogonal
     intersection subspaces. Hence either some basis vector already fails, or
     two basis vectors verify distinct outcomes and their superposition fails.
@@ -153,14 +155,14 @@ def _degree_table(labels, other_labels, rows, tol: Tolerances) -> dict[str, Degr
 def _relation(
     p: ElementaryProperty, q: ElementaryProperty, tol: Tolerances, tables: bool
 ) -> ComplementarityReport:
-    """One pass over the overlap C = U_P^dag U_Q of the two range frames.
+    """One pass over the overlap C = U_P^dag U_Q of the two support frames.
 
     Block (x, y) of C compares the supports of x and y: they are equal when
     every row and every column of the block has norm at least 1 - mat_eq.
-    Rows of C are P's range vectors in Q's frame (columns are Q's in P's),
+    Rows of C are P's support vectors in Q's frame (columns are Q's in P's),
     which the witness search thresholds at prob_eq. Block sums of |C|^2 give
     M[x, y] = tr(P_x Q_y), whose row x over rank P_x is the outcome
-    distribution of Q on the maximally mixed state of P_x's range.
+    distribution of Q on the maximally mixed state of P_x's support.
     """
     if p.dim != q.dim:
         raise StructureError(f"properties live on different dimensions: {p.dim} vs {q.dim}")

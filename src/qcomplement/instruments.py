@@ -2,9 +2,9 @@
 
 An instrument is a family of quantum operations summing to a channel. A
 repeatable atomic instrument is, up to irrelevant global phases, a projective
-instrument: ``to_elementary`` decides that and extracts the projectors.
-Outcome labels are strings with stable insertion order, so reports and
-bijection search are deterministic.
+instrument: ``to_elementary`` decides that and extracts the projectors, each
+onto its outcome's verifier support. Outcome labels are strings with stable
+insertion order, so reports and bijection search are deterministic.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError, PreconditionError, StructureError
-from .linalg import DEFAULT_TOL, Tolerances, _trusted, as_matrix, range_subspace
+from .linalg import DEFAULT_TOL, Tolerances, _index, _supports, _trusted, as_matrix
 from .operations import (
     OperationReport,
     QuantumOperation,
     _core_norm,
-    _kraus_columns,
     choi_distance,
     coarse_grain_ops,
     compose_seq,
@@ -43,6 +42,8 @@ class Instrument:
     outcomes: dict[str, QuantumOperation]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim_in", _index(self.dim_in, "dim_in"))
+        object.__setattr__(self, "dim_out", _index(self.dim_out, "dim_out"))
         if not self.outcomes:
             raise StructureError("instrument needs at least one outcome")
         for label, op in self.outcomes.items():
@@ -161,21 +162,14 @@ class ElementaryProperty:
         }
 
 
-def _dominant_kraus(op: QuantumOperation) -> np.ndarray:
-    """Single effective Kraus matrix of a Choi-rank-one operation: the top
-    singular pair of V, as Choi = V V^dag, up to a global phase."""
-    u, s, _ = np.linalg.svd(_kraus_columns(op.kraus), full_matrices=False)
-    return s[0] * u[:, 0].reshape(op.dim_out, op.dim_in)
-
-
 def to_elementary(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
     """Extract the canonical projector form of a repeatable atomic instrument.
 
     Preconditions (raised as ``PreconditionError``): square dimensions,
-    repeatability, per-outcome atomicity. Each projector is recovered as the
-    projection on the support of the outcome's single effective Kraus matrix;
-    global phases drop out. Numerical inconsistency in the extracted family
-    raises ``ExtractionError``.
+    repeatability, per-outcome atomicity. Each projector is the projection
+    onto the outcome's verifier support, the eigenvalue >= 1 - prob_eq
+    eigenspace of its effect; global phases drop out. Numerical inconsistency
+    in the extracted family raises ``ExtractionError``.
     """
     if ins.dim_in != ins.dim_out:
         raise PreconditionError("elementary properties need dim_in = dim_out")
@@ -191,11 +185,12 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     """The extraction step of ``to_elementary``, for a square instrument whose
     repeatability and per-outcome atomicity the caller has established."""
     projectors: dict[str, np.ndarray] = {}
-    for label, op in ins.outcomes.items():
-        support = range_subspace(_dominant_kraus(op), tol)
-        if support.dim == 0:
+    v, keep = _supports(np.stack([op.effect() for op in ins.outcomes.values()]), tol)
+    for (label, op), vectors, kept in zip(ins.outcomes.items(), v, keep):
+        if not kept.any():
             raise ExtractionError(f"outcome {label!r} is the zero map, it admits no verifier")
-        proj = support.projector()
+        basis = vectors[:, kept]
+        proj = basis @ basis.conj().T
         if choi_distance(projector_operation(proj), op) > tol.mat_eq:
             raise ExtractionError(
                 f"outcome {label!r}: projector map does not reproduce the operation"

@@ -5,6 +5,8 @@ Every decision procedure in the package reduces to the primitives here, so the
 tolerance semantics are fixed in one place:
 
 * rank decisions use a relative cut ``eig_cut * sigma_max`` (scale invariant),
+* every verifier support a decision reads is an effect's eigenvalue
+  >= ``1 - prob_eq`` eigenspace, from ``_supports``,
 * PSD tests tolerate eigenvalues down to ``-eig_cut * max(1, spectral norm)``,
 * subspace comparison uses principal angles rather than projector differences,
   which is stabler for near-degenerate bases.
@@ -172,10 +174,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace."""
-        return self.basis @ self.basis.conj().T
-
     def contains_vector(self, v, tol: Tolerances = DEFAULT_TOL) -> bool:
         vec = np.asarray(v, dtype=complex).reshape(-1)
         norm = np.linalg.norm(vec)
@@ -186,9 +184,17 @@ class Subspace:
         return float(np.linalg.norm(self.basis.conj().T @ vec)) >= (1.0 - tol.mat_eq) * norm
 
 
+def _supports(effects: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Verifier supports of an (n, d, d) stack of effects by one batched eigh:
+    eigenvectors ``v`` (ascending columns) and the mask ``keep`` of eigenvalues
+    >= 1 - prob_eq; support i is spanned by ``v[i][:, keep[i]]``."""
+    w, v = np.linalg.eigh(effects)
+    return v, w >= 1.0 - tol.prob_eq
+
+
 def range_subspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the column space at numerical rank threshold
-    ``eig_cut * sigma_max``."""
+    ``eig_cut * sigma_max``; an audit primitive, no decision reads it."""
     arr = as_matrix(m, limit=_FINITE)
     if arr.size == 0:
         empty = np.zeros((arr.shape[0], 0), dtype=complex)

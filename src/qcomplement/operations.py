@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from .errors import StructureError
-from .linalg import _FINITE, DEFAULT_TOL, Tolerances, _index, _is_hermitian, _is_psd, _trusted, as_matrix
+from .linalg import _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_hermitian, _is_psd, _trusted, as_matrix
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class QuantumOperation:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim_in", _index(self.dim_in, "dim_in"))
+        object.__setattr__(self, "dim_out", _index(self.dim_out, "dim_out"))
         if self.dim_in < 1 or self.dim_out < 1:
             raise StructureError("operation dimensions must be positive")
         mats = tuple(as_matrix(k, "kraus matrix") for k in self.kraus)
@@ -214,7 +216,8 @@ def _built_state(dims, matrix) -> DensityState:
 
 def pure_state(vector, dims=None) -> DensityState:
     """Density state |v><v| from a (normalised or unnormalised) state vector."""
-    vec = np.asarray(vector, dtype=complex).reshape(-1)
+    vec = np.ravel(np.asarray(vector, dtype=complex))
+    _check_entries(vec.view(float), "state vector")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise StructureError("cannot build a state from the zero vector")
@@ -225,6 +228,7 @@ def pure_state(vector, dims=None) -> DensityState:
 
 
 def basis_state(d: int, index: int, dims=None) -> DensityState:
+    d, index = _index(d, "dimension"), _index(index, "basis index")
     if not 0 <= index < d:
         raise StructureError(f"basis index {index} out of range for dimension {d}")
     vec = np.zeros(d)

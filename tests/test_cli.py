@@ -94,6 +94,18 @@ class TestClassify:
         code, out = run_json(capsys, ["--json", "classify", models["classical"]])
         assert code == 0 and out["elementary"] is True
 
+    def test_weight_below_prob_eq_is_no_support(self, tmp_path, capsys):
+        # diag(0, 1, 4e-9) passes the repeatability and atomicity checks; its
+        # 4e-9 eigenvalue belongs to no verifier support.
+        diagonals = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 4e-9], "c": [0.0, 0.0, 1.0 - 4e-9]}
+        ins = qc.Instrument(3, 3, {x: qc.QuantumOperation(3, 3, (np.diag(v),)) for x, v in diagonals.items()})
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(model_to_dict(ins)))
+        code, out = run_json(capsys, ["--json", "classify", str(path)])
+        assert code == 0 and out["projector_ranks"] == {"a": 1, "b": 1, "c": 1}
+        code, out = run_json(capsys, ["--json", "comp", str(path), str(path)])
+        assert code == 1 and out["bijection"] == {"a": "a", "b": "b", "c": "c"}
+
 
 class TestVerifiers:
     def test_support_only(self, models, capsys):

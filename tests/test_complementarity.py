@@ -279,6 +279,23 @@ class TestClassifyRelation:
             uniform = all(abs(v - 1.0 / d) <= 1e-7 for v in verdict.probabilities.values())
             assert is_strong and entropy_max and uniform
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(2, 6), eps=st.floats(2e-9, 5e-9))
+    def test_weight_below_prob_eq_adds_no_support(self, seed, d, eps):
+        # Weight eps of a unit vector v of P_b's range moved onto P_a keeps the
+        # sum exact and passes from_pvm; v belongs to b's verifier support alone.
+        gen = qc.SeededGenerator(seed)
+        rng = gen.rng
+        base = qc.random_pvm(d, qc.random_rank_profile(d, int(rng.integers(2, d + 1)), rng), gen.child(0))
+        mats = list(base.projectors.values())
+        a, b = rng.choice(len(mats), size=2, replace=False)
+        v = mats[b] @ (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        shift = eps * np.outer(v, v.conj()) / np.vdot(v, v).real
+        mats[a], mats[b] = mats[a] + shift, mats[b] - shift
+        p = qc.from_pvm(dict(zip(base.labels, mats)))
+        report = qc.classify_relation(p, p)
+        assert report.matched_bijection == {x: x for x in p.labels}
+
 
 def _reference_relation(p, q):
     """Bijection and both degree tables rebuilt from public primitives: greedy

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import StructureError
-from qcomplement.instruments import _dominant_kraus
+from qcomplement.operations import _built_state
 from helpers import E0, E1, PLUS, proj, z_instrument
 
 
@@ -181,13 +181,6 @@ class TestKrausCoreAgainstChoi:
         else:
             op = near_proportional(seed, d_in, d_out, n_kraus, scale, eps)
         assert qc.is_atomic(op) == dense_rank_at_most_one(op)
-        if qc.is_atomic(op):
-            # Eckart-Young: the best rank-one Choi matrix misses by the rest of the spectrum.
-            c = qc.choi(op).matrix
-            w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-            single = qc.QuantumOperation(d_in, d_out, (_dominant_kraus(op),))
-            gap = np.linalg.norm(qc.choi(single).matrix - c)
-            assert gap <= np.sqrt(np.sum(w[:-1] ** 2)) + 1e-13 * np.linalg.norm(c)
 
     @pytest.mark.parametrize(
         "seed, eps, target",
@@ -440,5 +433,20 @@ class TestBuiltStates:
             qc.pure_state([1.0, 0.0], dims=(3,))
         with pytest.raises(StructureError, match="must be an integer"):
             qc.pure_state([1.0, 0.0], dims=(2.0,))
-        with np.errstate(over="ignore"), pytest.raises(StructureError, match="unit trace"):
-            qc.pure_state([1e300, 1e300])
+        # pure_state([1e300, 1e300]) now stops at the entry cap (below), so
+        # the unit-trace check of the shared builder is reached directly.
+        with pytest.raises(StructureError, match="unit trace"):
+            _built_state((2,), np.eye(2))
+
+
+@pytest.mark.parametrize("vector", [
+    [np.inf, 0.0], [0.0, -np.inf], [np.nan, 1.0], [1e300, 1e300], [1e31, 0.0], [1.0, 1e31j],
+])
+def test_pure_state_caps_vector_entries_before_normalising(vector):
+    # The JSON "vector" path and every other state entry share the 1e30 cap.
+    with pytest.raises(StructureError, match="entries must be finite and at most 1e\\+30"):
+        qc.pure_state(vector)
+
+
+def test_pure_state_at_the_entry_cap():
+    assert np.allclose(qc.pure_state([1e30, 0.0]).matrix, np.diag([1.0, 0.0]), rtol=0, atol=1e-15)

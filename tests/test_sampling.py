@@ -171,3 +171,31 @@ class TestIntegerArguments:
     def test_rejects_non_integers(self, call):
         with pytest.raises(StructureError, match="must be an integer"):
             call(qc.SeededGenerator(1))
+
+    @pytest.mark.parametrize("build", [
+        lambda: qc.QuantumOperation(2.0, 2, (np.eye(2),)),
+        lambda: qc.QuantumOperation(2, True, (np.eye(2),)),
+        lambda: qc.QuantumOperation("2", 2, (np.eye(2),)),
+        lambda: qc.Instrument(2.0, 2, {"a": qc.identity_operation(2)}),
+        lambda: qc.Instrument(2, np.float64(2), {"a": qc.identity_operation(2)}),
+        lambda: qc.basis_state(2, 0.5),
+        lambda: qc.basis_state(2.0, 0),
+        lambda: qc.basis_state(2, True),
+        lambda: qc.ClassicalOperation(2.0, 2, np.eye(2)),
+        lambda: qc.ClassicalOperation(2, True, np.eye(2)),
+        lambda: qc.ClassicalInstrument(2, 2.0, {"a": qc.ClassicalOperation(2, 2, np.eye(2))}),
+        lambda: qc.ClassicalState(2.0, [1.0, 0.0]),
+        lambda: qc.point_mass(2, 1.0),
+        lambda: qc.point_mass(2, True),
+        lambda: qc.point_mass(2.0, 0),
+    ])
+    def test_constructors_reject_non_integers(self, build):
+        with pytest.raises(StructureError, match="must be an integer"):
+            build()
+
+    def test_constructors_store_numpy_integers_as_ints(self):
+        op = qc.QuantumOperation(np.int64(2), np.int32(2), (np.eye(2),))
+        ins = qc.Instrument(np.int64(2), 2, {"a": op})
+        assert (type(op.dim_in), type(op.dim_out), type(ins.dim_in)) == (int, int, int)
+        assert np.array_equal(qc.basis_state(np.int64(2), np.int64(1)).matrix, np.diag([0.0, 1.0]))
+        assert qc.point_mass(np.int64(2), np.int64(0)).size == 2

@@ -167,6 +167,21 @@ class TestVerifierSupport:
         by_subspace = qc.subspace_contained(qc.range_subspace(state.matrix), support)
         assert by_probability == by_subspace
 
+    def test_decisions_read_supports_without_svd(self, monkeypatch):
+        gen = qc.SeededGenerator(5)
+        base = qc.random_pvm(4, [1, 3], gen.child(0)).base
+        phased = qc.Instrument(4, 4, {x: qc.QuantumOperation(4, 4, (1j * op.kraus[0],))
+                                      for x, op in base.outcomes.items()})
+        other = qc.random_pvm(4, [2, 2], gen.child(1))
+        calls = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or original(*a, **k))
+        p = qc.to_elementary(phased)
+        qc.classify_relation(p, other)
+        qc.are_complementary(p, other)
+        qc.verifier_support(phased["x1"])
+        assert p.rank_profile() == {"x0": 1, "x1": 3} and not calls
+
 
 class TestInstrumentVerifierReport:
     def test_finds_outcome(self):
