@@ -81,6 +81,14 @@ class TestEntryCap:
         with pytest.raises(StructureError, match="must be finite and at most 1e\\+30"):
             qc.DensityState((2,), np.diag([1e200, 1.0 - 1e200]))
 
+    @pytest.mark.parametrize("vector", [
+        [np.inf, 0.0], [0.0, -np.inf], [np.nan, 1.0], [1e300, 1e300], [1e31, 0.0], [1.0, 1e31j],
+    ])
+    def test_pure_state_caps_vector_entries_before_normalising(self, vector):
+        # As the JSON "vector" path does, and before the norm can overflow.
+        with pytest.raises(StructureError, match="must be finite and at most 1e\\+30"):
+            qc.pure_state(vector)
+
     def test_entries_at_the_cap_stay_finite(self):
         op = qc.QuantumOperation(2, 2, (np.diag([1e30, 0.0]),))
         assert not qc.validate_operation(op).is_tni
@@ -433,20 +441,7 @@ class TestBuiltStates:
             qc.pure_state([1.0, 0.0], dims=(3,))
         with pytest.raises(StructureError, match="must be an integer"):
             qc.pure_state([1.0, 0.0], dims=(2.0,))
-        # pure_state([1e300, 1e300]) now stops at the entry cap (below), so
+        # pure_state([1e300, 1e300]) now stops at the entry cap (TestEntryCap), so
         # the unit-trace check of the shared builder is reached directly.
         with pytest.raises(StructureError, match="unit trace"):
             _built_state((2,), np.eye(2))
-
-
-@pytest.mark.parametrize("vector", [
-    [np.inf, 0.0], [0.0, -np.inf], [np.nan, 1.0], [1e300, 1e300], [1e31, 0.0], [1.0, 1e31j],
-])
-def test_pure_state_caps_vector_entries_before_normalising(vector):
-    # The JSON "vector" path and every other state entry share the 1e30 cap.
-    with pytest.raises(StructureError, match="entries must be finite and at most 1e\\+30"):
-        qc.pure_state(vector)
-
-
-def test_pure_state_at_the_entry_cap():
-    assert np.allclose(qc.pure_state([1e30, 0.0]).matrix, np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
