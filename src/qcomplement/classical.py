@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compatibility import HarnessReport, _run_harness
+from .compatibility import HarnessReport, _case_index, _run_harness, _trial_results
 from .errors import StructureError
 from .linalg import DEFAULT_TOL, Tolerances, _check_entries, _index, _trusted
-from .sampling import SeededGenerator
 
 
 def _as_real_matrix(m, name: str) -> np.ndarray:
@@ -217,76 +216,105 @@ def fine_grained_instrument(size: int, permutation=None) -> ClassicalInstrument:
 
 
 def _check_inclusion(
-    t: ClassicalInstrument,
-    realisation: np.ndarray,
-    post: np.ndarray,
-    branch: np.ndarray,
-    tol: Tolerances,
-) -> tuple[int, list]:
+    g: np.ndarray, t_points: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check verifier inclusion for every composite outcome at once.
 
-    ``realisation[x]`` is the (n·m)×n realisation of outcome x of ``t``;
-    composite outcome y reads branch ``branch[y]`` alone, with the n×(n·m)
-    post-processing ``post[y]``: g_y = post[y] @ realisation[branch[y]].
-    Outcomes with exactly one entry of g_y above ``prob_eq`` are atomic, and
-    their verifier points must lie inside those of the branch they read.
+    ``g[y]`` is the matrix of composite outcome y and ``t_points[y]`` masks
+    the verifier points of the outcome y reads. Outcomes with exactly one
+    entry of g_y above ``prob_eq`` are atomic, and their verifier points must
+    lie inside those of the outcome they read. Returns per outcome: checked
+    (atomic), violated, and its verifier points.
     """
-    x_labels = t.labels
-    g = post @ realisation[branch]
     atomic = np.count_nonzero(np.abs(g) > tol.prob_eq, axis=(1, 2)) == 1
     g_points = _verifier_mask(g, tol)
-    t_points = _verifier_mask(np.stack([t[x].matrix for x in x_labels]), tol)[branch]
-    violations = [
-        (f"y{y}", x_labels[branch[y]],
-         np.nonzero(g_points[y])[0].tolist(), np.nonzero(t_points[y])[0].tolist())
-        for y in np.nonzero(atomic & np.any(g_points & ~t_points, axis=1))[0]
-    ]
-    return int(np.count_nonzero(atomic)), violations
+    return atomic, atomic & np.any(g_points & ~t_points, axis=1), g_points
 
 
-def _classical_trial(gen: SeededGenerator, size: int, tol: Tolerances):
-    """One harness trial for the classical verifier-inclusion theorem.
+# A trial's ancilla has 1 to _ANCILLA levels; a chunk pads each to _ANCILLA.
+_ANCILLA = 3
+
+
+def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
+    """Harness trials for the classical verifier-inclusion theorem, one per
+    generator.
 
     The repeatable instrument is fine-grained by construction (repeatable
-    draws are measure-zero otherwise); the realisation tensors a random
-    ancilla distribution onto each heralded point, and the post-processing
-    routes each branch to outcomes with a deterministic output point, making
-    the composite outcomes atomic by construction.
+    draws are measure-zero otherwise): outcome x heralds and verifies point
+    perm[x] alone. The realisation tensors a random ancilla distribution
+    sigma_x onto each heralded point, and the post-processing routes each
+    branch to outcomes with a deterministic output point, making the
+    composite outcomes atomic by construction. Each trial makes its draws in
+    turn; the composites g_y = post_y @ realisation_branch[y] and the check
+    then run once over all trials.
     """
-    rng = gen.rng
-    n = size
-    perm = rng.permutation(n)
-    t = fine_grained_instrument(n, perm.tolist())
+    n, pad = size, _ANCILLA
+    perms, sigmas, levels, branches, outs, single, choices, draws = ([] for _ in range(8))
+    for gen in gens:
+        rng = gen.rng
+        perms.append(rng.permutation(n))
+        m = int(rng.integers(1, pad + 1))
+        sigmas.append(rng.random((n, m)))
+        levels.append(m)
+        extra = int(rng.integers(0, 3))
+        branches.append(np.concatenate([rng.permutation(n), rng.integers(0, n, size=extra)]))
+        # Per branch: each outcome reading it has one output point, and each
+        # input (point, level) goes to one drawn outcome or is split at random.
+        for count in np.bincount(branches[-1]).tolist():
+            outs.append(rng.integers(0, n, size=count))
+            single.append(rng.random() < 0.5)
+            if single[-1]:
+                choices.append(rng.integers(0, count, size=n * m))
+            else:
+                draws.append(rng.random((n * m, count)).ravel())
+    trial, local, branch = _case_index(branches, [n] * len(gens))
+    cases = np.arange(len(branch))
+    levels = np.array(levels)
+    level = np.arange(pad)
 
-    m = int(rng.integers(1, 4))
-    raw = rng.random((n, m)) + 1e-3
-    sigma = raw / raw.sum(axis=1, keepdims=True)
+    # One row per branch and input of width 3 (a branch has at most 3
+    # readers), normalised by its sum taken left to right, as numpy sums rows.
+    inputs = n * levels.repeat(n)
+    single = np.array(single).repeat(inputs)
+    readers = np.bincount(branch)
+    weights = np.zeros((len(single), 3))
+    weights[np.flatnonzero(single), np.concatenate(choices or [np.empty(0, dtype=int)])] = 1.0
+    weights[~single[:, None] & (np.arange(3) < readers.repeat(inputs)[:, None])] = np.concatenate(
+        draws or [np.empty(0)]) + 1e-3
+    weights /= ((weights[:, 0] + weights[:, 1]) + weights[:, 2])[:, None]
 
-    # Realisation branch per heralded point p = perm[x]: (E_pp p) tensor sigma_x.
-    realisation = np.zeros((n, n * m, n))
-    realisation[np.arange(n)[:, None], perm[:, None] * m + np.arange(m), perm[:, None]] = sigma
+    # Outcome y's weights w_y[p, a]: its branch's rows, at y's rank among
+    # the branch's readers.
+    by_branch = np.argsort(branch, kind="stable")
+    rank = np.empty_like(branch)
+    rank[by_branch] = cases - (np.cumsum(readers) - readers)[branch[by_branch]]
+    m_y = levels[trial][:, None, None]
+    row = (np.cumsum(inputs) - inputs)[branch][:, None, None] + np.arange(n)[:, None] * m_y + level
+    w = np.where(level < m_y, weights[np.where(level < m_y, row, 0), rank[:, None, None]], 0.0)
+    out = np.empty_like(branch)
+    out[by_branch] = np.concatenate(outs)
 
-    extra = int(rng.integers(0, 3))
-    branch = np.concatenate([rng.permutation(n), rng.integers(0, n, size=extra)])
+    sigma = np.zeros((len(gens), n, pad))
+    sigma[np.broadcast_to(level < levels[:, None, None], sigma.shape)] = np.concatenate(
+        [s.ravel() for s in sigmas]) + 1e-3
+    sigma = (sigma / sigma.sum(axis=2, keepdims=True)).reshape(-1, pad)
+    point = np.concatenate(perms)[branch]
 
-    # Composite outcome y reads branch[y] only: one matrix per y.
-    post = np.zeros((n + extra, n, n * m))
-    inputs = np.arange(n * m)
-    for z in range(n):
-        ys = np.nonzero(branch == z)[0]
-        out_point = rng.integers(0, n, size=len(ys))
-        if rng.random() < 0.5:
-            weights = np.zeros((n * m, len(ys)))
-            weights[inputs, rng.integers(0, len(ys), size=n * m)] = 1.0
-        else:
-            raw = rng.random((n * m, len(ys))) + 1e-3
-            weights = raw / raw.sum(axis=1, keepdims=True)
-        post[ys, out_point, inputs[:, None]] = weights
-    return _check_inclusion(t, realisation, post, branch, tol)
+    # post_y: input (p, a) -> out[y] with weight w_y[p, a]; realisation of x:
+    # perm[x] -> (perm[x], a) with weight sigma_x[a].
+    post = np.zeros((len(branch), n, n * pad))
+    post[cases, out] = w.reshape(len(branch), n * pad)
+    realisation = np.zeros((len(branch), n * pad, n))
+    realisation[cases[:, None], point[:, None] * pad + level, point[:, None]] = sigma[branch]
+    checked, violated, g_points = _check_inclusion(
+        post @ realisation, np.arange(n) == point[:, None], tol)
+    x = np.concatenate(branches)
+    return _trial_results(trial, local, checked, violated, lambda case: (
+        f"x{x[case]}", np.flatnonzero(g_points[case]).tolist(), [int(point[case])]), len(gens))
 
 
 def classical_theorem_harness(
     seed: int, size: int, trials: int, tol: Tolerances = DEFAULT_TOL
 ) -> HarnessReport:
     """Random check of the verifier-inclusion theorem in classical theory."""
-    return _run_harness("classical", _classical_trial, seed, size, trials, tol)
+    return _run_harness("classical", _classical_batch, seed, size, trials, tol)

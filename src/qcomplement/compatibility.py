@@ -27,11 +27,13 @@ from .operations import (
     identity_operation,
     zero_operation,
 )
-# bench/workloads.py wraps the three random_* names here for its traced run.
+# bench/workloads.py wraps the three random_* names here for its traced run;
+# the harness calls only random_rank_profile, and draws its PVMs by _pvm_draw.
 from .sampling import (
     STREAM_ALGORITHM,
     SeededGenerator,
-    _kraus_draw,
+    _kraus_families,
+    _pvm_draw,
     random_instrument,
     random_pvm,
     random_rank_profile,
@@ -269,16 +271,18 @@ class HarnessReport:
 
 
 def _check_inclusion(
-    x_labels, projectors: np.ndarray, composite: np.ndarray, branch: np.ndarray, tol: Tolerances
-) -> tuple[int, list]:
+    projectors: np.ndarray, composite: np.ndarray, branch: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check verifier inclusion for every composite outcome at once.
 
     ``composite[y]`` is the one Kraus matrix of composite outcome y, which
-    reads outcome ``x_labels[branch[y]]`` of a projective instrument alone;
-    ``projectors[x]`` is outcome x's projector. One Kraus matrix is atomic
-    when it is nonzero (squared norm above ``mat_eq``). Each nonzero outcome's
-    verifier support, from one batched ``eigh`` of all effects, must lie in
-    its branch's: every row of V_g^dag V_t has norm at least 1 - ``mat_eq``.
+    reads the projective outcome with projector ``projectors[branch[y]]``
+    alone. One Kraus matrix is atomic when it is nonzero (squared norm above
+    ``mat_eq``). Each nonzero outcome's verifier support, from one batched
+    ``eigh`` of all effects, must lie in its branch's: every row of
+    V_g^dag V_t has norm at least 1 - ``mat_eq``. Returns per outcome:
+    checked (nonzero), violated, and the dimensions of its support and of
+    its branch's.
     """
     n_y = len(composite)
     nonzero = np.linalg.norm(composite, axis=(1, 2)) ** 2 > tol.mat_eq
@@ -288,64 +292,108 @@ def _check_inclusion(
     cross = v[:n_y].conj().swapaxes(-1, -2) @ v[n_y:][branch]
     row_norms = np.linalg.norm(cross * t_in[:, None, :], axis=2)
     escapes = np.any(g_in & (row_norms < 1.0 - tol.mat_eq), axis=1)
-    violations = [
-        (f"y{y}", x_labels[branch[y]], int(g_in[y].sum()), int(t_in[y].sum()))
-        for y in np.nonzero(nonzero & escapes)[0]
-    ]
-    return int(np.count_nonzero(nonzero)), violations
+    return nonzero, nonzero & escapes, g_in.sum(axis=1), t_in.sum(axis=1)
 
 
-def _quantum_trial(gen: SeededGenerator, dim: int, tol: Tolerances):
-    """One harness trial for the quantum verifier-inclusion theorem.
+def _case_index(branches, outcomes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the composite outcomes of a chunk, ``branches[t][y]`` being the
+    branch outcome y of trial t reads among the trial's ``outcomes[t]``:
+    each one's trial, its y, and its branch among all trials' branches."""
+    sizes = [len(b) for b in branches]
+    trial = np.repeat(np.arange(len(branches)), sizes)
+    local = np.arange(len(trial)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offsets = np.cumsum(outcomes) - outcomes
+    return trial, local, np.concatenate(branches) + offsets[trial]
 
-    Draws a random projective elementary instrument, then a post-processing
-    in which each composite outcome y reads one branch, ``branch[y]``, with
-    one Kraus matrix K_y, drawn jointly normalised per branch; so the
-    composite A_y = K_y P_branch[y] is atomic whenever it is nonzero.
+
+def _trial_results(trial, local, checked, violated, detail, count: int) -> list:
+    """The ``(checked, violations)`` pair of each of ``count`` trials from
+    per-case masks: a violation is ``(f"y{local}",) + detail(case)``."""
+    results = [(c, []) for c in np.bincount(trial[checked], minlength=count).tolist()]
+    for case in np.flatnonzero(violated).tolist():
+        results[trial[case]][1].append((f"y{local[case]}",) + detail(case))
+    return results
+
+
+def _quantum_batch(gens: list, dim: int, tol: Tolerances) -> list:
+    """Harness trials for the quantum verifier-inclusion theorem, one per
+    generator.
+
+    Each trial draws a random projective elementary instrument, then a
+    post-processing in which each composite outcome y reads one branch,
+    ``branch[y]``, with one Kraus matrix K_y, drawn jointly normalised per
+    branch; so the composite A_y = K_y P_branch[y] is atomic whenever it is
+    nonzero. Each trial makes its draws in turn; the QR, the normalisation,
+    the products and the check then run once over all trials' matrices.
     """
-    rng = gen.rng
-    n_out = int(rng.integers(2, dim + 1))
-    prop = random_pvm(dim, random_rank_profile(dim, n_out, rng), gen.child(0))
-    extra = int(rng.integers(0, 3))
-    order = rng.permutation(n_out)
-    extras = [int(rng.integers(0, n_out)) for _ in range(extra)]
-    branch = np.concatenate([order, np.array(extras, dtype=int)])
-
+    profiles, branches, parts, counts = [], [], [], []
+    for gen in gens:
+        rng = gen.rng
+        n_out = int(rng.integers(2, dim + 1))
+        profiles.append(random_rank_profile(dim, n_out, rng))
+        extra = int(rng.integers(0, 3))
+        order = rng.permutation(n_out)
+        extras = [int(rng.integers(0, n_out)) for _ in range(extra)]
+        branches.append(np.concatenate([order, np.array(extras, dtype=int)]))
+        for x, count in enumerate(np.bincount(branches[-1]).tolist()):
+            parts.append(gen.child(x + 1).rng.standard_normal((count, 2, dim, dim)))
+            counts.append(count)
+    projectors = _pvm_draw(dim, profiles, [gen.child(0) for gen in gens])
+    trial, local, branch = _case_index(branches, [len(p) for p in profiles])
+    # The families come branch by branch; outcome y's matrix is at its rank
+    # in the stable order by branch.
     kraus = np.empty((len(branch), dim, dim), dtype=complex)
-    for x in range(n_out):
-        ys = np.nonzero(branch == x)[0]
-        kraus[ys] = _kraus_draw(dim, dim, len(ys), gen.child(x + 1).rng)
-    projectors = np.stack(list(prop.projectors.values()))
-    return _check_inclusion(prop.base.labels, projectors, kraus @ projectors[branch], branch, tol)
+    kraus[np.argsort(branch, kind="stable")] = _kraus_families(np.concatenate(parts), counts)
+    checked, violated, g_dim, t_dim = _check_inclusion(projectors, kraus @ projectors[branch], branch, tol)
+    x = np.concatenate(branches)
+    return _trial_results(trial, local, checked, violated, lambda case: (
+        f"x{x[case]}", int(g_dim[case]), int(t_dim[case])), len(gens))
+
+
+# A trial's arrays hold O(dim**3) entries (up to about 180 * dim**3 bytes for
+# the quantum theory), so a chunk of _CHUNK_CELLS // dim**3 trials, at least
+# one, bounds the peak memory whatever the number of trials.
+_CHUNK_CELLS = 2**16
+# The largest harness dimension (quantum) or size (classical): one trial there
+# takes up to about 50 MB. A larger value raises StructureError before
+# anything is drawn or allocated.
+_HARNESS_DIM_LIMIT = 64
 
 
 def _run_harness(
-    theory: str, trial, seed: int, dim: int, trials: int, tol: Tolerances
+    theory: str, batch, seed: int, dim: int, trials: int, tol: Tolerances
 ) -> HarnessReport:
-    """Run ``trial(generator, dim, tol)`` for each trial index in turn and
-    aggregate the ``(checked, violations)`` pairs it returns.
+    """Run the trials through ``batch(generators, dim, tol)``, one chunk of
+    consecutive trials per call, and aggregate the ``(checked, violations)``
+    pair it returns for each trial.
 
     Trial ``i`` draws from child ``i`` of the seed's stream, so a report
-    depends only on the seed and the parameters.
+    depends only on the seed and the parameters, not on the chunking. A chunk
+    holds ``max(1, _CHUNK_CELLS // dim**3)`` trials, so peak memory does not
+    grow with ``trials``. ``dim`` must lie in [2, ``_HARNESS_DIM_LIMIT``].
     """
     noun = "dimension" if theory == "quantum" else "size"
     dim, seed, trials = _index(dim, noun), _index(seed, "seed"), _index(trials, "trials")
     if dim < 2:
         raise StructureError(f"harness needs {noun} at least 2")
+    if dim > _HARNESS_DIM_LIMIT:
+        raise StructureError(f"harness {noun} must be at most {_HARNESS_DIM_LIMIT}, got {dim}")
     if seed < 0:
         raise StructureError("seed must be nonnegative")
     if trials < 0:
         raise StructureError("trials must be nonnegative")
     root = SeededGenerator(seed)
+    chunk = max(1, _CHUNK_CELLS // dim**3)
     cases = []
     checked_cases = 0
     filtered = 0
-    for index in range(trials):
-        checked, violations = trial(root.child(index), dim, tol)
-        checked_cases += checked
-        if checked:
-            filtered += 1
-        cases.extend((index,) + tuple(item) for item in violations)
+    for start in range(0, trials, chunk):
+        gens = [root.child(index) for index in range(start, min(start + chunk, trials))]
+        for index, (checked, violations) in enumerate(batch(gens, dim, tol), start):
+            checked_cases += checked
+            if checked:
+                filtered += 1
+            cases.extend((index,) + tuple(item) for item in violations)
     return HarnessReport(
         theory=theory,
         seed=seed,
@@ -371,4 +419,4 @@ def verifier_inclusion_harness(
     keeps less than 1 - ``mat_eq`` of its norm on that branch's support.
     Zero violations are expected.
     """
-    return _run_harness("quantum", _quantum_trial, seed, dim, trials, tol)
+    return _run_harness("quantum", _quantum_batch, seed, dim, trials, tol)

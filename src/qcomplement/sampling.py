@@ -42,15 +42,44 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a Ginibre matrix, or a stack of them, by one
+    phase-corrected QR."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
 def haar_unitary(d: int, gen: SeededGenerator) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a Ginibre matrix."""
     d = _index(d, "dimension")
     if d < 1:
         raise StructureError("dimension must be at least 1")
-    q, r = np.linalg.qr(_ginibre(d, d, gen.rng))
-    phases = np.diagonal(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    return _haar(_ginibre(d, d, gen.rng))
+
+
+def _pvm_draw(d: int, profiles, gens) -> np.ndarray:
+    """The projectors of one Haar-rotated coordinate-block PVM on C^d per
+    (rank profile, generator) pair, concatenated in order into one
+    (total outcomes, d, d) stack.
+
+    Each generator draws one Ginibre matrix; one stacked QR rotates them all,
+    and one stacked product per rank forms the projectors B B^dag of the
+    column blocks B, so the numbers are those of per-PVM calls, bit for bit.
+    Profiles are trusted: positive ranks summing to d.
+    """
+    u = _haar(np.stack([_ginibre(d, d, gen.rng) for gen in gens]))
+    ranks = np.array([rank for p in profiles for rank in p])
+    owner = np.repeat(np.arange(len(profiles)), [len(p) for p in profiles])
+    starts = np.cumsum(ranks) - ranks - owner * d
+    rows = np.arange(d)[:, None]
+    out = np.empty((len(ranks), d, d), dtype=complex)
+    for rank in np.unique(ranks).tolist():
+        sel = np.flatnonzero(ranks == rank)
+        cols = starts[sel, None, None] + np.arange(rank)
+        blocks = u[owner[sel, None, None], rows, cols]
+        out[sel] = blocks @ blocks.conj().swapaxes(-1, -2)
+    return out
 
 
 def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
@@ -59,13 +88,7 @@ def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
     ranks = [_index(r, "rank") for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != d:
         raise StructureError(f"ranks must be positive and sum to {d}, got {ranks}")
-    u = haar_unitary(d, gen)
-    projectors = {}
-    start = 0
-    for i, rank in enumerate(ranks):
-        block = u[:, start : start + rank]
-        projectors[f"x{i}"] = block @ block.conj().T
-        start += rank
+    projectors = {f"x{i}": p for i, p in enumerate(_pvm_draw(d, [ranks], [gen]))}
     # Blocks of one unitary: orthogonal, idempotent and complete by construction.
     outcomes = {label: projector_operation(p) for label, p in projectors.items()}
     ins = _trusted(Instrument, dim_in=d, dim_out=d, outcomes=outcomes)
@@ -89,25 +112,36 @@ def random_rank_profile(d: int, parts: int, rng: np.random.Generator) -> list[in
         raise StructureError(f"parts must be in [1, {d}], got {parts}")
     cuts = np.sort(rng.choice(np.arange(1, d), size=parts - 1, replace=False))
     edges = np.concatenate(([0], cuts, [d]))
-    return list(np.diff(edges).astype(int))
+    return np.diff(edges).tolist()
+
+
+def _kraus_families(parts: np.ndarray, counts) -> np.ndarray:
+    """Jointly normalised Gaussian Kraus families, as one (count, d_out, d_in)
+    stack: each run of ``counts[i]`` consecutive matrices has sum K^dag K = I.
+
+    ``parts``, a (count, 2, d_out, d_in) normal draw, holds the real and
+    imaginary parts of each matrix in turn, the same numbers ``count`` calls
+    of ``_ginibre`` draw. Each family's K^dag K is summed in order, as a loop
+    over its matrices would; one stacked ``eigh`` then gives every family's
+    inverse square root.
+    """
+    raw = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    gram = raw.conj().swapaxes(-1, -2) @ raw
+    total = np.zeros((len(counts),) + gram.shape[1:], dtype=complex)
+    for j in range(int(counts.max())):
+        more = counts > j
+        total[more] += gram[starts[more] + j]
+    w, v = np.linalg.eigh(total)
+    inv_sqrt = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return raw @ np.repeat(inv_sqrt, counts, axis=0)
 
 
 def _kraus_draw(d_in: int, d_out: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` jointly normalised Gaussian Kraus matrices, as a
-    (count, d_out, d_in) array: sum K^dag K = I.
-
-    One (count, 2, d_out, d_in) normal draw holds the real and imaginary parts
-    of each matrix in turn, the same numbers ``count`` calls of ``_ginibre``
-    draw.
-    """
-    parts = rng.standard_normal((count, 2, d_out, d_in))
-    raw = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
-    total = np.zeros((d_in, d_in), dtype=complex)
-    for k in raw:
-        total += k.conj().T @ k
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return raw @ inv_sqrt
+    (count, d_out, d_in) array: sum K^dag K = I."""
+    return _kraus_families(rng.standard_normal((count, 2, d_out, d_in)), [count])
 
 
 def random_instrument(

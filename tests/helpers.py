@@ -1,5 +1,7 @@
 """Shared fixtures-in-plain-functions for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 import qcomplement as qc
@@ -65,3 +67,13 @@ def bell_state() -> qc.DensityState:
 # (seed, dim or size, trials) that are not all integers; each must raise
 # StructureError at the harness boundary.
 NON_INTEGER_HARNESS_ARGS = [(1, 2.5, 3), (1, 3, 2.0), (1.0, 3, 2), (True, 3, 2)]
+
+
+def traced_peak(call) -> int:
+    """The traced peak, in bytes, of allocations made while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcomplement as qc
-from qcomplement.classical import _check_inclusion, _classical_trial
-from qcomplement.compatibility import _run_harness
+from qcomplement import compatibility
+from qcomplement.classical import _check_inclusion, _classical_batch
+from qcomplement.compatibility import _CHUNK_CELLS, _run_harness
 from qcomplement.errors import StructureError
 from qcomplement.linalg import DEFAULT_TOL
-from helpers import NON_INTEGER_HARNESS_ARGS
+from helpers import NON_INTEGER_HARNESS_ARGS, traced_peak
 
 
 def bit_readout() -> qc.ClassicalInstrument:
@@ -290,14 +291,18 @@ def _loop_trial(gen, size, tol):
     return checked, violations
 
 
+def _loop_batch(gens, size, tol):
+    return [_loop_trial(gen, size, tol) for gen in gens]
+
+
 class TestArrayTrial:
     @pytest.mark.parametrize("size, seeds, trials", [
         (2, 40, 10), (3, 40, 10), (4, 30, 10), (6, 20, 10), (12, 10, 8),
     ])
     def test_matches_loop_reference(self, size, seeds, trials):
         for seed in range(seeds):
-            want = _run_harness("classical", _loop_trial, seed, size, trials, DEFAULT_TOL)
-            got = _run_harness("classical", _classical_trial, seed, size, trials, DEFAULT_TOL)
+            want = _run_harness("classical", _loop_batch, seed, size, trials, DEFAULT_TOL)
+            got = _run_harness("classical", _classical_batch, seed, size, trials, DEFAULT_TOL)
             assert got == want, (size, seed)
 
     def test_batched_draws_equal_scalar_draws(self):
@@ -322,9 +327,11 @@ class TestArrayTrial:
         post = np.zeros((2, 2, 2))
         post[0, 0, 1] = 1.0
         post[1, 1, 1] = 1.0
-        checked, violations = _check_inclusion(t, realisation, post, np.array([0, 1]), DEFAULT_TOL)
-        assert checked == 2
-        assert violations == [("y0", "x0", [1], [0])]
+        t_points = np.array([[p in qc.verifier_points(t[x]) for p in range(2)] for x in t.labels])
+        checked, violated, g_points = _check_inclusion(post @ realisation, t_points, DEFAULT_TOL)
+        assert checked.tolist() == [True, True]
+        assert violated.tolist() == [True, False]
+        assert g_points[0].tolist() == [False, True]
 
     def test_traced_peak_memory_at_size_48(self):
         tracemalloc.start()
@@ -335,3 +342,33 @@ class TestArrayTrial:
             tracemalloc.stop()
         assert report.violations == 0
         assert peak < 32 * 2**20
+
+
+class TestChunks:
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_small_chunks_match_loop_reference_at_chunk_edges(self, monkeypatch, size):
+        monkeypatch.setattr(compatibility, "_CHUNK_CELLS", 4 * size**3)
+        for trials in (0, 1, 3, 4, 5, 9):
+            for seed in range(4):
+                want = _run_harness("classical", _loop_batch, seed, size, trials, DEFAULT_TOL)
+                assert _run_harness("classical", _classical_batch, seed, size, trials, DEFAULT_TOL) == want
+
+    def test_default_chunk_edges_match_loop_reference(self):
+        size = 16
+        chunk = _CHUNK_CELLS // size**3
+        assert chunk > 1
+        for trials in (0, 1, chunk - 1, chunk, chunk + 1):
+            want = _run_harness("classical", _loop_batch, 7, size, trials, DEFAULT_TOL)
+            assert _run_harness("classical", _classical_batch, 7, size, trials, DEFAULT_TOL) == want
+
+    def test_traced_peak_does_not_grow_with_trials(self):
+        size = 16
+        chunk = _CHUNK_CELLS // size**3
+        one, four = (traced_peak(lambda: qc.classical_theorem_harness(5, size, trials))
+                     for trials in (chunk, 4 * chunk))
+        assert four < 2 * one
+
+    def test_oversized_size_raises_before_drawing(self):
+        peak = traced_peak(lambda: pytest.raises(
+            StructureError, qc.classical_theorem_harness, 1, 10**12, 1))
+        assert peak < 2**16

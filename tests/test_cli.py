@@ -10,6 +10,7 @@ import pytest
 
 import qcomplement as qc
 from qcomplement.cli import main
+from qcomplement.compatibility import _HARNESS_DIM_LIMIT
 from qcomplement.serialize import model_from_text, model_to_dict
 from helpers import PLUS, qubit_x, qutrit_basis_proj, qutrit_fine, z_instrument
 
@@ -196,6 +197,14 @@ class TestHarness:
         assert out["violations"] == 0
         assert out["generator"] == "pcg64" and out["seed"] == 3
 
+    @pytest.mark.parametrize("theory", ["quantum", "classical"])
+    def test_dimension_past_the_cap_exits_2(self, capsys, theory):
+        code = main(["harness", "--theory", theory, "--dim", str(10**12), "--trials", "1",
+                     "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"must be at most {_HARNESS_DIM_LIMIT}" in err
+
     @pytest.mark.parametrize("theory, dim, digest", [
         ("quantum", "3", "01f90661274cae66"),
         ("quantum", "4", "586324d3df7425d3"),
@@ -262,6 +271,9 @@ def _one_by_one_instrument(dim_in="1", entry="[1, 0]"):
     ["--tol", "1e7", "classify", Z_MODEL],
     ["harness", "--theory", "quantum", "--dim", "3", "--trials", "5", "--seed", "-5"],
     ["harness", "--theory", "classical", "--dim", "3", "--trials", "5", "--seed", "-5"],
+    # Past the harness dimension cap; the check comes before any allocation.
+    ["harness", "--theory", "quantum", "--dim", str(10**12), "--trials", "1", "--seed", "1"],
+    ["harness", "--theory", "classical", "--dim", str(10**12), "--trials", "1", "--seed", "1"],
     # Model texts, written to a file: an integer too large for a float, and
     # JSON booleans where a count or a number belongs.
     ["validate", _one_by_one_instrument(entry="[1%s, 0]" % ("0" * 400))],

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qcomplement.cli import main
+from qcomplement.compatibility import _HARNESS_DIM_LIMIT
 
 MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 DOCUMENTS = {path.name: json.loads(path.read_text()) for path in sorted(MODELS.glob("*.json"))}
@@ -124,10 +125,12 @@ def test_mutated_states_keep_the_exit_code_contract(target, text):
     _assert_contract("verifiers", COMMANDS["verifiers"][1], argv, text, code, out, err)
 
 
-# Option values around every boundary --tol and the harness sizes have. Sizes
-# stay at 3 or below: one harness call allocates memory cubic in --dim.
+# Option values around every boundary --tol and the harness sizes have. A
+# harness call's memory grows as the cube of --dim, so a dimension above 3 is
+# one past the cap, which exits 2 before anything is allocated.
 TOLS = ["0", "-1", "nan", "inf", "1e-320", "1e7", "x", "1e-3", "100"]
 SIZES = ["-1", "0", "1", "2", "3", "2.5", "x"]
+DIMS = SIZES + [str(_HARNESS_DIM_LIMIT + 1), str(10**12)]
 SEEDS = ["-5", "0", "7", str(2**70), "x"]
 PATHS = [str(MODELS / name) for name in NAMES] + [str(MODELS / "missing.json"), str(MODELS)]
 VERDICT_KEYS = {command: key for command, (_, key) in COMMANDS.items()} | {"harness": "violations"}
@@ -145,7 +148,7 @@ def argument_vectors(draw):
     if command == "harness":
         values = {
             "--theory": st.sampled_from(["quantum", "classical", "bogus"]),
-            "--dim": st.sampled_from(SIZES),
+            "--dim": st.sampled_from(DIMS),
             "--trials": st.sampled_from(SIZES),
             "--seed": st.sampled_from(SEEDS),
         }

@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcomplement as qc
-from qcomplement.compatibility import _check_inclusion, _quantum_trial, _run_harness
+from qcomplement import compatibility
+from qcomplement.compatibility import (
+    _CHUNK_CELLS,
+    _HARNESS_DIM_LIMIT,
+    _check_inclusion,
+    _quantum_batch,
+    _run_harness,
+    _trial_results,
+)
 from qcomplement.errors import StructureError
 from qcomplement.linalg import DEFAULT_TOL
 from qcomplement.operations import _core_norm
@@ -18,6 +26,7 @@ from helpers import (
     qubit_z,
     qutrit_basis_proj,
     qutrit_fine,
+    traced_peak,
     z_instrument,
 )
 
@@ -401,12 +410,16 @@ def _loop_trial(gen, dim, tol):
     return checked, violations
 
 
+def _loop_batch(gens, dim, tol):
+    return [_loop_trial(gen, dim, tol) for gen in gens]
+
+
 class TestArrayTrial:
     @pytest.mark.parametrize("dim, seeds", [(2, 50), (3, 50), (4, 40), (6, 40), (8, 30)])
     def test_matches_loop_reference(self, dim, seeds):
         for seed in range(seeds):
-            want = _run_harness("quantum", _loop_trial, seed, dim, 3, DEFAULT_TOL)
-            got = _run_harness("quantum", _quantum_trial, seed, dim, 3, DEFAULT_TOL)
+            want = _run_harness("quantum", _loop_batch, seed, dim, 3, DEFAULT_TOL)
+            got = _run_harness("quantum", _quantum_batch, seed, dim, 3, DEFAULT_TOL)
             assert got == want, (dim, seed)
 
     def test_kraus_draw_equals_random_instrument(self):
@@ -431,8 +444,70 @@ class TestArrayTrial:
         composite = np.array([plus, proj(E1), zero, proj(E1)], dtype=complex)
         projectors = np.stack([proj(E0), proj(E1)]).astype(complex)
         branch = np.array([0, 1, 0, 0])
-        checked, violations = _check_inclusion(
-            ("x0", "x1"), projectors, composite, branch, DEFAULT_TOL
-        )
-        assert checked == 3
-        assert violations == [("y0", "x0", 1, 1), ("y3", "x0", 1, 1)]
+        checked, violated, g_dim, t_dim = _check_inclusion(projectors, composite, branch, DEFAULT_TOL)
+        assert checked.tolist() == [True, True, False, True]
+        assert np.flatnonzero(violated).tolist() == [0, 3]
+        assert g_dim[[0, 3]].tolist() == [1, 1] and t_dim[[0, 3]].tolist() == [1, 1]
+
+    def test_trial_results_place_cases_by_trial(self):
+        # Three trials with 2, 0 and 3 checked cases; cases 1 and 4 violate.
+        trial = np.array([0, 0, 0, 2, 2, 2])
+        local = np.array([0, 1, 2, 0, 1, 2])
+        checked = np.array([True, True, False, True, True, True])
+        violated = np.array([False, True, False, False, True, False])
+        results = _trial_results(trial, local, checked, violated, lambda case: ("x0", case), 3)
+        assert results == [(2, [("y1", "x0", 1)]), (0, []), (3, [("y1", "x0", 4)])]
+
+    def test_violations_reported_as_the_loop_reference_reports_them(self, monkeypatch):
+        # Declare every checked case with a nonempty verifier support a
+        # violation on both sides: the reports then list each such case with
+        # its trial, labels and support dimensions.
+        check = compatibility._check_inclusion
+
+        def all_violate(*args):
+            checked, _, g_dim, t_dim = check(*args)
+            return checked, checked & (g_dim > 0), g_dim, t_dim
+
+        monkeypatch.setattr(compatibility, "_check_inclusion", all_violate)
+        monkeypatch.setattr(qc, "subspace_contained", lambda *args: False)
+        for dim, seed in ((2, 0), (3, 1), (4, 2)):
+            got = _run_harness("quantum", _quantum_batch, seed, dim, 6, DEFAULT_TOL)
+            assert got.violations > 0
+            assert got == _run_harness("quantum", _loop_batch, seed, dim, 6, DEFAULT_TOL)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_small_chunks_match_loop_reference_at_chunk_edges(self, monkeypatch, dim):
+        monkeypatch.setattr(compatibility, "_CHUNK_CELLS", 4 * dim**3)
+        for trials in (0, 1, 3, 4, 5, 9):
+            for seed in range(4):
+                want = _run_harness("quantum", _loop_batch, seed, dim, trials, DEFAULT_TOL)
+                assert _run_harness("quantum", _quantum_batch, seed, dim, trials, DEFAULT_TOL) == want
+
+    def test_default_chunk_edges_match_loop_reference(self):
+        dim = 16
+        chunk = _CHUNK_CELLS // dim**3
+        assert chunk > 1
+        for trials in (0, 1, chunk - 1, chunk, chunk + 1):
+            want = _run_harness("quantum", _loop_batch, 7, dim, trials, DEFAULT_TOL)
+            assert _run_harness("quantum", _quantum_batch, 7, dim, trials, DEFAULT_TOL) == want
+
+    def test_traced_peak_does_not_grow_with_trials(self):
+        dim = 16
+        chunk = _CHUNK_CELLS // dim**3
+        one, four = (traced_peak(lambda: qc.verifier_inclusion_harness(5, dim, trials))
+                     for trials in (chunk, 4 * chunk))
+        assert four < 2 * one
+
+
+class TestDimensionCap:
+    def test_oversized_dimension_raises_before_drawing(self):
+        peak = traced_peak(lambda: pytest.raises(
+            StructureError, qc.verifier_inclusion_harness, 1, 10**12, 1))
+        assert peak < 2**16
+
+    def test_cap_is_the_largest_dimension_accepted(self):
+        assert qc.verifier_inclusion_harness(1, _HARNESS_DIM_LIMIT, 0).dim == _HARNESS_DIM_LIMIT
+        with pytest.raises(StructureError, match=f"at most {_HARNESS_DIM_LIMIT}"):
+            qc.verifier_inclusion_harness(1, _HARNESS_DIM_LIMIT + 1, 0)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import StructureError
-from qcomplement.sampling import STREAM_ALGORITHM
+from qcomplement.sampling import STREAM_ALGORITHM, _pvm_draw
 
 
 class TestHaarUnitary:
@@ -63,6 +66,62 @@ class TestRandomPvm:
         recovered = qc.to_elementary(prop.base)
         for label in prop.labels:
             assert np.linalg.norm(recovered.projectors[label] - prop.projectors[label]) <= 1e-8
+
+
+class TestPvmDraw:
+    # sha256 prefixes of each projector stack, taken before the projectors
+    # were drawn as one stack. The stack is rounded to 8 decimals, with signed
+    # zeros folded, because the last bits of a QR depend on the BLAS kernel
+    # numpy picks for the CPU; the exact bytes are compared within one run
+    # below.
+    @pytest.mark.parametrize("d, ranks, seed, digest", [
+        (2, [1, 1], 0, "dd9d5ac2ac4f0ea8"),
+        (3, [2, 1], 7, "fe2d7685b6568714"),
+        (4, [1, 2, 1], 11, "f2fee0ee45b5a3ab"),
+        (6, [3, 1, 2], 42, "d4ff966abbfd50e4"),
+        (8, [1] * 8, 5, "d8f8b35cbbdc2239"),
+    ])
+    def test_random_pvm_projectors_are_pinned(self, d, ranks, seed, digest):
+        stack = np.stack(list(qc.random_pvm(d, ranks, qc.SeededGenerator(seed)).projectors.values()))
+        rounded = np.round(stack, 8) + 0.0
+        assert hashlib.sha256(rounded.tobytes()).hexdigest().startswith(digest)
+
+    def test_draw_is_the_random_pvm_projectors_bit_for_bit(self):
+        for d, ranks, seed in ((2, [1, 1], 0), (4, [1, 2, 1], 11), (8, [1] * 8, 5)):
+            stack = _pvm_draw(d, [ranks], [qc.SeededGenerator(seed)])
+            prop = qc.random_pvm(d, ranks, qc.SeededGenerator(seed))
+            assert stack.tobytes() == np.stack(list(prop.projectors.values())).tobytes()
+
+    def test_stacked_draw_equals_one_draw_per_pvm(self):
+        # Several PVMs of mixed rank profiles in one call: one stacked QR and
+        # one product per rank give each PVM's projectors bit for bit.
+        for d in (2, 3, 6, 12):
+            root = qc.SeededGenerator(d)
+            rng = root.rng
+            profiles = [qc.random_rank_profile(d, int(rng.integers(1, d + 1)), rng) for _ in range(7)]
+            gens = [root.child(i) for i in range(7)]
+            one_by_one = np.concatenate([_pvm_draw(d, [p], [g]) for p, g in zip(profiles, gens)])
+            assert _pvm_draw(d, profiles, gens).tobytes() == one_by_one.tobytes()
+
+
+class TestRandomRankProfile:
+    def test_returns_python_ints_that_round_trip_through_json(self):
+        profile = qc.random_rank_profile(5, 3, np.random.default_rng(0))
+        assert all(type(r) is int for r in profile)
+        assert json.loads(json.dumps(profile)) == profile
+
+    def test_draws_unchanged(self):
+        # Taken when the profile still held numpy integers.
+        want = [
+            [[3, 1, 1], [8], [1] * 8, [6, 1, 2, 1, 2]],
+            [[2, 1, 2], [8], [1] * 8, [1, 3, 2, 4, 2]],
+            [[2, 1, 2], [8], [1] * 8, [1, 2, 3, 5, 1]],
+            [[1, 2, 2], [8], [1] * 8, [1, 1, 5, 1, 4]],
+        ]
+        for seed, profiles in enumerate(want):
+            rng = np.random.default_rng(seed)
+            got = [qc.random_rank_profile(d, parts, rng) for d, parts in ((5, 3), (8, 1), (8, 8), (12, 5))]
+            assert got == profiles
 
 
 class TestRandomDensity:
