@@ -54,7 +54,7 @@ sigma = qc.random_density(3, 3, gen.child(0)).matrix
 supported = projector @ sigma @ projector
 supported = qc.DensityState((3,), supported / np.trace(supported).real)
 print("supported state verifier:", qc.is_verifier(op, supported))
-print("supported state fixed point:", qc.is_fixed_point(op, supported))
+print("supported state fixed point:", qc.is_strong_verifier(op, supported))
 
 # ---------------------------------------------------------------------------
 # The verifier set in one object: the eigenvalue-1 eigenspace of the effect.

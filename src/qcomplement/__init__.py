@@ -97,7 +97,6 @@ from .verifiers import (
     VerifierReport,
     canonical_verifier,
     instrument_verifier_report,
-    is_fixed_point,
     is_strong_verifier,
     is_verifier,
     verifier_support,

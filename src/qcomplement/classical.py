@@ -245,8 +245,7 @@ def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
     sigma_x onto each heralded point, and the post-processing routes each
     branch to outcomes with a deterministic output point, making the
     composite outcomes atomic by construction. Each trial makes its draws in
-    turn; the composites g_y = post_y @ realisation_branch[y] and the check
-    then run once over all trials.
+    turn; the composites and the check then run once over all trials.
     """
     n, pad = size, _ANCILLA
     perms, sigmas, levels, branches, outs, single, choices, draws = ([] for _ in range(8))
@@ -283,14 +282,15 @@ def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
         draws or [np.empty(0)]) + 1e-3
     weights /= ((weights[:, 0] + weights[:, 1]) + weights[:, 2])[:, None]
 
-    # Outcome y's weights w_y[p, a]: its branch's rows, at y's rank among
-    # the branch's readers.
+    # Outcome y's weights w_y[point[y], a]: its branch's rows at the point
+    # the branch heralds, at y's rank among the branch's readers.
+    point = np.concatenate(perms)[branch]
     by_branch = np.argsort(branch, kind="stable")
     rank = np.empty_like(branch)
     rank[by_branch] = cases - (np.cumsum(readers) - readers)[branch[by_branch]]
-    m_y = levels[trial][:, None, None]
-    row = (np.cumsum(inputs) - inputs)[branch][:, None, None] + np.arange(n)[:, None] * m_y + level
-    w = np.where(level < m_y, weights[np.where(level < m_y, row, 0), rank[:, None, None]], 0.0)
+    m_y = levels[trial][:, None]
+    row = (np.cumsum(inputs) - inputs)[branch][:, None] + point[:, None] * m_y + level
+    w = np.where(level < m_y, weights[np.where(level < m_y, row, 0), rank[:, None]], 0.0)
     out = np.empty_like(branch)
     out[by_branch] = np.concatenate(outs)
 
@@ -298,16 +298,13 @@ def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
     sigma[np.broadcast_to(level < levels[:, None, None], sigma.shape)] = np.concatenate(
         [s.ravel() for s in sigmas]) + 1e-3
     sigma = (sigma / sigma.sum(axis=2, keepdims=True)).reshape(-1, pad)
-    point = np.concatenate(perms)[branch]
 
-    # post_y: input (p, a) -> out[y] with weight w_y[p, a]; realisation of x:
-    # perm[x] -> (perm[x], a) with weight sigma_x[a].
-    post = np.zeros((len(branch), n, n * pad))
-    post[cases, out] = w.reshape(len(branch), n * pad)
-    realisation = np.zeros((len(branch), n * pad, n))
-    realisation[cases[:, None], point[:, None] * pad + level, point[:, None]] = sigma[branch]
-    checked, violated, g_points = _check_inclusion(
-        post @ realisation, np.arange(n) == point[:, None], tol)
+    # The realisation of x takes perm[x] to (perm[x], a) with weight
+    # sigma_x[a], and post_y takes (p, a) to out[y] with weight w_y[p, a]:
+    # g_y's one entry sits at (out[y], point[y]).
+    g = np.zeros((len(branch), n, n))
+    g[cases, out, point] = (w * sigma[branch]).sum(axis=1)
+    checked, violated, g_points = _check_inclusion(g, np.arange(n) == point[:, None], tol)
     x = np.concatenate(branches)
     return _trial_results(trial, local, checked, violated, lambda case: (
         f"x{x[case]}", np.flatnonzero(g_points[case]).tolist(), [int(point[case])]), len(gens))

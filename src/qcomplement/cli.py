@@ -165,7 +165,6 @@ def _cmd_verifiers(args, tol: Tolerances) -> tuple[int, dict]:
         "probability": report.probability,
         "is_verifier": report.is_verifier,
         "is_strong": report.is_strong,
-        "is_fixed_point": report.is_fixed_point,
     }
     verdict = report.is_verifier and report.outcome == args.outcome
     return (0 if verdict else 1), out

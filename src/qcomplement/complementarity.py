@@ -113,9 +113,16 @@ def degree_for_verifier(
 def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The outcomes' verifier-support bases side by side, U = [A_x1 | A_x2 | ...],
     from one batched ``_supports`` of the effects P^dag P, and the block
-    indicator whose entry (i, x) is 1 when column i of U spans outcome x."""
+    indicator whose entry (i, x) is 1 when column i of U spans outcome x. An
+    outcome whose support is empty admits no verifier: ``StructureError``."""
     projectors = np.stack(list(prop.projectors.values()))
     v, keep = _supports(projectors.conj().swapaxes(-1, -2) @ projectors, tol)
+    empty = ~keep.any(axis=1)
+    if empty.any():
+        label = list(prop.projectors)[int(empty.argmax())]
+        raise StructureError(
+            f"projector {label!r} has no eigenvalue within prob_eq of 1, it admits no verifier"
+        )
     owner = np.nonzero(keep)[0]
     return v.swapaxes(-1, -2)[keep].T, (owner[:, None] == np.arange(len(v))).astype(float)
 

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ExtractionError, PreconditionError, StructureError
 from .linalg import DEFAULT_TOL, Tolerances, _index, _supports, _trusted, as_matrix
 from .operations import (
-    OperationReport,
     QuantumOperation,
     _core_norm,
     choi_distance,
@@ -83,7 +82,6 @@ def instrument_from_operations(pairs) -> Instrument:
 class InstrumentReport:
     is_valid: bool
     completeness_residual: float
-    outcome_reports: dict[str, OperationReport]
     problems: tuple[str, ...] = ()
 
 
@@ -95,11 +93,8 @@ def validate_instrument(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> Instr
     outcome failed.
     """
     problems: list[str] = []
-    outcome_reports: dict[str, OperationReport] = {}
     for label, op in ins.outcomes.items():
-        rep = validate_operation(op, tol)
-        outcome_reports[label] = rep
-        if not rep.is_tni:
+        if not validate_operation(op, tol).is_tni:
             problems.append(f"outcome {label!r} is not trace-non-increasing")
     residual = float(np.linalg.norm(ins.total_effect() - np.eye(ins.dim_in)))
     if residual > tol.mat_eq:
@@ -109,7 +104,6 @@ def validate_instrument(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> Instr
     return InstrumentReport(
         is_valid=not problems,
         completeness_residual=residual,
-        outcome_reports=outcome_reports,
         problems=tuple(problems),
     )
 

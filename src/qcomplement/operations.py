@@ -69,11 +69,6 @@ class ChoiMatrix:
             raise StructureError(f"choi matrix has shape {mat.shape}, expected ({d}, {d})")
         object.__setattr__(self, "matrix", mat)
 
-    def output_trace(self) -> np.ndarray:
-        """Partial trace over the output factor (transpose of the effect)."""
-        t = self.matrix.reshape(self.dim_out, self.dim_in, self.dim_out, self.dim_in)
-        return np.einsum("ijik->jk", t)
-
 
 def choi(op: QuantumOperation) -> ChoiMatrix:
     """Choi matrix sum_k vec(K_k) vec(K_k)^dag with row-major vec."""
@@ -116,10 +111,6 @@ def choi_distance(a: QuantumOperation, b: QuantumOperation) -> float:
 class OperationReport:
     is_tni: bool
     is_tp: bool
-
-    @property
-    def is_valid(self) -> bool:
-        return self.is_tni
 
 
 def validate_operation(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> OperationReport:

@@ -22,7 +22,7 @@ from .instruments import Instrument
 from .linalg import _ENTRY_LIMIT
 from .operations import DensityState, QuantumOperation, pure_state
 
-SCHEMA_VERSION = "qcomplement/1"
+SCHEMA_VERSION = "qcomplement/2"
 
 
 def matrix_to_lists(m) -> list[list[list[float]]]:
@@ -316,6 +316,8 @@ def model_from_text(text: str) -> ModelFile:
         raise ModelParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ModelParseError("JSON is nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise SchemaError("model document must be a JSON object", "$")
     kind = data.get("kind")

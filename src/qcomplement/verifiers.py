@@ -54,14 +54,6 @@ def is_strong_verifier(
     return float(np.linalg.norm(out - state.matrix)) <= tol.mat_eq
 
 
-def is_fixed_point(
-    op: QuantumOperation, state: DensityState, tol: Tolerances = DEFAULT_TOL
-) -> bool:
-    """Identical contract to ``is_strong_verifier``; for projective operations
-    it agrees with ``is_verifier``."""
-    return is_strong_verifier(op, state, tol)
-
-
 def verifier_support(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Eigenspace of the effect for eigenvalues at least 1 - prob_eq.
 
@@ -81,7 +73,6 @@ class VerifierReport:
     probability: float
     is_verifier: bool
     is_strong: bool
-    is_fixed_point: bool
 
 
 def instrument_verifier_report(
@@ -89,8 +80,8 @@ def instrument_verifier_report(
 ) -> VerifierReport:
     """Find the outcome (if any) the state verifies and report its status.
 
-    Strong/fixed-point flags are evaluated for the best outcome when the
-    instrument has equal input and output dimensions, otherwise left False.
+    The strong flag is evaluated for the best outcome when the instrument
+    has equal input and output dimensions, otherwise left False.
     """
     best_label: str | None = None
     best_probability = -1.0
@@ -107,5 +98,4 @@ def instrument_verifier_report(
         probability=max(0.0, best_probability),
         is_verifier=verified,
         is_strong=strong,
-        is_fixed_point=strong,
     )

@@ -155,14 +155,14 @@ def test_criterion_05_fixed_point_characterisation():
 
         move = float(np.linalg.norm(apply_unnormalized(op, supported) - supported.matrix))
         worst_move = max(worst_move, move)
-        if not (qc.is_verifier(op, supported) and qc.is_fixed_point(op, supported) and move <= 1e-9):
+        if not (qc.is_verifier(op, supported) and qc.is_strong_verifier(op, supported) and move <= 1e-9):
             failures += 1
 
         tau = qc.random_density(d, d, gen.child(2)).matrix
         leak = outside_p @ tau @ outside_p
         leak = leak / np.trace(leak).real
         unsupported = qc.DensityState((d,), 0.7 * supported.matrix + 0.3 * leak)
-        if qc.is_verifier(op, unsupported) or qc.is_fixed_point(op, unsupported):
+        if qc.is_verifier(op, unsupported) or qc.is_strong_verifier(op, unsupported):
             failures += 1
     ok = failures == 0
     verdict(5, ok, f"500+500 states, worst fixed-point drift {worst_move:.2e}, {failures} failures")

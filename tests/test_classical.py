@@ -343,6 +343,11 @@ class TestArrayTrial:
         assert report.violations == 0
         assert peak < 32 * 2**20
 
+    def test_traced_peak_memory_at_size_12(self):
+        # Each composite is built from its one possibly nonzero entry, with no
+        # dense post-processing or realisation tensor.
+        assert traced_peak(lambda: qc.classical_theorem_harness(5, 12, 20)) < 1.5 * 2**20
+
 
 class TestChunks:
     @pytest.mark.parametrize("size", [2, 3])

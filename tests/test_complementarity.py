@@ -121,6 +121,16 @@ class TestAreComplementary:
         )
         assert fails_one
 
+    @pytest.mark.parametrize("decide", [qc.are_complementary, qc.classify_relation])
+    def test_outcome_without_verifier_raises(self, decide):
+        # mat_eq = 0.1 admits this family as a PVM, but outcome b's effect tops
+        # out at 0.9025 < 1 - prob_eq: no state verifies it.
+        tol = qc.Tolerances(mat_eq=0.1)
+        p = qc.from_pvm({"a": np.diag([1.0, 0.05]), "b": np.diag([0.0, 0.95])}, tol)
+        for pair in ((p, qubit_z()), (qubit_z(), p), (p, p)):
+            with pytest.raises(StructureError, match="'b' .*admits no verifier"):
+                decide(*pair, tol)
+
 
 class TestDegreeForVerifier:
     def test_z_state_vs_x_is_strong(self):

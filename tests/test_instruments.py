@@ -38,8 +38,8 @@ class TestValidateInstrument:
         good = qc.projector_operation(np.zeros((2, 2), dtype=complex))
         ins = qc.instrument_from_operations([("bad", bad), ("rest", good)])
         report = qc.validate_instrument(ins)
-        assert not report.outcome_reports["bad"].is_tni
-        assert any("bad" in problem for problem in report.problems)
+        assert "outcome 'bad' is not trace-non-increasing" in report.problems
+        assert not any("rest" in problem for problem in report.problems)
 
 
 class TestIsRepeatable:

@@ -66,7 +66,8 @@ class TestChoi:
 
     def test_output_trace_is_effect_transpose(self):
         op = random_operation(4, 3, 4, 3)
-        assert np.allclose(qc.choi(op).output_trace(), op.effect().T)
+        blocks = qc.choi(op).matrix.reshape(op.dim_out, op.dim_in, op.dim_out, op.dim_in)
+        assert np.allclose(np.einsum("ijik->jk", blocks), op.effect().T)
 
 
 class TestEntryCap:

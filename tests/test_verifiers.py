@@ -98,15 +98,15 @@ class TestStrongVerifier:
 class TestFixedPoint:
     def test_projector_cases(self):
         op = projector_op(proj(E0))
-        assert qc.is_fixed_point(op, qc.basis_state(2, 0))
-        assert not qc.is_fixed_point(op, qc.pure_state(PLUS))
+        assert qc.is_strong_verifier(op, qc.basis_state(2, 0))
+        assert not qc.is_strong_verifier(op, qc.pure_state(PLUS))
 
     def test_supported_state_is_fixed(self):
         gen = qc.SeededGenerator(17)
         u = qc.haar_unitary(4, gen)
         projector = u[:, :2] @ u[:, :2].conj().T
         state = supported_state(projector, 18)
-        assert qc.is_fixed_point(projector_op(projector), state)
+        assert qc.is_strong_verifier(projector_op(projector), state)
         moved = apply_unnormalized(projector_op(projector), state)
         assert np.linalg.norm(moved - state.matrix) <= 1e-9
 
@@ -122,10 +122,10 @@ class TestFixedPoint:
         op = projector_op(projector)
 
         inside = supported_state(projector, seed + 1)
-        assert qc.is_verifier(op, inside) and qc.is_fixed_point(op, inside)
+        assert qc.is_verifier(op, inside) and qc.is_strong_verifier(op, inside)
 
         outside = qc.random_density(d, d, gen.child(1))
-        assert qc.is_verifier(op, outside) == qc.is_fixed_point(op, outside) == False  # noqa: E712
+        assert qc.is_verifier(op, outside) == qc.is_strong_verifier(op, outside) == False  # noqa: E712
 
 
 class TestVerifierSupport:
@@ -187,7 +187,7 @@ class TestInstrumentVerifierReport:
     def test_finds_outcome(self):
         report = qc.instrument_verifier_report(z_instrument(), qc.basis_state(2, 1))
         assert report.outcome == "z1"
-        assert report.is_verifier and report.is_strong and report.is_fixed_point
+        assert report.is_verifier and report.is_strong
         assert abs(report.probability - 1.0) < 1e-12
 
     def test_no_outcome_for_plus(self):
