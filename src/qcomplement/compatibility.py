@@ -287,7 +287,8 @@ def _check_inclusion(
     n_y = len(composite)
     nonzero = np.linalg.norm(composite, axis=(1, 2)) ** 2 > tol.mat_eq
     effects = composite.conj().swapaxes(-1, -2) @ composite
-    v, support = _supports(np.concatenate([effects, projectors.conj().swapaxes(-1, -2) @ projectors]), tol)
+    stack = np.concatenate([effects, projectors.conj().swapaxes(-1, -2) @ projectors])
+    v, support = _supports(np.linalg.eigh(stack), tol)
     g_in, t_in = support[:n_y], support[n_y:][branch]
     cross = v[:n_y].conj().swapaxes(-1, -2) @ v[n_y:][branch]
     row_norms = np.linalg.norm(cross * t_in[:, None, :], axis=2)

@@ -112,14 +112,14 @@ def degree_for_verifier(
 
 def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The outcomes' verifier-support bases side by side, U = [A_x1 | A_x2 | ...],
-    from one batched ``_supports`` of the effects P^dag P, and the block
-    indicator whose entry (i, x) is 1 when column i of U spans outcome x. An
-    outcome whose support is empty admits no verifier: ``StructureError``."""
-    projectors = np.stack(list(prop.projectors.values()))
-    v, keep = _supports(projectors.conj().swapaxes(-1, -2) @ projectors, tol)
+    cut by ``_supports`` from the property's spectrum of its effects P^dag P
+    (computed once, tied to no tolerance), and the block indicator whose entry
+    (i, x) is 1 when column i of U spans outcome x. An outcome whose support is
+    empty admits no verifier: ``StructureError``."""
+    v, keep = _supports(prop._spectrum, tol)
     empty = ~keep.any(axis=1)
     if empty.any():
-        label = list(prop.projectors)[int(empty.argmax())]
+        label = prop.labels[int(empty.argmax())]
         raise StructureError(
             f"projector {label!r} has no eigenvalue within prob_eq of 1, it admits no verifier"
         )

@@ -10,6 +10,7 @@ insertion order, so reports and bijection search are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,8 +128,9 @@ def is_repeatable(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
 class ElementaryProperty:
     """A repeatable atomic instrument together with its extracted projectors.
 
-    Downstream decisions work on the projectors; audits can always go back to
-    the instrument's Choi matrices.
+    Downstream decisions work on the projectors, read-only copies in the
+    base's outcome order, and on their effects' spectrum, computed once and
+    tied to no tolerance; audits can go back to the instrument's Choi matrices.
     """
 
     base: Instrument
@@ -137,9 +139,15 @@ class ElementaryProperty:
     def __post_init__(self):
         if set(self.projectors) != set(self.base.outcomes):
             raise StructureError("projector labels do not match instrument outcomes")
-        mats = {label: as_matrix(p, f"projector {label!r}") for label, p in self.projectors.items()}
+        mats = {label: _read_only(label, self.projectors[label]) for label in self.base.labels}
         _check_pvm(mats, self.base.dim_in, DEFAULT_TOL)
         object.__setattr__(self, "projectors", mats)
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The batched eigh of the effects P^dag P, in ``labels`` order."""
+        stack = np.stack(list(self.projectors.values()))
+        return np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
 
     @property
     def dim(self) -> int:
@@ -179,7 +187,8 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     """The extraction step of ``to_elementary``, for a square instrument whose
     repeatability and per-outcome atomicity the caller has established."""
     projectors: dict[str, np.ndarray] = {}
-    v, keep = _supports(np.stack([op.effect() for op in ins.outcomes.values()]), tol)
+    effects = np.stack([op.effect() for op in ins.outcomes.values()])
+    v, keep = _supports(np.linalg.eigh(effects), tol)
     for (label, op), vectors, kept in zip(ins.outcomes.items(), v, keep):
         if not kept.any():
             raise ExtractionError(f"outcome {label!r} is the zero map, it admits no verifier")
@@ -189,6 +198,7 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
             raise ExtractionError(
                 f"outcome {label!r}: projector map does not reproduce the operation"
             )
+        proj.flags.writeable = False
         projectors[label] = proj
     _check_pvm(projectors, ins.dim_in, tol, ExtractionError)
     return _trusted(ElementaryProperty, base=ins, projectors=projectors)
@@ -239,16 +249,23 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
 
     Accepts a dict or (label, matrix) pairs. Each matrix must be a nonzero
     Hermitian idempotent; the family must be pairwise orthogonal and sum to
-    the identity, all within ``mat_eq``.
+    the identity, all within ``mat_eq``. The property keeps read-only copies.
     """
     items = list(projectors.items() if isinstance(projectors, dict) else projectors)
     if not items:
         raise StructureError("a PVM needs at least one projector")
-    mats = {label: as_matrix(p, f"projector {label!r}") for label, p in items}
+    mats = {label: _read_only(label, p) for label, p in items}
     d = next(iter(mats.values())).shape[0]
     _check_pvm(mats, d, tol)
     ins = Instrument(d, d, {label: projector_operation(p) for label, p in mats.items()})
     return _trusted(ElementaryProperty, base=ins, projectors=mats)
+
+
+def _read_only(label: str, p) -> np.ndarray:
+    """A read-only copy, so no write can make a property's spectrum stale."""
+    mat = as_matrix(p, f"projector {label!r}").copy()
+    mat.flags.writeable = False
+    return mat
 
 
 def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=StructureError):
@@ -263,11 +280,12 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
             raise error(f"projector {label!r} is not idempotent")
         if float(np.real(np.trace(p))) < 0.5:
             raise error(f"projector {label!r} is zero, it admits no verifier")
-    labels = list(mats)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if float(np.linalg.norm(mats[a] @ mats[b])) > tol.mat_eq:
-                raise error(f"projectors {a!r} and {b!r} are not orthogonal")
-    total = sum(mats.values())
-    if float(np.linalg.norm(total - np.eye(d))) > tol.mat_eq:
+    # Not the Gram form <P_a^dag P_a, P_b P_b^dag> = |P_a P_b|^2: its error of
+    # about 1e-16 is mat_eq^2, so exact PVMs at d = 32 fail it.
+    labels, stack = list(mats), np.stack(list(mats.values()))
+    for i, a in enumerate(labels[:-1]):
+        bad = np.flatnonzero(np.linalg.norm(stack[i] @ stack[i + 1 :], axis=(1, 2)) > tol.mat_eq)
+        if bad.size:
+            raise error(f"projectors {a!r} and {labels[i + 1 + bad[0]]!r} are not orthogonal")
+    if float(np.linalg.norm(stack.sum(axis=0) - np.eye(d))) > tol.mat_eq:
         raise error("projectors do not sum to the identity (incomplete PVM)")

@@ -6,7 +6,8 @@ tolerance semantics are fixed in one place:
 
 * rank decisions use a relative cut ``eig_cut * sigma_max`` (scale invariant),
 * every verifier support a decision reads is an effect's eigenvalue
-  >= ``1 - prob_eq`` eigenspace, from ``_supports``,
+  >= ``1 - prob_eq`` eigenspace, cut by ``_supports`` from a spectrum tied to
+  no tolerance (an elementary property computes its own once),
 * PSD tests tolerate eigenvalues down to ``-eig_cut * max(1, spectral norm)``,
 * subspace comparison uses principal angles rather than projector differences,
   which is stabler for near-degenerate bases.
@@ -184,11 +185,11 @@ class Subspace:
         return float(np.linalg.norm(self.basis.conj().T @ vec)) >= (1.0 - tol.mat_eq) * norm
 
 
-def _supports(effects: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Verifier supports of an (n, d, d) stack of effects by one batched eigh:
-    eigenvectors ``v`` (ascending columns) and the mask ``keep`` of eigenvalues
-    >= 1 - prob_eq; support i is spanned by ``v[i][:, keep[i]]``."""
-    w, v = np.linalg.eigh(effects)
+def _supports(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Verifier supports from the batched eigh ``(w, v)`` of an (n, d, d) stack
+    of effects: eigenvectors ``v`` (ascending columns) and the mask ``keep`` of
+    eigenvalues >= 1 - prob_eq; support i is spanned by ``v[i][:, keep[i]]``."""
+    w, v = spectrum
     return v, w >= 1.0 - tol.prob_eq
 
 

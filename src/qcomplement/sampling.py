@@ -88,7 +88,9 @@ def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
     ranks = [_index(r, "rank") for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != d:
         raise StructureError(f"ranks must be positive and sum to {d}, got {ranks}")
-    projectors = {f"x{i}": p for i, p in enumerate(_pvm_draw(d, [ranks], [gen]))}
+    stack = _pvm_draw(d, [ranks], [gen])
+    stack.flags.writeable = False
+    projectors = {f"x{i}": p for i, p in enumerate(stack)}
     # Blocks of one unitary: orthogonal, idempotent and complete by construction.
     outcomes = {label: projector_operation(p) for label, p in projectors.items()}
     ins = _trusted(Instrument, dim_in=d, dim_out=d, outcomes=outcomes)

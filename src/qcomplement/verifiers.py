@@ -61,7 +61,7 @@ def verifier_support(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> Sub
     factor) lies inside this subspace; the subspace may be empty, in which
     case the operation has no verifiers.
     """
-    v, keep = _supports(op.effect()[None], tol)
+    v, keep = _supports(np.linalg.eigh(op.effect()[None]), tol)
     return _trusted(Subspace, ambient_dim=op.dim_in, basis=v[0][:, keep[0]][:, ::-1])
 
 

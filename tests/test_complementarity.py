@@ -121,6 +121,34 @@ class TestAreComplementary:
         )
         assert fails_one
 
+    def test_constructor_dict_order_is_not_the_label_order(self):
+        # Outcome order is the base instrument's, whatever the dict's order.
+        e = np.eye(3)
+        base = qc.from_pvm({"lo": proj(e[0]) + proj(e[1]), "hi": proj(e[2])})
+        swapped = qc.ElementaryProperty(base.base, {"hi": proj(e[2]), "lo": proj(e[0]) + proj(e[1])})
+        assert list(swapped.rank_profile().items()) == [("lo", 2), ("hi", 1)]
+        report = qc.classify_relation(base, swapped)
+        assert report.matched_bijection == {"lo": "lo", "hi": "hi"}
+        assert report.degree_table["lo"].probabilities == {"lo": 1.0, "hi": 0.0}
+
+    def test_each_spectrum_is_computed_once_for_any_tolerance(self, monkeypatch):
+        # Rotated by 3e-4 rad, the supports differ at mat_eq = 1e-8 but are
+        # equal at ten times that, so the two tolerances give two verdicts.
+        theta = 3e-4
+        def build():
+            return qubit_z(), qc.from_pvm({"a": proj([np.cos(theta), np.sin(theta)]),
+                                           "b": proj([-np.sin(theta), np.cos(theta)])})
+        p, q = build()
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        assert qc.classify_relation(p, q).complementary
+        assert not qc.are_compatible_elementary(p, q)
+        scaled = qc.are_complementary(p, q, qc.DEFAULT_TOL.scaled(10))
+        assert len(calls) == 2
+        fresh = qc.are_complementary(*build(), qc.DEFAULT_TOL.scaled(10))
+        assert scaled == fresh
+        assert not scaled.complementary and scaled.matched_bijection == {"z0": "a", "z1": "b"}
+
     @pytest.mark.parametrize("decide", [qc.are_complementary, qc.classify_relation])
     def test_outcome_without_verifier_raises(self, decide):
         # mat_eq = 0.1 admits this family as a PVM, but outcome b's effect tops

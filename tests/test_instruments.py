@@ -175,6 +175,46 @@ class TestFromPvm:
         with pytest.raises(StructureError, match="idempotent"):
             qc.ElementaryProperty(z_instrument(), {"z0": 0.5 * np.eye(2), "z1": 0.5 * np.eye(2)})
 
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_accepts_exact_half_rank_pvms(self, d):
+        # The squared-norm (Gram) form of the orthogonality check reads about
+        # 1e-16 on these, whose square root exceeds mat_eq = 1e-8 for most
+        # seeds; the direct norm |P_a P_b| reads about 1e-15.
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            u = q * (np.diag(r) / np.abs(np.diag(r)))
+            a, b = u[:, : d // 2], u[:, d // 2 :]
+            prop = qc.from_pvm({"a": a @ a.conj().T, "b": b @ b.conj().T})
+            assert prop.rank_profile() == {"a": d // 2, "b": d // 2}
+
+    def test_non_orthogonal_error_names_the_first_pair_in_label_order(self):
+        # Bad pairs (a, d) and (b, c), each |P P| about 1e-7: row a comes first.
+        e, eps = np.eye(4), 1e-7
+        mats = {"a": proj(e[0]), "b": proj(e[1]), "c": proj(e[2] + eps * e[1]),
+                "d": proj(e[3] + eps * e[0])}
+        with pytest.raises(StructureError, match="projectors 'a' and 'd' are not orthogonal"):
+            qc.from_pvm(mats)
+
+    @pytest.mark.parametrize("build", [
+        lambda m: qc.from_pvm(m),
+        lambda m: qc.ElementaryProperty(qc.from_pvm(m).base, m),
+    ], ids=["from_pvm", "constructor"])
+    def test_projectors_are_read_only_copies(self, build):
+        # proj() returns complex C-ordered arrays, which as_matrix passes through.
+        mats = {"z0": proj(E0), "z1": proj(E1)}
+        prop = build(mats)
+        with pytest.raises(ValueError, match="read-only"):
+            prop.projectors["z0"][0, 0] = 0.0
+        mats["z0"][0, 0] = 0.0
+        assert prop.projectors["z0"][0, 0] == 1.0
+
+    def test_package_built_projectors_are_read_only(self):
+        for prop in (qc.random_pvm(3, [2, 1], qc.SeededGenerator(0)), qc.to_elementary(z_instrument())):
+            for mat in prop.projectors.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    mat[0, 0] = 0.0
+
 
 class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
