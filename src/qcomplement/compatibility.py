@@ -18,7 +18,7 @@ import numpy as np
 from .complementarity import are_complementary
 from .errors import StructureError
 from .instruments import ElementaryProperty, Instrument
-from .linalg import DEFAULT_TOL, Tolerances, _index, _supports
+from .linalg import _CHUNK_CELLS, DEFAULT_TOL, Tolerances, _index, _supports
 from .operations import (
     QuantumOperation,
     choi_distance,
@@ -351,10 +351,6 @@ def _quantum_batch(gens: list, dim: int, tol: Tolerances) -> list:
         f"x{x[case]}", int(g_dim[case]), int(t_dim[case])), len(gens))
 
 
-# A trial's arrays hold O(dim**3) entries (up to about 180 * dim**3 bytes for
-# the quantum theory), so a chunk of _CHUNK_CELLS // dim**3 trials, at least
-# one, bounds the peak memory whatever the number of trials.
-_CHUNK_CELLS = 2**16
 # The largest harness dimension (quantum) or size (classical): one trial there
 # takes up to about 50 MB. A larger value raises StructureError before
 # anything is drawn or allocated.
@@ -384,6 +380,8 @@ def _run_harness(
     if trials < 0:
         raise StructureError("trials must be nonnegative")
     root = SeededGenerator(seed)
+    # A trial's arrays hold O(dim**3) entries (up to about 180 * dim**3 bytes
+    # for the quantum theory).
     chunk = max(1, _CHUNK_CELLS // dim**3)
     cases = []
     checked_cases = 0

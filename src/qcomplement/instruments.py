@@ -9,23 +9,17 @@ insertion order, so reports and bijection search are deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from math import isqrt
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ExtractionError, PreconditionError, StructureError
-from .linalg import DEFAULT_TOL, Tolerances, _index, _supports, _trusted, as_matrix
-from .operations import (
-    QuantumOperation,
-    _core_norm,
-    choi_distance,
-    coarse_grain_ops,
-    compose_seq,
-    is_atomic,
-    projector_operation,
-    validate_operation,
-)
+from .linalg import _CHUNK_CELLS, _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_psd, _supports, _trusted, as_matrix
+from .operations import QuantumOperation, _choi_core, coarse_grain_ops, is_atomic, projector_operation
 
 
 @dataclass(frozen=True)
@@ -63,12 +57,6 @@ class Instrument:
     def __getitem__(self, label: str) -> QuantumOperation:
         return self.outcomes[label]
 
-    def total_effect(self) -> np.ndarray:
-        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for op in self.outcomes.values():
-            out += op.effect()
-        return out
-
 
 def instrument_from_operations(pairs) -> Instrument:
     """Build an instrument from (label, operation) pairs."""
@@ -93,12 +81,15 @@ def validate_instrument(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> Instr
     are listed in the report, not raised, so callers can inspect exactly which
     outcome failed.
     """
-    problems: list[str] = []
-    for label, op in ins.outcomes.items():
-        if not validate_operation(op, tol).is_tni:
-            problems.append(f"outcome {label!r} is not trace-non-increasing")
-    residual = float(np.linalg.norm(ins.total_effect() - np.eye(ins.dim_in)))
-    if residual > tol.mat_eq:
+    effects = _effects(ins, _kraus_groups(ins))
+    eye = np.eye(ins.dim_in)
+    # I - E is Hermitian by construction; the check only asks it to be finite.
+    slack = eye - effects
+    _check_entries(slack.view(float), "matrix", _FINITE)
+    problems = [f"outcome {label!r} is not trace-non-increasing"
+                for label, tni in zip(ins.labels, _is_psd(slack, tol)) if not tni]
+    residual = float(np.linalg.norm(reduce(np.add, effects) - eye))
+    if not residual <= tol.mat_eq:
         problems.append(
             f"summed effect differs from identity by {residual:.3e} (limit {tol.mat_eq:.1e})"
         )
@@ -109,17 +100,87 @@ def validate_instrument(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> Instr
     )
 
 
+def _kraus_groups(ins: Instrument) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per Kraus count k: the outcome indices and their (m, k, d_out, d_in) stack."""
+    ops, members = list(ins.outcomes.values()), {}
+    for i, op in enumerate(ops):
+        members.setdefault(len(op.kraus), []).append(i)
+    return [(np.array(idx), np.array([ops[i].kraus for i in idx])) for idx in members.values()]
+
+
+def _chunks(count: int, cells: int) -> list[slice]:
+    """Runs of ``count`` items of ``cells`` cells each, at most ``_CHUNK_CELLS``
+    cells (and at least one item) per run."""
+    step = max(1, _CHUNK_CELLS // cells)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _effects(ins: Instrument, groups) -> np.ndarray:
+    """The (n, dim_in, dim_in) effects in outcome order, added as ``effect`` adds
+    (left to right: ``sum`` may pair terms up, which moves the last bits)."""
+    out = np.empty((len(ins.outcomes), ins.dim_in, ins.dim_in), dtype=complex)
+    for idx, kraus in groups:
+        out[idx] = reduce(np.add, (kraus.conj().swapaxes(-1, -2) @ kraus).swapaxes(0, 1))
+    return out
+
+
+def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The (m, k * k, d, d) products first[x, i] @ second[x, j], i outer."""
+    m, k = first.shape[:2]
+    return (first[:, :, None] @ second[:, None]).reshape(m, k * k, *first.shape[-2:])
+
+
+def _residuals(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """||Choi(plus[x]) - Choi(minus[x])||_F for two (m, k, d, d) Kraus stacks."""
+    return np.linalg.norm(_choi_core(plus, minus), axis=(-2, -1))
+
+
+def _composite_norms(groups):
+    """Yield ``(rows, cols, norms)`` per block pair, ``norms[i, j]`` being
+    ||Choi(T_x after T_x')||_F for x = rows[i] and x' = cols[j].
+
+    The squared norm sums |tr((K_xk^dag K_xk')(K_x'l' K_x'l^dag))|^2 over the
+    Kraus indices: a matmul of the A = K^dag K rows against the B = K K^dag
+    rows, then a blockwise sum, with no subtraction. A block is a run of
+    outcomes of one Kraus count with at most isqrt(_CHUNK_CELLS) rows, so
+    memory does not grow with the number of outcomes.
+    """
+    blocks = [
+        (idx[part], kraus[part])
+        for idx, kraus in groups
+        for part in _chunks(len(idx), kraus.shape[1] ** 2 * isqrt(_CHUNK_CELLS))
+    ]
+    for rows, left in blocks:
+        a = _products(left.conj().swapaxes(-1, -2), left).reshape(-1, left[0, 0].size)
+        for cols, right in blocks:
+            # conj(K_l) K_l'^T = (K_l' K_l^dag)^T, so g holds every tr(A B).
+            g = a @ _products(right.conj(), right.swapaxes(-1, -2)).reshape(-1, a.shape[1]).T
+            sq = np.square(g.view(float), out=g.view(float))  # |g|^2 in place: re^2, im^2
+            sq = sq.reshape(len(rows), sq.shape[0] // len(rows), len(cols), -1)
+            yield rows, cols, np.sqrt(sq.sum(axis=(1, 3)))
+            del g, sq  # one block pair's table at a time
+
+
 def is_repeatable(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Check T_x after T_x' = delta_{xx'} T_x over all ordered outcome pairs.
 
-    Pairwise Choi comparison, no shortcut assumed; requires equal input and
-    output dimension.
+    Off-diagonal pairs need Choi(T_x T_x') = 0, read from the Gram table of
+    ``_composite_norms``, a sum of squares that cannot cancel. Diagonal pairs
+    compare Choi(T_x T_x) with Choi(T_x) through the QR difference core,
+    stacked over outcomes with one Kraus count. No shortcut is assumed;
+    requires equal input and output dimension.
     """
     if ins.dim_in != ins.dim_out:
         raise StructureError("repeatability needs dim_in = dim_out")
-    for x, op_x in ins.outcomes.items():
-        for xp, op_xp in ins.outcomes.items():
-            if _core_norm(compose_seq(op_x, op_xp), op_x if x == xp else None) > tol.mat_eq:
+    groups = _kraus_groups(ins)
+    for rows, cols, norms in _composite_norms(groups):
+        if not np.all((norms <= tol.mat_eq) | (rows[:, None] == cols)):
+            return False
+    for idx, kraus in groups:
+        m, k, d = kraus.shape[:3]
+        for part in _chunks(m, (k * k + k) * d * d):
+            # The Kraus list of compose_seq(T_x, T_x), in its order, against T_x.
+            if not np.all(_residuals(_products(kraus[part], kraus[part]), kraus[part]) <= tol.mat_eq):
                 return False
     return True
 
@@ -129,19 +190,24 @@ class ElementaryProperty:
     """A repeatable atomic instrument together with its extracted projectors.
 
     Downstream decisions work on the projectors, read-only copies in the
-    base's outcome order, and on their effects' spectrum, computed once and
-    tied to no tolerance; audits can go back to the instrument's Choi matrices.
+    base's outcome order held in a read-only mapping, and on their effects'
+    spectrum, computed once and tied to no tolerance; audits can go back to
+    the instrument's Choi matrices.
     """
 
     base: Instrument
-    projectors: dict[str, np.ndarray]
+    projectors: Mapping[str, np.ndarray]
 
     def __post_init__(self):
         if set(self.projectors) != set(self.base.outcomes):
             raise StructureError("projector labels do not match instrument outcomes")
         mats = {label: _read_only(label, self.projectors[label]) for label in self.base.labels}
         _check_pvm(mats, self.base.dim_in, DEFAULT_TOL)
-        object.__setattr__(self, "projectors", mats)
+        object.__setattr__(self, "projectors", MappingProxyType(mats))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the property is rebuilt from a dict.
+        return _elementary, (self.base, dict(self.projectors))
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -186,22 +252,23 @@ def to_elementary(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> ElementaryP
 def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     """The extraction step of ``to_elementary``, for a square instrument whose
     repeatability and per-outcome atomicity the caller has established."""
-    projectors: dict[str, np.ndarray] = {}
-    effects = np.stack([op.effect() for op in ins.outcomes.values()])
-    v, keep = _supports(np.linalg.eigh(effects), tol)
-    for (label, op), vectors, kept in zip(ins.outcomes.items(), v, keep):
+    groups = _kraus_groups(ins)
+    v, keep = _supports(np.linalg.eigh(_effects(ins, groups)), tol)
+    stack = np.stack([vectors[:, kept] @ vectors[:, kept].conj().T for vectors, kept in zip(v, keep)])
+    residual = np.empty(len(stack))
+    for idx, kraus in groups:
+        for part in _chunks(len(idx), (1 + kraus.shape[1]) * ins.dim_in**2):
+            residual[idx[part]] = _residuals(stack[idx[part], None], kraus[part])
+    for label, kept, res in zip(ins.labels, keep, residual):
         if not kept.any():
             raise ExtractionError(f"outcome {label!r} is the zero map, it admits no verifier")
-        basis = vectors[:, kept]
-        proj = basis @ basis.conj().T
-        if choi_distance(projector_operation(proj), op) > tol.mat_eq:
+        if not res <= tol.mat_eq:
             raise ExtractionError(
                 f"outcome {label!r}: projector map does not reproduce the operation"
             )
-        proj.flags.writeable = False
-        projectors[label] = proj
+    projectors = dict(zip(ins.labels, stack))
     _check_pvm(projectors, ins.dim_in, tol, ExtractionError)
-    return _trusted(ElementaryProperty, base=ins, projectors=projectors)
+    return _elementary(ins, projectors)
 
 
 @dataclass(frozen=True)
@@ -251,14 +318,23 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
     Hermitian idempotent; the family must be pairwise orthogonal and sum to
     the identity, all within ``mat_eq``. The property keeps read-only copies.
     """
-    items = list(projectors.items() if isinstance(projectors, dict) else projectors)
+    items = list(projectors.items() if isinstance(projectors, Mapping) else projectors)
     if not items:
         raise StructureError("a PVM needs at least one projector")
     mats = {label: _read_only(label, p) for label, p in items}
     d = next(iter(mats.values())).shape[0]
     _check_pvm(mats, d, tol)
     ins = Instrument(d, d, {label: projector_operation(p) for label, p in mats.items()})
-    return _trusted(ElementaryProperty, base=ins, projectors=mats)
+    return _elementary(ins, mats)
+
+
+def _elementary(base: Instrument, projectors: dict[str, np.ndarray]) -> ElementaryProperty:
+    """An elementary property from projectors already checked against
+    ``base``, in its outcome order; the arrays are made read-only and held in
+    a read-only mapping, so no write can make the property's spectrum stale."""
+    for p in projectors.values():
+        p.flags.writeable = False
+    return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors))
 
 
 def _read_only(label: str, p) -> np.ndarray:

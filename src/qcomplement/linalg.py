@@ -89,12 +89,17 @@ def _index(value, name: str) -> int:
 
 
 # No valid Kraus, state or substochastic matrix has an entry above 1 in modulus.
-# The cap sits far above that, where the eighth power of an entry, which the
-# Frobenius norm of a Kraus-space core reaches, still fits in a double.
+# The cap sits far above that, where the eighth power of an entry still fits in
+# a double: the Frobenius norm of a Kraus-space core reaches it, and so does
+# |G|^2 of a repeatability Gram entry, tr(K^dag K K K^dag).
 _ENTRY_LIMIT = 1e30
 # The kernel's Hermitian, PSD and range checks take any finite matrix: they
 # also see derived ones, such as an effect built from capped Kraus entries.
 _FINITE = float(np.finfo(float).max)
+# The cell budget of one stacked numpy call over a variable number of items
+# (harness trials, instrument outcomes), so that peak memory does not grow
+# with the number of items.
+_CHUNK_CELLS = 2**16
 
 
 def _check_entries(arr: np.ndarray, name: str, limit: float = _ENTRY_LIMIT) -> None:
@@ -127,13 +132,14 @@ def is_hermitian(m, tol: Tolerances = DEFAULT_TOL) -> bool:
     return _is_hermitian(as_matrix(m, limit=_FINITE), tol)
 
 
-def _is_psd(arr: np.ndarray, tol: Tolerances) -> bool:
-    """``is_psd`` for a coerced matrix already known to be Hermitian."""
-    if arr.shape[0] == 0:
-        return True
+def _is_psd(arr: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``is_psd`` for each matrix of a coerced (..., d, d) stack already known
+    to be Hermitian, as a bool array of shape ``arr.shape[:-2]``; NaN fails."""
+    if arr.shape[-1] == 0:
+        return np.ones(arr.shape[:-2], dtype=bool)
     w = np.linalg.eigvalsh(arr)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return float(w[0]) >= -tol.eig_cut * scale
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1))
+    return w[..., 0] >= -tol.eig_cut * scale
 
 
 def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -144,7 +150,7 @@ def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
         raise StructureError(f"matrix must be square, got shape {arr.shape}")
     if not _is_hermitian(arr, tol):
         raise StructureError("matrix is not Hermitian within tolerance")
-    return _is_psd(arr, tol)
+    return bool(_is_psd(arr, tol))
 
 
 @dataclass(frozen=True)

@@ -78,26 +78,30 @@ def choi(op: QuantumOperation) -> ChoiMatrix:
 
 
 def _kraus_columns(kraus) -> np.ndarray:
-    """V with the row-major vec of each Kraus matrix as a column: Choi = V V^dag."""
-    return np.stack([k.reshape(-1) for k in kraus], axis=1)
+    """V with the row-major vec of each Kraus matrix as a column: Choi = V V^dag.
+    A (..., k, d_out, d_in) stack gives one V per (k, d_out, d_in) family."""
+    kraus = np.asarray(kraus)
+    return kraus.reshape(*kraus.shape[:-2], -1).swapaxes(-1, -2)
 
 
-def _choi_core(plus: QuantumOperation, minus: QuantumOperation | None = None) -> np.ndarray:
+def _choi_core(plus, minus=None) -> np.ndarray:
     """K x K core R S R^dag of Choi(plus) - Choi(minus) = Q (R S R^dag) Q^dag,
     where [V_plus | V_minus] = Q R and S = +1/-1 marks each column's side. Q has
     orthonormal columns: same Frobenius norm and nonzero spectrum, no digits
-    lost to the cancellation of a Gram-matrix identity for the squared norm."""
-    v = _kraus_columns(plus.kraus)
+    lost to the cancellation of a Gram-matrix identity for the squared norm.
+    ``plus`` and ``minus`` are Kraus families or stacks of them (one core each)."""
+    v = _kraus_columns(plus)
     if minus is None:  # S = I: R^dag R = V^dag V has the same norm and spectrum
-        return v.conj().T @ v
-    r = np.linalg.qr(np.hstack([v, _kraus_columns(minus.kraus)]), mode="r")
-    signs = np.repeat([1.0, -1.0], [len(plus.kraus), len(minus.kraus)])
-    return (r * signs) @ r.conj().T
+        return v.conj().swapaxes(-1, -2) @ v
+    w = _kraus_columns(minus)
+    r = np.linalg.qr(np.concatenate([v, w], axis=-1), mode="r")
+    signs = np.repeat([1.0, -1.0], [v.shape[-1], w.shape[-1]])
+    return (r * signs) @ r.conj().swapaxes(-1, -2)
 
 
 def _core_norm(plus: QuantumOperation, minus: QuantumOperation | None = None) -> float:
     """Frobenius norm of Choi(plus) - Choi(minus), or of Choi(plus) alone."""
-    return float(np.linalg.norm(_choi_core(plus, minus)))
+    return float(np.linalg.norm(_choi_core(plus.kraus, None if minus is None else minus.kraus)))
 
 
 def choi_distance(a: QuantumOperation, b: QuantumOperation) -> float:
@@ -121,7 +125,7 @@ def validate_operation(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> O
     """
     effect = op.effect()
     # I - E is Hermitian by construction; the coercion only checks it is finite.
-    tni = _is_psd(as_matrix(np.eye(op.dim_in) - effect, limit=_FINITE), tol)
+    tni = bool(_is_psd(as_matrix(np.eye(op.dim_in) - effect, limit=_FINITE), tol))
     tp = float(np.linalg.norm(effect - np.eye(op.dim_in))) <= tol.mat_eq
     return OperationReport(is_tni=tni, is_tp=tp)
 
@@ -132,7 +136,7 @@ def is_atomic(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> bool:
     Atomic operations sit on extremal rays of the CP cone; a Kraus list
     of mutually proportional matrices still counts as atomic.
     """
-    w = np.linalg.eigvalsh(_hermitized(_choi_core(op)))
+    w = np.linalg.eigvalsh(_hermitized(_choi_core(op.kraus)))
     top = float(w[-1])
     if top <= 0.0:
         return True

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 
 import numpy as np
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcomplement as qc
-from qcomplement.errors import PreconditionError, StructureError
-from helpers import E0, E1, proj, qutrit_fine, z_instrument
+from qcomplement import instruments
+from qcomplement.errors import ExtractionError, PreconditionError, StructureError
+from qcomplement.operations import _core_norm
+from helpers import E0, E1, PLUS, proj, qubit_x, qubit_z, qutrit_fine, traced_peak, z_instrument
 
 
 def amplitude_damping_instrument(gamma=0.3) -> qc.Instrument:
@@ -142,7 +146,10 @@ class TestCoarseGrain:
         fine = qutrit_fine().base
         part = qc.OutcomePartition({"low": ("f0", "f1"), "two": ("f2",)})
         coarse = qc.coarse_grain(fine, part)
-        assert np.allclose(coarse.total_effect(), fine.total_effect())
+        def total_effect(ins):
+            return sum(op.effect() for op in ins.outcomes.values())
+
+        assert np.allclose(total_effect(coarse), total_effect(fine))
 
 
 class TestFromPvm:
@@ -284,3 +291,314 @@ class TestRoundTrip:
             for label in prop.labels
         )
         assert worst <= 1e-8 and elapsed < 10.0, f"error {worst:.2e} in {elapsed:.1f}s"
+
+
+def loop_repeatable(ins: qc.Instrument, tol: qc.Tolerances = qc.DEFAULT_TOL) -> bool:
+    """The pairwise loop form of ``is_repeatable``, kept as its oracle."""
+    for x, op_x in ins.outcomes.items():
+        for xp, op_xp in ins.outcomes.items():
+            if not _core_norm(qc.compose_seq(op_x, op_xp), op_x if x == xp else None) <= tol.mat_eq:
+                return False
+    return True
+
+
+def loop_validate(ins: qc.Instrument, tol: qc.Tolerances = qc.DEFAULT_TOL) -> qc.InstrumentReport:
+    """The per-outcome loop form of ``validate_instrument``, kept as its oracle."""
+    problems = [
+        f"outcome {label!r} is not trace-non-increasing"
+        for label, op in ins.outcomes.items()
+        if not qc.validate_operation(op, tol).is_tni
+    ]
+    total = np.zeros((ins.dim_in, ins.dim_in), dtype=complex)
+    for op in ins.outcomes.values():
+        total += op.effect()
+    residual = float(np.linalg.norm(total - np.eye(ins.dim_in)))
+    if residual > tol.mat_eq:
+        problems.append(f"summed effect differs from identity by {residual:.3e} (limit {tol.mat_eq:.1e})")
+    return qc.InstrumentReport(not problems, residual, tuple(problems))
+
+
+def loop_extract(ins: qc.Instrument, tol: qc.Tolerances = qc.DEFAULT_TOL) -> dict:
+    """The per-outcome loop form of the extraction step, kept as its oracle:
+    the projectors, or the ``ExtractionError`` message."""
+    effects = np.stack([op.effect() for op in ins.outcomes.values()])
+    w, v = np.linalg.eigh(effects)
+    projectors = {}
+    for (label, op), vectors, kept in zip(ins.outcomes.items(), v, w >= 1.0 - tol.prob_eq):
+        if not kept.any():
+            return f"outcome {label!r} is the zero map, it admits no verifier"
+        basis = vectors[:, kept]
+        projectors[label] = basis @ basis.conj().T
+        if not qc.choi_distance(qc.projector_operation(projectors[label]), op) <= tol.mat_eq:
+            return f"outcome {label!r}: projector map does not reproduce the operation"
+    return projectors
+
+
+def composite_table(ins: qc.Instrument) -> np.ndarray:
+    """All of ``_composite_norms``'s block pairs, assembled in outcome order."""
+    n = len(ins.outcomes)
+    table = np.full((n, n), np.nan)
+    for rows, cols, norms in instruments._composite_norms(instruments._kraus_groups(ins)):
+        table[np.ix_(rows, cols)] = norms
+    return table
+
+
+def gaussian(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_instrument(rng, d: int, n: int, max_kraus: int) -> qc.Instrument:
+    """Gaussian Kraus families, a Kraus count drawn per outcome; jointly
+    normalised (a valid instrument) or not, at random."""
+    counts = rng.integers(1, max_kraus + 1, size=n)
+    raw = [gaussian(rng, (d, d)) for _ in range(counts.sum())]
+    if rng.integers(2):
+        w, v = np.linalg.eigh(sum(g.conj().T @ g for g in raw))
+        raw = [g @ ((v / np.sqrt(w)) @ v.conj().T) for g in raw]
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    return qc.Instrument(d, d, {
+        f"r{x}": qc.QuantumOperation(d, d, tuple(raw[edges[x]:edges[x + 1]])) for x in range(n)
+    })
+
+
+def perturbed_elementary(rng, seed: int, d: int, max_kraus: int, eps: float) -> qc.Instrument:
+    """A random elementary instrument, each outcome split into phased
+    proportional Kraus matrices, then each matrix moved by eps * Gaussian."""
+    ranks = qc.random_rank_profile(d, int(rng.integers(1, d + 1)), rng)
+    outcomes = {}
+    for label, p in qc.random_pvm(d, ranks, qc.SeededGenerator(seed)).projectors.items():
+        weights = rng.random(int(rng.integers(1, max_kraus + 1)))
+        weights /= weights.sum()
+        outcomes[label] = qc.QuantumOperation(d, d, tuple(
+            np.sqrt(w) * np.exp(2j * np.pi * rng.random()) * p + eps * gaussian(rng, (d, d))
+            for w in weights
+        ))
+    return qc.Instrument(d, d, outcomes)
+
+
+def measure_and_prepare(d: int, n: int, kraus: int = 16) -> qc.Instrument:
+    """Outcome x measures block x of n equal coordinate blocks and prepares a
+    fixed state in it, over ``kraus`` Kraus matrices: valid and repeatable."""
+    rng = np.random.default_rng(0)
+    size = d // n
+    outcomes = {}
+    for x in range(n):
+        psi = np.zeros(d, dtype=complex)
+        psi[x * size : (x + 1) * size] = gaussian(rng, size)
+        psi /= np.linalg.norm(psi)
+        scale = np.sqrt(size / kraus)
+        outcomes[f"x{x}"] = qc.QuantumOperation(d, d, tuple(
+            scale * np.outer(psi, np.eye(d)[x * size + j % size]) for j in range(kraus)
+        ))
+    return qc.Instrument(d, d, outcomes)
+
+
+def assert_table_matches_oracle(ins: qc.Instrument):
+    table = composite_table(ins)
+    ops = list(ins.outcomes.values())
+    oracle = np.array([[_core_norm(qc.compose_seq(a, b)) for b in ops] for a in ops])
+    assert np.all(np.abs(table - oracle) <= 1e-14 * oracle + 1e-15), (table, oracle)
+
+
+class TestRepeatabilityTable:
+    """Off-diagonal repeatability from the Gram table, diagonals from the
+    stacked QR core, against the pairwise loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), n=st.integers(1, 4),
+           max_kraus=st.integers(1, 3))
+    def test_random_instruments(self, seed, d, n, max_kraus):
+        ins = random_instrument(np.random.default_rng(seed), d, n, max_kraus)
+        assert qc.is_repeatable(ins) == loop_repeatable(ins)
+        assert_table_matches_oracle(ins)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), max_kraus=st.integers(1, 3),
+           eps=st.sampled_from([1e-12, 1e-9, 1e-8, 1e-7, 1e-6]))
+    def test_perturbed_repeatable_instruments(self, seed, d, max_kraus, eps):
+        ins = perturbed_elementary(np.random.default_rng(seed), seed, d, max_kraus, eps)
+        assert qc.is_repeatable(ins) == loop_repeatable(ins)
+        assert_table_matches_oracle(ins)
+
+    def test_perturbation_sweep_reaches_both_verdicts(self):
+        # The property above is only as strong as the verdicts it meets.
+        verdicts = {
+            eps: [loop_repeatable(perturbed_elementary(np.random.default_rng(s), s, 4, 2, eps))
+                  for s in range(5)]
+            for eps in (1e-12, 1e-6)
+        }
+        assert all(verdicts[1e-12]) and not any(verdicts[1e-6])
+
+    @pytest.mark.parametrize("cells", [1, 16, 300])
+    def test_block_pairs_and_chunks_give_the_same_answers(self, monkeypatch, cells):
+        # Small budgets split the table into many block pairs and the QR
+        # stacks into small chunks; the numbers must not depend on that.
+        rng = np.random.default_rng(cells)
+        cases = [random_instrument(rng, 3, 4, 3) for _ in range(4)]
+        cases += [perturbed_elementary(rng, s, 5, 3, 1e-9) for s in range(4)]
+        whole = [(qc.is_repeatable(ins), composite_table(ins)) for ins in cases]
+        monkeypatch.setattr(instruments, "_CHUNK_CELLS", cells)
+        for ins, (verdict, table) in zip(cases, whole):
+            assert qc.is_repeatable(ins) == verdict == loop_repeatable(ins)
+            assert np.allclose(composite_table(ins), table, rtol=1e-14, atol=1e-15)
+
+    def test_entries_at_the_cap_read_not_repeatable(self):
+        # K0 is idempotent and K1 = diag(0, 1): Choi(T_0 T_1) has norm 1e60,
+        # whose square reaches a Gram entry; nothing may overflow on the way.
+        k0 = np.array([[1.0, 1e30], [0.0, 0.0]])
+        ins = qc.Instrument(2, 2, {
+            "k0": qc.QuantumOperation(2, 2, (k0,)),
+            "k1": qc.QuantumOperation(2, 2, (np.diag([0.0, 1.0]),)),
+        })
+        with np.errstate(all="raise"):
+            assert not qc.is_repeatable(ins)
+            table = composite_table(ins)
+        assert np.all(np.isfinite(table)) and table[0, 1] == pytest.approx(1e60, rel=1e-15)
+        assert_table_matches_oracle(ins)
+
+    def test_nan_norms_fail(self, monkeypatch):
+        # Every threshold test is written so that NaN fails it.
+        ins = qubit_z().base
+        assert qc.is_repeatable(ins)
+        with monkeypatch.context() as patch:
+            table = (np.arange(2), np.arange(2), np.array([[0.0, np.nan], [0.0, 0.0]]))
+            patch.setattr(instruments, "_composite_norms", lambda groups: iter([table]))
+            assert not qc.is_repeatable(ins)
+        monkeypatch.setattr(instruments, "_residuals", lambda plus, minus: np.full(len(plus), np.nan))
+        assert not qc.is_repeatable(ins)
+
+    def test_one_matmul_for_a_rank_one_instrument_at_d48(self):
+        prop = qc.random_pvm(48, [1] * 48, qc.SeededGenerator(48))
+        assert len(list(instruments._composite_norms(instruments._kraus_groups(prop.base)))) == 1
+        assert qc.is_repeatable(prop.base)
+
+    @pytest.mark.parametrize("d, n", [(8, 2), (16, 4)])
+    def test_traced_peak_is_bounded(self, d, n):
+        # The pairwise loop peaked at 1.79 and 6.22 MiB here; one table over
+        # all outcomes at once (no blocks) at 5.0 and 24 MiB.
+        ins = measure_and_prepare(d, n)
+        assert qc.validate_instrument(ins).is_valid and loop_repeatable(ins)
+        bound = {8: 1.79, 16: 6.22}[d] * 2 * 2**20
+        assert traced_peak(lambda: qc.is_repeatable(ins)) < bound
+
+    def test_traced_peak_does_not_grow_with_outcomes(self):
+        four, eight = (traced_peak(lambda n=n: qc.is_repeatable(measure_and_prepare(16, n))) for n in (4, 8))
+        assert eight < 1.25 * four
+
+
+class TestStackedValidation:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d_in=st.integers(1, 5), d_out=st.integers(1, 5),
+           n=st.integers(1, 4), max_kraus=st.integers(1, 3), scale=st.sampled_from([0.5, 1.0, 1.2]))
+    def test_report_equals_the_loop_form(self, seed, d_in, d_out, n, max_kraus, scale):
+        # Non-square, incomplete and trace-increasing instruments included;
+        # the residual must agree bit for bit.
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, max_kraus + 1, size=n)
+        raw = [gaussian(rng, (d_out, d_in)) for _ in range(counts.sum())]
+        top = np.linalg.eigvalsh(sum(g.conj().T @ g for g in raw))[-1]
+        raw = [scale * g / np.sqrt(top) * rng.uniform(0.5, 1.5) for g in raw]
+        edges = np.concatenate(([0], np.cumsum(counts)))
+        ins = qc.Instrument(d_in, d_out, {
+            f"r{x}": qc.QuantumOperation(d_in, d_out, tuple(raw[edges[x]:edges[x + 1]])) for x in range(n)
+        })
+        report, oracle = qc.validate_instrument(ins), loop_validate(ins)
+        assert report == oracle
+        assert report.completeness_residual.hex() == oracle.completeness_residual.hex()
+
+    @pytest.mark.parametrize("split", ["kraus", "outcomes"])
+    def test_effects_add_left_to_right(self, split):
+        # Effects 1, h, h, h with h = 2**-53, half an ulp of 1: left to right,
+        # each h rounds away and the sum is 1; numpy's sum over four 1 x 1
+        # matrices pairs terms up and reads 1 + 2**-52.
+        h = 2.0**-27 * (1 + 1j)
+        mats = [np.array([[v]]) for v in (1.0, h, h, h)]
+        if split == "kraus":
+            ins = qc.Instrument(1, 1, {"a": qc.QuantumOperation(1, 1, tuple(mats))})
+        else:
+            ins = qc.Instrument(1, 1, {f"x{i}": qc.QuantumOperation(1, 1, (m,)) for i, m in enumerate(mats)})
+        assert qc.validate_instrument(ins) == loop_validate(ins)
+        assert qc.validate_instrument(ins).completeness_residual == 0.0
+
+    def test_valid_elementary_report_equals_the_loop_form(self):
+        ins = perturbed_elementary(np.random.default_rng(3), 3, 6, 3, 0.0)
+        assert qc.validate_instrument(ins) == loop_validate(ins)
+        assert qc.validate_instrument(ins).is_valid
+
+
+class TestStackedExtraction:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), max_kraus=st.integers(1, 3),
+           eps=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    def test_equals_the_loop_form(self, seed, d, max_kraus, eps):
+        ins = perturbed_elementary(np.random.default_rng(seed), seed, d, max_kraus, eps)
+        oracle = loop_extract(ins)
+        try:
+            got = dict(instruments._extract_elementary(ins, qc.DEFAULT_TOL).projectors)
+        except (ExtractionError, StructureError) as err:
+            got = str(err)
+        if isinstance(oracle, str):
+            assert got == oracle
+        elif isinstance(got, dict):  # else _check_pvm, which the loop leaves out, rejected it
+            assert list(got) == list(oracle)
+            assert all(np.array_equal(got[label], oracle[label]) for label in oracle)
+
+    def test_zero_map_is_named_before_a_later_residual(self):
+        e = np.eye(3)
+        ins = qc.Instrument(3, 3, {
+            "a": qc.QuantumOperation(3, 3, (proj(e[0]),)),
+            "zero": qc.QuantumOperation(3, 3, (np.zeros((3, 3)),)),
+            "bad": qc.QuantumOperation(3, 3, (proj(e[1]) + proj(e[2]),)),
+        })
+        with pytest.raises(ExtractionError, match="'zero' is the zero map"):
+            instruments._extract_elementary(ins, qc.DEFAULT_TOL)
+
+    def test_residual_error_names_the_first_outcome(self):
+        # Two outcomes whose effects are projectors but whose maps are not
+        # projector maps (a unitary after the projection).
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        ins = qc.Instrument(2, 2, {
+            "z0": qc.QuantumOperation(2, 2, (x @ proj(E0),)),
+            "z1": qc.QuantumOperation(2, 2, (x @ proj(E1),)),
+        })
+        with pytest.raises(ExtractionError, match="'z0': projector map does not reproduce"):
+            instruments._extract_elementary(ins, qc.DEFAULT_TOL)
+
+
+class TestReadOnlyProjectors:
+    def test_write_raises(self):
+        z = qubit_z()
+        with pytest.raises(TypeError):
+            z.projectors["z0"] = proj(PLUS)
+        with pytest.raises(TypeError):
+            del z.projectors["z1"]
+
+    @pytest.mark.parametrize("build", [
+        qubit_z,
+        lambda: qc.ElementaryProperty(z_instrument(), {"z0": proj(E0), "z1": proj(E1)}),
+        lambda: qc.to_elementary(z_instrument()),
+        lambda: qc.random_pvm(2, [1, 1], qc.SeededGenerator(5)),
+    ], ids=["from_pvm", "constructor", "extraction", "random_pvm"])
+    def test_every_construction_site(self, build):
+        prop = build()
+        with pytest.raises(TypeError):
+            prop.projectors["extra"] = np.eye(2)
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda prop: pickle.loads(pickle.dumps(prop)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_round_trips_keep_projectors_and_verdicts(self, round_trip):
+        z, x = qubit_z(), qubit_x()
+        z2 = round_trip(z)
+        assert list(z2.projectors) == list(z.projectors)
+        assert all(np.array_equal(z2.projectors[label], z.projectors[label]) for label in z.labels)
+        with pytest.raises(TypeError):
+            z2.projectors["z0"] = proj(PLUS)
+        assert qc.are_complementary(z2, x).complementary == qc.are_complementary(z, x).complementary is True
+        assert qc.pvm_commute(z2, x) == qc.pvm_commute(z, x) is False
+        relabelled = qc.from_pvm({"a": proj(E1), "b": proj(E0)})
+        assert qc.are_complementary(z2, relabelled).matched_bijection == {"z0": "b", "z1": "a"}
+
+    def test_from_pvm_takes_a_property_s_projectors(self):
+        z = qubit_z()
+        assert qc.from_pvm(z.projectors).rank_profile() == z.rank_profile()
