@@ -12,12 +12,15 @@ the phase-space point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .compatibility import HarnessReport, _case_index, _run_harness, _trial_results
 from .errors import StructureError
 from .linalg import DEFAULT_TOL, Tolerances, _check_entries, _index, _trusted
+
+if TYPE_CHECKING:
+    from .compatibility import HarnessReport
 
 
 def _as_real_matrix(m, name: str) -> np.ndarray:
@@ -28,12 +31,13 @@ def _as_real_matrix(m, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalOperation:
     """A nonnegative substochastic matrix acting on probability vectors.
 
     Nonnegativity and column sums are reported by ``validate_classical``, not
-    enforced at construction.
+    enforced at construction. ``==`` is identity; compare two operations'
+    matrices at a tolerance.
     """
 
     size_in: int
@@ -81,8 +85,11 @@ class ClassicalInstrument:
         return sum(op.matrix for op in self.outcomes.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalState:
+    """A probability vector; ``==`` is identity, so compare ``probs`` at a
+    tolerance."""
+
     size: int
     probs: np.ndarray
 
@@ -247,6 +254,8 @@ def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
     composite outcomes atomic by construction. Each trial makes its draws in
     turn; the composites and the check then run once over all trials.
     """
+    from .compatibility import _case_index, _trial_results
+
     n, pad = size, _ANCILLA
     perms, sigmas, levels, branches, outs, single, choices, draws = ([] for _ in range(8))
     for gen in gens:
@@ -313,5 +322,9 @@ def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
 def classical_theorem_harness(
     seed: int, size: int, trials: int, tol: Tolerances = DEFAULT_TOL
 ) -> HarnessReport:
-    """Random check of the verifier-inclusion theorem in classical theory."""
+    """Random check of the verifier-inclusion theorem in classical theory.
+    The harness driver lives in ``compatibility``, which is imported here so
+    that the rest of this module loads without it."""
+    from .compatibility import _run_harness
+
     return _run_harness("classical", _classical_batch, seed, size, trials, tol)

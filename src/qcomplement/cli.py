@@ -5,6 +5,10 @@ Verdicts double as exit codes so property sweeps can be shell-scripted:
 incompatible pair, harness violations), 2 a structural or schema error.
 ``--tol`` scales the matrix-equality and probability thresholds together by
 one factor; ``--json`` switches reports to a versioned JSON schema.
+
+A subcommand imports only the modules its verdict needs: the decision
+modules are imported inside the ``_cmd_*`` functions that call them, so a
+short-lived process does not pay for the rest.
 """
 
 from __future__ import annotations
@@ -16,17 +20,6 @@ import sys
 from functools import cache
 from itertools import chain
 
-from .classical import (
-    classical_is_elementary,
-    classical_theorem_harness,
-    validate_classical,
-)
-from .compatibility import (
-    pvm_commute,
-    verifier_inclusion_harness,
-    verify_witness,
-)
-from .complementarity import are_complementary, classify_relation
 from .errors import (
     DegenerateSeedError,
     ExtractionError,
@@ -51,7 +44,6 @@ from .serialize import (
     model_to_dict,
     state_to_dict,
 )
-from .verifiers import instrument_verifier_report, verifier_support
 
 
 def _load(path: str, kinds: tuple[str, ...]) -> ModelFile:
@@ -83,8 +75,18 @@ def _cmd_validate(args, tol: Tolerances) -> tuple[int, dict]:
         report = validate_instrument(model.value, tol)
         valid, problems = report.is_valid, list(report.problems)
     elif model.kind == "classical-instrument":
+        from .classical import validate_classical
+
         report = validate_classical(model.value, tol)
         valid, problems = report.is_valid, list(report.problems)
+    elif model.kind == "witness":
+        # The realisation C and each post-processing instrument, each problem
+        # prefixed with where it was found.
+        w = model.value
+        parts = [("C", w.c), *((f"post {z!r}", ins) for z, ins in w.post.items())]
+        problems = [f"{where}: {problem}" for where, ins in parts
+                    for problem in validate_instrument(ins, tol).problems]
+        valid = not problems
     else:
         valid, problems = True, []
     out = {
@@ -99,6 +101,8 @@ def _cmd_validate(args, tol: Tolerances) -> tuple[int, dict]:
 def _cmd_classify(args, tol: Tolerances) -> tuple[int, dict]:
     model = _load(args.file, ("quantum-instrument", "classical-instrument"))
     if model.kind == "classical-instrument":
+        from .classical import classical_is_elementary, validate_classical
+
         report = validate_classical(model.value, tol)
         elementary, canonical = (
             classical_is_elementary(model.value, tol)
@@ -139,6 +143,8 @@ def _cmd_classify(args, tol: Tolerances) -> tuple[int, dict]:
 
 
 def _cmd_verifiers(args, tol: Tolerances) -> tuple[int, dict]:
+    from .verifiers import instrument_verifier_report, verifier_support
+
     model = _load(args.file, ("quantum-instrument",))
     ins: Instrument = model.value
     if args.outcome not in ins.outcomes:
@@ -171,6 +177,8 @@ def _cmd_verifiers(args, tol: Tolerances) -> tuple[int, dict]:
 
 
 def _cmd_comp(args, tol: Tolerances) -> tuple[int, dict]:
+    from .complementarity import classify_relation
+
     p, p_ins = _elementary(args.p, tol)
     q, q_ins = _elementary(args.q, tol)
     report = classify_relation(p, q, tol)
@@ -187,6 +195,9 @@ def _cmd_comp(args, tol: Tolerances) -> tuple[int, dict]:
 
 
 def _cmd_compat(args, tol: Tolerances) -> tuple[int, dict]:
+    from .compatibility import pvm_commute
+    from .complementarity import are_complementary
+
     p, p_ins = _elementary(args.p, tol)
     q, q_ins = _elementary(args.q, tol)
     report = are_complementary(p, q, tol)
@@ -204,6 +215,8 @@ def _cmd_compat(args, tol: Tolerances) -> tuple[int, dict]:
 
 
 def _cmd_witness(args, tol: Tolerances) -> tuple[int, dict]:
+    from .compatibility import verify_witness
+
     t = _load(args.t, ("quantum-instrument",)).value
     g = _load(args.g, ("quantum-instrument",)).value
     w = _load(args.w, ("witness",)).value
@@ -221,9 +234,10 @@ def _cmd_witness(args, tol: Tolerances) -> tuple[int, dict]:
 
 def _cmd_harness(args, tol: Tolerances) -> tuple[int, dict]:
     if args.theory == "quantum":
-        report = verifier_inclusion_harness(args.seed, args.dim, args.trials, tol)
+        from .compatibility import verifier_inclusion_harness as harness
     else:
-        report = classical_theorem_harness(args.seed, args.dim, args.trials, tol)
+        from .classical import classical_theorem_harness as harness
+    report = harness(args.seed, args.dim, args.trials, tol)
     out = {
         "command": "harness",
         "theory": report.theory,

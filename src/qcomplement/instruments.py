@@ -185,14 +185,15 @@ def is_repeatable(ins: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementaryProperty:
     """A repeatable atomic instrument together with its extracted projectors.
 
     Downstream decisions work on the projectors, read-only copies in the
     base's outcome order held in a read-only mapping, and on their effects'
     spectrum, computed once and tied to no tolerance; audits can go back to
-    the instrument's Choi matrices.
+    the instrument's Choi matrices. ``==`` is identity: two properties are
+    equal when their outcome maps are, by ``choi_distance`` at a tolerance.
     """
 
     base: Instrument

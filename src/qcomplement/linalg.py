@@ -153,12 +153,13 @@ def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(_is_psd(arr, tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^ambient_dim given by an orthonormal basis.
 
     ``basis`` has shape ``(ambient_dim, dim)``; a zero-column basis denotes
-    the trivial subspace.
+    the trivial subspace. ``==`` is identity; ``subspace_relation`` compares
+    two subspaces at a tolerance.
     """
 
     ambient_dim: int

@@ -19,13 +19,15 @@ from .errors import StructureError
 from .linalg import _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_hermitian, _is_psd, _trusted, as_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumOperation:
     """A CP trace-non-increasing map held as Kraus matrices.
 
     Each Kraus matrix has shape ``(dim_out, dim_in)``. The zero map is
     representable as a list containing one zero matrix. Trace-non-increase
     is not enforced at construction; ``validate_operation`` reports it.
+    ``==`` is identity: two maps are equal when their ``choi_distance`` is
+    within a tolerance, which no Kraus-wise comparison can decide.
     """
 
     dim_in: int
@@ -56,8 +58,11 @@ class QuantumOperation:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
+    """The Choi matrix of a map; ``==`` is identity, and two maps are
+    equal when their ``choi_distance`` is within a tolerance."""
+
     dim_in: int
     dim_out: int
     matrix: np.ndarray
@@ -147,13 +152,14 @@ def _hermitized(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
     """A density operator, possibly on a composite system.
 
     ``dims`` lists the tensor factors in kron order; ``matrix`` acts on the
     full product space. Validated at construction: Hermitian, PSD within
     ``eig_cut`` and unit trace within ``prob_eq`` (package defaults).
+    ``==`` is identity; compare two states' matrices at a tolerance.
     """
 
     dims: tuple[int, ...]

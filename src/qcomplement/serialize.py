@@ -12,15 +12,18 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .classical import ClassicalInstrument, ClassicalOperation
-from .compatibility import ExclusionWitness
 from .errors import ModelParseError, SchemaError
 from .instruments import Instrument
 from .linalg import _ENTRY_LIMIT
 from .operations import DensityState, QuantumOperation, pure_state
+
+if TYPE_CHECKING:
+    from .classical import ClassicalInstrument
+    from .compatibility import ExclusionWitness
 
 SCHEMA_VERSION = "qcomplement/2"
 
@@ -196,6 +199,8 @@ def classical_instrument_to_dict(ins: ClassicalInstrument) -> dict:
 
 
 def classical_instrument_from_dict(data, path: str = "$") -> ClassicalInstrument:
+    from .classical import ClassicalInstrument, ClassicalOperation
+
     _expect(isinstance(data, dict), "instrument must be an object", path)
     _expect(data.get("type", "classical") == "classical", "'type' must be 'classical'", f"{path}.type")
     size_in = _expect_count(data, "size_in", path)
@@ -252,6 +257,8 @@ def witness_to_dict(w: ExclusionWitness) -> dict:
 
 
 def witness_from_dict(data, path: str = "$") -> ExclusionWitness:
+    from .compatibility import ExclusionWitness
+
     _expect(isinstance(data, dict), "witness must be an object", path)
     _expect(isinstance(data.get("C"), dict), "missing realisation instrument 'C'", f"{path}.C")
     dims_out = data["C"].get("dims_out")
@@ -294,18 +301,23 @@ _PARSERS = {
     "witness": witness_from_dict,
 }
 
-_SERIALIZERS = {
-    Instrument: ("quantum-instrument", instrument_to_dict),
-    ClassicalInstrument: ("classical-instrument", classical_instrument_to_dict),
-    DensityState: ("state", state_to_dict),
-    ExclusionWitness: ("witness", witness_to_dict),
-}
-
 
 def model_to_dict(value) -> dict:
-    for cls, (kind, serializer) in _SERIALIZERS.items():
-        if isinstance(value, cls):
-            return {"kind": kind, **serializer(value)}
+    """``value`` as a model document. Each type's module is imported only
+    when the types tested before it do not match, so a quantum instrument or
+    a state loads neither ``classical`` nor ``compatibility``."""
+    if isinstance(value, Instrument):
+        return {"kind": "quantum-instrument", **instrument_to_dict(value)}
+    if isinstance(value, DensityState):
+        return {"kind": "state", **state_to_dict(value)}
+    from .classical import ClassicalInstrument
+
+    if isinstance(value, ClassicalInstrument):
+        return {"kind": "classical-instrument", **classical_instrument_to_dict(value)}
+    from .compatibility import ExclusionWitness
+
+    if isinstance(value, ExclusionWitness):
+        return {"kind": "witness", **witness_to_dict(value)}
     raise TypeError(f"cannot serialise {type(value).__name__} as a model")
 
 

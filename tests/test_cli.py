@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -66,6 +67,34 @@ class TestValidate:
 
     def test_missing_file_is_structural(self, capsys):
         assert main(["validate", "/nonexistent/thing.json"]) == 2
+
+    def test_witness(self, capsys):
+        code, out = run_json(capsys, ["--json", "validate", str(MODELS / "z_self_witness.json")])
+        assert code == 0 and out["valid"] is True and out["problems"] == []
+
+    def test_trace_increasing_witness_realisation(self, tmp_path, capsys):
+        # C's first outcome times 3 is trace-increasing; the witness used to
+        # validate as true because only instruments were checked.
+        doc = json.loads((MODELS / "z_self_witness.json").read_text())
+        kraus = doc["C"]["outcomes"][0]["kraus"]
+        kraus[0] = (3 * np.array(kraus[0])).tolist()
+        path = tmp_path / "bad_witness.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["--json", "validate", str(path)])
+        assert code == 1 and out["valid"] is False
+        assert out["problems"] == [
+            "C: outcome 'z0' is not trace-non-increasing",
+            "C: summed effect differs from identity by 8.000e+00 (limit 1.0e-08)",
+        ]
+
+    def test_incomplete_witness_post_processing(self, tmp_path, capsys):
+        doc = json.loads((MODELS / "z_self_witness.json").read_text())
+        doc["post"]["z1"]["outcomes"].pop()
+        path = tmp_path / "bad_post.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["--json", "validate", str(path)])
+        assert code == 1 and out["valid"] is False
+        assert out["problems"] and all(p.startswith("post 'z1': ") for p in out["problems"])
 
 
 class TestClassify:
@@ -382,3 +411,92 @@ def test_closed_stdout_keeps_the_verdict(tmp_path):
         code = child.wait(timeout=120)
     assert first == b"{"
     assert code == 0 and "Traceback" not in stderr
+
+
+# Runs ``python -m qcomplement <argv>`` in this child through runpy, then
+# prints the package's loaded submodules as the last line of stdout.
+_LOADED_AFTER_MAIN = """
+import json, runpy, sys
+sys.argv = ["qcomplement", *sys.argv[1:]]
+try:
+    runpy.run_module("qcomplement", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("qcomplement."))))
+"""
+_LOADED_AFTER_IMPORT = """
+import json, sys
+import qcomplement
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("qcomplement."))))
+"""
+# The modules no quantum validate or classify needs.
+DEFERRED = {"classical", "compatibility", "complementarity", "sampling", "verifiers"}
+
+
+def _loaded(code: str, *argv: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(qc.__file__).resolve().parents[1])}
+    child = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return {name.removeprefix("qcomplement.")
+            for name in json.loads(child.stdout.splitlines()[-1])}
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    (["validate", Z_MODEL], set(), DEFERRED),
+    (["classify", Z_MODEL], set(), DEFERRED),
+    (["--json", "validate", "/nonexistent/thing.json"], set(), DEFERRED),
+    (["comp", Z_MODEL, X_MODEL], {"complementarity"}, {"compatibility", "classical", "sampling"}),
+    (["validate", str(MODELS / "classical_bit.json")], {"classical"}, {"compatibility"}),
+], ids=["validate", "classify", "missing-file", "comp", "validate-classical"])
+def test_subcommand_loads_only_what_it_uses(argv, loads, skips):
+    loaded = _loaded(_LOADED_AFTER_MAIN, *argv)
+    assert {"cli", "serialize"} | loads <= loaded
+    assert not loaded & skips
+
+
+def test_import_loads_no_submodule():
+    assert _loaded(_LOADED_AFTER_IMPORT) == set()
+
+
+PUBLIC_NAMES = [
+    "ChoiMatrix", "ClassicalInstrument", "ClassicalOperation", "ClassicalState",
+    "ComplementarityReport", "DEFAULT_TOL", "DegenerateSeedError", "DegreeKind",
+    "DegreeVerdict", "DensityState", "ElementaryProperty", "ExclusionWitness",
+    "ExtractionError", "HarnessReport", "Instrument", "InstrumentReport", "ModelFile",
+    "ModelParseError", "OperationReport", "OutcomePartition", "PreconditionError",
+    "QuantumOperation", "SchemaError", "SeededGenerator", "StructureError", "Subspace",
+    "SubspaceRelation", "Tolerances", "VerifierReport", "WitnessReport", "apply",
+    "are_compatible_elementary", "are_complementary", "basis_state", "canonical_verifier",
+    "choi", "choi_distance", "classical_is_elementary", "classical_theorem_harness",
+    "classical_verifier_checks", "classify_relation", "coarse_grain", "coarse_grain_ops",
+    "compose_seq", "degree_for_verifier", "fine_grained_instrument", "from_pvm",
+    "haar_unitary", "identity_operation", "instrument_from_operations",
+    "instrument_verifier_report", "is_atomic", "is_psd", "is_repeatable",
+    "is_strong_verifier", "is_verifier", "maximally_mixed", "model_to_dict",
+    "outcome_entropy", "point_mass", "postprocessing_witness", "projector_operation",
+    "pure_state", "pvm_commute", "random_density", "random_instrument", "random_pvm",
+    "random_rank_profile", "range_subspace", "self_witness", "subspace_contained",
+    "subspace_relation", "to_elementary", "trace_out_ancilla", "validate_classical",
+    "validate_instrument", "validate_operation", "verifier_inclusion_harness",
+    "verifier_points", "verifier_support", "verify_witness", "zero_operation",
+]
+
+
+class TestPackageNamespace:
+    def test_public_names_are_pinned(self):
+        assert sorted(qc.__all__) == PUBLIC_NAMES
+        assert set(PUBLIC_NAMES) <= set(dir(qc))
+
+    def test_each_name_is_its_submodule_attribute(self):
+        for name in PUBLIC_NAMES:
+            module = importlib.import_module(f"qcomplement.{qc._EXPORTS[name]}")
+            assert getattr(qc, name) is getattr(module, name), name
+
+    def test_submodules_resolve(self):
+        for name in sorted(set(qc._EXPORTS.values())):
+            assert getattr(qc, name) is importlib.import_module(f"qcomplement.{name}")
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qc.no_such_name  # noqa: B018

@@ -602,3 +602,36 @@ class TestReadOnlyProjectors:
     def test_from_pvm_takes_a_property_s_projectors(self):
         z = qubit_z()
         assert qc.from_pvm(z.projectors).rank_profile() == z.rank_profile()
+
+
+# Values that hold arrays, each built twice from the same inputs: separately
+# built values hold equal arrays in distinct objects. Leaves compare by
+# identity; the containers compare their fields, which are leaves.
+LEAVES = {
+    "QuantumOperation": lambda: qc.projector_operation(proj(E0)),
+    "ChoiMatrix": lambda: qc.choi(qc.projector_operation(proj(E0))),
+    "DensityState": lambda: qc.basis_state(2, 0),
+    "ElementaryProperty": qubit_z,
+    "Subspace": lambda: qc.range_subspace(proj(E0)),
+    "ClassicalOperation": lambda: qc.fine_grained_instrument(2).outcomes["x0"],
+    "ClassicalState": lambda: qc.point_mass(2, 0),
+}
+CONTAINERS = {
+    "Instrument": z_instrument,
+    "ExclusionWitness": lambda: qc.self_witness(z_instrument()),
+    "ComplementarityReport": lambda: qc.are_complementary(qubit_z(), qubit_x()),
+}
+
+
+@pytest.mark.parametrize("build", [*LEAVES.values(), *CONTAINERS.values()],
+                         ids=[*LEAVES, *CONTAINERS])
+def test_equality_of_array_holding_values_is_a_bool(build):
+    a, b = build(), build()
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True
+
+
+@pytest.mark.parametrize("build", LEAVES.values(), ids=list(LEAVES))
+def test_array_holding_leaves_hash_by_identity(build):
+    a = build()
+    assert hash(a) == hash(a) and len({a, build()}) == 2
