@@ -60,8 +60,11 @@ print("supported state fixed point:", qc.is_strong_verifier(op, supported))
 # The verifier set in one object: the eigenvalue-1 eigenspace of the effect.
 support = qc.verifier_support(op)
 print("verifier support dimension:", support.dim)
-inside = qc.range_subspace(supported.matrix)
-print("state range inside support:", qc.subspace_contained(inside, support))
+# The state's range lies inside the support iff projecting onto the support
+# keeps the norm of every vector of a range basis.
+inside = qc.range_subspace(supported.matrix).basis
+kept = np.linalg.norm(support.basis.conj().T @ inside, axis=0)
+print("state range inside support:", bool(np.all(kept >= 1 - 1e-8)))
 
 flat = qc.QuantumOperation(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2),))
 print("effect I/2 has verifiers:", qc.verifier_support(flat).dim > 0)

@@ -39,8 +39,7 @@ _EXPORTS = {
             "to_elementary", "validate_instrument",
         ),
         "linalg": (
-            "DEFAULT_TOL", "Subspace", "SubspaceRelation", "Tolerances", "is_psd",
-            "range_subspace", "subspace_contained", "subspace_relation",
+            "DEFAULT_TOL", "Subspace", "Tolerances", "is_psd", "range_subspace",
         ),
         "operations": (
             "ChoiMatrix", "DensityState", "OperationReport", "QuantumOperation", "apply",

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain
 
 from .errors import (
     DegenerateSeedError,
@@ -41,7 +40,6 @@ from .serialize import (
     ModelFile,
     matrix_to_lists,
     model_from_path,
-    model_to_dict,
     state_to_dict,
 )
 
@@ -54,8 +52,7 @@ def _load(path: str, kinds: tuple[str, ...]) -> ModelFile:
 
 
 def _elementary(path: str, tol: Tolerances):
-    model = _load(path, ("quantum-instrument",))
-    return to_elementary(model.value, tol), model.value
+    return to_elementary(_load(path, ("quantum-instrument",)).value, tol)
 
 
 def _degree_table_dict(table) -> dict:
@@ -89,12 +86,7 @@ def _cmd_validate(args, tol: Tolerances) -> tuple[int, dict]:
         valid = not problems
     else:
         valid, problems = True, []
-    out = {
-        "command": "validate",
-        "valid": valid,
-        "problems": problems,
-        "model": model_to_dict(model.value),
-    }
+    out = {"command": "validate", "valid": valid, "problems": problems}
     return (0 if valid else 1), out
 
 
@@ -114,7 +106,6 @@ def _cmd_classify(args, tol: Tolerances) -> tuple[int, dict]:
             "valid": report.is_valid,
             "elementary": bool(elementary),
             "canonical_order": list(canonical.labels) if canonical else None,
-            "model": model_to_dict(model.value),
         }
         return (0 if report.is_valid and elementary else 1), out
 
@@ -137,7 +128,6 @@ def _cmd_classify(args, tol: Tolerances) -> tuple[int, dict]:
         "atomic": atomic,
         "elementary": elementary,
         "projector_ranks": ranks,
-        "model": model_to_dict(ins),
     }
     return (0 if elementary else 1), out
 
@@ -158,14 +148,12 @@ def _cmd_verifiers(args, tol: Tolerances) -> tuple[int, dict]:
         "outcome": args.outcome,
         "support_dimension": support.dim,
         "support_basis": matrix_to_lists(support.basis.T),
-        "model": model_to_dict(ins),
     }
     if args.state is None:
         return 0, out
     state_model = _load(args.state, ("state",))
     state: DensityState = state_model.value
     report = instrument_verifier_report(ins, state, tol)
-    out["state"] = state_to_dict(state)
     out["verifier_report"] = {
         "outcome": report.outcome,
         "probability": report.probability,
@@ -179,8 +167,7 @@ def _cmd_verifiers(args, tol: Tolerances) -> tuple[int, dict]:
 def _cmd_comp(args, tol: Tolerances) -> tuple[int, dict]:
     from .complementarity import classify_relation
 
-    p, p_ins = _elementary(args.p, tol)
-    q, q_ins = _elementary(args.q, tol)
+    p, q = _elementary(args.p, tol), _elementary(args.q, tol)
     report = classify_relation(p, q, tol)
     out = {
         "command": "comp",
@@ -189,7 +176,6 @@ def _cmd_comp(args, tol: Tolerances) -> tuple[int, dict]:
         "witness": state_to_dict(report.witness) if report.witness is not None else None,
         "degree_table": _degree_table_dict(report.degree_table),
         "reverse_degree_table": _degree_table_dict(report.reverse_degree_table),
-        "models": [model_to_dict(p_ins), model_to_dict(q_ins)],
     }
     return (0 if report.complementary else 1), out
 
@@ -198,8 +184,7 @@ def _cmd_compat(args, tol: Tolerances) -> tuple[int, dict]:
     from .compatibility import pvm_commute
     from .complementarity import are_complementary
 
-    p, p_ins = _elementary(args.p, tol)
-    q, q_ins = _elementary(args.q, tol)
+    p, q = _elementary(args.p, tol), _elementary(args.q, tol)
     report = are_complementary(p, q, tol)
     # Elementary properties are weakly compatible iff not complementary.
     compatible = not report.complementary
@@ -209,7 +194,6 @@ def _cmd_compat(args, tol: Tolerances) -> tuple[int, dict]:
         "complementary": report.complementary,
         "pvm_commute": pvm_commute(p, q, tol),
         "bijection": report.matched_bijection,
-        "models": [model_to_dict(p_ins), model_to_dict(q_ins)],
     }
     return (0 if compatible else 1), out
 
@@ -262,7 +246,7 @@ def _print_human(out: dict):
             print(f"{prefix.rstrip('.')}: {_short(value)}")
 
     for key, value in out.items():
-        if key in ("model", "models", "support_basis", "witness", "state", "cases"):
+        if key in ("support_basis", "witness", "cases"):
             continue
         emit(f"{key}.", value)
 
@@ -275,31 +259,15 @@ def _short(value):
     return value
 
 
-def _holds_object(items: list) -> bool:
-    """True iff a dict sits at some depth of the nested list ``items``;
-    each level is one scan of the level's types."""
-    while items:
-        types = set(map(type, items))
-        if dict in types:
-            return True
-        if list not in types:
-            return False
-        if types != {list}:
-            items = [x for x in items if type(x) is list]
-        items = list(chain.from_iterable(items))
-    return False
-
-
 def _dumps(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``, except that a list holding no object
-    (a matrix, a vector, a list of labels) prints on one line through the C
-    encoder. Reports hold only string keys, dicts, lists and scalars."""
+    """``json.dumps(value, indent=2)``, except that every list (a matrix, a
+    vector, labels, harness cases) prints on one line through the C encoder.
+    Reports hold only string keys, dicts, lists and scalars, and no list
+    holds a dict."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = (f"{inner}{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items())
         return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if isinstance(value, list) and _holds_object(value):
-        return "[\n" + ",\n".join(inner + _dumps(v, inner) for v in value) + f"\n{indent}]"
     return json.dumps(value)
 
 

@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: eigendecomposition, PSD tests, and subspace
-(range) comparison.
+"""Dense complex-matrix kernel: eigendecomposition, PSD tests, verifier
+supports and column spaces.
 
 Every decision procedure in the package reduces to the primitives here, so the
 tolerance semantics are fixed in one place:
@@ -8,9 +8,7 @@ tolerance semantics are fixed in one place:
 * every verifier support a decision reads is an effect's eigenvalue
   >= ``1 - prob_eq`` eigenspace, cut by ``_supports`` from a spectrum tied to
   no tolerance (an elementary property computes its own once),
-* PSD tests tolerate eigenvalues down to ``-eig_cut * max(1, spectral norm)``,
-* subspace comparison uses principal angles rather than projector differences,
-  which is stabler for near-degenerate bases.
+* PSD tests tolerate eigenvalues down to ``-eig_cut * max(1, spectral norm)``.
 
 Input is validated once, where it enters the package: public constructors run
 their checks, while values the package derives from already-checked values are
@@ -19,7 +17,6 @@ assembled with ``_trusted`` and skip them.
 
 from __future__ import annotations
 
-import enum
 import operator
 from dataclasses import dataclass
 
@@ -54,14 +51,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-class SubspaceRelation(enum.Enum):
-    EQUAL = "equal"
-    A_INSIDE_B = "a-inside-b"
-    B_INSIDE_A = "b-inside-a"
-    OVERLAPPING = "overlapping"
-    ORTHOGONAL = "orthogonal"
 
 
 def _trusted(cls, **fields):
@@ -158,8 +147,7 @@ class Subspace:
     """A subspace of C^ambient_dim given by an orthonormal basis.
 
     ``basis`` has shape ``(ambient_dim, dim)``; a zero-column basis denotes
-    the trivial subspace. ``==`` is identity; ``subspace_relation`` compares
-    two subspaces at a tolerance.
+    the trivial subspace. ``==`` is identity.
     """
 
     ambient_dim: int
@@ -181,15 +169,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def contains_vector(self, v, tol: Tolerances = DEFAULT_TOL) -> bool:
-        vec = np.asarray(v, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            return True
-        if self.dim == 0:
-            return False
-        return float(np.linalg.norm(self.basis.conj().T @ vec)) >= (1.0 - tol.mat_eq) * norm
 
 
 def _supports(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -213,41 +192,3 @@ def range_subspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     else:
         rank = int(np.count_nonzero(s > tol.eig_cut * s[0]))
     return _trusted(Subspace, ambient_dim=arr.shape[0], basis=u[:, :rank])
-
-
-def subspace_relation(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> SubspaceRelation:
-    """Classify how two subspaces of the same ambient space relate.
-
-    Containment is decided by principal angles: a subspace lies inside the
-    other when projecting each of its basis vectors onto the other preserves
-    norm within ``mat_eq``. ``ORTHOGONAL`` requires all cross inner products
-    at most ``mat_eq``.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise StructureError(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    if a.dim == 0 and b.dim == 0:
-        return SubspaceRelation.EQUAL
-    if a.dim == 0:
-        return SubspaceRelation.A_INSIDE_B
-    if b.dim == 0:
-        return SubspaceRelation.B_INSIDE_A
-    cross = a.basis.conj().T @ b.basis
-    a_in_b = bool(np.all(np.linalg.norm(cross, axis=1) >= 1.0 - tol.mat_eq))
-    b_in_a = bool(np.all(np.linalg.norm(cross, axis=0) >= 1.0 - tol.mat_eq))
-    if a_in_b and b_in_a:
-        return SubspaceRelation.EQUAL
-    if a_in_b:
-        return SubspaceRelation.A_INSIDE_B
-    if b_in_a:
-        return SubspaceRelation.B_INSIDE_A
-    if float(np.max(np.abs(cross))) <= tol.mat_eq:
-        return SubspaceRelation.ORTHOGONAL
-    return SubspaceRelation.OVERLAPPING
-
-
-def subspace_contained(inner: Subspace, outer: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff ``inner`` is contained in ``outer`` (equality included)."""
-    rel = subspace_relation(inner, outer, tol)
-    return rel in (SubspaceRelation.EQUAL, SubspaceRelation.A_INSIDE_B)

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from .classical import ClassicalInstrument
     from .compatibility import ExclusionWitness
 
-SCHEMA_VERSION = "qcomplement/2"
+SCHEMA_VERSION = "qcomplement/3"
 
 
 def matrix_to_lists(m) -> list[list[list[float]]]:

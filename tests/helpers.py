@@ -1,10 +1,12 @@
 """Shared fixtures-in-plain-functions for the test suite."""
 
+import enum
 import tracemalloc
 
 import numpy as np
 
 import qcomplement as qc
+from qcomplement.errors import StructureError
 
 
 def proj(vec) -> np.ndarray:
@@ -77,3 +79,57 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# An independent subspace oracle: principal-angle comparison of orthonormal
+# bases (``qc.Subspace``), which no decision of the package reads.
+class SubspaceRelation(enum.Enum):
+    EQUAL = "equal"
+    A_INSIDE_B = "a-inside-b"
+    B_INSIDE_A = "b-inside-a"
+    OVERLAPPING = "overlapping"
+    ORTHOGONAL = "orthogonal"
+
+
+def contains_vector(sub: qc.Subspace, v, tol=qc.DEFAULT_TOL) -> bool:
+    """True iff projecting ``v`` onto ``sub`` keeps its norm within ``mat_eq``."""
+    vec = np.asarray(v, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        return True
+    if sub.dim == 0:
+        return False
+    return float(np.linalg.norm(sub.basis.conj().T @ vec)) >= (1.0 - tol.mat_eq) * norm
+
+
+def subspace_relation(a: qc.Subspace, b: qc.Subspace, tol=qc.DEFAULT_TOL) -> SubspaceRelation:
+    """How two subspaces of one ambient space relate. One lies inside the
+    other when projecting each of its basis vectors onto the other keeps the
+    norm within ``mat_eq``; ``ORTHOGONAL`` needs every cross inner product at
+    most ``mat_eq``."""
+    if a.ambient_dim != b.ambient_dim:
+        raise StructureError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
+    if a.dim == 0 and b.dim == 0:
+        return SubspaceRelation.EQUAL
+    if a.dim == 0:
+        return SubspaceRelation.A_INSIDE_B
+    if b.dim == 0:
+        return SubspaceRelation.B_INSIDE_A
+    cross = a.basis.conj().T @ b.basis
+    a_in_b = bool(np.all(np.linalg.norm(cross, axis=1) >= 1.0 - tol.mat_eq))
+    b_in_a = bool(np.all(np.linalg.norm(cross, axis=0) >= 1.0 - tol.mat_eq))
+    if a_in_b and b_in_a:
+        return SubspaceRelation.EQUAL
+    if a_in_b:
+        return SubspaceRelation.A_INSIDE_B
+    if b_in_a:
+        return SubspaceRelation.B_INSIDE_A
+    if float(np.max(np.abs(cross))) <= tol.mat_eq:
+        return SubspaceRelation.ORTHOGONAL
+    return SubspaceRelation.OVERLAPPING
+
+
+def subspace_contained(inner: qc.Subspace, outer: qc.Subspace, tol=qc.DEFAULT_TOL) -> bool:
+    """True iff ``inner`` lies in ``outer`` (equality included)."""
+    rel = subspace_relation(inner, outer, tol)
+    return rel in (SubspaceRelation.EQUAL, SubspaceRelation.A_INSIDE_B)

@@ -11,7 +11,16 @@ import numpy as np
 import qcomplement as qc
 from qcomplement import DegreeKind
 from qcomplement.errors import PreconditionError
-from helpers import qubit_x, qubit_z, qutrit_basis_proj, qutrit_fine, qutrit_pm2
+from helpers import (
+    SubspaceRelation,
+    contains_vector,
+    qubit_x,
+    qubit_z,
+    qutrit_basis_proj,
+    qutrit_fine,
+    qutrit_pm2,
+    subspace_relation,
+)
 
 
 def verdict(num: int, ok: bool, detail: str):
@@ -50,16 +59,16 @@ def test_criterion_02_qutrit_coarse_graining_caveat():
         sub_z = qc.verifier_support(coarse_z[label])
         sub_pm = qc.verifier_support(coarse_pm[label])
         supports_match &= (
-            qc.subspace_relation(sub_z, sub_pm) is qc.SubspaceRelation.EQUAL
+            subspace_relation(sub_z, sub_pm) is SubspaceRelation.EQUAL
         )
     low = qc.verifier_support(coarse_z["low"])
     two = qc.verifier_support(coarse_z["two"])
     explicit = (
         low.dim == 2
-        and low.contains_vector([1, 0, 0])
-        and low.contains_vector([0, 1, 0])
+        and contains_vector(low, [1, 0, 0])
+        and contains_vector(low, [0, 1, 0])
         and two.dim == 1
-        and two.contains_vector([0, 0, 1])
+        and contains_vector(two, [0, 0, 1])
     )
 
     rejected = 0

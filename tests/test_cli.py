@@ -12,7 +12,7 @@ import pytest
 import qcomplement as qc
 from qcomplement.cli import main
 from qcomplement.compatibility import _HARNESS_DIM_LIMIT
-from qcomplement.serialize import model_from_text, model_to_dict
+from qcomplement.serialize import model_to_dict
 from helpers import PLUS, qubit_x, qutrit_basis_proj, qutrit_fine, z_instrument
 
 
@@ -51,7 +51,7 @@ class TestValidate:
     def test_valid_instrument(self, models, capsys):
         code, out = run_json(capsys, ["--json", "validate", models["z"]])
         assert code == 0 and out["valid"] is True
-        assert out["schema"] == "qcomplement/2"
+        assert out["schema"] == "qcomplement/3"
 
     def test_invalid_instrument(self, tmp_path, capsys):
         doc = model_to_dict(z_instrument())
@@ -104,13 +104,6 @@ class TestClassify:
         assert out["valid"] and out["repeatable"] and out["elementary"]
         assert out["projector_ranks"] == {"z0": 1, "z1": 1}
 
-    def test_echoed_model_reparses_choi_equal(self, models, capsys):
-        code, out = run_json(capsys, ["--json", "classify", models["z"]])
-        back = model_from_text(json.dumps(out["model"])).value
-        ins = z_instrument()
-        for label in ins.labels:
-            assert qc.choi_distance(back[label], ins[label]) <= 1e-12
-
     def test_non_elementary_exits_one(self, tmp_path, capsys):
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         ins = qc.instrument_from_operations([("u", qc.QuantumOperation(2, 2, (x,)))])
@@ -151,7 +144,7 @@ class TestVerifiers:
         report = out["verifier_report"]
         assert report["is_verifier"] and report["outcome"] == "z0"
         assert list(report) == ["outcome", "probability", "is_verifier", "is_strong"]
-        assert report["is_strong"] and out["schema"] == "qcomplement/2"
+        assert report["is_strong"] and out["schema"] == "qcomplement/3"
 
     def test_with_failing_state(self, models, capsys):
         code, out = run_json(
@@ -249,7 +242,7 @@ class TestHarness:
         assert code == 0
         # The digests pin the report bytes as first printed, under schema
         # qcomplement/1; since then only the schema string has moved.
-        out = out.replace('"schema": "qcomplement/2"', '"schema": "qcomplement/1"', 1)
+        out = out.replace('"schema": "qcomplement/3"', '"schema": "qcomplement/1"', 1)
         assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
@@ -397,14 +390,64 @@ def test_json_report_prints_each_object_free_list_on_one_line(argv, capsys, monk
     assert len(lines) == len(parent_style.splitlines()) - saved
 
 
+# Each report's top-level keys, after "schema" and "command", in print order.
+REPORT_KEYS = {
+    "validate": ["valid", "problems"],
+    "classify": ["valid", "repeatable", "atomic", "elementary", "projector_ranks"],
+    "classify classical": ["valid", "elementary", "canonical_order"],
+    "verifiers": ["outcome", "support_dimension", "support_basis"],
+    "verifiers --state": ["outcome", "support_dimension", "support_basis", "verifier_report"],
+    "comp": ["complementary", "bijection", "witness", "degree_table", "reverse_degree_table"],
+    "compat": ["compatible", "complementary", "pvm_commute", "bijection"],
+    "witness": ["valid", "threshold", "realisation_residuals", "simulation_residuals",
+                "max_residual"],
+    "harness": ["theory", "seed", "generator", "dim", "trials", "filtered_trials",
+                "checked_cases", "violations", "cases"],
+}
+
+
+def _keys_at_any_depth(value):
+    if isinstance(value, dict):
+        yield from value
+        value = list(value.values())
+    if isinstance(value, list):
+        for inner in value:
+            yield from _keys_at_any_depth(inner)
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: " ".join(
+    Path(a).name if "/" in a else a for a in argv))
+def test_report_keys_are_pinned(argv, capsys):
+    """A report carries the verdict and what it rests on, never a copy of
+    an input file."""
+    main(["--json", *argv])
+    doc = json.loads(capsys.readouterr().out)
+    shape = argv[0]
+    if shape == "classify" and argv[1].endswith("classical_bit.json"):
+        shape += " classical"
+    if "--state" in argv:
+        shape += " --state"
+    assert list(doc) == ["schema", "command", *REPORT_KEYS[shape]]
+    assert doc["schema"] == "qcomplement/3" and doc["command"] == argv[0]
+    assert not {"model", "models", "state"} & set(_keys_at_any_depth(doc))
+
+
 def test_closed_stdout_keeps_the_verdict(tmp_path):
     """A reader that stops early, as ``head`` does, gets the verdict's exit
     code and no traceback, though the report overflows the pipe buffer."""
-    model = tmp_path / "rank1_d32.json"
-    model.write_text(json.dumps(model_to_dict(qc.random_pvm(32, [1] * 32, qc.SeededGenerator(0)).base)))
+    paths = []
+    for seed in (0, 1):
+        path = tmp_path / f"rank1_d32_seed{seed}.json"
+        pvm = qc.random_pvm(32, [1] * 32, qc.SeededGenerator(seed))
+        path.write_text(json.dumps(model_to_dict(pvm.base)))
+        paths.append(str(path))
+    argv = [sys.executable, "-m", "qcomplement", "--json", "comp", *paths]
     env = {**os.environ, "PYTHONPATH": str(Path(qc.__file__).resolve().parents[1])}
-    with subprocess.Popen([sys.executable, "-m", "qcomplement", "--json", "classify", str(model)],
-                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+    # Read in full, the report must outgrow a pipe buffer (64 KiB on Linux);
+    # otherwise the early close below never breaks the pipe.
+    full = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert full.returncode == 0 and len(full.stdout) > 65536
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
         first = child.stdout.read(1)
         child.stdout.close()
         stderr = child.stderr.read().decode()
@@ -466,7 +509,7 @@ PUBLIC_NAMES = [
     "ExtractionError", "HarnessReport", "Instrument", "InstrumentReport", "ModelFile",
     "ModelParseError", "OperationReport", "OutcomePartition", "PreconditionError",
     "QuantumOperation", "SchemaError", "SeededGenerator", "StructureError", "Subspace",
-    "SubspaceRelation", "Tolerances", "VerifierReport", "WitnessReport", "apply",
+    "Tolerances", "VerifierReport", "WitnessReport", "apply",
     "are_compatible_elementary", "are_complementary", "basis_state", "canonical_verifier",
     "choi", "choi_distance", "classical_is_elementary", "classical_theorem_harness",
     "classical_verifier_checks", "classify_relation", "coarse_grain", "coarse_grain_ops",
@@ -476,8 +519,8 @@ PUBLIC_NAMES = [
     "is_strong_verifier", "is_verifier", "maximally_mixed", "model_to_dict",
     "outcome_entropy", "point_mass", "postprocessing_witness", "projector_operation",
     "pure_state", "pvm_commute", "random_density", "random_instrument", "random_pvm",
-    "random_rank_profile", "range_subspace", "self_witness", "subspace_contained",
-    "subspace_relation", "to_elementary", "trace_out_ancilla", "validate_classical",
+    "random_rank_profile", "range_subspace", "self_witness", "to_elementary",
+    "trace_out_ancilla", "validate_classical",
     "validate_instrument", "validate_operation", "verifier_inclusion_harness",
     "verifier_points", "verifier_support", "verify_witness", "zero_operation",
 ]

@@ -17,6 +17,7 @@ from qcomplement.errors import StructureError
 from qcomplement.linalg import DEFAULT_TOL
 from qcomplement.operations import _core_norm
 from qcomplement.sampling import _kraus_draw
+import helpers
 from helpers import (
     E0,
     E1,
@@ -276,7 +277,7 @@ class TestPostprocessingWitness:
         g, w = qc.postprocessing_witness(t, cond)
         assert qc.verify_witness(t, g, w).valid
         for y, x in (("y0", "x0"), ("y1", "x1")):
-            assert qc.subspace_contained(
+            assert helpers.subspace_contained(
                 qc.verifier_support(g[y]), qc.verifier_support(t[x])
             )
 
@@ -405,7 +406,7 @@ def _loop_trial(gen, dim, tol):
         )
         support_g = qc.verifier_support(g_y, tol)
         support_t = qc.verifier_support(t[matched], tol)
-        if support_g.dim and not qc.subspace_contained(support_g, support_t, tol):
+        if support_g.dim and not helpers.subspace_contained(support_g, support_t, tol):
             violations.append((y, matched, support_g.dim, support_t.dim))
     return checked, violations
 
@@ -469,7 +470,7 @@ class TestArrayTrial:
             return checked, checked & (g_dim > 0), g_dim, t_dim
 
         monkeypatch.setattr(compatibility, "_check_inclusion", all_violate)
-        monkeypatch.setattr(qc, "subspace_contained", lambda *args: False)
+        monkeypatch.setattr(helpers, "subspace_contained", lambda *args: False)
         for dim, seed in ((2, 0), (3, 1), (4, 2)):
             got = _run_harness("quantum", _quantum_batch, seed, dim, 6, DEFAULT_TOL)
             assert got.violations > 0

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 import qcomplement as qc
 from qcomplement import DegreeKind
 from qcomplement.errors import StructureError
-from helpers import proj, qubit_x, qubit_z, qutrit_basis_proj, qutrit_fine, qutrit_pm2
+from helpers import (
+    SubspaceRelation,
+    proj,
+    qubit_x,
+    qubit_z,
+    qutrit_basis_proj,
+    qutrit_fine,
+    qutrit_pm2,
+    subspace_relation,
+)
 
 ENTROPY_THREE_QUARTERS = 0.8112781244591328  # -0.75*log2(0.75) - 0.25*log2(0.25)
 
@@ -344,7 +353,7 @@ def _reference_relation(p, q):
     for x, m in p.projectors.items():
         support = qc.range_subspace(m)
         y = next((y for y in unmatched
-                  if qc.subspace_relation(support, supports_q[y]) is qc.SubspaceRelation.EQUAL), None)
+                  if subspace_relation(support, supports_q[y]) is SubspaceRelation.EQUAL), None)
         if y is None:
             mapping = None
             break
