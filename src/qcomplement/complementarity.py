@@ -21,7 +21,7 @@ import numpy as np
 from .errors import StructureError
 from .instruments import ElementaryProperty
 from .linalg import DEFAULT_TOL, Tolerances, _supports
-from .operations import DensityState, pure_state
+from .operations import DensityState, _outcome_probabilities, pure_state
 
 
 class DegreeKind(enum.Enum):
@@ -61,9 +61,14 @@ def outcome_entropy(probabilities) -> float:
         raise StructureError("probabilities must be nonnegative")
     if abs(sum(probs) - 1.0) > DEFAULT_TOL.prob_eq:
         raise StructureError(f"probabilities sum to {sum(probs)!r}, expected 1")
+    return _entropy(max(p, 0.0) for p in probs)
+
+
+def _entropy(probs) -> float:
+    """Shannon entropy in bits of nonnegative ``probs``, unchecked: for
+    probabilities the package computed and clamped itself."""
     total = 0.0
     for p in probs:
-        p = max(p, 0.0)
         if p > 0.0:
             total -= p * math.log2(p)
     return total
@@ -82,7 +87,7 @@ def _degree(probs: dict[str, float], tol: Tolerances) -> DegreeVerdict:
     else:
         kind = DegreeKind.WEAK
     clamped = [min(1.0, max(0.0, p)) for p in values]
-    return DegreeVerdict(kind, dict(zip(probs, clamped)), outcome_entropy(clamped))
+    return DegreeVerdict(kind, dict(zip(probs, clamped)), _entropy(clamped))
 
 
 def degree_for_verifier(
@@ -96,18 +101,9 @@ def degree_for_verifier(
     outcomes strictly inside (0, 1); weak allows vanishing outcomes as long
     as none is certain. Reported probabilities are clamped to [0, 1].
     """
-    if verifier.dims[0] != q.dim:
-        raise StructureError(
-            f"state's first factor has dimension {verifier.dims[0]}, property "
-            f"lives on dimension {q.dim}"
-        )
-    # tr((P (x) I) rho) = tr(P rho_1), with rho_1 the partial trace over the ancillas.
-    reduced = verifier.reduce(0).matrix
-    probs = {
-        label: float(np.real(np.einsum("ij,ji->", proj, reduced)))
-        for label, proj in q.projectors.items()
-    }
-    return _degree(probs, tol)
+    # Each projector is its outcome's effect: Prob(x | rho) = tr(P_x rho_1).
+    probs = _outcome_probabilities(list(q.projectors.values()), verifier)
+    return _degree(dict(zip(q.projectors, probs)), tol)
 
 
 def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:

@@ -110,15 +110,10 @@ def as_matrix(m, name: str = "matrix", limit: float = _ENTRY_LIMIT) -> np.ndarra
 
 
 def _is_hermitian(arr: np.ndarray, tol: Tolerances) -> bool:
-    """``is_hermitian`` for a matrix ``as_matrix`` already coerced."""
-    if arr.shape[0] != arr.shape[1]:
-        return False
+    """True iff the square matrix ``arr``, which ``as_matrix`` already
+    coerced, is within ``mat_eq * max(1, ||arr||_F)`` of its adjoint."""
     scale = max(1.0, float(np.linalg.norm(arr)))
     return float(np.linalg.norm(arr - arr.conj().T)) <= tol.mat_eq * scale
-
-
-def is_hermitian(m, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return _is_hermitian(as_matrix(m, limit=_FINITE), tol)
 
 
 def _is_psd(arr: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -5,7 +5,9 @@ nonempty list of Kraus matrices. Maps are equal iff their Choi matrices are,
 since Kraus lists are not unique; the Choi matrix sums vec(K) vec(K)^dag over
 row-major vec, on output x input. Decisions never build it: distances and ranks
 come from a K x K core of the K Kraus matrices, exactly. ``choi()`` builds the
-d^2 x d^2 matrix for audits and as the test oracle.
+d^2 x d^2 matrix for audits and as the test oracle. An operation acts on the
+first factor of a state: its outcome probability is Re tr(E rho_1), rho_1 the
+reduced state, and no K (x) I is ever built.
 """
 
 from __future__ import annotations
@@ -257,21 +259,19 @@ def projector_operation(projector) -> QuantumOperation:
     return _trusted(QuantumOperation, dim_in=mat.shape[0], dim_out=mat.shape[0], kraus=(mat,))
 
 
-def _extended_kraus(op: QuantumOperation, state: DensityState) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """Kraus matrices acting as op (tensor) identity on the trailing factors."""
-    if state.dims[0] != op.dim_in:
-        raise StructureError(
-            f"state's first factor has dimension {state.dims[0]}, operation "
-            f"expects {op.dim_in}"
-        )
-    rest = prod(state.dims[1:]) if len(state.dims) > 1 else 1
-    if rest == 1:
-        mats = list(op.kraus)
-    else:
-        eye = np.eye(rest)
-        mats = [np.kron(k, eye) for k in op.kraus]
-    out_dims = (op.dim_out,) + state.dims[1:]
-    return mats, out_dims
+def _ancilla_dim(state: DensityState, dim: int) -> int:
+    """The dimension of the factors after the first, which must be ``dim``."""
+    if state.dims[0] != dim:
+        raise StructureError(f"state's first factor has dimension {state.dims[0]}, expected {dim}")
+    return state.dim // dim
+
+
+def _outcome_probabilities(effects, state: DensityState) -> list[float]:
+    """Prob(x | rho) = Re tr(E_x rho_1), clamped to [0, 1], for each d x d
+    effect of the nonempty list ``effects``: the one outcome-probability rule,
+    with rho_1 the state reduced to its first factor."""
+    rho = state.matrix if _ancilla_dim(state, len(effects[0])) == 1 else state.reduce(0).matrix
+    return [min(1.0, max(0.0, float(np.einsum("ij,ji->", e, rho).real))) for e in effects]
 
 
 def apply(op: QuantumOperation, state: DensityState, tol: Tolerances = DEFAULT_TOL):
@@ -291,12 +291,16 @@ def apply(op: QuantumOperation, state: DensityState, tol: Tolerances = DEFAULT_T
 
 
 def apply_unnormalized(op: QuantumOperation, state: DensityState) -> np.ndarray:
-    """The raw output sum_k K rho K^dag without renormalisation."""
-    mats, out_dims = _extended_kraus(op, state)
-    out = np.zeros((prod(out_dims), prod(out_dims)), dtype=complex)
-    for k in mats:
-        out += k @ state.matrix @ k.conj().T
-    return out
+    """The raw output sum_k (K (x) I) rho (K (x) I)^dag without renormalisation:
+    block (s, t) over the ancillas is sum_k K rho_st K^dag, and a single-factor
+    state is its one block."""
+    r = _ancilla_dim(state, op.dim_in)
+    blocks = state.matrix if r == 1 else np.ascontiguousarray(
+        state.matrix.reshape(op.dim_in, r, op.dim_in, r).transpose(1, 3, 0, 2))
+    out = np.zeros(blocks.shape[:-2] + (op.dim_out, op.dim_out), dtype=complex)
+    for k in op.kraus:
+        out += k @ blocks @ k.conj().T
+    return out if r == 1 else out.transpose(2, 0, 3, 1).reshape(op.dim_out * r, op.dim_out * r)
 
 
 def compose_seq(second: QuantumOperation, first: QuantumOperation) -> QuantumOperation:

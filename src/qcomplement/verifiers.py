@@ -6,7 +6,9 @@ projective operations the two notions coincide (every verifier is a fixed
 point), and the verifier set is characterised by a subspace: the eigenvalue-1
 eigenspace of the effect. States may carry ancilla factors; the operation then
 acts on the first factor with identity on the rest, which with the unique
-deterministic effect (the trace) is fully general.
+deterministic effect (the trace) is fully general. Every verdict reads one
+number, Prob(x | rho) = Re tr(E_x rho_1) with rho_1 the state reduced to its
+first factor, against 1 - prob_eq; none builds a post-measurement state.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ import numpy as np
 from .errors import DegenerateSeedError, StructureError
 from .instruments import Instrument
 from .linalg import DEFAULT_TOL, Subspace, Tolerances, _supports, _trusted
-from .operations import DensityState, QuantumOperation, apply, apply_unnormalized
+from .operations import DensityState, QuantumOperation, _outcome_probabilities, apply, apply_unnormalized
 
 
 def is_verifier(op: QuantumOperation, state: DensityState, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the outcome occurs with probability at least 1 - prob_eq."""
-    probability, _ = apply(op, state, tol)
-    return probability >= 1.0 - tol.prob_eq
+    return _outcome_probabilities([op.effect()], state)[0] >= 1.0 - tol.prob_eq
 
 
 def canonical_verifier(
@@ -80,22 +81,18 @@ def instrument_verifier_report(
 ) -> VerifierReport:
     """Find the outcome (if any) the state verifies and report its status.
 
-    The strong flag is evaluated for the best outcome when the instrument
-    has equal input and output dimensions, otherwise left False.
+    The best outcome is the first of highest probability. The strong flag is
+    evaluated for it when the instrument has equal input and output
+    dimensions, otherwise left False.
     """
-    best_label: str | None = None
-    best_probability = -1.0
-    for label, op in ins.outcomes.items():
-        probability, _ = apply(op, state, tol)
-        if probability > best_probability:
-            best_label, best_probability = label, probability
+    probabilities = _outcome_probabilities([op.effect() for op in ins.outcomes.values()], state)
+    best_probability = max(probabilities)
+    best_label = ins.labels[probabilities.index(best_probability)]
     verified = best_probability >= 1.0 - tol.prob_eq
-    strong = False
-    if ins.dim_in == ins.dim_out and best_label is not None:
-        strong = is_strong_verifier(ins[best_label], state, tol)
+    strong = ins.dim_in == ins.dim_out and is_strong_verifier(ins[best_label], state, tol)
     return VerifierReport(
         outcome=best_label if verified else None,
-        probability=max(0.0, best_probability),
+        probability=best_probability,
         is_verifier=verified,
         is_strong=strong,
     )

@@ -133,3 +133,22 @@ def subspace_contained(inner: qc.Subspace, outer: qc.Subspace, tol=qc.DEFAULT_TO
     """True iff ``inner`` lies in ``outer`` (equality included)."""
     rel = subspace_relation(inner, outer, tol)
     return rel in (SubspaceRelation.EQUAL, SubspaceRelation.A_INSIDE_B)
+
+
+def kron_apply(op: qc.QuantumOperation, state: qc.DensityState) -> np.ndarray:
+    """Oracle for ``apply_unnormalized``: sum_k (K (x) I) rho (K (x) I)^dag
+    with each extended Kraus matrix built by ``np.kron``; on a state with no
+    ancilla dimension beyond 1, K itself acts, as sum_k K rho K^dag."""
+    if state.dims[0] != op.dim_in:
+        raise StructureError("state's first factor does not match the operation")
+    rest = state.dim // op.dim_in
+    mats = list(op.kraus) if rest == 1 else [np.kron(k, np.eye(rest)) for k in op.kraus]
+    out = np.zeros((op.dim_out * rest, op.dim_out * rest), dtype=complex)
+    for k in mats:
+        out += k @ state.matrix @ k.conj().T
+    return out
+
+
+def kron_probability(op: qc.QuantumOperation, state: qc.DensityState) -> float:
+    """Oracle outcome probability: the trace of ``kron_apply``, clamped to [0, 1]."""
+    return min(1.0, max(0.0, float(np.real(np.trace(kron_apply(op, state))))))

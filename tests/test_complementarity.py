@@ -204,6 +204,18 @@ class TestDegreeForVerifier:
         with pytest.raises(StructureError):
             qc.degree_for_verifier(qc.basis_state(3, 0), qubit_z())
 
+    def test_probabilities_short_of_one_by_more_than_prob_eq(self):
+        # A valid state and a PVM that from_pvm accepts give probabilities
+        # summing to 1 - 1.04e-7; the entropy of the package's own clamped
+        # probabilities is not re-checked against prob_eq.
+        q = qc.from_pvm({"a": np.diag([1 - 5e-9, 0.0]), "b": np.diag([0.0, 1 - 5e-9])})
+        state = qc.DensityState((2,), np.diag([1 - 0.99e-7, 0.0]))
+        verdict = qc.degree_for_verifier(state, q)
+        p = (1 - 5e-9) * (1 - 0.99e-7)
+        assert verdict.kind is DegreeKind.WEAK
+        assert verdict.probabilities == {"a": pytest.approx(p, abs=1e-15), "b": 0.0}
+        assert verdict.entropy_bits == pytest.approx(-p * math.log2(p), rel=1e-9)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_eigenvector_probabilities_stay_in_unit_interval(self, seed):
         # Raw traces on an eigenvector of Q_x0 land an ulp outside [0, 1].

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import DegenerateSeedError, StructureError
+from qcomplement.complementarity import _degree
 from qcomplement.operations import apply_unnormalized
 from helpers import (
     E0,
     PLUS,
     bell_state,
     contains_vector,
+    kron_apply,
+    kron_probability,
     measure_and_prepare_zero,
     proj,
     subspace_contained,
@@ -207,3 +210,82 @@ class TestInstrumentVerifierReport:
     def test_strong_implies_verifier_field(self):
         report = qc.instrument_verifier_report(z_instrument(), qc.basis_state(2, 0))
         assert (not report.is_strong) or report.is_verifier
+
+
+def _oracle_case(d_in: int, d_out: int, ancillas: tuple, n_kraus: int, seed: int):
+    """An instrument, a PVM and three states on (d_in,) + ``ancillas``.
+
+    Outcome "v" has effect v v^dag (and maps v v^dag to itself when d_in =
+    d_out), outcome "w" is a random map with effect norm 0.9. The states are
+    v (x) sigma, v (x) a nudged by 1e-4, which still verifies "v" within
+    prob_eq, and a random rank-2 state, which verifies nothing.
+    """
+    gen = qc.SeededGenerator(seed)
+    rng = gen.rng
+    u = qc.haar_unitary(d_in, gen.child(0))
+    v = u[:, :1]
+    weights = rng.dirichlet(np.ones(n_kraus))
+    if d_in == d_out:
+        heads = [np.exp(2j * np.pi * rng.random()) * v for _ in range(n_kraus)]
+    else:
+        heads = [qc.haar_unitary(d_out, gen.child(1 + j))[:, :1] for j in range(n_kraus)]
+    v_op = qc.QuantumOperation(d_in, d_out, tuple(np.sqrt(w) * h @ v.conj().T for w, h in zip(weights, heads)))
+    g = rng.standard_normal((n_kraus, d_out, d_in)) + 1j * rng.standard_normal((n_kraus, d_out, d_in))
+    g *= np.sqrt(0.9) / np.linalg.norm(g.reshape(-1, d_in), ord=2)
+    ins = qc.Instrument(d_in, d_out, {"v": v_op, "w": qc.QuantumOperation(d_in, d_out, tuple(g))})
+    prop = qc.from_pvm({f"u{i}": np.outer(u[:, i], u[:, i].conj()) for i in range(d_in)})
+
+    dims = (d_in,) + ancillas
+    r = int(np.prod(ancillas))
+    sigma = qc.random_density(r, min(r, 2), gen.child(10)).matrix
+    a = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    nudge = rng.standard_normal(d_in * r) + 1j * rng.standard_normal(d_in * r)
+    states = [
+        qc.DensityState(dims, np.kron(v @ v.conj().T, sigma)),
+        qc.pure_state(np.kron(v[:, 0], a / np.linalg.norm(a)) + 1e-4 * nudge / np.linalg.norm(nudge), dims),
+        qc.random_density(d_in * r, min(d_in * r, 2), gen.child(11)),
+    ]
+    return ins, prop, [qc.DensityState(dims, s.matrix) for s in states]
+
+
+class TestKronOracle:
+    """Verifier decisions and ``apply_unnormalized`` against the kron(K, I)
+    formula of ``helpers.kron_apply``."""
+
+    @pytest.mark.parametrize("ancillas", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("d_out", range(1, 5))
+    @pytest.mark.parametrize("d_in", range(1, 5))
+    def test_matches_kron_formula(self, d_in, d_out, ancillas):
+        tol = qc.DEFAULT_TOL
+        verdicts = set()
+        for n_kraus in range(1, 4):
+            seed = 1000 * d_in + 100 * d_out + 10 * len(ancillas) + n_kraus
+            ins, prop, states = _oracle_case(d_in, d_out, ancillas, n_kraus, seed)
+            for state in states:
+                probabilities = []
+                for op in ins.outcomes.values():
+                    out, oracle = apply_unnormalized(op, state), kron_apply(op, state)
+                    if ancillas:
+                        assert np.abs(out - oracle).max() <= 1e-12
+                    else:
+                        assert out.tobytes() == oracle.tobytes()
+                    probabilities.append(kron_probability(op, state))
+                    verdict = qc.is_verifier(op, state, tol)
+                    assert verdict == (probabilities[-1] >= 1.0 - tol.prob_eq)
+                    verdicts.add(verdict)
+
+                best = int(np.argmax(probabilities))
+                verified = probabilities[best] >= 1.0 - tol.prob_eq
+                strong = d_in == d_out and np.linalg.norm(
+                    kron_apply(ins[ins.labels[best]], state) - state.matrix) <= tol.mat_eq
+                report = qc.instrument_verifier_report(ins, state, tol)
+                assert report.outcome == (ins.labels[best] if verified else None)
+                assert report.is_verifier == verified
+                assert report.is_strong == strong
+                assert abs(report.probability - probabilities[best]) <= 1e-12
+
+                oracle = {x: kron_probability(qc.projector_operation(p), state) for x, p in prop.projectors.items()}
+                degree = qc.degree_for_verifier(state, prop, tol)
+                assert degree.kind is _degree(oracle, tol).kind
+                assert all(abs(degree.probabilities[x] - p) <= 1e-12 for x, p in oracle.items())
+        assert verdicts == {True, False}
