@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import StructureError
 from .instruments import ElementaryProperty
-from .linalg import DEFAULT_TOL, Tolerances, _supports
+from .linalg import DEFAULT_TOL, Tolerances, _support_frame, _supports
 from .operations import DensityState, _outcome_probabilities, pure_state
 
 
@@ -74,20 +74,21 @@ def _entropy(probs) -> float:
     return total
 
 
-def _degree(probs: dict[str, float], tol: Tolerances) -> DegreeVerdict:
-    values = list(probs.values())
-    n = len(values)
+def _degrees(rows: np.ndarray, labels, tol: Tolerances) -> list[DegreeVerdict]:
+    """The degree verdict of each row of an (m, n) array of outcome
+    probabilities over ``labels``, with every test run in one array pass."""
     eps = tol.prob_eq
-    if any(p >= 1.0 - eps for p in values):
-        kind = DegreeKind.NOT_COMPLEMENTARY_HERE
-    elif all(abs(p - 1.0 / n) <= eps for p in values):
-        kind = DegreeKind.STRONG
-    elif all(eps <= p <= 1.0 - eps for p in values):
-        kind = DegreeKind.MILD
-    else:
-        kind = DegreeKind.WEAK
-    clamped = [min(1.0, max(0.0, p)) for p in values]
-    return DegreeVerdict(kind, dict(zip(probs, clamped)), _entropy(clamped))
+    certain = (rows >= 1.0 - eps).any(axis=1).tolist()
+    strong = (np.abs(rows - 1.0 / rows.shape[1]) <= eps).all(axis=1).tolist()
+    mild = ((eps <= rows) & (rows <= 1.0 - eps)).all(axis=1).tolist()
+    # + 0.0 turns a clipped -0.0 into the 0.0 that max(0.0, -0.0) gives.
+    clamped = (np.clip(rows, 0.0, 1.0) + 0.0).tolist()
+    verdicts = []
+    for c, s, m, row in zip(certain, strong, mild, clamped):
+        kind = (DegreeKind.NOT_COMPLEMENTARY_HERE if c else DegreeKind.STRONG if s
+                else DegreeKind.MILD if m else DegreeKind.WEAK)
+        verdicts.append(DegreeVerdict(kind, dict(zip(labels, row)), _entropy(row)))
+    return verdicts
 
 
 def degree_for_verifier(
@@ -103,15 +104,15 @@ def degree_for_verifier(
     """
     # Each projector is its outcome's effect: Prob(x | rho) = tr(P_x rho_1).
     probs = _outcome_probabilities(list(q.projectors.values()), verifier)
-    return _degree(dict(zip(q.projectors, probs)), tol)
+    return _degrees(np.array([probs]), q.labels, tol)[0]
 
 
 def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The outcomes' verifier-support bases side by side, U = [A_x1 | A_x2 | ...],
-    cut by ``_supports`` from the property's spectrum of its effects P^dag P
-    (computed once, tied to no tolerance), and the block indicator whose entry
-    (i, x) is 1 when column i of U spans outcome x. An outcome whose support is
-    empty admits no verifier: ``StructureError``."""
+    cut by ``_supports`` from the spectrum of its effects that the property
+    holds (computed once, tied to no tolerance), and the block indicator whose
+    entry (i, x) is 1 when column i of U spans outcome x. An outcome whose
+    support is empty admits no verifier: ``StructureError``."""
     v, keep = _supports(prop._spectrum, tol)
     empty = ~keep.any(axis=1)
     if empty.any():
@@ -119,8 +120,7 @@ def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.nd
         raise StructureError(
             f"projector {label!r} has no eigenvalue within prob_eq of 1, it admits no verifier"
         )
-    owner = np.nonzero(keep)[0]
-    return v.swapaxes(-1, -2)[keep].T, (owner[:, None] == np.arange(len(v))).astype(float)
+    return _support_frame(v, keep)
 
 
 def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerances):
@@ -146,13 +146,6 @@ def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerance
                 if not (mixed >= 1.0 - tol.prob_eq).any():
                     return (frame[:, i] + frame[:, j]) / np.sqrt(2.0)
     return None
-
-
-def _degree_table(labels, other_labels, rows, tol: Tolerances) -> dict[str, DegreeVerdict]:
-    return {
-        x: _degree({y: float(v) for y, v in zip(other_labels, row)}, tol)
-        for x, row in zip(labels, rows)
-    }
 
 
 def _relation(
@@ -193,8 +186,8 @@ def _relation(
     degree_table, reverse = {}, {}
     if tables:
         m = blocks_p.T @ to_q
-        degree_table = _degree_table(p.labels, q.labels, m / blocks_p.sum(axis=0)[:, None], tol)
-        reverse = _degree_table(q.labels, p.labels, m.T / blocks_q.sum(axis=0)[:, None], tol)
+        degree_table = dict(zip(p.labels, _degrees(m / blocks_p.sum(axis=0)[:, None], q.labels, tol)))
+        reverse = dict(zip(q.labels, _degrees(m.T / blocks_q.sum(axis=0)[:, None], p.labels, tol)))
     return ComplementarityReport(mapping is None, mapping, witness, degree_table, reverse)
 
 

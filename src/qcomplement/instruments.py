@@ -10,15 +10,18 @@ insertion order, so reports and bijection search are deterministic.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from dataclasses import dataclass, field
+from functools import reduce
 from math import isqrt
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ExtractionError, PreconditionError, StructureError
-from .linalg import _CHUNK_CELLS, _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_psd, _supports, _trusted, as_matrix
+from .linalg import (
+    _CHUNK_CELLS, _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_psd, _support_frame, _supports,
+    _trusted, as_matrix,
+)
 from .operations import QuantumOperation, _choi_core, coarse_grain_ops, is_atomic, projector_operation
 
 
@@ -64,7 +67,18 @@ def instrument_from_operations(pairs) -> Instrument:
     if not pairs:
         raise StructureError("instrument needs at least one outcome")
     first = pairs[0][1]
-    return Instrument(first.dim_in, first.dim_out, dict(pairs))
+    return Instrument(first.dim_in, first.dim_out, _labelled(pairs))
+
+
+def _labelled(pairs) -> dict:
+    """The (label, value) pairs as a dict in their order; a label given twice
+    raises ``StructureError``, as it does in a model file."""
+    out = {}
+    for label, value in pairs:
+        if label in out:
+            raise StructureError(f"duplicate outcome label {label!r}")
+        out[label] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -191,30 +205,27 @@ class ElementaryProperty:
 
     Downstream decisions work on the projectors, read-only copies in the
     base's outcome order held in a read-only mapping, and on their effects'
-    spectrum, computed once and tied to no tolerance; audits can go back to
-    the instrument's Choi matrices. ``==`` is identity: two properties are
-    equal when their outcome maps are, by ``choi_distance`` at a tolerance.
+    spectrum, computed once at construction and tied to no tolerance.
+    ``==`` is identity: two properties are equal when their outcome maps
+    are, by ``choi_distance`` at a tolerance.
     """
 
     base: Instrument
     projectors: Mapping[str, np.ndarray]
+    # The batched eigh (w, v) of the outcomes' effects, in ``labels`` order.
+    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if set(self.projectors) != set(self.base.outcomes):
             raise StructureError("projector labels do not match instrument outcomes")
         mats = {label: _read_only(label, self.projectors[label]) for label in self.base.labels}
-        _check_pvm(mats, self.base.dim_in, DEFAULT_TOL)
+        spectrum = _check_pvm(mats, self.base.dim_in, DEFAULT_TOL)
         object.__setattr__(self, "projectors", MappingProxyType(mats))
+        object.__setattr__(self, "_spectrum", spectrum)
 
     def __reduce__(self):
         # A mapping proxy does not pickle; the property is rebuilt from a dict.
-        return _elementary, (self.base, dict(self.projectors))
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """The batched eigh of the effects P^dag P, in ``labels`` order."""
-        stack = np.stack(list(self.projectors.values()))
-        return np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        return _elementary, (self.base, dict(self.projectors), self._spectrum)
 
     @property
     def dim(self) -> int:
@@ -254,8 +265,9 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     """The extraction step of ``to_elementary``, for a square instrument whose
     repeatability and per-outcome atomicity the caller has established."""
     groups = _kraus_groups(ins)
-    v, keep = _supports(np.linalg.eigh(_effects(ins, groups)), tol)
-    stack = np.stack([vectors[:, kept] @ vectors[:, kept].conj().T for vectors, kept in zip(v, keep)])
+    spectrum = np.linalg.eigh(_effects(ins, groups))
+    v, keep = _supports(spectrum, tol)
+    stack = _support_projectors(v, keep)
     residual = np.empty(len(stack))
     for idx, kraus in groups:
         for part in _chunks(len(idx), (1 + kraus.shape[1]) * ins.dim_in**2):
@@ -268,8 +280,9 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
                 f"outcome {label!r}: projector map does not reproduce the operation"
             )
     projectors = dict(zip(ins.labels, stack))
-    _check_pvm(projectors, ins.dim_in, tol, ExtractionError)
-    return _elementary(ins, projectors)
+    # The projectors span the supports of E's spectrum, which the property keeps.
+    _check_pvm(projectors, ins.dim_in, tol, ExtractionError, spectrum)
+    return _elementary(ins, projectors, spectrum)
 
 
 @dataclass(frozen=True)
@@ -322,20 +335,21 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
     items = list(projectors.items() if isinstance(projectors, Mapping) else projectors)
     if not items:
         raise StructureError("a PVM needs at least one projector")
-    mats = {label: _read_only(label, p) for label, p in items}
+    mats = _labelled((label, _read_only(label, p)) for label, p in items)
     d = next(iter(mats.values())).shape[0]
-    _check_pvm(mats, d, tol)
+    spectrum = _check_pvm(mats, d, tol)
     ins = Instrument(d, d, {label: projector_operation(p) for label, p in mats.items()})
-    return _elementary(ins, mats)
+    return _elementary(ins, mats, spectrum)
 
 
-def _elementary(base: Instrument, projectors: dict[str, np.ndarray]) -> ElementaryProperty:
+def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum) -> ElementaryProperty:
     """An elementary property from projectors already checked against
-    ``base``, in its outcome order; the arrays are made read-only and held in
-    a read-only mapping, so no write can make the property's spectrum stale."""
+    ``base``, in its outcome order, and their effects' ``spectrum``; the
+    arrays are made read-only and held in a read-only mapping, so no write
+    can make the spectrum stale."""
     for p in projectors.values():
         p.flags.writeable = False
-    return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors))
+    return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors), _spectrum=spectrum)
 
 
 def _read_only(label: str, p) -> np.ndarray:
@@ -345,9 +359,27 @@ def _read_only(label: str, p) -> np.ndarray:
     return mat
 
 
-def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=StructureError):
+def _effect_spectrum(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The batched eigh of the effects P^dag P of an (n, d, d) projector stack."""
+    return np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+
+
+def _support_projectors(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The (n, d, d) stack of projectors V_x V_x^dag onto the supports of
+    ``_supports``, V_x being ``v[x][:, keep[x]]``."""
+    frames = [vectors[:, kept] for vectors, kept in zip(v, keep)]
+    return np.stack([frame @ frame.conj().T for frame in frames])
+
+
+def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=StructureError, spectrum=None):
     """Raise ``error`` unless ``mats`` are nonzero d x d orthogonal projectors,
-    pairwise orthogonal and summing to the identity, all within ``mat_eq``."""
+    pairwise orthogonal and summing to the identity, all within ``mat_eq``.
+
+    Returns the effects' spectrum: ``spectrum`` when the caller holds one
+    whose supports at ``tol`` the projectors project onto, as extraction
+    does, else the batched eigh of P^dag P, computed once the per-projector
+    checks have passed.
+    """
     for label, p in mats.items():
         if p.shape != (d, d):
             raise error(f"projector {label!r} has shape {p.shape}, expected ({d}, {d})")
@@ -357,12 +389,32 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
             raise error(f"projector {label!r} is not idempotent")
         if float(np.real(np.trace(p))) < 0.5:
             raise error(f"projector {label!r} is zero, it admits no verifier")
-    # Not the Gram form <P_a^dag P_a, P_b P_b^dag> = |P_a P_b|^2: its error of
-    # about 1e-16 is mat_eq^2, so exact PVMs at d = 32 fail it.
     labels, stack = list(mats), np.stack(list(mats.values()))
-    for i, a in enumerate(labels[:-1]):
-        bad = np.flatnonzero(np.linalg.norm(stack[i] @ stack[i + 1 :], axis=(1, 2)) > tol.mat_eq)
+    held = spectrum is not None
+    if not held:
+        spectrum = _effect_spectrum(stack)
+    # Not the Gram form <P_a^dag P_a, P_b P_b^dag> = |P_a P_b|_F^2: its rounding
+    # of about 1e-16 is mat_eq^2, so exact PVMs at d = 32 fail it. Here each
+    # entry of G = U^dag U, with U = [V_1 | V_2 | ...] the support frames, is an
+    # inner product computed directly, so a block norm |V_a^dag V_b|_F is itself
+    # good to about 1e-16. With delta_x = |P_x - V_x V_x^dag|_F,
+    # |P_a P_b|_F <= |V_a^dag V_b|_F + delta_a + delta_b + delta_a delta_b, and a
+    # pair whose bound is at most mat_eq / 2 passes the direct check with room
+    # to spare. Every other pair runs that check, in order, so the first bad
+    # pair named is the one the pairwise loop names.
+    v, keep = _supports(spectrum, tol)
+    n = len(stack)
+    # Extracted projectors are the V_x V_x^dag of the held spectrum: delta_x = 0.
+    delta = np.zeros(n) if held else np.linalg.norm(stack - _support_projectors(v, keep), axis=(1, 2))
+    frame, blocks = _support_frame(v, keep)
+    gram = np.abs(frame.conj().T @ frame) ** 2
+    bound = np.sqrt(blocks.T @ gram @ blocks) + delta[:, None] + delta * (1.0 + delta[:, None])
+    suspect = (np.arange(n)[:, None] < np.arange(n)) & ~(bound <= tol.mat_eq / 2)
+    for i in np.flatnonzero(suspect.any(axis=1)):
+        pairs = np.flatnonzero(suspect[i])
+        bad = pairs[np.linalg.norm(stack[i] @ stack[pairs], axis=(1, 2)) > tol.mat_eq]
         if bad.size:
-            raise error(f"projectors {a!r} and {labels[i + 1 + bad[0]]!r} are not orthogonal")
+            raise error(f"projectors {labels[i]!r} and {labels[bad[0]]!r} are not orthogonal")
     if float(np.linalg.norm(stack.sum(axis=0) - np.eye(d))) > tol.mat_eq:
         raise error("projectors do not sum to the identity (incomplete PVM)")
+    return spectrum

@@ -7,7 +7,7 @@ tolerance semantics are fixed in one place:
 * rank decisions use a relative cut ``eig_cut * sigma_max`` (scale invariant),
 * every verifier support a decision reads is an effect's eigenvalue
   >= ``1 - prob_eq`` eigenspace, cut by ``_supports`` from a spectrum tied to
-  no tolerance (an elementary property computes its own once),
+  no tolerance (an elementary property holds its own, computed once),
 * PSD tests tolerate eigenvalues down to ``-eig_cut * max(1, spectral norm)``.
 
 Input is validated once, where it enters the package: public constructors run
@@ -172,6 +172,14 @@ def _supports(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues >= 1 - prob_eq; support i is spanned by ``v[i][:, keep[i]]``."""
     w, v = spectrum
     return v, w >= 1.0 - tol.prob_eq
+
+
+def _support_frame(v: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The supports of ``_supports`` side by side, U = [V_1 | V_2 | ...], and
+    the block indicator whose entry (i, x) is 1 when column i of U spans
+    support x."""
+    owner = np.nonzero(keep)[0]
+    return v.swapaxes(-1, -2)[keep].T, (owner[:, None] == np.arange(len(v))).astype(float)
 
 
 def range_subspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -1,6 +1,7 @@
 """Shared fixtures-in-plain-functions for the test suite."""
 
 import enum
+import math
 import tracemalloc
 
 import numpy as np
@@ -152,3 +153,49 @@ def kron_apply(op: qc.QuantumOperation, state: qc.DensityState) -> np.ndarray:
 def kron_probability(op: qc.QuantumOperation, state: qc.DensityState) -> float:
     """Oracle outcome probability: the trace of ``kron_apply``, clamped to [0, 1]."""
     return min(1.0, max(0.0, float(np.real(np.trace(kron_apply(op, state))))))
+
+
+def loop_degree(probs: dict, tol=qc.DEFAULT_TOL) -> qc.DegreeVerdict:
+    """Oracle for the degree tables: one row of outcome probabilities
+    classified entry by entry, clamped with ``min``/``max`` and its entropy
+    summed in order."""
+    values = list(probs.values())
+    n = len(values)
+    eps = tol.prob_eq
+    if any(p >= 1.0 - eps for p in values):
+        kind = qc.DegreeKind.NOT_COMPLEMENTARY_HERE
+    elif all(abs(p - 1.0 / n) <= eps for p in values):
+        kind = qc.DegreeKind.STRONG
+    elif all(eps <= p <= 1.0 - eps for p in values):
+        kind = qc.DegreeKind.MILD
+    else:
+        kind = qc.DegreeKind.WEAK
+    clamped = [min(1.0, max(0.0, p)) for p in values]
+    entropy = 0.0
+    for p in clamped:
+        if p > 0.0:
+            entropy -= p * math.log2(p)
+    return qc.DegreeVerdict(kind, dict(zip(probs, clamped)), entropy)
+
+
+def loop_check_pvm(mats: dict, d: int, tol=qc.DEFAULT_TOL) -> str | None:
+    """Oracle for the PVM check: the ``StructureError`` message of the
+    per-projector checks, then every pair's direct product |P_a P_b|_F in
+    order, then completeness; None when the family passes."""
+    for label, p in mats.items():
+        if p.shape != (d, d):
+            return f"projector {label!r} has shape {p.shape}, expected ({d}, {d})"
+        if float(np.linalg.norm(p - p.conj().T)) > tol.mat_eq:
+            return f"projector {label!r} is not Hermitian"
+        if float(np.linalg.norm(p @ p - p)) > tol.mat_eq:
+            return f"projector {label!r} is not idempotent"
+        if float(np.real(np.trace(p))) < 0.5:
+            return f"projector {label!r} is zero, it admits no verifier"
+    labels, stack = list(mats), np.stack(list(mats.values()))
+    for i, a in enumerate(labels[:-1]):
+        bad = np.flatnonzero(np.linalg.norm(stack[i] @ stack[i + 1 :], axis=(1, 2)) > tol.mat_eq)
+        if bad.size:
+            return f"projectors {a!r} and {labels[i + 1 + bad[0]]!r} are not orthogonal"
+    if float(np.linalg.norm(stack.sum(axis=0) - np.eye(d))) > tol.mat_eq:
+        return "projectors do not sum to the identity (incomplete PVM)"
+    return None

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement import DegreeKind
+from qcomplement.complementarity import _degrees
 from qcomplement.errors import StructureError
 from helpers import (
     SubspaceRelation,
+    loop_degree,
     proj,
     qubit_x,
     qubit_z,
@@ -136,6 +138,8 @@ class TestAreComplementary:
         base = qc.from_pvm({"lo": proj(e[0]) + proj(e[1]), "hi": proj(e[2])})
         swapped = qc.ElementaryProperty(base.base, {"hi": proj(e[2]), "lo": proj(e[0]) + proj(e[1])})
         assert list(swapped.rank_profile().items()) == [("lo", 2), ("hi", 1)]
+        # The constructor's PVM check leaves the spectrum it computed behind.
+        assert "_spectrum" in vars(swapped)
         report = qc.classify_relation(base, swapped)
         assert report.matched_bijection == {"lo": "lo", "hi": "hi"}
         assert report.degree_table["lo"].probabilities == {"lo": 1.0, "hi": 0.0}
@@ -147,9 +151,11 @@ class TestAreComplementary:
         def build():
             return qubit_z(), qc.from_pvm({"a": proj([np.cos(theta), np.sin(theta)]),
                                            "b": proj([-np.sin(theta), np.cos(theta)])})
-        p, q = build()
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        # Construction computes each spectrum, the three decisions none.
+        p, q = build()
+        assert len(calls) == 2
         assert qc.classify_relation(p, q).complementary
         assert not qc.are_compatible_elementary(p, q)
         scaled = qc.are_complementary(p, q, qc.DEFAULT_TOL.scaled(10))
@@ -438,3 +444,45 @@ def test_overlap_pass_matches_reference(build, a, b):
                 for key, value in got[label].probabilities.items():
                     assert abs(value - expected.probabilities[key]) <= 1e-12
                     assert math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("build, a, b", ORACLE_PAIRS)
+def test_degree_tables_equal_the_per_row_oracle(build, a, b):
+    # A reported row is already clamped, and clamping moves no row's kind, so
+    # the oracle re-derives every verdict exactly, entropy bits included.
+    report = qc.classify_relation(*build(a, b))
+    for table in (report.degree_table, report.reverse_degree_table):
+        for verdict in table.values():
+            assert loop_degree(verdict.probabilities) == verdict
+
+
+def boundary_rows(n: int, eps: float) -> np.ndarray:
+    """Rows of n entries at and one ulp around each degree boundary: 1 - eps,
+    eps, 1/n +- eps, and the clamp edges 0 and 1."""
+    marks = [1.0 - eps, eps, 1.0 / n + eps, 1.0 / n - eps, 1.0 / n, 0.0, 1.0, -1e-17, 1.0 + 1e-16]
+    # A set keeps one of 0.0 == -0.0, so -0.0 goes in after it.
+    values = sorted({v for m in marks for v in (np.nextafter(m, -1.0), m, np.nextafter(m, 2.0))}) + [-0.0]
+    rng = np.random.default_rng(n)
+    rows = [np.full(n, v) for v in values]
+    # One boundary value in one place, the rest spread over what is left.
+    for v in values:
+        for place in range(n):
+            row = np.full(n, (1.0 - v) / max(n - 1, 1))
+            row[place] = v
+            rows.append(row)
+    rows += list(rng.dirichlet(np.ones(n), size=20))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("tol", [qc.DEFAULT_TOL, qc.Tolerances(prob_eq=0.25)], ids=["default", "coarse"])
+def test_degree_rows_equal_the_per_row_oracle_at_the_boundaries(n, tol):
+    rows = boundary_rows(n, tol.prob_eq)
+    labels = [f"y{i}" for i in range(n)]
+    got = _degrees(rows, labels, tol)
+    want = [loop_degree(dict(zip(labels, row.tolist())), tol) for row in rows]
+    assert got == want
+    for verdict in got:
+        assert all(math.copysign(1.0, p) == 1.0 for p in verdict.probabilities.values())
+    if n > 1 and tol is qc.DEFAULT_TOL:
+        assert {v.kind for v in got} == set(DegreeKind)

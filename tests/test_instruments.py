@@ -11,7 +11,9 @@ import qcomplement as qc
 from qcomplement import instruments
 from qcomplement.errors import ExtractionError, PreconditionError, StructureError
 from qcomplement.operations import _core_norm
-from helpers import E0, E1, PLUS, proj, qubit_x, qubit_z, qutrit_fine, traced_peak, z_instrument
+from helpers import (
+    E0, E1, PLUS, loop_check_pvm, proj, qubit_x, qubit_z, qutrit_fine, traced_peak, z_instrument,
+)
 
 
 def amplitude_damping_instrument(gamma=0.3) -> qc.Instrument:
@@ -221,6 +223,115 @@ class TestFromPvm:
             for mat in prop.projectors.values():
                 with pytest.raises(ValueError, match="read-only"):
                     mat[0, 0] = 0.0
+
+    @pytest.mark.parametrize("pairs", [
+        lambda: [("a", proj(E0)), ("a", np.eye(2))],
+        lambda: [("a", proj(E0)), ("b", proj(E1)), ("a", proj(E1))],
+    ], ids=["second-replaces-first", "later-repeat"])
+    def test_duplicate_label_raises(self, pairs):
+        # A dict built from the pairs would keep the last matrix of each label
+        # and silently drop the others.
+        with pytest.raises(StructureError, match="duplicate outcome label 'a'"):
+            qc.from_pvm(pairs())
+
+    def test_instrument_from_operations_rejects_a_duplicate_label(self):
+        ops = [(label, qc.projector_operation(p)) for label, p in (("z0", proj(E0)), ("z0", proj(E1)))]
+        with pytest.raises(StructureError, match="duplicate outcome label 'z0'"):
+            qc.instrument_from_operations(ops)
+
+    @pytest.mark.parametrize("build", [
+        lambda: qc.from_pvm({"a": proj(PLUS), "b": proj([1.0, -1.0])}),
+        lambda: qc.ElementaryProperty(qubit_x().base, {"xp": proj(PLUS), "xm": proj([1.0, -1.0])}),
+        lambda: qc.random_pvm(4, [2, 1, 1], qc.SeededGenerator(3)),
+    ], ids=["from_pvm", "constructor", "random_pvm"])
+    def test_spectrum_is_the_eigh_of_the_projectors_effects(self, build):
+        # Computed at construction, bit for bit the eigh of the stacked P^dag P.
+        prop = build()
+        stack = np.stack(list(prop.projectors.values()))
+        want = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        assert all(np.array_equal(held, fresh) for held, fresh in zip(prop._spectrum, want))
+
+    def test_extraction_keeps_the_effects_spectrum(self):
+        ins = qc.random_pvm(4, [2, 1, 1], qc.SeededGenerator(3)).base
+        effects = instruments._effects(ins, instruments._kraus_groups(ins))
+        held = qc.to_elementary(ins)._spectrum
+        assert all(np.array_equal(h, e) for h, e in zip(held, np.linalg.eigh(effects)))
+
+
+def rotated_pvm(d: int, halves: bool, theta: float, seed: int) -> dict:
+    """A Haar PVM of rank-1 or two half-rank projectors whose first support
+    vector is rotated by ``theta`` toward the second support's first vector:
+    every projector stays Hermitian and idempotent, and the first pair's
+    overlap |P_0 P_1|_F is about theta."""
+    rng = np.random.default_rng([seed, d])
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    edges = [0, d // 2, d] if halves else range(d + 1)
+    blocks = [u[:, a:b].copy() for a, b in zip(edges[:-1], edges[1:])]
+    blocks[0][:, 0] = np.cos(theta) * blocks[0][:, 0] + np.sin(theta) * blocks[1][:, 0]
+    return {f"p{i}": b @ b.conj().T for i, b in enumerate(blocks)}
+
+
+THETAS = [0.0, 1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 7e-9, 1e-8, 1.5e-8, 1e-7, 1e-6]
+
+
+class TestPvmCheckOracle:
+    """The frame-Gram check against the pairwise loop it replaces: the same
+    accept/reject decision and the same message."""
+
+    @staticmethod
+    def decide(call) -> str | None:
+        try:
+            call()
+        except StructureError as err:
+            return str(err)
+        return None
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("halves", [False, True], ids=["rank1", "halves"])
+    def test_from_pvm_and_constructor_match_the_pairwise_loop(self, d, halves):
+        seen = set()
+        base = qc.from_pvm(rotated_pvm(d, halves, 0.0, 0)).base
+        # The loop oracle makes 2016 products per rank-1 PVM at d = 64.
+        tols = [qc.DEFAULT_TOL] + [qc.DEFAULT_TOL.scaled(10)] * (d < 64)
+        for theta in THETAS:
+            mats = rotated_pvm(d, halves, theta, 0)
+            for tol in tols:
+                oracle = loop_check_pvm(mats, d, tol)
+                assert self.decide(lambda: qc.from_pvm(mats, tol)) == oracle
+                if tol is qc.DEFAULT_TOL and d < 64:
+                    assert self.decide(lambda: qc.ElementaryProperty(base, mats)) == oracle
+                seen.add(oracle)
+        assert {None, "projectors 'p0' and 'p1' are not orthogonal"} <= seen
+
+    def test_fallback_decides_the_pairs_the_bound_cannot(self, monkeypatch):
+        # At theta = 7e-9 the first pair's Gram bound exceeds mat_eq / 2 while
+        # |P_0 P_1|_F stays below mat_eq: one direct product, of that pair
+        # alone, accepts it.
+        mats = rotated_pvm(8, False, 7e-9, 0)
+        norm, shapes = np.linalg.norm, []
+        monkeypatch.setattr(np.linalg, "norm", lambda a, *args, **kw: shapes.append(a.shape) or norm(a, *args, **kw))
+        got = self.decide(lambda: qc.from_pvm(mats))
+        monkeypatch.undo()
+        assert got == loop_check_pvm(mats, 8) and "orthogonal" not in str(got)
+        assert shapes.count((1, 8, 8)) == 1
+
+    @pytest.mark.parametrize("d", [3, 8])
+    @pytest.mark.parametrize("halves", [False, True], ids=["rank1", "halves"])
+    def test_extraction_errors_match_the_pairwise_loop(self, d, halves):
+        # Off-diagonal repeatability reads |P_a P_b|_F^2, so overlaps of 1e-6
+        # and 1e-5 pass it and leave the PVM check to reject the extraction.
+        for theta in (0.0, 1e-10, 1e-6, 1e-5):
+            mats = rotated_pvm(d, halves, theta, 1)
+            ins = qc.Instrument(d, d, {label: qc.projector_operation(p) for label, p in mats.items()})
+            oracle = loop_check_pvm(mats, d)
+            if oracle is None:
+                assert qc.to_elementary(ins).labels == tuple(mats)
+            else:
+                assert oracle == "projectors 'p0' and 'p1' are not orthogonal"
+                with pytest.raises(ExtractionError) as err:
+                    qc.to_elementary(ins)
+                assert str(err.value) == oracle
 
 
 class TestRoundTrip:

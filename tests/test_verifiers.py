@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import DegenerateSeedError, StructureError
-from qcomplement.complementarity import _degree
 from qcomplement.operations import apply_unnormalized
 from helpers import (
     E0,
@@ -14,6 +13,7 @@ from helpers import (
     contains_vector,
     kron_apply,
     kron_probability,
+    loop_degree,
     measure_and_prepare_zero,
     proj,
     subspace_contained,
@@ -286,6 +286,6 @@ class TestKronOracle:
 
                 oracle = {x: kron_probability(qc.projector_operation(p), state) for x, p in prop.projectors.items()}
                 degree = qc.degree_for_verifier(state, prop, tol)
-                assert degree.kind is _degree(oracle, tol).kind
+                assert degree.kind is loop_degree(oracle, tol).kind
                 assert all(abs(degree.probabilities[x] - p) <= 1e-12 for x, p in oracle.items())
         assert verdicts == {True, False}
