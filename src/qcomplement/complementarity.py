@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import StructureError
 from .instruments import ElementaryProperty
-from .linalg import DEFAULT_TOL, Tolerances, _support_frame, _supports
+from .linalg import DEFAULT_TOL, Tolerances, _supports
 from .operations import DensityState, _outcome_probabilities, pure_state
 
 
@@ -120,7 +120,8 @@ def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.nd
         raise StructureError(
             f"projector {label!r} has no eigenvalue within prob_eq of 1, it admits no verifier"
         )
-    return _support_frame(v, keep)
+    owner = np.nonzero(keep)[0]
+    return v.swapaxes(-1, -2)[keep].T, (owner[:, None] == np.arange(len(v))).astype(float)
 
 
 def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerances):

@@ -10,18 +10,15 @@ insertion order, so reports and bijection search are deterministic.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from math import isqrt
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ExtractionError, PreconditionError, StructureError
-from .linalg import (
-    _CHUNK_CELLS, _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_psd, _support_frame, _supports,
-    _trusted, as_matrix,
-)
+from .linalg import _CHUNK_CELLS, _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_psd, _supports, _trusted, as_matrix
 from .operations import QuantumOperation, _choi_core, coarse_grain_ops, is_atomic, projector_operation
 
 
@@ -205,15 +202,14 @@ class ElementaryProperty:
 
     Downstream decisions work on the projectors, read-only copies in the
     base's outcome order held in a read-only mapping, and on their effects'
-    spectrum, computed once at construction and tied to no tolerance.
+    spectrum, computed once and tied to no tolerance: the constructor,
+    ``from_pvm`` and ``to_elementary`` keep the one their PVM check read.
     ``==`` is identity: two properties are equal when their outcome maps
     are, by ``choi_distance`` at a tolerance.
     """
 
     base: Instrument
     projectors: Mapping[str, np.ndarray]
-    # The batched eigh (w, v) of the outcomes' effects, in ``labels`` order.
-    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if set(self.projectors) != set(self.base.outcomes):
@@ -225,7 +221,14 @@ class ElementaryProperty:
 
     def __reduce__(self):
         # A mapping proxy does not pickle; the property is rebuilt from a dict.
-        return _elementary, (self.base, dict(self.projectors), self._spectrum)
+        return _elementary, (self.base, dict(self.projectors))
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """A spectral decomposition (w, v) of the effects P^dag P, in
+        ``labels`` order; when no construction step left one, their batched
+        eigh."""
+        return _effect_spectrum(np.stack(list(self.projectors.values())))
 
     @property
     def dim(self) -> int:
@@ -265,8 +268,7 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     """The extraction step of ``to_elementary``, for a square instrument whose
     repeatability and per-outcome atomicity the caller has established."""
     groups = _kraus_groups(ins)
-    spectrum = np.linalg.eigh(_effects(ins, groups))
-    v, keep = _supports(spectrum, tol)
+    v, keep = _supports(np.linalg.eigh(_effects(ins, groups)), tol)
     stack = _support_projectors(v, keep)
     residual = np.empty(len(stack))
     for idx, kraus in groups:
@@ -280,7 +282,10 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
                 f"outcome {label!r}: projector map does not reproduce the operation"
             )
     projectors = dict(zip(ins.labels, stack))
-    # The projectors span the supports of E's spectrum, which the property keeps.
+    # The exact spectrum of each V_x V_x^dag: eigenvalue 1 on the kept columns
+    # of v, 0 on the rest. Its supports are the projectors' at any tolerance,
+    # where E's own eigenvalues, a little below 1 on a support, are not.
+    spectrum = (keep.astype(float), v)
     _check_pvm(projectors, ins.dim_in, tol, ExtractionError, spectrum)
     return _elementary(ins, projectors, spectrum)
 
@@ -342,14 +347,17 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
     return _elementary(ins, mats, spectrum)
 
 
-def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum) -> ElementaryProperty:
+def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum=None) -> ElementaryProperty:
     """An elementary property from projectors already checked against
-    ``base``, in its outcome order, and their effects' ``spectrum``; the
-    arrays are made read-only and held in a read-only mapping, so no write
-    can make the spectrum stale."""
+    ``base``, in its outcome order, holding their effects' ``spectrum`` when
+    given; the arrays are made read-only and held in a read-only mapping, so
+    no write can make the property's spectrum stale."""
     for p in projectors.values():
         p.flags.writeable = False
-    return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors), _spectrum=spectrum)
+    prop = _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors))
+    if spectrum is not None:
+        object.__setattr__(prop, "_spectrum", spectrum)
+    return prop
 
 
 def _read_only(label: str, p) -> np.ndarray:
@@ -375,10 +383,9 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
     """Raise ``error`` unless ``mats`` are nonzero d x d orthogonal projectors,
     pairwise orthogonal and summing to the identity, all within ``mat_eq``.
 
-    Returns the effects' spectrum: ``spectrum`` when the caller holds one
-    whose supports at ``tol`` the projectors project onto, as extraction
-    does, else the batched eigh of P^dag P, computed once the per-projector
-    checks have passed.
+    Returns the effects' spectrum the check read: ``spectrum`` when the
+    caller holds one, as extraction does, else the batched eigh of P^dag P,
+    computed once the per-projector checks have passed.
     """
     for label, p in mats.items():
         if p.shape != (d, d):
@@ -390,26 +397,12 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
         if float(np.real(np.trace(p))) < 0.5:
             raise error(f"projector {label!r} is zero, it admits no verifier")
     labels, stack = list(mats), np.stack(list(mats.values()))
-    held = spectrum is not None
-    if not held:
+    if spectrum is None:
         spectrum = _effect_spectrum(stack)
-    # Not the Gram form <P_a^dag P_a, P_b P_b^dag> = |P_a P_b|_F^2: its rounding
-    # of about 1e-16 is mat_eq^2, so exact PVMs at d = 32 fail it. Here each
-    # entry of G = U^dag U, with U = [V_1 | V_2 | ...] the support frames, is an
-    # inner product computed directly, so a block norm |V_a^dag V_b|_F is itself
-    # good to about 1e-16. With delta_x = |P_x - V_x V_x^dag|_F,
-    # |P_a P_b|_F <= |V_a^dag V_b|_F + delta_a + delta_b + delta_a delta_b, and a
-    # pair whose bound is at most mat_eq / 2 passes the direct check with room
-    # to spare. Every other pair runs that check, in order, so the first bad
-    # pair named is the one the pairwise loop names.
-    v, keep = _supports(spectrum, tol)
     n = len(stack)
-    # Extracted projectors are the V_x V_x^dag of the held spectrum: delta_x = 0.
-    delta = np.zeros(n) if held else np.linalg.norm(stack - _support_projectors(v, keep), axis=(1, 2))
-    frame, blocks = _support_frame(v, keep)
-    gram = np.abs(frame.conj().T @ frame) ** 2
-    bound = np.sqrt(blocks.T @ gram @ blocks) + delta[:, None] + delta * (1.0 + delta[:, None])
-    suspect = (np.arange(n)[:, None] < np.arange(n)) & ~(bound <= tol.mat_eq / 2)
+    suspect = np.arange(n)[:, None] < np.arange(n)
+    if n >= _GRAM_MIN_OUTCOMES:
+        suspect &= ~(_orthogonality_bound(stack, spectrum, tol) <= tol.mat_eq / 2)
     for i in np.flatnonzero(suspect.any(axis=1)):
         pairs = np.flatnonzero(suspect[i])
         bad = pairs[np.linalg.norm(stack[i] @ stack[pairs], axis=(1, 2)) > tol.mat_eq]
@@ -418,3 +411,37 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
     if float(np.linalg.norm(stack.sum(axis=0) - np.eye(d))) > tol.mat_eq:
         raise error("projectors do not sum to the identity (incomplete PVM)")
     return spectrum
+
+
+# From this many outcomes on, one Gram of the support frames costs less than
+# the n(n-1)/2 direct products: at d = 8 on one BLAS thread the two are even
+# at 8 outcomes, and at 2 outcomes the Gram costs five times the one product.
+_GRAM_MIN_OUTCOMES = 8
+
+
+def _orthogonality_bound(stack: np.ndarray, spectrum, tol: Tolerances) -> np.ndarray:
+    """An (n, n) array whose entry (a, b) bounds |P_a P_b|_F from above.
+
+    Not the Gram form <P_a^dag P_a, P_b P_b^dag> = |P_a P_b|_F^2: its rounding
+    of about 1e-16 is mat_eq^2, so exact PVMs at d = 32 fail it. Here each
+    entry of G = U^dag U, with U = [V_1 | V_2 | ...] the supports of
+    ``spectrum`` at ``tol``, is an inner product computed directly, so a
+    block norm |V_a^dag V_b|_F is itself good to about 1e-16. With
+    delta_x = |P_x - V_x V_x^dag|_F,
+    |P_a P_b|_F <= |V_a^dag V_b|_F + delta_a + delta_b + delta_a delta_b.
+    A pair whose bound is at most mat_eq / 2 passes the direct check with
+    room to spare; ``_check_pvm`` runs that check on every other pair, in
+    order, so the first bad pair named is the one the pairwise loop names.
+    """
+    v, keep = _supports(spectrum, tol)
+    ranks = keep.sum(axis=1)
+    if not ranks.all():
+        # An empty support bounds nothing: every pair runs the direct check.
+        return np.full((len(stack), len(stack)), np.inf)
+    delta = np.linalg.norm(stack - _support_projectors(v, keep), axis=(1, 2))
+    frame = v.swapaxes(-1, -2)[keep].T
+    # Columns of U come outcome by outcome, so block sums are reduceat sums.
+    starts = np.cumsum(ranks) - ranks
+    gram = np.abs(frame.conj().T @ frame) ** 2
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts, axis=1))
+    return norms + delta[:, None] + delta * (1.0 + delta[:, None])

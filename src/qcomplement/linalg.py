@@ -174,14 +174,6 @@ def _supports(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     return v, w >= 1.0 - tol.prob_eq
 
 
-def _support_frame(v: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The supports of ``_supports`` side by side, U = [V_1 | V_2 | ...], and
-    the block indicator whose entry (i, x) is 1 when column i of U spans
-    support x."""
-    owner = np.nonzero(keep)[0]
-    return v.swapaxes(-1, -2)[keep].T, (owner[:, None] == np.arange(len(v))).astype(float)
-
-
 def range_subspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the column space at numerical rank threshold
     ``eig_cut * sigma_max``; an audit primitive, no decision reads it."""

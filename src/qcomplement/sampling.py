@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .instruments import ElementaryProperty, Instrument, _effect_spectrum, _elementary
+from .instruments import ElementaryProperty, Instrument, _elementary
 from .linalg import _index, _trusted
 from .operations import DensityState, QuantumOperation, _built_state, projector_operation
 
@@ -88,12 +88,11 @@ def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
     ranks = [_index(r, "rank") for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != d:
         raise StructureError(f"ranks must be positive and sum to {d}, got {ranks}")
-    stack = _pvm_draw(d, [ranks], [gen])
-    projectors = {f"x{i}": p for i, p in enumerate(stack)}
+    projectors = {f"x{i}": p for i, p in enumerate(_pvm_draw(d, [ranks], [gen]))}
     # Blocks of one unitary: orthogonal, idempotent and complete by construction.
     outcomes = {label: projector_operation(p) for label, p in projectors.items()}
     ins = _trusted(Instrument, dim_in=d, dim_out=d, outcomes=outcomes)
-    return _elementary(ins, projectors, _effect_spectrum(stack))
+    return _elementary(ins, projectors)
 
 
 def random_density(d: int, rank: int, gen: SeededGenerator) -> DensityState:

@@ -251,28 +251,63 @@ class TestFromPvm:
         want = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
         assert all(np.array_equal(held, fresh) for held, fresh in zip(prop._spectrum, want))
 
-    def test_extraction_keeps_the_effects_spectrum(self):
+    def test_extraction_keeps_the_projectors_exact_spectrum(self):
+        # Eigenvalue 1 on the kept eigenvectors of E, 0 on the rest: no second
+        # eigh, and every V diag(w) V^dag is the extracted projector itself.
         ins = qc.random_pvm(4, [2, 1, 1], qc.SeededGenerator(3)).base
         effects = instruments._effects(ins, instruments._kraus_groups(ins))
-        held = qc.to_elementary(ins)._spectrum
-        assert all(np.array_equal(h, e) for h, e in zip(held, np.linalg.eigh(effects)))
+        prop = qc.to_elementary(ins)
+        w, v = prop._spectrum
+        assert np.array_equal(v, np.linalg.eigh(effects)[1])
+        assert set(np.unique(w)) == {0.0, 1.0}
+        for weights, vectors, p in zip(w, v, prop.projectors.values()):
+            kept = vectors[:, weights == 1.0]
+            assert np.array_equal(kept @ kept.conj().T, p)
+
+    @staticmethod
+    def short_effect_instrument(d: int, rank: int) -> qc.Instrument:
+        """Outcome a keeps the first ``rank`` basis vectors, scaled by
+        sqrt(1 - 4e-9); b projects onto the rest. Complete, repeatable and
+        atomic within mat_eq, so a's effect has eigenvalues 1 - 4e-9."""
+        first = np.diag([1.0] * rank + [0.0] * (d - rank))
+        return qc.instrument_from_operations([
+            ("a", qc.QuantumOperation(d, d, [np.sqrt(1.0 - 4e-9) * first])),
+            ("b", qc.projector_operation(np.eye(d) - first)),
+        ])
+
+    @pytest.mark.parametrize("d, rank", [(2, 1), (3, 2)])
+    def test_extracted_supports_hold_at_a_tighter_tolerance(self, d, rank):
+        # At prob_eq = 1e-9 the eigenvalues 1 - 4e-9 of a's effect fall below
+        # the cut; the projector's own spectrum keeps the whole support.
+        prop = qc.to_elementary(self.short_effect_instrument(d, rank))
+        assert prop.rank_profile() == {"a": rank, "b": d - rank}
+        same = qc.from_pvm(dict(prop.projectors))
+        tight = qc.DEFAULT_TOL.scaled(0.01)
+        for pair in ((prop, same), (same, prop)):
+            report = qc.classify_relation(*pair, tight)
+            assert not report.complementary
+            assert report.matched_bijection == {"a": "a", "b": "b"}
+        assert qc.classify_relation(prop, qubit_x() if d == 2 else qutrit_fine(), tight).complementary
 
 
-def rotated_pvm(d: int, halves: bool, theta: float, seed: int) -> dict:
-    """A Haar PVM of rank-1 or two half-rank projectors whose first support
-    vector is rotated by ``theta`` toward the second support's first vector:
-    every projector stays Hermitian and idempotent, and the first pair's
-    overlap |P_0 P_1|_F is about theta."""
+def rotated_pvm(d: int, rank: int, theta: float, seed: int) -> dict:
+    """A Haar PVM of projectors of ``rank`` (the last one takes what is left)
+    whose first support vector is rotated by ``theta`` toward the second
+    support's first vector: every projector stays Hermitian and idempotent,
+    and the first pair's overlap |P_0 P_1|_F is about theta."""
     rng = np.random.default_rng([seed, d])
     q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     u = q * (np.diag(r) / np.abs(np.diag(r)))
-    edges = [0, d // 2, d] if halves else range(d + 1)
+    edges = [*range(0, d, rank), d]
     blocks = [u[:, a:b].copy() for a, b in zip(edges[:-1], edges[1:])]
     blocks[0][:, 0] = np.cos(theta) * blocks[0][:, 0] + np.sin(theta) * blocks[1][:, 0]
     return {f"p{i}": b @ b.conj().T for i, b in enumerate(blocks)}
 
 
 THETAS = [0.0, 1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 7e-9, 1e-8, 1.5e-8, 1e-7, 1e-6]
+# Block rank per profile. From 8 outcomes on, rank-1 and rank-2 PVMs take the
+# Gram bound (d >= 8 and d >= 16), two halves always the direct check.
+PROFILES = {"rank1": lambda d: 1, "rank2": lambda d: 2, "halves": lambda d: d // 2}
 
 
 class TestPvmCheckOracle:
@@ -287,15 +322,24 @@ class TestPvmCheckOracle:
             return str(err)
         return None
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
-    @pytest.mark.parametrize("halves", [False, True], ids=["rank1", "halves"])
-    def test_from_pvm_and_constructor_match_the_pairwise_loop(self, d, halves):
-        seen = set()
-        base = qc.from_pvm(rotated_pvm(d, halves, 0.0, 0)).base
+    def stacked_norms(self, monkeypatch, call) -> tuple[str | None, list]:
+        """The decision of ``call`` and the shapes of the stacked norms it took."""
+        norm, shapes = np.linalg.norm, []
+        monkeypatch.setattr(np.linalg, "norm", lambda a, *args, **kw: shapes.append(a.shape) or norm(a, *args, **kw))
+        got = self.decide(call)
+        monkeypatch.undo()
+        return got, [s for s in shapes if len(s) == 3]
+
+    @pytest.mark.parametrize("d, profile", [
+        (d, profile) for d in (2, 3, 4, 8, 16, 32, 64) for profile in PROFILES if PROFILES[profile](d) < d
+    ])
+    def test_from_pvm_and_constructor_match_the_pairwise_loop(self, d, profile):
+        seen, rank = set(), PROFILES[profile](d)
+        base = qc.from_pvm(rotated_pvm(d, rank, 0.0, 0)).base
         # The loop oracle makes 2016 products per rank-1 PVM at d = 64.
         tols = [qc.DEFAULT_TOL] + [qc.DEFAULT_TOL.scaled(10)] * (d < 64)
         for theta in THETAS:
-            mats = rotated_pvm(d, halves, theta, 0)
+            mats = rotated_pvm(d, rank, theta, 0)
             for tol in tols:
                 oracle = loop_check_pvm(mats, d, tol)
                 assert self.decide(lambda: qc.from_pvm(mats, tol)) == oracle
@@ -306,23 +350,50 @@ class TestPvmCheckOracle:
 
     def test_fallback_decides_the_pairs_the_bound_cannot(self, monkeypatch):
         # At theta = 7e-9 the first pair's Gram bound exceeds mat_eq / 2 while
-        # |P_0 P_1|_F stays below mat_eq: one direct product, of that pair
-        # alone, accepts it.
-        mats = rotated_pvm(8, False, 7e-9, 0)
-        norm, shapes = np.linalg.norm, []
-        monkeypatch.setattr(np.linalg, "norm", lambda a, *args, **kw: shapes.append(a.shape) or norm(a, *args, **kw))
-        got = self.decide(lambda: qc.from_pvm(mats))
-        monkeypatch.undo()
+        # |P_0 P_1|_F stays below mat_eq: after the one stacked norm of the
+        # deltas, one direct product, of that pair alone, accepts it.
+        mats = rotated_pvm(8, 1, 7e-9, 0)
+        got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
         assert got == loop_check_pvm(mats, 8) and "orthogonal" not in str(got)
-        assert shapes.count((1, 8, 8)) == 1
+        assert shapes == [(8, 8, 8), (1, 8, 8)]
 
-    @pytest.mark.parametrize("d", [3, 8])
-    @pytest.mark.parametrize("halves", [False, True], ids=["rank1", "halves"])
-    def test_extraction_errors_match_the_pairwise_loop(self, d, halves):
+    def test_a_skewed_projector_widens_its_bound(self, monkeypatch):
+        # P_0 + 3e-9 u w^dag, u in P_0's support and w in P_1's, stays
+        # idempotent and within mat_eq of Hermitian. Its effect's support
+        # tilts toward w by about 3e-9, and delta_0 adds as much again: the
+        # bound, 6e-9, sends the pair to the direct check, which accepts
+        # |P_0 P_1|_F = 3e-9.
+        mats = rotated_pvm(8, 1, 0.0, 0)
+        u, w = (np.linalg.eigh(mats[label])[1][:, -1] for label in ("p0", "p1"))
+        mats["p0"] = mats["p0"] + 3e-9 * np.outer(u, w.conj())
+        got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
+        assert got is None and loop_check_pvm(mats, 8) is None
+        assert shapes == [(8, 8, 8), (1, 8, 8)]
+
+    @pytest.mark.parametrize("theta", [0.0, 0.2])
+    def test_an_empty_support_sends_every_pair_to_the_direct_check(self, monkeypatch, theta):
+        # At mat_eq = 0.1 a projector scaled by 0.95 passes the per-projector
+        # and completeness checks, but its effect tops out at 0.9025 < 1 -
+        # prob_eq. Its support is empty and bounds nothing, so the 28 pairs
+        # are checked row by row, as the pairwise loop does.
+        tol = qc.Tolerances(mat_eq=0.1)
+        mats = rotated_pvm(8, 1, theta, 0)
+        mats["p3"] = 0.95 * mats["p3"]
+        got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats, tol))
+        assert got == loop_check_pvm(mats, 8, tol)
+        rows = [s[0] for s in shapes]
+        if theta:
+            assert got == "projectors 'p0' and 'p1' are not orthogonal" and rows == [7]
+        else:
+            assert got is None and rows == [7, 6, 5, 4, 3, 2, 1]
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    def test_extraction_errors_match_the_pairwise_loop(self, d, profile):
         # Off-diagonal repeatability reads |P_a P_b|_F^2, so overlaps of 1e-6
         # and 1e-5 pass it and leave the PVM check to reject the extraction.
         for theta in (0.0, 1e-10, 1e-6, 1e-5):
-            mats = rotated_pvm(d, halves, theta, 1)
+            mats = rotated_pvm(d, PROFILES[profile](d), theta, 1)
             ins = qc.Instrument(d, d, {label: qc.projector_operation(p) for label, p in mats.items()})
             oracle = loop_check_pvm(mats, d)
             if oracle is None:
