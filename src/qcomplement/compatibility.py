@@ -271,29 +271,26 @@ class HarnessReport:
 
 
 def _check_inclusion(
-    projectors: np.ndarray, composite: np.ndarray, branch: np.ndarray, tol: Tolerances
+    composite: np.ndarray, frames: np.ndarray, mask: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check verifier inclusion for every composite outcome at once.
 
     ``composite[y]`` is the one Kraus matrix of composite outcome y, which
-    reads the projective outcome with projector ``projectors[branch[y]]``
-    alone. One Kraus matrix is atomic when it is nonzero (squared norm above
+    reads one projective outcome alone: the projector onto the columns
+    ``mask[y]`` of the unitary ``frames[y]``, its branch's support as drawn.
+    One Kraus matrix is atomic when it is nonzero (squared norm above
     ``mat_eq``). Each nonzero outcome's verifier support, from one batched
-    ``eigh`` of all effects, must lie in its branch's: every row of
-    V_g^dag V_t has norm at least 1 - ``mat_eq``. Returns per outcome:
+    ``eigh`` of the composites' effects, must lie in its branch's: every row
+    of V_g^dag V_t has norm at least 1 - ``mat_eq``. Returns per outcome:
     checked (nonzero), violated, and the dimensions of its support and of
     its branch's.
     """
-    n_y = len(composite)
     nonzero = np.linalg.norm(composite, axis=(1, 2)) ** 2 > tol.mat_eq
-    effects = composite.conj().swapaxes(-1, -2) @ composite
-    stack = np.concatenate([effects, projectors.conj().swapaxes(-1, -2) @ projectors])
-    v, support = _supports(np.linalg.eigh(stack), tol)
-    g_in, t_in = support[:n_y], support[n_y:][branch]
-    cross = v[:n_y].conj().swapaxes(-1, -2) @ v[n_y:][branch]
-    row_norms = np.linalg.norm(cross * t_in[:, None, :], axis=2)
+    v, g_in = _supports(np.linalg.eigh(composite.conj().swapaxes(-1, -2) @ composite), tol)
+    cross = v.conj().swapaxes(-1, -2) @ frames
+    row_norms = np.linalg.norm(cross * mask[:, None, :], axis=2)
     escapes = np.any(g_in & (row_norms < 1.0 - tol.mat_eq), axis=1)
-    return nonzero, nonzero & escapes, g_in.sum(axis=1), t_in.sum(axis=1)
+    return nonzero, nonzero & escapes, g_in.sum(axis=1), mask.sum(axis=1)
 
 
 def _case_index(branches, outcomes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,13 +336,14 @@ def _quantum_batch(gens: list, dim: int, tol: Tolerances) -> list:
         for x, count in enumerate(np.bincount(branches[-1]).tolist()):
             parts.append(gen.child(x + 1).rng.standard_normal((count, 2, dim, dim)))
             counts.append(count)
-    projectors = _pvm_draw(dim, profiles, [gen.child(0) for gen in gens])
+    projectors, frames, mask = _pvm_draw(dim, profiles, [gen.child(0) for gen in gens])
     trial, local, branch = _case_index(branches, [len(p) for p in profiles])
     # The families come branch by branch; outcome y's matrix is at its rank
     # in the stable order by branch.
     kraus = np.empty((len(branch), dim, dim), dtype=complex)
     kraus[np.argsort(branch, kind="stable")] = _kraus_families(np.concatenate(parts), counts)
-    checked, violated, g_dim, t_dim = _check_inclusion(projectors, kraus @ projectors[branch], branch, tol)
+    checked, violated, g_dim, t_dim = _check_inclusion(
+        kraus @ projectors[branch], frames[branch], mask[branch], tol)
     x = np.concatenate(branches)
     return _trial_results(trial, local, checked, violated, lambda case: (
         f"x{x[case]}", int(g_dim[case]), int(t_dim[case])), len(gens))

@@ -57,9 +57,10 @@ def outcome_entropy(probabilities) -> float:
     convention 0 log 0 = 0 applies.
     """
     probs = [float(p) for p in probabilities]
-    if any(p < -DEFAULT_TOL.prob_eq for p in probs):
+    # Written so that NaN fails each test.
+    if not all(p >= -DEFAULT_TOL.prob_eq for p in probs):
         raise StructureError("probabilities must be nonnegative")
-    if abs(sum(probs) - 1.0) > DEFAULT_TOL.prob_eq:
+    if not abs(sum(probs) - 1.0) <= DEFAULT_TOL.prob_eq:
         raise StructureError(f"probabilities sum to {sum(probs)!r}, expected 1")
     return _entropy(max(p, 0.0) for p in probs)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from math import isqrt
 from types import MappingProxyType
 
@@ -201,11 +201,14 @@ class ElementaryProperty:
     """A repeatable atomic instrument together with its extracted projectors.
 
     Downstream decisions work on the projectors, read-only copies in the
-    base's outcome order held in a read-only mapping, and on their effects'
-    spectrum, computed once and tied to no tolerance: the constructor,
-    ``from_pvm`` and ``to_elementary`` keep the one their PVM check read.
-    ``==`` is identity: two properties are equal when their outcome maps
-    are, by ``choi_distance`` at a tolerance.
+    base's outcome order held in a read-only mapping, and on ``_spectrum``,
+    a spectral decomposition (w, v) of their effects P^dag P in ``labels``
+    order, tied to no tolerance and set by every construction path: the
+    constructor and ``from_pvm`` hold the batched eigh their PVM check ran;
+    ``to_elementary`` and ``random_pvm`` hold the exact 0/1 spectrum of the
+    frames they built the projectors from. ``==`` is identity: two
+    properties are equal when their outcome maps are, by ``choi_distance``
+    at a tolerance.
     """
 
     base: Instrument
@@ -220,15 +223,9 @@ class ElementaryProperty:
         object.__setattr__(self, "_spectrum", spectrum)
 
     def __reduce__(self):
-        # A mapping proxy does not pickle; the property is rebuilt from a dict.
-        return _elementary, (self.base, dict(self.projectors))
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """A spectral decomposition (w, v) of the effects P^dag P, in
-        ``labels`` order; when no construction step left one, their batched
-        eigh."""
-        return _effect_spectrum(np.stack(list(self.projectors.values())))
+        # A mapping proxy does not pickle; the property is rebuilt from a dict
+        # and the spectrum it holds.
+        return _elementary, (self.base, dict(self.projectors), self._spectrum)
 
     @property
     def dim(self) -> int:
@@ -347,17 +344,14 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
     return _elementary(ins, mats, spectrum)
 
 
-def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum=None) -> ElementaryProperty:
+def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum) -> ElementaryProperty:
     """An elementary property from projectors already checked against
-    ``base``, in its outcome order, holding their effects' ``spectrum`` when
-    given; the arrays are made read-only and held in a read-only mapping, so
-    no write can make the property's spectrum stale."""
+    ``base``, in its outcome order, holding their effects' ``spectrum``; the
+    arrays are made read-only and held in a read-only mapping, so no write
+    can make the property's spectrum stale."""
     for p in projectors.values():
         p.flags.writeable = False
-    prop = _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors))
-    if spectrum is not None:
-        object.__setattr__(prop, "_spectrum", spectrum)
-    return prop
+    return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors), _spectrum=spectrum)
 
 
 def _read_only(label: str, p) -> np.ndarray:
@@ -365,11 +359,6 @@ def _read_only(label: str, p) -> np.ndarray:
     mat = as_matrix(p, f"projector {label!r}").copy()
     mat.flags.writeable = False
     return mat
-
-
-def _effect_spectrum(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The batched eigh of the effects P^dag P of an (n, d, d) projector stack."""
-    return np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
 
 
 def _support_projectors(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -384,8 +373,10 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
     pairwise orthogonal and summing to the identity, all within ``mat_eq``.
 
     Returns the effects' spectrum the check read: ``spectrum`` when the
-    caller holds one, as extraction does, else the batched eigh of P^dag P,
-    computed once the per-projector checks have passed.
+    caller holds one, else the batched eigh of P^dag P, computed once the
+    per-projector checks have passed. A held spectrum must be the exact 0/1
+    spectrum of ``mats`` themselves, as extraction's is, so each projector
+    is its own support projector and no V_x V_x^dag is rebuilt.
     """
     for label, p in mats.items():
         if p.shape != (d, d):
@@ -397,12 +388,14 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
         if float(np.real(np.trace(p))) < 0.5:
             raise error(f"projector {label!r} is zero, it admits no verifier")
     labels, stack = list(mats), np.stack(list(mats.values()))
-    if spectrum is None:
-        spectrum = _effect_spectrum(stack)
+    held = spectrum is not None
+    if not held:
+        spectrum = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
     n = len(stack)
     suspect = np.arange(n)[:, None] < np.arange(n)
     if n >= _GRAM_MIN_OUTCOMES:
-        suspect &= ~(_orthogonality_bound(stack, spectrum, tol) <= tol.mat_eq / 2)
+        bound = _orthogonality_bound(stack, spectrum, tol, stack if held else None)
+        suspect &= ~(bound <= tol.mat_eq / 2)
     for i in np.flatnonzero(suspect.any(axis=1)):
         pairs = np.flatnonzero(suspect[i])
         bad = pairs[np.linalg.norm(stack[i] @ stack[pairs], axis=(1, 2)) > tol.mat_eq]
@@ -419,7 +412,7 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
 _GRAM_MIN_OUTCOMES = 8
 
 
-def _orthogonality_bound(stack: np.ndarray, spectrum, tol: Tolerances) -> np.ndarray:
+def _orthogonality_bound(stack: np.ndarray, spectrum, tol: Tolerances, supports=None) -> np.ndarray:
     """An (n, n) array whose entry (a, b) bounds |P_a P_b|_F from above.
 
     Not the Gram form <P_a^dag P_a, P_b P_b^dag> = |P_a P_b|_F^2: its rounding
@@ -429,6 +422,8 @@ def _orthogonality_bound(stack: np.ndarray, spectrum, tol: Tolerances) -> np.nda
     block norm |V_a^dag V_b|_F is itself good to about 1e-16. With
     delta_x = |P_x - V_x V_x^dag|_F,
     |P_a P_b|_F <= |V_a^dag V_b|_F + delta_a + delta_b + delta_a delta_b.
+    ``supports``, when given, is the stack of the V_x V_x^dag, else they are
+    built from ``spectrum``.
     A pair whose bound is at most mat_eq / 2 passes the direct check with
     room to spare; ``_check_pvm`` runs that check on every other pair, in
     order, so the first bad pair named is the one the pairwise loop names.
@@ -438,7 +433,9 @@ def _orthogonality_bound(stack: np.ndarray, spectrum, tol: Tolerances) -> np.nda
     if not ranks.all():
         # An empty support bounds nothing: every pair runs the direct check.
         return np.full((len(stack), len(stack)), np.inf)
-    delta = np.linalg.norm(stack - _support_projectors(v, keep), axis=(1, 2))
+    if supports is None:
+        supports = _support_projectors(v, keep)
+    delta = np.linalg.norm(stack - supports, axis=(1, 2))
     frame = v.swapaxes(-1, -2)[keep].T
     # Columns of U come outcome by outcome, so block sums are reduceat sums.
     starts = np.cumsum(ranks) - ranks

@@ -157,7 +157,7 @@ class Subspace:
         if basis.shape[1] > self.ambient_dim:
             raise StructureError("basis has more columns than the ambient dimension")
         gram = basis.conj().T @ basis
-        if basis.shape[1] and np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-10:
+        if basis.shape[1] and not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-10:
             raise StructureError("basis columns are not orthonormal within 1e-10")
         object.__setattr__(self, "basis", basis)
 
@@ -167,9 +167,10 @@ class Subspace:
 
 
 def _supports(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Verifier supports from the batched eigh ``(w, v)`` of an (n, d, d) stack
-    of effects: eigenvectors ``v`` (ascending columns) and the mask ``keep`` of
-    eigenvalues >= 1 - prob_eq; support i is spanned by ``v[i][:, keep[i]]``."""
+    """Verifier supports from a spectral decomposition ``(w, v)`` of an
+    (n, d, d) stack of effects, such as their batched eigh: eigenvectors ``v``
+    (columns) and the mask ``keep`` of eigenvalues >= 1 - prob_eq; support i
+    is spanned by ``v[i][:, keep[i]]``."""
     w, v = spectrum
     return v, w >= 1.0 - tol.prob_eq
 

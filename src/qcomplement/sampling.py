@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .instruments import ElementaryProperty, Instrument, _elementary
+from .instruments import ElementaryProperty, Instrument, _elementary, _labelled
 from .linalg import _index, _trusted
 from .operations import DensityState, QuantumOperation, _built_state, projector_operation
 
@@ -58,14 +58,17 @@ def haar_unitary(d: int, gen: SeededGenerator) -> np.ndarray:
     return _haar(_ginibre(d, d, gen.rng))
 
 
-def _pvm_draw(d: int, profiles, gens) -> np.ndarray:
-    """The projectors of one Haar-rotated coordinate-block PVM on C^d per
-    (rank profile, generator) pair, concatenated in order into one
-    (total outcomes, d, d) stack.
+def _pvm_draw(d: int, profiles, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Haar-rotated coordinate-block PVM on C^d per (rank profile,
+    generator) pair, concatenated in order over all outcomes: the
+    (outcomes, d, d) projector stack, each outcome's (d, d) unitary, and the
+    (outcomes, d) mask of its block's columns.
 
     Each generator draws one Ginibre matrix; one stacked QR rotates them all,
     and one stacked product per rank forms the projectors B B^dag of the
     column blocks B, so the numbers are those of per-PVM calls, bit for bit.
+    The projector of an outcome is thus V diag(mask) V^dag with V its
+    unitary: the frame and its exact 0/1 spectrum come with the draw.
     Profiles are trusted: positive ranks summing to d.
     """
     u = _haar(np.stack([_ginibre(d, d, gen.rng) for gen in gens]))
@@ -79,20 +82,26 @@ def _pvm_draw(d: int, profiles, gens) -> np.ndarray:
         cols = starts[sel, None, None] + np.arange(rank)
         blocks = u[owner[sel, None, None], rows, cols]
         out[sel] = blocks @ blocks.conj().swapaxes(-1, -2)
-    return out
+    column = np.arange(d)
+    mask = (starts[:, None] <= column) & (column < (starts + ranks)[:, None])
+    return out, u[owner], mask
 
 
 def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
     """Haar-rotated coordinate-block PVM with the requested rank profile."""
     d = _index(d, "dimension")
+    if d < 1:
+        raise StructureError("dimension must be at least 1")
     ranks = [_index(r, "rank") for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != d:
         raise StructureError(f"ranks must be positive and sum to {d}, got {ranks}")
-    projectors = {f"x{i}": p for i, p in enumerate(_pvm_draw(d, [ranks], [gen]))}
-    # Blocks of one unitary: orthogonal, idempotent and complete by construction.
+    stack, frames, mask = _pvm_draw(d, [ranks], [gen])
+    projectors = {f"x{i}": p for i, p in enumerate(stack)}
+    # Blocks of one unitary: orthogonal, idempotent and complete by
+    # construction, each the projector of its block's columns, eigenvalue 1.
     outcomes = {label: projector_operation(p) for label, p in projectors.items()}
     ins = _trusted(Instrument, dim_in=d, dim_out=d, outcomes=outcomes)
-    return _elementary(ins, projectors)
+    return _elementary(ins, projectors, (mask.astype(float), frames))
 
 
 def random_density(d: int, rank: int, gen: SeededGenerator) -> DensityState:
@@ -162,8 +171,8 @@ def random_instrument(
         raise StructureError("the Kraus matrices need at least d_in rows in total to normalise")
     kraus = _kraus_draw(d_in, d_out, len(labels) * kraus_per_outcome, gen.rng)
     kraus = kraus.reshape(len(labels), kraus_per_outcome, d_out, d_in)
-    outcomes = {
-        label: _trusted(QuantumOperation, dim_in=d_in, dim_out=d_out, kraus=tuple(mats))
+    outcomes = _labelled(
+        (label, _trusted(QuantumOperation, dim_in=d_in, dim_out=d_out, kraus=tuple(mats)))
         for label, mats in zip(labels, kraus)
-    }
+    )
     return Instrument(d_in, d_out, outcomes)

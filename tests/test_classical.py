@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement import compatibility
-from qcomplement.classical import _check_inclusion, _classical_batch
+from qcomplement.classical import _classical_batch
 from qcomplement.compatibility import _CHUNK_CELLS, _run_harness
 from qcomplement.errors import StructureError
 from qcomplement.linalg import DEFAULT_TOL
@@ -160,6 +160,11 @@ class TestClassicalVerifierChecks:
     def test_size_mismatch(self):
         with pytest.raises(StructureError):
             qc.classical_verifier_checks(measure_and_prepare_zero_map(), qc.point_mass(3, 0))
+
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [0.0, np.nan], [np.nan, np.nan]])
+    def test_state_rejects_nan(self, probs):
+        with pytest.raises(StructureError, match="probabilities must"):
+            qc.ClassicalState(2, probs)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -316,22 +321,6 @@ class TestArrayTrial:
                 assert scalar.random() == batched.random()
                 assert np.array_equal(np.stack([scalar.random(k) for _ in range(4)]),
                                       batched.random((4, k)))
-
-    def test_check_reports_a_misplaced_verifier_point(self):
-        # The realisation of x0 heralds point 1 although x0 reads point 0, so
-        # composite y0 (post-processing branch x0) verifies point 1 only.
-        t = qc.fine_grained_instrument(2)
-        realisation = np.zeros((2, 2, 2))
-        realisation[0, 1, 1] = 1.0
-        realisation[1, 1, 1] = 1.0
-        post = np.zeros((2, 2, 2))
-        post[0, 0, 1] = 1.0
-        post[1, 1, 1] = 1.0
-        t_points = np.array([[p in qc.verifier_points(t[x]) for p in range(2)] for x in t.labels])
-        checked, violated, g_points = _check_inclusion(post @ realisation, t_points, DEFAULT_TOL)
-        assert checked.tolist() == [True, True]
-        assert violated.tolist() == [True, False]
-        assert g_points[0].tolist() == [False, True]
 
     def test_traced_peak_memory_at_size_48(self):
         tracemalloc.start()

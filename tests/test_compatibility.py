@@ -443,12 +443,30 @@ class TestArrayTrial:
         zero = np.zeros((2, 2))
         plus = proj(np.array([1.0, 1.0]) / np.sqrt(2.0))
         composite = np.array([plus, proj(E1), zero, proj(E1)], dtype=complex)
-        projectors = np.stack([proj(E0), proj(E1)]).astype(complex)
+        # The Z measurement's frame is the identity; x0 holds column 0, x1 column 1.
+        frames = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2))
         branch = np.array([0, 1, 0, 0])
-        checked, violated, g_dim, t_dim = _check_inclusion(projectors, composite, branch, DEFAULT_TOL)
+        mask = np.eye(2, dtype=bool)[branch]
+        checked, violated, g_dim, t_dim = _check_inclusion(composite, frames, mask, DEFAULT_TOL)
         assert checked.tolist() == [True, True, False, True]
         assert np.flatnonzero(violated).tolist() == [0, 3]
         assert g_dim[[0, 3]].tolist() == [1, 1] and t_dim[[0, 3]].tolist() == [1, 1]
+
+    def test_eigh_covers_the_composites_only(self, monkeypatch):
+        # The branch supports come with the draw: besides the one eigh that
+        # normalises the Kraus families, the check decomposes only the
+        # composites' effects.
+        eigh, shapes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        check, composites = compatibility._check_inclusion, []
+
+        def spy(composite, *args):
+            composites.append(composite.shape)
+            return check(composite, *args)
+
+        monkeypatch.setattr(compatibility, "_check_inclusion", spy)
+        _quantum_batch([qc.SeededGenerator(5).child(i) for i in range(6)], 4, DEFAULT_TOL)
+        assert len(shapes) == 2 and shapes[1] == composites[0]
 
     def test_trial_results_place_cases_by_trial(self):
         # Three trials with 2, 0 and 3 checked cases; cases 1 and 4 violate.

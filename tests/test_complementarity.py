@@ -274,6 +274,11 @@ class TestOutcomeEntropy:
         with pytest.raises(StructureError):
             qc.outcome_entropy([0.5, 0.4])
 
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [1.0, np.nan], [np.nan]])
+    def test_rejects_nan(self, probs):
+        with pytest.raises(StructureError):
+            qc.outcome_entropy(probs)
+
 
 class TestEntropyVerifierLink:
     @settings(max_examples=25, deadline=None)

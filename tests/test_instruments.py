@@ -242,10 +242,10 @@ class TestFromPvm:
     @pytest.mark.parametrize("build", [
         lambda: qc.from_pvm({"a": proj(PLUS), "b": proj([1.0, -1.0])}),
         lambda: qc.ElementaryProperty(qubit_x().base, {"xp": proj(PLUS), "xm": proj([1.0, -1.0])}),
-        lambda: qc.random_pvm(4, [2, 1, 1], qc.SeededGenerator(3)),
-    ], ids=["from_pvm", "constructor", "random_pvm"])
+    ], ids=["from_pvm", "constructor"])
     def test_spectrum_is_the_eigh_of_the_projectors_effects(self, build):
-        # Computed at construction, bit for bit the eigh of the stacked P^dag P.
+        # Projectors from outside: computed at construction, bit for bit the
+        # eigh of the stacked P^dag P.
         prop = build()
         stack = np.stack(list(prop.projectors.values()))
         want = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
@@ -263,6 +263,21 @@ class TestFromPvm:
         for weights, vectors, p in zip(w, v, prop.projectors.values()):
             kept = vectors[:, weights == 1.0]
             assert np.array_equal(kept @ kept.conj().T, p)
+
+    def test_random_pvm_holds_the_indicator_of_its_haar_blocks(self, monkeypatch):
+        # The draw's unitary and block columns are the spectrum: no eigh is
+        # run to build the property or to decide on it.
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        prop = qc.random_pvm(6, [2, 1, 3], qc.SeededGenerator(3))
+        assert not qc.classify_relation(prop, prop).complementary
+        assert calls == []
+        w, v = prop._spectrum
+        assert w.tolist() == [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
+        assert all(np.array_equal(u, v[0]) for u in v)
+        assert np.linalg.norm(v[0].conj().T @ v[0] - np.eye(6)) <= 1e-12
+        for weights, vectors, p in zip(w, v, prop.projectors.values()):
+            assert np.linalg.norm((vectors * weights) @ vectors.conj().T - p) <= 1e-14
 
     @staticmethod
     def short_effect_instrument(d: int, rank: int) -> qc.Instrument:
@@ -725,6 +740,14 @@ class TestStackedExtraction:
             assert list(got) == list(oracle)
             assert all(np.array_equal(got[label], oracle[label]) for label in oracle)
 
+    def test_projectors_are_built_once(self, monkeypatch):
+        # With 8 or more outcomes the Gram bound reads delta_x from the
+        # extracted stack itself: the V_x V_x^dag are built once, not again.
+        build, calls = instruments._support_projectors, []
+        monkeypatch.setattr(instruments, "_support_projectors", lambda *a: calls.append(1) or build(*a))
+        prop = qc.to_elementary(qc.random_pvm(8, [1] * 8, qc.SeededGenerator(2)).base)
+        assert len(calls) == 1 and len(prop.labels) == 8
+
     def test_zero_map_is_named_before_a_later_residual(self):
         e = np.eye(3)
         ins = qc.Instrument(3, 3, {
@@ -784,6 +807,35 @@ class TestReadOnlyProjectors:
     def test_from_pvm_takes_a_property_s_projectors(self):
         z = qubit_z()
         assert qc.from_pvm(z.projectors).rank_profile() == z.rank_profile()
+
+
+SOURCES = {
+    "constructor": lambda: qc.ElementaryProperty(z_instrument(), {"z0": proj(E0), "z1": proj(E1)}),
+    "from_pvm": lambda: qc.from_pvm({"a": proj(PLUS), "b": proj([1.0, -1.0])}),
+    "to_elementary": lambda: qc.to_elementary(qc.random_pvm(4, [2, 1, 1], qc.SeededGenerator(3)).base),
+    "random_pvm": lambda: qc.random_pvm(5, [2, 3], qc.SeededGenerator(8)),
+}
+ROUND_TRIPS = {"pickle": lambda prop: pickle.loads(pickle.dumps(prop)), "deepcopy": copy.deepcopy}
+
+
+class TestHeldSpectrum:
+    # Every construction path sets the spectrum; no step computes it later.
+    @pytest.mark.parametrize("build", [
+        *SOURCES.values(), *(lambda trip=trip: trip(qubit_z()) for trip in ROUND_TRIPS.values()),
+    ], ids=[*SOURCES, *ROUND_TRIPS])
+    def test_every_construction_path_holds_its_spectrum(self, build):
+        assert not hasattr(qc.ElementaryProperty, "_spectrum")
+        prop = build()
+        w, v = vars(prop)["_spectrum"]
+        n, d = len(prop.labels), prop.dim
+        assert w.shape == (n, d) and v.shape == (n, d, d)
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
+    @pytest.mark.parametrize("build", SOURCES.values(), ids=list(SOURCES))
+    def test_round_trips_carry_the_spectrum_bit_for_bit(self, build, trip):
+        prop = build()
+        copied = vars(trip(prop))["_spectrum"]
+        assert [a.tobytes() for a in copied] == [a.tobytes() for a in prop._spectrum]
 
 
 # Values that hold arrays, each built twice from the same inputs: separately

@@ -51,6 +51,13 @@ class TestRangeSubspace:
         assert sub.dim == round(float(np.real(np.trace(p))))
 
 
+class TestSubspace:
+    @pytest.mark.parametrize("basis", [[[np.nan], [0.0]], [[1.0, 0.0], [0.0, np.nan]]])
+    def test_rejects_nan(self, basis):
+        with pytest.raises(StructureError, match="not orthonormal"):
+            Subspace(2, basis)
+
+
 class TestSubspaceRelation:
     def test_reordered_basis_equal(self):
         a = Subspace(3, np.eye(3)[:, [0, 1]].astype(complex))

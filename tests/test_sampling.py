@@ -56,6 +56,12 @@ class TestRandomPvm:
         with pytest.raises(StructureError):
             qc.random_pvm(3, [2, 2], qc.SeededGenerator(1))
 
+    def test_rejects_zero_dim(self):
+        # A property with no outcomes would make every decision on it fail
+        # outside the StructureError contract.
+        with pytest.raises(StructureError, match="dimension must be at least 1"):
+            qc.random_pvm(0, [], qc.SeededGenerator(1))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(2, 5))
     def test_round_trips_through_extraction(self, seed, d):
@@ -87,10 +93,23 @@ class TestPvmDraw:
         assert hashlib.sha256(rounded.tobytes()).hexdigest().startswith(digest)
 
     def test_draw_is_the_random_pvm_projectors_bit_for_bit(self):
+        # The property holds the draw's projectors, and its frames and block
+        # masks as the spectrum (w, v).
         for d, ranks, seed in ((2, [1, 1], 0), (4, [1, 2, 1], 11), (8, [1] * 8, 5)):
-            stack = _pvm_draw(d, [ranks], [qc.SeededGenerator(seed)])
+            stack, frames, mask = _pvm_draw(d, [ranks], [qc.SeededGenerator(seed)])
             prop = qc.random_pvm(d, ranks, qc.SeededGenerator(seed))
             assert stack.tobytes() == np.stack(list(prop.projectors.values())).tobytes()
+            w, v = prop._spectrum
+            assert np.array_equal(v, frames) and np.array_equal(w, mask.astype(float))
+
+    def test_each_projector_is_its_frames_masked_columns(self):
+        # Outcome x's unitary is its PVM's, and its mask marks its block.
+        stack, frames, mask = _pvm_draw(5, [[2, 1, 2], [5], [1, 4]], [qc.SeededGenerator(i) for i in range(3)])
+        assert np.flatnonzero(mask).tolist() == [0, 1, 7, 13, 14, 15, 16, 17, 18, 19, 20, 26, 27, 28, 29]
+        assert [np.array_equal(f, frames[0]) for f in frames] == [True] * 3 + [False] * 3
+        assert np.array_equal(frames[4], frames[5])
+        for p, u, cols in zip(stack, frames, mask):
+            assert np.array_equal(u[:, cols] @ u[:, cols].conj().T, p)
 
     def test_stacked_draw_equals_one_draw_per_pvm(self):
         # Several PVMs of mixed rank profiles in one call: one stacked QR and
@@ -100,8 +119,9 @@ class TestPvmDraw:
             rng = root.rng
             profiles = [qc.random_rank_profile(d, int(rng.integers(1, d + 1)), rng) for _ in range(7)]
             gens = [root.child(i) for i in range(7)]
-            one_by_one = np.concatenate([_pvm_draw(d, [p], [g]) for p, g in zip(profiles, gens)])
-            assert _pvm_draw(d, profiles, gens).tobytes() == one_by_one.tobytes()
+            one_by_one = [_pvm_draw(d, [p], [g]) for p, g in zip(profiles, gens)]
+            for part, stacked in zip(zip(*one_by_one), _pvm_draw(d, profiles, gens)):
+                assert stacked.tobytes() == np.concatenate(part).tobytes()
 
 
 class TestRandomRankProfile:
@@ -205,6 +225,12 @@ class TestRandomInstrument:
     def test_rejects_shapes_it_cannot_normalise(self, d_in, d_out, labels, kraus):
         with pytest.raises(StructureError):
             qc.random_instrument(d_in, d_out, labels, qc.SeededGenerator(1), kraus)
+
+    def test_duplicate_label_raises(self):
+        # Keeping the last family of a label would leave an incomplete
+        # instrument with one outcome.
+        with pytest.raises(StructureError, match="duplicate outcome label 'a'"):
+            qc.random_instrument(2, 2, ["a", "a"], qc.SeededGenerator(0))
 
     def test_multi_kraus(self):
         ins = qc.random_instrument(2, 2, ["a"], qc.SeededGenerator(4), kraus_per_outcome=3)
