@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ExtractionError, PreconditionError, StructureError
 from .linalg import _CHUNK_CELLS, _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_psd, _supports, _trusted, as_matrix
-from .operations import QuantumOperation, _choi_core, coarse_grain_ops, is_atomic, projector_operation
+from .operations import QuantumOperation, _choi_core, coarse_grain_ops, is_atomic
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,17 @@ def _residuals(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     return np.linalg.norm(_choi_core(plus, minus), axis=(-2, -1))
 
 
+def _projector_residuals(ins: Instrument, groups, stack: np.ndarray) -> np.ndarray:
+    """||Choi(P_x . P_x^dag) - Choi(T_x)||_F per outcome x of ``ins``, with
+    ``stack`` the (n, d, d) projectors P_x in outcome order, stacked over the
+    outcomes of one Kraus count."""
+    residual = np.empty(len(stack))
+    for idx, kraus in groups:
+        for part in _chunks(len(idx), (1 + kraus.shape[1]) * ins.dim_in**2):
+            residual[idx[part]] = _residuals(stack[idx[part], None], kraus[part])
+    return residual
+
+
 def _composite_norms(groups):
     """Yield ``(rows, cols, norms)`` per block pair, ``norms[i, j]`` being
     ||Choi(T_x after T_x')||_F for x = rows[i] and x' = cols[j].
@@ -203,29 +214,44 @@ class ElementaryProperty:
     Downstream decisions work on the projectors, read-only copies in the
     base's outcome order held in a read-only mapping, and on ``_spectrum``,
     a spectral decomposition (w, v) of their effects P^dag P in ``labels``
-    order, tied to no tolerance and set by every construction path: the
-    constructor and ``from_pvm`` hold the batched eigh their PVM check ran;
-    ``to_elementary`` and ``random_pvm`` hold the exact 0/1 spectrum of the
-    frames they built the projectors from. ``==`` is identity: two
-    properties are equal when their outcome maps are, by ``choi_distance``
-    at a tolerance.
+    order, tied to no tolerance and set by every construction path:
+    ``to_elementary`` holds the exact 0/1 spectrum of the effects'
+    eigenvectors it built the projectors from; ``random_pvm`` the exact 0/1
+    spectrum of its one Haar unitary, and the constructor and ``from_pvm``
+    the spectrum their PVM check read from one unitary (see ``_check_pvm``),
+    both with v a read-only broadcast of that unitary over the outcomes.
+
+    The constructor checks its input: ``base`` must be square, the
+    projectors a PVM, and each outcome's operation within ``mat_eq`` of its
+    projector's map rho -> P rho P, all at ``DEFAULT_TOL``, else
+    ``StructureError``. ``==`` is identity: two properties are equal when
+    their outcome maps are, by ``choi_distance`` at a tolerance.
     """
 
     base: Instrument
     projectors: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        if set(self.projectors) != set(self.base.outcomes):
+        base = self.base
+        if base.dim_in != base.dim_out:
+            raise StructureError("elementary properties need dim_in = dim_out")
+        if set(self.projectors) != set(base.outcomes):
             raise StructureError("projector labels do not match instrument outcomes")
-        mats = {label: _read_only(label, self.projectors[label]) for label in self.base.labels}
-        spectrum = _check_pvm(mats, self.base.dim_in, DEFAULT_TOL)
+        mats = {label: _read_only(label, self.projectors[label]) for label in base.labels}
+        spectrum = _check_pvm(mats, base.dim_in, DEFAULT_TOL)
+        residual = _projector_residuals(base, _kraus_groups(base), np.stack(list(mats.values())))
+        for label, res in zip(base.labels, residual):
+            if not res <= DEFAULT_TOL.mat_eq:
+                raise StructureError(f"outcome {label!r}: operation is not its projector's map")
         object.__setattr__(self, "projectors", MappingProxyType(mats))
         object.__setattr__(self, "_spectrum", spectrum)
 
     def __reduce__(self):
         # A mapping proxy does not pickle; the property is rebuilt from a dict
-        # and the spectrum it holds.
-        return _elementary, (self.base, dict(self.projectors), self._spectrum)
+        # and the spectrum it holds. A frame every outcome shares (stride 0)
+        # travels as its one unitary and is broadcast again on load.
+        w, v = self._spectrum
+        return _elementary, (self.base, dict(self.projectors), (w, v[0] if v.strides[0] == 0 else v))
 
     @property
     def dim(self) -> int:
@@ -267,10 +293,7 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     groups = _kraus_groups(ins)
     v, keep = _supports(np.linalg.eigh(_effects(ins, groups)), tol)
     stack = _support_projectors(v, keep)
-    residual = np.empty(len(stack))
-    for idx, kraus in groups:
-        for part in _chunks(len(idx), (1 + kraus.shape[1]) * ins.dim_in**2):
-            residual[idx[part]] = _residuals(stack[idx[part], None], kraus[part])
+    residual = _projector_residuals(ins, groups, stack)
     for label, kept, res in zip(ins.labels, keep, residual):
         if not kept.any():
             raise ExtractionError(f"outcome {label!r} is the zero map, it admits no verifier")
@@ -340,17 +363,22 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
     mats = _labelled((label, _read_only(label, p)) for label, p in items)
     d = next(iter(mats.values())).shape[0]
     spectrum = _check_pvm(mats, d, tol)
-    ins = Instrument(d, d, {label: projector_operation(p) for label, p in mats.items()})
-    return _elementary(ins, mats, spectrum)
+    # Each checked projector is its outcome's one Kraus matrix, rho -> P rho P.
+    ops = {label: _trusted(QuantumOperation, dim_in=d, dim_out=d, kraus=(p,)) for label, p in mats.items()}
+    return _elementary(Instrument(d, d, ops), mats, spectrum)
 
 
 def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum) -> ElementaryProperty:
     """An elementary property from projectors already checked against
     ``base``, in its outcome order, holding their effects' ``spectrum``; the
     arrays are made read-only and held in a read-only mapping, so no write
-    can make the property's spectrum stale."""
+    can make the property's spectrum stale. A spectrum whose v is one (d, d)
+    unitary holds it broadcast over the outcomes."""
     for p in projectors.values():
         p.flags.writeable = False
+    w, v = spectrum
+    if v.ndim == 2:
+        spectrum = (w, np.broadcast_to(v, (len(w), *v.shape)))
     return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors), _spectrum=spectrum)
 
 
@@ -368,29 +396,42 @@ def _support_projectors(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.stack([frame @ frame.conj().T for frame in frames])
 
 
+# The per-projector checks of ``_check_pvm``, in the order it reads them.
+_PROJECTOR_FAULTS = ("is not Hermitian", "is not idempotent", "is zero, it admits no verifier")
+
+
 def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=StructureError, spectrum=None):
     """Raise ``error`` unless ``mats`` are nonzero d x d orthogonal projectors,
     pairwise orthogonal and summing to the identity, all within ``mat_eq``.
 
+    The shapes are checked in a loop, then the Hermitian, idempotent and
+    nonzero checks run stacked over the projectors before the first bad
+    shape; the message names the first projector that fails, and its first
+    failed check, as a loop over projectors would.
+
     Returns the effects' spectrum the check read: ``spectrum`` when the
-    caller holds one, else the batched eigh of P^dag P, computed once the
-    per-projector checks have passed. A held spectrum must be the exact 0/1
-    spectrum of ``mats`` themselves, as extraction's is, so each projector
-    is its own support projector and no V_x V_x^dag is rebuilt.
+    caller holds one, else ``_pvm_spectrum`` of the projectors, computed
+    once the per-projector checks have passed. A held spectrum must be the
+    exact 0/1 spectrum of ``mats`` themselves, as extraction's is, so each
+    projector is its own support projector and no V_x V_x^dag is rebuilt.
     """
-    for label, p in mats.items():
-        if p.shape != (d, d):
-            raise error(f"projector {label!r} has shape {p.shape}, expected ({d}, {d})")
-        if float(np.linalg.norm(p - p.conj().T)) > tol.mat_eq:
-            raise error(f"projector {label!r} is not Hermitian")
-        if float(np.linalg.norm(p @ p - p)) > tol.mat_eq:
-            raise error(f"projector {label!r} is not idempotent")
-        if float(np.real(np.trace(p))) < 0.5:
-            raise error(f"projector {label!r} is zero, it admits no verifier")
-    labels, stack = list(mats), np.stack(list(mats.values()))
+    labels, given = list(mats), list(mats.values())
+    shaped = next((i for i, p in enumerate(given) if p.shape != (d, d)), len(given))
+    if shaped:
+        stack = np.stack(given[:shaped])
+        failed = np.stack([
+            np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(1, 2)) > tol.mat_eq,
+            np.linalg.norm(stack @ stack - stack, axis=(1, 2)) > tol.mat_eq,
+            np.trace(stack, axis1=1, axis2=2).real < 0.5,
+        ], axis=1)
+        if failed.any():
+            i, check = np.argwhere(failed)[0]
+            raise error(f"projector {labels[i]!r} {_PROJECTOR_FAULTS[check]}")
+    if shaped < len(given):
+        raise error(f"projector {labels[shaped]!r} has shape {given[shaped].shape}, expected ({d}, {d})")
     held = spectrum is not None
     if not held:
-        spectrum = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        spectrum = _pvm_spectrum(stack)
     n = len(stack)
     suspect = np.arange(n)[:, None] < np.arange(n)
     if n >= _GRAM_MIN_OUTCOMES:
@@ -404,6 +445,40 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
     if float(np.linalg.norm(stack.sum(axis=0) - np.eye(d))) > tol.mat_eq:
         raise error("projectors do not sum to the identity (incomplete PVM)")
     return spectrum
+
+
+def _pvm_spectrum(stack: np.ndarray):
+    """A spectrum (w, v) of the effects P_x^dag P_x of a checked PVM stack,
+    read from one eigh: v is one d x d unitary, broadcast read-only over the
+    n outcomes.
+
+    The eigenvalues of the Hermitian part of H = sum_x x P_x sit near the
+    outcome indices, so eigenvector j goes to outcome clip(rint(lambda_j),
+    0, n - 1); each outcome's columns U_x are a run, since lambda ascends.
+    On U_x, w[x] holds the eigenvalues of (P_x U_x)^dag (P_x U_x), the
+    effect compressed to the cluster, whose eigenvectors rotate U_x; w[x] is
+    0 on every other column. A rank-1 cluster reads |P_x u|^2 directly, and
+    larger ones take one stacked eigh per cluster size. So the support rule
+    still reads each effect: an outcome whose effect stays below 1 - prob_eq
+    on its cluster has an empty support.
+    """
+    n, d = stack.shape[:2]
+    h = np.tensordot(np.arange(n, dtype=float), stack, axes=1)
+    lam, u = np.linalg.eigh((h + h.conj().T) / 2.0)
+    sizes = np.bincount(np.clip(np.rint(lam), 0, n - 1).astype(int), minlength=n)
+    starts = np.cumsum(sizes) - sizes
+    w = np.zeros((n, d))
+    for k in np.unique(sizes[sizes > 0]).tolist():
+        xs = np.flatnonzero(sizes == k)
+        cols = starts[xs, None] + np.arange(k)
+        frames = u[:, cols].transpose(1, 0, 2)
+        images = stack[xs] @ frames
+        if k == 1:
+            w[xs[:, None], cols] = np.square(np.abs(images)).sum(axis=1)
+        else:
+            w[xs[:, None], cols], rot = np.linalg.eigh(images.conj().swapaxes(-1, -2) @ images)
+            u[:, cols] = (frames @ rot).transpose(1, 0, 2)
+    return w, np.broadcast_to(u, (n, d, d))
 
 
 # From this many outcomes on, one Gram of the support frames costs less than

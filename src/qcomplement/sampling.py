@@ -101,7 +101,8 @@ def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
     # construction, each the projector of its block's columns, eigenvalue 1.
     outcomes = {label: projector_operation(p) for label, p in projectors.items()}
     ins = _trusted(Instrument, dim_in=d, dim_out=d, outcomes=outcomes)
-    return _elementary(ins, projectors, (mask.astype(float), frames))
+    # One unitary rotates every block: the property holds it once, broadcast.
+    return _elementary(ins, projectors, (mask.astype(float), frames[0].copy()))
 
 
 def random_density(d: int, rank: int, gen: SeededGenerator) -> DensityState:

@@ -199,3 +199,18 @@ def loop_check_pvm(mats: dict, d: int, tol=qc.DEFAULT_TOL) -> str | None:
     if float(np.linalg.norm(stack.sum(axis=0) - np.eye(d))) > tol.mat_eq:
         return "projectors do not sum to the identity (incomplete PVM)"
     return None
+
+
+def effect_supports(mats: dict, tol=qc.DEFAULT_TOL) -> list[np.ndarray]:
+    """Oracle for the supports of projectors from outside: per outcome, an
+    orthonormal basis of the eigenvalue >= 1 - prob_eq eigenspace of its
+    effect P^dag P, from one batched eigh of the effects."""
+    stack = np.stack(list(mats.values()))
+    w, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+    return [vectors[:, weights >= 1.0 - tol.prob_eq] for weights, vectors in zip(w, v)]
+
+
+def largest_sine(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest principal-angle sine of span(a) against span(b), both
+    orthonormal bases: the spectral norm of (I - b b^dag) a."""
+    return float(np.linalg.norm(a - b @ (b.conj().T @ a), 2)) if a.size else 0.0

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 import qcomplement as qc
 from qcomplement import instruments
 from qcomplement.errors import ExtractionError, PreconditionError, StructureError
+from qcomplement.linalg import _supports
 from qcomplement.operations import _core_norm
 from helpers import (
-    E0, E1, PLUS, loop_check_pvm, proj, qubit_x, qubit_z, qutrit_fine, traced_peak, z_instrument,
+    E0, E1, MINUS, PLUS, effect_supports, largest_sine, loop_check_pvm, proj, qubit_x, qubit_z, qutrit_fine,
+    traced_peak, z_instrument,
 )
 
 
@@ -154,6 +156,15 @@ class TestCoarseGrain:
         assert np.allclose(total_effect(coarse), total_effect(fine))
 
 
+def projective_instrument(mats: dict) -> qc.Instrument:
+    """The instrument rho -> P rho P of each labelled matrix P, unchecked."""
+    d = len(next(iter(mats.values())))
+    return qc.Instrument(d, d, {label: qc.projector_operation(p) for label, p in mats.items()})
+
+
+X_PVM = {"xp": proj(PLUS), "xm": proj([1.0, -1.0])}
+
+
 class TestFromPvm:
     def test_z_basis(self):
         prop = qc.from_pvm({"z0": proj(E0), "z1": proj(E1)})
@@ -183,6 +194,35 @@ class TestFromPvm:
     def test_constructor_rejects_non_idempotent(self):
         with pytest.raises(StructureError, match="idempotent"):
             qc.ElementaryProperty(z_instrument(), {"z0": 0.5 * np.eye(2), "z1": 0.5 * np.eye(2)})
+
+    def test_constructor_rejects_projectors_that_are_not_the_base(self):
+        # Z's base with X's projectors: a valid PVM, but the outcome maps
+        # are Z's, so the property would decide on one and verify the other.
+        with pytest.raises(StructureError, match="outcome 'z0': operation is not its projector's map"):
+            qc.ElementaryProperty(z_instrument(), {"z0": proj(PLUS), "z1": proj(MINUS)})
+
+    def test_constructor_names_the_first_outcome_off_its_projector(self):
+        e = np.eye(3)
+        mats = {"a": proj(e[0]), "b": proj(e[1]), "c": proj(e[2])}
+        base = projective_instrument({"a": mats["a"], "b": mats["c"], "c": mats["b"]})
+        with pytest.raises(StructureError, match="outcome 'b'"):
+            qc.ElementaryProperty(base, mats)
+
+    def test_constructor_compares_maps_not_kraus_matrices(self):
+        # A global phase on a Kraus matrix, or a split into proportional ones,
+        # leaves the map P rho P as it is.
+        phased = qc.QuantumOperation(2, 2, (np.exp(0.3j) * proj(E0),))
+        split = qc.QuantumOperation(2, 2, (0.8 * proj(E1), 0.6 * proj(E1)))
+        base = qc.instrument_from_operations([("z0", phased), ("z1", split)])
+        prop = qc.ElementaryProperty(base, {"z0": proj(E0), "z1": proj(E1)})
+        assert not qc.are_complementary(prop, qubit_z()).complementary
+
+    def test_constructor_rejects_a_rectangular_base(self):
+        # dim_out = 3: the projectors pass as 2 x 2, but no instrument with
+        # another output space is elementary.
+        ops = [(label, qc.QuantumOperation(2, 3, (np.eye(3, 2) @ proj(v),))) for label, v in (("z0", E0), ("z1", E1))]
+        with pytest.raises(StructureError, match="dim_in = dim_out"):
+            qc.ElementaryProperty(qc.instrument_from_operations(ops), {"z0": proj(E0), "z1": proj(E1)})
 
     @pytest.mark.parametrize("d", [32, 64])
     def test_accepts_exact_half_rank_pvms(self, d):
@@ -241,15 +281,35 @@ class TestFromPvm:
 
     @pytest.mark.parametrize("build", [
         lambda: qc.from_pvm({"a": proj(PLUS), "b": proj([1.0, -1.0])}),
-        lambda: qc.ElementaryProperty(qubit_x().base, {"xp": proj(PLUS), "xm": proj([1.0, -1.0])}),
-    ], ids=["from_pvm", "constructor"])
-    def test_spectrum_is_the_eigh_of_the_projectors_effects(self, build):
-        # Projectors from outside: computed at construction, bit for bit the
-        # eigh of the stacked P^dag P.
+        lambda: qc.ElementaryProperty(projective_instrument(X_PVM), X_PVM),
+        lambda: qc.from_pvm(rotated_pvm(6, 2, 0.0, 4)),
+        lambda: qc.from_pvm({"lo": proj(E0), "hi": proj(E1)}),
+    ], ids=["from_pvm", "constructor", "rank2", "diagonal"])
+    def test_spectrum_is_one_unitary_from_the_outcome_index_sum(self, build, monkeypatch):
+        # Projectors from outside: one eigh, of sum_x x P_x, frames every
+        # outcome; eigenvector j goes to outcome rint(lambda_j). The unitary
+        # is held once, broadcast read-only over the outcomes, and w[x] holds
+        # the effect P_x^dag P_x compressed to x's columns, 0 elsewhere.
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         prop = build()
         stack = np.stack(list(prop.projectors.values()))
-        want = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
-        assert all(np.array_equal(held, fresh) for held, fresh in zip(prop._spectrum, want))
+        n, d = stack.shape[:2]
+        w, v = prop._spectrum
+        assert v.shape == (n, d, d) and v.strides[0] == 0 and not v.flags.writeable
+        u = v[0]
+        assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-14
+        index = np.tensordot(np.arange(n), stack, axes=1)
+        owner = np.rint(np.real(np.einsum("ij,jk,ki->i", u.conj().T, index, u)))
+        assert np.array_equal(np.sort(owner), owner)
+        for x, (weights, p) in enumerate(zip(w, stack)):
+            cols = owner == x
+            assert cols.sum() == prop.rank_profile()[prop.labels[x]]
+            assert np.array_equal(weights[~cols], np.zeros(d - cols.sum()))
+            compressed = (p @ u[:, cols]).conj().T @ (p @ u[:, cols])
+            assert np.linalg.norm(compressed - np.diag(weights[cols])) <= 1e-14
+        # Rank-1 clusters read |P_x u|^2; each larger size takes one eigh.
+        assert calls == [(d, d)] + [(n, 2, 2)] * (n < d)
 
     def test_extraction_keeps_the_projectors_exact_spectrum(self):
         # Eigenvalue 1 on the kept eigenvectors of E, 0 on the rest: no second
@@ -350,11 +410,12 @@ class TestPvmCheckOracle:
     ])
     def test_from_pvm_and_constructor_match_the_pairwise_loop(self, d, profile):
         seen, rank = set(), PROFILES[profile](d)
-        base = qc.from_pvm(rotated_pvm(d, rank, 0.0, 0)).base
         # The loop oracle makes 2016 products per rank-1 PVM at d = 64.
         tols = [qc.DEFAULT_TOL] + [qc.DEFAULT_TOL.scaled(10)] * (d < 64)
         for theta in THETAS:
             mats = rotated_pvm(d, rank, theta, 0)
+            # The base holds the same matrices, so only the PVM check decides.
+            base = projective_instrument(mats)
             for tol in tols:
                 oracle = loop_check_pvm(mats, d, tol)
                 assert self.decide(lambda: qc.from_pvm(mats, tol)) == oracle
@@ -364,26 +425,37 @@ class TestPvmCheckOracle:
         assert {None, "projectors 'p0' and 'p1' are not orthogonal"} <= seen
 
     def test_fallback_decides_the_pairs_the_bound_cannot(self, monkeypatch):
-        # At theta = 7e-9 the first pair's Gram bound exceeds mat_eq / 2 while
-        # |P_0 P_1|_F stays below mat_eq: after the one stacked norm of the
-        # deltas, one direct product, of that pair alone, accepts it.
+        # At theta = 7e-9 the first pair's bound exceeds mat_eq / 2 while
+        # |P_0 P_1|_F stays below mat_eq. Outcome 0 has index 0 in
+        # sum_x x P_x, so its frame is the complement of the other supports:
+        # the unrotated vector, which puts delta_0 at sqrt(2) theta, about
+        # 9.9e-9. After the stacked Hermitian and idempotent norms and the
+        # one stacked norm of the deltas, one stacked product of row 0's
+        # seven pairs accepts them.
         mats = rotated_pvm(8, 1, 7e-9, 0)
         got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
         assert got == loop_check_pvm(mats, 8) and "orthogonal" not in str(got)
-        assert shapes == [(8, 8, 8), (1, 8, 8)]
+        assert shapes == [(8, 8, 8)] * 3 + [(7, 8, 8)]
 
-    def test_a_skewed_projector_widens_its_bound(self, monkeypatch):
-        # P_0 + 3e-9 u w^dag, u in P_0's support and w in P_1's, stays
-        # idempotent and within mat_eq of Hermitian. Its effect's support
-        # tilts toward w by about 3e-9, and delta_0 adds as much again: the
-        # bound, 6e-9, sends the pair to the direct check, which accepts
-        # |P_0 P_1|_F = 3e-9.
+    @pytest.mark.parametrize("skewed, partner, direct", [("p0", "p1", []), ("p1", "p2", [(1, 8, 8)])])
+    def test_a_skewed_projector_widens_its_bound(self, monkeypatch, skewed, partner, direct):
+        # P + 3e-9 u w^dag, u in P's support and w in its partner's, stays
+        # idempotent and within mat_eq of Hermitian, and |P Q|_F = 3e-9; an
+        # exact pair's bound reads about 5e-15. p0 has index 0 in sum_x x P_x
+        # and leaves the one frame as it is, so delta_0 = 3e-9 is the whole
+        # bound and no direct product is taken. p1 tilts the frame of p1 and
+        # p2, each delta grows, and the bound, about 6.9e-9, sends that pair
+        # alone to the direct check. Either way the pair is accepted.
         mats = rotated_pvm(8, 1, 0.0, 0)
-        u, w = (np.linalg.eigh(mats[label])[1][:, -1] for label in ("p0", "p1"))
-        mats["p0"] = mats["p0"] + 3e-9 * np.outer(u, w.conj())
+        u, w = (np.linalg.eigh(mats[label])[1][:, -1] for label in (skewed, partner))
+        mats[skewed] = mats[skewed] + 3e-9 * np.outer(u, w.conj())
         got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
         assert got is None and loop_check_pvm(mats, 8) is None
-        assert shapes == [(8, 8, 8), (1, 8, 8)]
+        assert shapes == [(8, 8, 8)] * 3 + direct
+        a, b = (list(mats).index(label) for label in (skewed, partner))
+        stack = np.stack(list(mats.values()))
+        bound = instruments._orthogonality_bound(stack, qc.from_pvm(mats)._spectrum, qc.DEFAULT_TOL)
+        assert np.linalg.norm(stack[a] @ stack[b]) <= bound[a, b]
 
     @pytest.mark.parametrize("theta", [0.0, 0.2])
     def test_an_empty_support_sends_every_pair_to_the_direct_check(self, monkeypatch, theta):
@@ -396,7 +468,9 @@ class TestPvmCheckOracle:
         mats["p3"] = 0.95 * mats["p3"]
         got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats, tol))
         assert got == loop_check_pvm(mats, 8, tol)
-        rows = [s[0] for s in shapes]
+        # The stacked Hermitian and idempotent norms, then the direct rows.
+        assert shapes[:2] == [(8, 8, 8)] * 2
+        rows = [s[0] for s in shapes[2:]]
         if theta:
             assert got == "projectors 'p0' and 'p1' are not orthogonal" and rows == [7]
         else:
@@ -418,6 +492,56 @@ class TestPvmCheckOracle:
                 with pytest.raises(ExtractionError) as err:
                     qc.to_elementary(ins)
                 assert str(err.value) == oracle
+
+
+class TestOneFrameSupports:
+    """The supports ``from_pvm`` cuts from its one unitary against the
+    eigenspaces of each effect's own eigh, the rule they replace."""
+
+    @staticmethod
+    def held_supports(prop, tol) -> list[np.ndarray]:
+        v, keep = _supports(prop._spectrum, tol)
+        return [vectors[:, kept] for vectors, kept in zip(v, keep)]
+
+    @pytest.mark.parametrize("d, profile", [
+        (d, profile) for d in (2, 3, 4, 8, 16, 32, 64) for profile in PROFILES if PROFILES[profile](d) < d
+    ])
+    def test_supports_match_the_effects_eigenspaces(self, d, profile):
+        # Non-orthogonal ranges have no common frame: the frame of p0, the
+        # complement of the others, leans from its range by the overlap
+        # |P_0 P_1|_F, about theta. Exact PVMs agree to rounding.
+        accepted = 0
+        for theta in THETAS:
+            mats = rotated_pvm(d, PROFILES[profile](d), theta, 0)
+            overlap = np.linalg.norm(mats["p0"] @ mats["p1"])
+            for tol in (qc.DEFAULT_TOL, qc.DEFAULT_TOL.scaled(10)):
+                try:
+                    prop = qc.from_pvm(mats, tol)
+                except StructureError:
+                    continue
+                accepted += 1
+                want = effect_supports(mats, tol)
+                for held, oracle in zip(self.held_supports(prop, tol), want):
+                    assert held.shape == oracle.shape
+                    assert largest_sine(held, oracle) <= 1e-12 + overlap
+                    assert largest_sine(oracle, held) <= 1e-12 + overlap
+        assert accepted >= 10
+
+    def test_a_rank2_cluster_keeps_only_its_near_one_direction(self):
+        # At mat_eq = 0.1, outcome a's effect has eigenvalues 1 and 0.95 on
+        # its two columns: one stacked eigh of the 2 x 2 compression splits
+        # them, and only the first is a support, as in the effect's own eigh.
+        u = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+        diag = [np.diag(entries) for entries in ([1.0, np.sqrt(0.95), 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0])]
+        mats = dict(zip("abc", (u @ m @ u.T for m in diag)))
+        tol = qc.Tolerances(mat_eq=0.1)
+        prop = qc.from_pvm(mats, tol)
+        w, v = prop._spectrum
+        assert np.allclose(np.sort(w[0])[-2:], [0.95, 1.0], rtol=0, atol=1e-14)
+        held, want = self.held_supports(prop, tol), effect_supports(mats, tol)
+        assert [h.shape[1] for h in held] == [o.shape[1] for o in want] == [1, 1, 1]
+        assert max(largest_sine(h, o) for h, o in zip(held, want)) <= 1e-12
+        assert largest_sine(held[0], u[:, :1]) <= 1e-12
 
 
 class TestRoundTrip:
@@ -836,6 +960,16 @@ class TestHeldSpectrum:
         prop = build()
         copied = vars(trip(prop))["_spectrum"]
         assert [a.tobytes() for a in copied] == [a.tobytes() for a in prop._spectrum]
+        # One frame shared by every outcome stays one broadcast unitary.
+        assert (copied[1].strides[0] == 0) == (prop._spectrum[1].strides[0] == 0)
+
+    def test_a_shared_frame_pickles_once(self):
+        # Rank-1 at d = 64: the projectors and the base's Kraus matrices (the
+        # same arrays) take 4 MiB; the one unitary 64 KiB more, not 64 copies.
+        drawn = qc.random_pvm(64, [1] * 64, qc.SeededGenerator(0))
+        for prop in (drawn, qc.from_pvm(drawn.projectors)):
+            assert prop._spectrum[1].strides[0] == 0
+            assert len(pickle.dumps(prop)) <= 4.2 * 2**20
 
 
 # Values that hold arrays, each built twice from the same inputs: separately
