@@ -218,8 +218,8 @@ class ElementaryProperty:
     ``to_elementary`` holds the exact 0/1 spectrum of the effects'
     eigenvectors it built the projectors from; ``random_pvm`` the exact 0/1
     spectrum of its one Haar unitary, and the constructor and ``from_pvm``
-    the spectrum their PVM check read from one unitary (see ``_check_pvm``),
-    both with v a read-only broadcast of that unitary over the outcomes.
+    the spectrum their PVM check read (see ``_pvm_spectrum``). The last two
+    hold v as a read-only broadcast of one d x d frame over the outcomes.
 
     The constructor checks its input: ``base`` must be square, the
     projectors a PVM, and each outcome's operation within ``mat_eq`` of its
@@ -249,7 +249,7 @@ class ElementaryProperty:
     def __reduce__(self):
         # A mapping proxy does not pickle; the property is rebuilt from a dict
         # and the spectrum it holds. A frame every outcome shares (stride 0)
-        # travels as its one unitary and is broadcast again on load.
+        # travels once and is broadcast again on load.
         w, v = self._spectrum
         return _elementary, (self.base, dict(self.projectors), (w, v[0] if v.strides[0] == 0 else v))
 
@@ -373,7 +373,7 @@ def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum) -
     ``base``, in its outcome order, holding their effects' ``spectrum``; the
     arrays are made read-only and held in a read-only mapping, so no write
     can make the property's spectrum stale. A spectrum whose v is one (d, d)
-    unitary holds it broadcast over the outcomes."""
+    frame holds it broadcast over the outcomes."""
     for p in projectors.values():
         p.flags.writeable = False
     w, v = spectrum
@@ -448,19 +448,26 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
 
 
 def _pvm_spectrum(stack: np.ndarray):
-    """A spectrum (w, v) of the effects P_x^dag P_x of a checked PVM stack,
-    read from one eigh: v is one d x d unitary, broadcast read-only over the
-    n outcomes.
+    """A spectrum (w, v) of the effects E_x = P_x^dag P_x of a checked PVM
+    stack, read from one eigh: v is one d x d matrix, broadcast read-only
+    over the n outcomes, whose columns are orthonormal within each outcome's
+    run.
 
     The eigenvalues of the Hermitian part of H = sum_x x P_x sit near the
     outcome indices, so eigenvector j goes to outcome clip(rint(lambda_j),
     0, n - 1); each outcome's columns U_x are a run, since lambda ascends.
-    On U_x, w[x] holds the eigenvalues of (P_x U_x)^dag (P_x U_x), the
-    effect compressed to the cluster, whose eigenvectors rotate U_x; w[x] is
-    0 on every other column. A rank-1 cluster reads |P_x u|^2 directly, and
-    larger ones take one stacked eigh per cluster size. So the support rule
-    still reads each effect: an outcome whose effect stays below 1 - prob_eq
-    on its cluster has an empty support.
+    One power step, E_x U_x orthonormalised into Q_x, turns the run onto
+    the effect's range, from which U_x leans by about the family's overlaps.
+    On its run, w[x] holds the eigenvalues of (P_x Q_x)^dag (P_x Q_x), the
+    effect compressed to Q_x, whose eigenvectors rotate Q_x; w[x] is 0 on
+    every other column. A rank-1 run reads |P_x q|^2 directly, and larger
+    ones take one stacked eigh per run length.
+
+    By min-max, every eigenvalue of E_x off the top |U_x| is at most
+    tr E_x - tr(Q_x^dag E_x Q_x) = |P_x|_F^2 - sum(w[x]). Where that reaches
+    1/2, below every cut 1 - prob_eq, a run may miss a support direction
+    (eigenvalues of H off their index by 1/2 or more): the spectrum is then
+    the batched eigh of the effects, one per outcome.
     """
     n, d = stack.shape[:2]
     h = np.tensordot(np.arange(n, dtype=float), stack, axes=1)
@@ -471,13 +478,20 @@ def _pvm_spectrum(stack: np.ndarray):
     for k in np.unique(sizes[sizes > 0]).tolist():
         xs = np.flatnonzero(sizes == k)
         cols = starts[xs, None] + np.arange(k)
-        frames = u[:, cols].transpose(1, 0, 2)
-        images = stack[xs] @ frames
+        p = stack[xs]
+        # E_x U_x = ((P_x U_x)^dag P_x)^dag, without a conjugate copy of P_x.
+        turned = ((p @ u[:, cols].transpose(1, 0, 2)).conj().swapaxes(-1, -2) @ p).conj().swapaxes(-1, -2)
+        frames = np.linalg.qr(turned)[0]
+        images = p @ frames
         if k == 1:
             w[xs[:, None], cols] = np.square(np.abs(images)).sum(axis=1)
         else:
             w[xs[:, None], cols], rot = np.linalg.eigh(images.conj().swapaxes(-1, -2) @ images)
-            u[:, cols] = (frames @ rot).transpose(1, 0, 2)
+            frames = frames @ rot
+        u[:, cols] = frames.transpose(1, 0, 2)
+    flat = stack.reshape(n, -1).view(float)
+    if not (np.einsum("ij,ij->i", flat, flat) - w.sum(axis=1) < 0.5).all():
+        return np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
     return w, np.broadcast_to(u, (n, d, d))
 
 

@@ -426,32 +426,30 @@ class TestPvmCheckOracle:
 
     def test_fallback_decides_the_pairs_the_bound_cannot(self, monkeypatch):
         # At theta = 7e-9 the first pair's bound exceeds mat_eq / 2 while
-        # |P_0 P_1|_F stays below mat_eq. Outcome 0 has index 0 in
-        # sum_x x P_x, so its frame is the complement of the other supports:
-        # the unrotated vector, which puts delta_0 at sqrt(2) theta, about
-        # 9.9e-9. After the stacked Hermitian and idempotent norms and the
-        # one stacked norm of the deltas, one stacked product of row 0's
-        # seven pairs accepts them.
+        # |P_0 P_1|_F stays below mat_eq. Each frame is turned onto its
+        # effect's range, so the deltas stay at rounding and the Gram block
+        # of p0 and p1 carries the overlap. After the stacked Hermitian and
+        # idempotent norms and the one stacked norm of the deltas, one direct
+        # product, of that pair alone, accepts it.
         mats = rotated_pvm(8, 1, 7e-9, 0)
         got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
         assert got == loop_check_pvm(mats, 8) and "orthogonal" not in str(got)
-        assert shapes == [(8, 8, 8)] * 3 + [(7, 8, 8)]
+        assert shapes == [(8, 8, 8)] * 3 + [(1, 8, 8)]
 
-    @pytest.mark.parametrize("skewed, partner, direct", [("p0", "p1", []), ("p1", "p2", [(1, 8, 8)])])
-    def test_a_skewed_projector_widens_its_bound(self, monkeypatch, skewed, partner, direct):
+    @pytest.mark.parametrize("skewed, partner", [("p0", "p1"), ("p1", "p2")])
+    def test_a_skewed_projector_widens_its_bound(self, monkeypatch, skewed, partner):
         # P + 3e-9 u w^dag, u in P's support and w in its partner's, stays
         # idempotent and within mat_eq of Hermitian, and |P Q|_F = 3e-9; an
-        # exact pair's bound reads about 5e-15. p0 has index 0 in sum_x x P_x
-        # and leaves the one frame as it is, so delta_0 = 3e-9 is the whole
-        # bound and no direct product is taken. p1 tilts the frame of p1 and
-        # p2, each delta grows, and the bound, about 6.9e-9, sends that pair
-        # alone to the direct check. Either way the pair is accepted.
+        # exact pair's bound reads about 5e-15. P's effect, and the frame
+        # turned onto it, tilts toward w by about 3e-9, and delta adds as
+        # much again: the bound, 6e-9, sends that pair alone to the direct
+        # check, which accepts it, wherever P sits in sum_x x P_x.
         mats = rotated_pvm(8, 1, 0.0, 0)
         u, w = (np.linalg.eigh(mats[label])[1][:, -1] for label in (skewed, partner))
         mats[skewed] = mats[skewed] + 3e-9 * np.outer(u, w.conj())
         got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
         assert got is None and loop_check_pvm(mats, 8) is None
-        assert shapes == [(8, 8, 8)] * 3 + direct
+        assert shapes == [(8, 8, 8)] * 3 + [(1, 8, 8)]
         a, b = (list(mats).index(label) for label in (skewed, partner))
         stack = np.stack(list(mats.values()))
         bound = instruments._orthogonality_bound(stack, qc.from_pvm(mats)._spectrum, qc.DEFAULT_TOL)
@@ -495,7 +493,7 @@ class TestPvmCheckOracle:
 
 
 class TestOneFrameSupports:
-    """The supports ``from_pvm`` cuts from its one unitary against the
+    """The supports ``from_pvm`` cuts from its one frame against the
     eigenspaces of each effect's own eigh, the rule they replace."""
 
     @staticmethod
@@ -503,18 +501,25 @@ class TestOneFrameSupports:
         v, keep = _supports(prop._spectrum, tol)
         return [vectors[:, kept] for vectors, kept in zip(v, keep)]
 
+    @staticmethod
+    def oracle_property(mats: dict) -> qc.ElementaryProperty:
+        """The property holding the batched eigh of its effects, as
+        ``from_pvm`` held before the one-frame spectrum."""
+        stack = np.stack([np.asarray(p, dtype=complex) for p in mats.values()])
+        spectrum = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        return instruments._elementary(projective_instrument(mats), dict(zip(mats, stack)), spectrum)
+
     @pytest.mark.parametrize("d, profile", [
         (d, profile) for d in (2, 3, 4, 8, 16, 32, 64) for profile in PROFILES if PROFILES[profile](d) < d
     ])
     def test_supports_match_the_effects_eigenspaces(self, d, profile):
-        # Non-orthogonal ranges have no common frame: the frame of p0, the
-        # complement of the others, leans from its range by the overlap
-        # |P_0 P_1|_F, about theta. Exact PVMs agree to rounding.
+        # Non-orthogonal ranges have no common frame: the frame from
+        # sum_x x P_x leans from p0's range by about theta, and the power
+        # step on each effect turns it back onto that range.
         accepted = 0
         for theta in THETAS:
             mats = rotated_pvm(d, PROFILES[profile](d), theta, 0)
-            overlap = np.linalg.norm(mats["p0"] @ mats["p1"])
-            for tol in (qc.DEFAULT_TOL, qc.DEFAULT_TOL.scaled(10)):
+            for tol in (qc.DEFAULT_TOL, qc.DEFAULT_TOL.scaled(10), qc.DEFAULT_TOL.scaled(0.01)):
                 try:
                     prop = qc.from_pvm(mats, tol)
                 except StructureError:
@@ -523,9 +528,83 @@ class TestOneFrameSupports:
                 want = effect_supports(mats, tol)
                 for held, oracle in zip(self.held_supports(prop, tol), want):
                     assert held.shape == oracle.shape
-                    assert largest_sine(held, oracle) <= 1e-12 + overlap
-                    assert largest_sine(oracle, held) <= 1e-12 + overlap
+                    assert largest_sine(held, oracle) <= 1e-12
+                    assert largest_sine(oracle, held) <= 1e-12
         assert accepted >= 10
+
+    @pytest.mark.parametrize("d, profile", [
+        (d, profile) for d in (2, 3, 8, 16, 32) for profile in PROFILES if PROFILES[profile](d) < d
+    ])
+    def test_decisions_match_the_effects_eigh(self, d, profile):
+        # Against its own exact family, the family of another seed and a
+        # rank-1 Haar PVM: the same verdicts, bijections and degree kinds as
+        # the property that holds each effect's eigh.
+        rank, accepted = PROFILES[profile](d), 0
+        others = [rotated_pvm(d, rank, 0.0, 0), rotated_pvm(d, rank, 0.0, 1), rotated_pvm(d, 1, 0.0, 2)]
+        for theta in THETAS:
+            mats = rotated_pvm(d, rank, theta, 0)
+            for tol in (qc.DEFAULT_TOL, qc.DEFAULT_TOL.scaled(10), qc.DEFAULT_TOL.scaled(0.01)):
+                try:
+                    prop = qc.from_pvm(mats, tol)
+                except StructureError:
+                    continue
+                accepted += 1
+                oracle = self.oracle_property(mats)
+                for other in map(qc.from_pvm, others):
+                    for got, want in ((qc.classify_relation(prop, other, tol), qc.classify_relation(oracle, other, tol)),
+                                      (qc.classify_relation(other, prop, tol), qc.classify_relation(other, oracle, tol))):
+                        assert got.complementary == want.complementary
+                        assert got.matched_bijection == want.matched_bijection
+                        for table in ("degree_table", "reverse_degree_table"):
+                            kinds = [{k: v.kind for k, v in getattr(r, table).items()} for r in (got, want)]
+                            assert kinds[0] == kinds[1]
+                    assert (qc.are_complementary(prop, other, tol).complementary
+                            == qc.are_complementary(oracle, other, tol).complementary)
+        assert accepted >= 10
+
+    @pytest.mark.parametrize("variant", ["rank2", "rank1"])
+    def test_a_run_that_misses_a_support_direction_reads_each_effect(self, variant):
+        # At mat_eq = 0.15, P_4 = diag(1, 1.13) on e4, e5 (or 1.13 e4 e4^dag
+        # at d = 6) passes every check, but sum_x x P_x has eigenvalue 4.52,
+        # which rounds to outcome 5: outcome 4's run misses a direction whose
+        # effect eigenvalue, 1.28 or 1, no tolerance leaves out. The spectrum
+        # is then each effect's eigh, and the supports and verdicts are those
+        # of that rule.
+        d = 7 if variant == "rank2" else 6
+        e = np.eye(d)
+        mats = {f"p{i}": proj(e[i]) for i in range(4)}
+        mats["p4"] = np.diag([0, 0, 0, 0, 1.0, 1.13, 0]) if variant == "rank2" else 1.13 * proj(e[4])
+        mats["p5"] = proj(e[d - 1])
+        tol = qc.Tolerances(mat_eq=0.15)
+        prop = qc.from_pvm(mats, tol)
+        held, want = self.held_supports(prop, tol), effect_supports(mats, tol)
+        assert [h.shape[1] for h in held] == [o.shape[1] for o in want] == [1, 1, 1, 1, d - 5, 1]
+        assert max(largest_sine(h, o) for h, o in zip(held, want)) <= 1e-12
+        assert prop.rank_profile() == {"p0": 1, "p1": 1, "p2": 1, "p3": 1, "p4": d - 5, "p5": 1}
+        z = qc.from_pvm({f"z{i}": proj(e[i]) for i in range(d)})
+        coarse = qc.from_pvm({"q0": proj(e[0]), "q1": proj(e[1]), "q2": proj(e[2]), "q3": proj(e[3]),
+                              "q4": sum(proj(e[i]) for i in range(4, d - 1)), "q5": proj(e[d - 1])})
+        report = qc.classify_relation(prop, z, tol)
+        if variant == "rank2":
+            assert report.complementary and report.degree_table["p4"].kind is qc.DegreeKind.WEAK
+        else:
+            assert report.matched_bijection == {f"p{i}": f"z{i}" for i in range(6)}
+        assert qc.classify_relation(prop, coarse, tol).matched_bijection == {f"p{i}": f"q{i}" for i in range(6)}
+
+    def test_a_drifted_index_far_down_the_sum_reads_each_effect(self):
+        # 64 rank-1 outcomes at mat_eq = 0.01: P_60 scaled by 1.0095 passes,
+        # and drifts its eigenvalue of sum_x x P_x to 60.57, into outcome
+        # 61's run. Every support keeps rank 1, as each effect's eigh says.
+        u = np.linalg.qr(np.random.default_rng(5).standard_normal((64, 64)))[0]
+        mats = {f"p{x}": proj(u[:, x]) for x in range(64)}
+        mats["p60"] = 1.0095 * mats["p60"]
+        tol = qc.Tolerances(mat_eq=0.01)
+        prop = qc.from_pvm(mats, tol)
+        held, want = self.held_supports(prop, tol), effect_supports(mats, tol)
+        assert [h.shape[1] for h in held] == [o.shape[1] for o in want] == [1] * 64
+        assert max(largest_sine(h, o) for h, o in zip(held, want)) <= 1e-12
+        drawn = qc.from_pvm({f"q{x}": proj(u[:, x]) for x in range(64)})
+        assert qc.classify_relation(prop, drawn, tol).matched_bijection == {f"p{x}": f"q{x}" for x in range(64)}
 
     def test_a_rank2_cluster_keeps_only_its_near_one_direction(self):
         # At mat_eq = 0.1, outcome a's effect has eigenvalues 1 and 0.95 on
