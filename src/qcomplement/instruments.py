@@ -478,7 +478,8 @@ def _pvm_spectrum(stack: np.ndarray):
     for k in np.unique(sizes[sizes > 0]).tolist():
         xs = np.flatnonzero(sizes == k)
         cols = starts[xs, None] + np.arange(k)
-        p = stack[xs]
+        # Every run of one length (rank-1 PVMs, equal blocks): no copy of the stack.
+        p = stack if len(xs) == n else stack[xs]
         # E_x U_x = ((P_x U_x)^dag P_x)^dag, without a conjugate copy of P_x.
         turned = ((p @ u[:, cols].transpose(1, 0, 2)).conj().swapaxes(-1, -2) @ p).conj().swapaxes(-1, -2)
         frames = np.linalg.qr(turned)[0]
