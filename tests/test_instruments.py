@@ -287,9 +287,10 @@ class TestFromPvm:
     ], ids=["from_pvm", "constructor", "rank2", "diagonal"])
     def test_spectrum_is_one_unitary_from_the_outcome_index_sum(self, build, monkeypatch):
         # Projectors from outside: one eigh, of sum_x x P_x, frames every
-        # outcome; eigenvector j goes to outcome rint(lambda_j). The unitary
-        # is held once, broadcast read-only over the outcomes, and w[x] holds
-        # the effect P_x^dag P_x compressed to x's columns, 0 elsewhere.
+        # outcome; eigenvector j goes to outcome rint(lambda_j). The frame,
+        # unitary on these exact families, is held once, broadcast read-only
+        # over the outcomes, and w[x] holds the effect P_x^dag P_x compressed
+        # to x's columns, 0 elsewhere.
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         prop = build()
@@ -308,7 +309,7 @@ class TestFromPvm:
             assert np.array_equal(weights[~cols], np.zeros(d - cols.sum()))
             compressed = (p @ u[:, cols]).conj().T @ (p @ u[:, cols])
             assert np.linalg.norm(compressed - np.diag(weights[cols])) <= 1e-14
-        # Rank-1 clusters read |P_x u|^2; each larger size takes one eigh.
+        # Rank-1 clusters read |P_x q|^2; each larger size takes one eigh.
         assert calls == [(d, d)] + [(n, 2, 2)] * (n < d)
 
     def test_extraction_keeps_the_projectors_exact_spectrum(self):
