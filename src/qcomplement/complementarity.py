@@ -19,8 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import StructureError
-from .instruments import ElementaryProperty
-from .linalg import DEFAULT_TOL, Tolerances, _supports
+from .instruments import ElementaryProperty, _support_frame
+from .linalg import DEFAULT_TOL, Tolerances
 from .operations import DensityState, _outcome_probabilities, pure_state
 
 
@@ -114,15 +114,14 @@ def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.nd
     holds (computed once, tied to no tolerance), and the block indicator whose
     entry (i, x) is 1 when column i of U spans outcome x. An outcome whose
     support is empty admits no verifier: ``StructureError``."""
-    v, keep = _supports(prop._spectrum, tol)
-    empty = ~keep.any(axis=1)
-    if empty.any():
-        label = prop.labels[int(empty.argmax())]
+    frame, ranks = _support_frame(prop._spectrum, tol)
+    if not ranks.all():
+        label = prop.labels[int(ranks.argmin())]
         raise StructureError(
             f"projector {label!r} has no eigenvalue within prob_eq of 1, it admits no verifier"
         )
-    owner = np.nonzero(keep)[0]
-    return v.swapaxes(-1, -2)[keep].T, (owner[:, None] == np.arange(len(v))).astype(float)
+    owner = np.repeat(np.arange(len(ranks)), ranks)
+    return frame, (owner[:, None] == np.arange(len(ranks))).astype(float)
 
 
 def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerances):

@@ -391,9 +391,43 @@ def _read_only(label: str, p) -> np.ndarray:
 
 def _support_projectors(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The (n, d, d) stack of projectors V_x V_x^dag onto the supports of
-    ``_supports``, V_x being ``v[x][:, keep[x]]``."""
-    frames = [vectors[:, kept] for vectors, kept in zip(v, keep)]
-    return np.stack([frame @ frame.conj().T for frame in frames])
+    ``_supports``, V_x being ``v[x][:, keep[x]]``: one stacked product per
+    support size, each V_x V_x^dag bit for bit the product of V_x alone."""
+    ranks = keep.sum(axis=1)
+    # Not np.unique: its first call imports numpy.ma (about 15 ms, 1.4 MB).
+    sizes = sorted(set(ranks.tolist()))
+    out = None if len(sizes) == 1 else np.empty((len(keep), *v.shape[-2:]), dtype=complex)
+    for k in sizes:
+        xs = np.flatnonzero(ranks == k)
+        rows, cols = np.nonzero(keep[xs])
+        # Row i of frames[j] is column i of V_x, x = xs[j].
+        frames = v[xs[rows], :, cols].reshape(len(xs), k, v.shape[-2])
+        block = frames.swapaxes(-1, -2) @ frames.conj()
+        if out is None:
+            return block
+        out[xs] = block
+    return out
+
+
+def _support_deltas(projectors, v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """delta_x = |P_x - V_x V_x^dag|_F per outcome, ``projectors`` being the
+    P_x in order (a list or a stack) and V_x the supports of ``_supports``
+    as ``_support_projectors`` builds them, at most ``_CHUNK_CELLS / 2``
+    entries of V_x V_x^dag at a time."""
+    delta = np.empty(len(keep))
+    for part in _chunks(len(keep), 2 * v.shape[-1] ** 2):
+        supports = _support_projectors(v[part], keep[part])
+        supports -= projectors[part]
+        delta[part] = np.linalg.norm(supports, axis=(1, 2))
+    return delta
+
+
+def _support_frame(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The supports of ``spectrum`` at ``tol`` side by side, U = [V_1 | V_2 |
+    ...], one outcome's columns after another's, and the number of columns
+    of each outcome."""
+    v, keep = _supports(spectrum, tol)
+    return v.swapaxes(-1, -2)[keep].T, keep.sum(axis=1)
 
 
 # The per-projector checks of ``_check_pvm``, in the order it reads them.
@@ -435,7 +469,7 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
     n = len(stack)
     suspect = np.arange(n)[:, None] < np.arange(n)
     if n >= _GRAM_MIN_OUTCOMES:
-        bound = _orthogonality_bound(stack, spectrum, tol, stack if held else None)
+        bound = _orthogonality_bound(stack, spectrum, tol, held)
         suspect &= ~(bound <= tol.mat_eq / 2)
     for i in np.flatnonzero(suspect.any(axis=1)):
         pairs = np.flatnonzero(suspect[i])
@@ -502,31 +536,27 @@ def _pvm_spectrum(stack: np.ndarray):
 _GRAM_MIN_OUTCOMES = 8
 
 
-def _orthogonality_bound(stack: np.ndarray, spectrum, tol: Tolerances, supports=None) -> np.ndarray:
+def _orthogonality_bound(stack: np.ndarray, spectrum, tol: Tolerances, held: bool = False) -> np.ndarray:
     """An (n, n) array whose entry (a, b) bounds |P_a P_b|_F from above.
 
     Not the Gram form <P_a^dag P_a, P_b P_b^dag> = |P_a P_b|_F^2: its rounding
     of about 1e-16 is mat_eq^2, so exact PVMs at d = 32 fail it. Here each
-    entry of G = U^dag U, with U = [V_1 | V_2 | ...] the supports of
-    ``spectrum`` at ``tol``, is an inner product computed directly, so a
-    block norm |V_a^dag V_b|_F is itself good to about 1e-16. With
-    delta_x = |P_x - V_x V_x^dag|_F,
+    entry of G = U^dag U, with U the ``_support_frame`` of ``spectrum`` at
+    ``tol``, is an inner product computed directly, so a block norm
+    |V_a^dag V_b|_F is itself good to about 1e-16. With
+    delta_x = |P_x - V_x V_x^dag|_F (``_support_deltas``),
     |P_a P_b|_F <= |V_a^dag V_b|_F + delta_a + delta_b + delta_a delta_b.
-    ``supports``, when given, is the stack of the V_x V_x^dag, else they are
-    built from ``spectrum``.
+    ``held`` says that the spectrum is the exact 0/1 spectrum of the stack
+    itself, whose supports rebuild it bit for bit: every delta is 0.
     A pair whose bound is at most mat_eq / 2 passes the direct check with
     room to spare; ``_check_pvm`` runs that check on every other pair, in
     order, so the first bad pair named is the one the pairwise loop names.
     """
-    v, keep = _supports(spectrum, tol)
-    ranks = keep.sum(axis=1)
+    frame, ranks = _support_frame(spectrum, tol)
     if not ranks.all():
         # An empty support bounds nothing: every pair runs the direct check.
         return np.full((len(stack), len(stack)), np.inf)
-    if supports is None:
-        supports = _support_projectors(v, keep)
-    delta = np.linalg.norm(stack - supports, axis=(1, 2))
-    frame = v.swapaxes(-1, -2)[keep].T
+    delta = np.zeros(len(stack)) if held else _support_deltas(stack, *_supports(spectrum, tol))
     # Columns of U come outcome by outcome, so block sums are reduceat sums.
     starts = np.cumsum(ranks) - ranks
     gram = np.abs(frame.conj().T @ frame) ** 2

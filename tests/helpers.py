@@ -214,3 +214,33 @@ def largest_sine(a: np.ndarray, b: np.ndarray) -> float:
     """The largest principal-angle sine of span(a) against span(b), both
     orthonormal bases: the spectral norm of (I - b b^dag) a."""
     return float(np.linalg.norm(a - b @ (b.conj().T @ a), 2)) if a.size else 0.0
+
+
+def loop_pvm_commute(p: qc.ElementaryProperty, q: qc.ElementaryProperty, tol=qc.DEFAULT_TOL) -> bool:
+    """Oracle for ``pvm_commute``: the direct commutator of every projector
+    pair in order, the first one above ``mat_eq`` deciding False."""
+    if p.dim != q.dim:
+        raise StructureError(f"properties live on different dimensions: {p.dim} vs {q.dim}")
+    for a in p.projectors.values():
+        for b in q.projectors.values():
+            if float(np.linalg.norm(a @ b - b @ a)) > tol.mat_eq:
+                return False
+    return True
+
+
+def haar_unitary(d: int, rng) -> np.ndarray:
+    """A Haar-random d x d unitary: the phase-corrected Q of a QR."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated_pvm(d: int, rank: int, theta: float, seed: int) -> dict:
+    """A Haar PVM of projectors of ``rank`` (the last one takes what is left)
+    whose first support vector is rotated by ``theta`` toward the second
+    support's first vector: every projector stays Hermitian and idempotent,
+    and the first pair's overlap |P_0 P_1|_F is about theta."""
+    u = haar_unitary(d, np.random.default_rng([seed, d]))
+    edges = [*range(0, d, rank), d]
+    blocks = [u[:, a:b].copy() for a, b in zip(edges[:-1], edges[1:])]
+    blocks[0][:, 0] = np.cos(theta) * blocks[0][:, 0] + np.sin(theta) * blocks[1][:, 0]
+    return {f"p{i}": b @ b.conj().T for i, b in enumerate(blocks)}

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcomplement as qc
-from qcomplement import compatibility
+from qcomplement import compatibility, instruments
 from qcomplement.compatibility import (
     _CHUNK_CELLS,
     _HARNESS_DIM_LIMIT,
@@ -14,7 +14,7 @@ from qcomplement.compatibility import (
     _trial_results,
 )
 from qcomplement.errors import StructureError
-from qcomplement.linalg import DEFAULT_TOL
+from qcomplement.linalg import DEFAULT_TOL, _supports
 from qcomplement.operations import _core_norm
 from qcomplement.sampling import _kraus_draw
 import helpers
@@ -22,11 +22,14 @@ from helpers import (
     E0,
     E1,
     NON_INTEGER_HARNESS_ARGS,
+    haar_unitary,
+    loop_pvm_commute,
     proj,
     qubit_x,
     qubit_z,
     qutrit_basis_proj,
     qutrit_fine,
+    rotated_pvm,
     traced_peak,
     z_instrument,
 )
@@ -332,6 +335,214 @@ class TestPvmCommute:
         p, q = random_pvm_pair(seed, d)
         if qc.are_compatible_elementary(p, q):
             assert qc.pvm_commute(p, q)
+
+
+# Rank profiles for the overlap-table tests; each sums to d and, for d >= 8,
+# has an even number of outcomes.
+COMMUTE_PROFILES = {
+    "rank1": lambda d: [1] * d,
+    "rank2": lambda d: [2] * (d // 2),
+    "mixed": lambda d: [1] * (d // 2) + [2] * (d // 4),
+}
+COMMUTE_TOLS = [DEFAULT_TOL, DEFAULT_TOL.scaled(10), DEFAULT_TOL.scaled(0.1)]
+_COMMUTATOR_NORM = compatibility._commutator_norm
+
+
+def column_family(u: np.ndarray, ranks, prefix: str) -> dict:
+    """The projectors onto consecutive column blocks of ``u``, of ``ranks``."""
+    edges = np.cumsum([0, *ranks])
+    return {f"{prefix}{i}": u[:, a:b] @ u[:, a:b].conj().T for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))}
+
+
+def direct_pairs(monkeypatch, p, q, tol=DEFAULT_TOL) -> tuple[bool, list]:
+    """The verdict of ``pvm_commute`` and the (x, y) pairs whose commutator
+    it computed directly, in order."""
+    rows = {id(m): x for x, m in enumerate(p.projectors.values())}
+    cols = {id(m): y for y, m in enumerate(q.projectors.values())}
+    pairs = []
+    monkeypatch.setattr(compatibility, "_commutator_norm",
+                        lambda a, b: pairs.append((rows[id(a)], cols[id(b)])) or _COMMUTATOR_NORM(a, b))
+    return qc.pvm_commute(p, q, tol), pairs
+
+
+class TestPvmCommuteParity:
+    """From 8 pairs on, where the overlap table decides most pairs: the same
+    verdict as the pairwise loop."""
+
+    @pytest.mark.parametrize("d", [8, 16, 32])
+    @pytest.mark.parametrize("profile", list(COMMUTE_PROFILES))
+    def test_construction_paths_and_partners(self, d, profile):
+        ranks = COMMUTE_PROFILES[profile](d)
+        drawn = qc.random_pvm(d, ranks, qc.SeededGenerator(d))
+        u = drawn._spectrum[1][0]  # the one Haar frame of the draw
+        items = list(drawn.projectors.items())
+        rng = np.random.default_rng([d, len(ranks)])
+        shared = np.hstack([u[:, : ranks[0]] @ haar_unitary(ranks[0], rng),
+                            u[:, ranks[0]:] @ haar_unitary(d - ranks[0], rng)])
+        props = [drawn, qc.from_pvm(dict(items)), qc.to_elementary(drawn.base)]
+        partners = [
+            qc.from_pvm(dict(reversed(items))),
+            qc.from_pvm(column_family(u, [1] * d, "f")),
+            qc.from_pvm({f"c{i}": a + b for i, ((_, a), (_, b)) in enumerate(zip(items[::2], items[1::2]))}),
+            qc.random_pvm(d, ranks, qc.SeededGenerator(d + 1)),
+            qc.from_pvm(column_family(shared, ranks, "s")),
+        ]
+        verdicts = []
+        for tol in COMMUTE_TOLS:
+            for p in props:
+                for q in partners:
+                    for a, b in ((p, q), (q, p)):
+                        verdicts.append(qc.pvm_commute(a, b, tol))
+                        assert verdicts[-1] == loop_pvm_commute(a, b, tol)
+        # Relabelled, fine- and coarse-grained partners commute; the others do not.
+        assert verdicts == [True] * 6 + [False] * 4 + ([True] * 6 + [False] * 4) * 8
+
+    @pytest.mark.parametrize("d", [8, 16])
+    @pytest.mark.parametrize("profiles", [("rank1", "rank1"), ("rank1", "rank2"), ("rank2", "mixed"), ("mixed", "rank1")])
+    def test_the_table_is_the_direct_commutator_table(self, d, profiles):
+        # For drawn PVMs, whose frames are orthonormal and whose projectors
+        # are their supports' to rounding, each F_xy is |[P_x, Q_y]|_F.
+        p, q = (qc.random_pvm(d, COMMUTE_PROFILES[name](d), qc.SeededGenerator(seed))
+                for seed, name in enumerate(profiles))
+        (u_p, ranks_p), (u_q, ranks_q) = (instruments._support_frame(prop._spectrum, DEFAULT_TOL) for prop in (p, q))
+        table = compatibility._frame_commutators(u_p.conj().T @ u_q, ranks_p, ranks_q)
+        direct = [[_COMMUTATOR_NORM(a, b) for b in q.projectors.values()] for a in p.projectors.values()]
+        assert np.abs(table - np.array(direct)).max() <= 1e-13
+
+    @pytest.mark.parametrize("d, profile", [(8, "rank1"), (16, "rank2"), (16, "mixed"), (32, "rank1")])
+    def test_a_rotation_sweep_straddles_mat_eq(self, d, profile):
+        # Q is P turned by theta in the plane of the first and last columns
+        # of P's frame, an exact PVM; its largest commutator with P is about
+        # sqrt(2) theta, set here to a factor times mat_eq.
+        ranks = COMMUTE_PROFILES[profile](d)
+        u = haar_unitary(d, np.random.default_rng([d, 7]))
+        p = qc.from_pvm(column_family(u, ranks, "p"))
+        verdicts = set()
+        for tol in COMMUTE_TOLS:
+            for factor in (0.0, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 10.0):
+                theta = factor * tol.mat_eq / np.sqrt(2.0)
+                turn = np.eye(d, dtype=complex)
+                turn[[0, -1, 0, -1], [0, -1, -1, 0]] = np.cos(theta), np.cos(theta), -np.sin(theta), np.sin(theta)
+                q = qc.from_pvm(column_family(u @ turn, ranks, "q"), tol)
+                for a, b in ((p, q), (q, p)):
+                    got = qc.pvm_commute(a, b, tol)
+                    assert got == loop_pvm_commute(a, b, tol)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+class TestPvmCommuteGuards:
+    """Which pairs ``pvm_commute`` computes directly, each verdict checked
+    against the pairwise loop."""
+
+    def test_a_non_commuting_pair_exits_at_the_first_product(self, monkeypatch):
+        monkeypatch.setattr(compatibility, "_frame_commutators", None)
+        p, q = (qc.random_pvm(16, [1] * 16, qc.SeededGenerator(seed)) for seed in (1, 2))
+        assert direct_pairs(monkeypatch, p, q) == (False, [(0, 0)])
+        assert not loop_pvm_commute(p, q)
+
+    def test_fewer_than_8_pairs_stay_on_the_loop(self, monkeypatch):
+        monkeypatch.setattr(compatibility, "_frame_commutators", None)
+        coarse = qc.from_pvm({"low": qutrit_basis_proj(0),
+                              "high": qutrit_basis_proj(1) + qutrit_basis_proj(2)})
+        assert direct_pairs(monkeypatch, qutrit_fine(), coarse) == (True, [(x, y) for x in range(3) for y in range(2)])
+
+    @pytest.mark.parametrize("profile", list(COMMUTE_PROFILES))
+    def test_a_commuting_table_runs_at_most_two_products(self, monkeypatch, profile):
+        # The first pair and the pair of largest table value; the bound
+        # decides the rest.
+        drawn = qc.random_pvm(16, COMMUTE_PROFILES[profile](16), qc.SeededGenerator(3))
+        p, q = qc.from_pvm(dict(drawn.projectors)), qc.from_pvm(dict(reversed(drawn.projectors.items())))
+        got, pairs = direct_pairs(monkeypatch, p, q)
+        assert got and loop_pvm_commute(p, q)
+        assert pairs[0] == (0, 0) and len(pairs) <= 2
+
+    def test_a_skewed_projector_sends_its_pairs_direct(self, monkeypatch):
+        # Q_0 + 6e-9 u w^dag, u in Q_0's support and w in Q_1's, stays
+        # idempotent and within mat_eq of Hermitian; its delta, 6e-9, puts
+        # every pair of Q_0 within the margin of mat_eq, and those pairs
+        # alone run directly.
+        exact = rotated_pvm(8, 1, 0.0, 0)
+        u, w = (np.linalg.eigh(exact[label])[1][:, -1] for label in ("p0", "p1"))
+        q = qc.from_pvm({**exact, "p0": exact["p0"] + 6e-9 * np.outer(u, w.conj())})
+        delta = instruments._support_deltas(list(q.projectors.values()), *_supports(q._spectrum, DEFAULT_TOL))
+        assert 5.9e-9 < delta[0] < 6.1e-9 and delta[1:].max() < 1e-14
+        p = qc.from_pvm(exact)
+        got, pairs = direct_pairs(monkeypatch, p, q)
+        assert got and loop_pvm_commute(p, q)
+        assert sorted(set(pairs)) == [(x, 0) for x in range(8)] and len(pairs) == 8
+
+    def test_a_leaning_frame_sends_its_blocks_direct(self, monkeypatch):
+        # P_0 and P_1 overlap by about 7e-9, so P's frame is orthonormal
+        # only to about 1e-8 in those two blocks: their rows run directly.
+        # With the leaning family second, only P's frame counts, and the
+        # table decides the rest as before.
+        lean, exact = qc.from_pvm(rotated_pvm(8, 1, 7e-9, 0)), qc.from_pvm(rotated_pvm(8, 1, 0.0, 0))
+        frame = instruments._support_frame(lean._spectrum, DEFAULT_TOL)[0]
+        assert 5e-9 < np.linalg.norm(frame.conj().T @ frame - np.eye(8)) < 2e-8
+        got, pairs = direct_pairs(monkeypatch, lean, exact)
+        assert got == loop_pvm_commute(lean, exact)
+        assert sorted(set(pairs)) == [(x, y) for x in range(2) for y in range(8)] and len(pairs) == 16
+        got, pairs = direct_pairs(monkeypatch, exact, lean)
+        assert got == loop_pvm_commute(exact, lean)
+        assert len(pairs) <= 2
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_a_rank2_projector_across_two_blocks_commutes(self, monkeypatch, swap):
+        # Each Q_y spans a rotated pair of basis vectors, one in each of two
+        # of P's rank-1 blocks: its cross entries are rounding, about 1e-16,
+        # and squared, not Gram inner products of O(1) blocks, they stay so.
+        e, rng = np.eye(8), np.random.default_rng(0)
+        z = qc.from_pvm({f"z{i}": proj(e[i]) for i in range(8)})
+        two = qc.from_pvm(column_family(np.kron(np.eye(4), haar_unitary(2, rng)), [2] * 4, "q"))
+        p, q = (two, z) if swap else (z, two)
+        (u_p, ranks_p), (u_q, ranks_q) = (instruments._support_frame(prop._spectrum, DEFAULT_TOL) for prop in (p, q))
+        assert compatibility._frame_commutators(u_p.conj().T @ u_q, ranks_p, ranks_q).max() <= 1e-14
+        for tol in COMMUTE_TOLS:
+            got, pairs = direct_pairs(monkeypatch, p, q, tol)
+            assert got and loop_pvm_commute(p, q, tol)
+            assert len(pairs) <= 2
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_an_empty_support_sends_every_pair_direct(self, monkeypatch, shared):
+        # At mat_eq = 0.1 a projector scaled by 0.95 passes from_pvm, but its
+        # effect tops out at 0.9025 < 1 - prob_eq: no support, no table. The
+        # pairs run in the loop's order, up to the first that fails: against
+        # a family that shares only P_0's support, (1, 1).
+        tol = qc.Tolerances(mat_eq=0.1)
+        mats = rotated_pvm(8, 1, 0.0, 0)
+        p = qc.from_pvm({**mats, "p3": 0.95 * mats["p3"]}, tol)
+        u = np.stack([np.linalg.eigh(m)[1][:, -1] for m in mats.values()], axis=1)
+        rest = u[:, 1:] @ haar_unitary(7, np.random.default_rng(1)) if shared else u[:, 1:]
+        q = qc.from_pvm(column_family(np.hstack([u[:, :1], rest]), [1] * 8, "q"), tol)
+        got, pairs = direct_pairs(monkeypatch, p, q, tol)
+        assert got == loop_pvm_commute(p, q, tol) == (not shared)
+        everything = [(x, y) for x in range(8) for y in range(8)]
+        assert pairs == (everything[:10] if shared else everything)
+
+    def test_supports_short_of_dim_columns_send_every_pair_direct(self, monkeypatch):
+        # At mat_eq = 0.1, outcome a's effect has eigenvalues 1 and 0.95 on
+        # two columns: its support keeps one, and P's frame has 3 of 4.
+        u = haar_unitary(4, np.random.default_rng(3))
+        diag = [np.diag(entries) for entries in ([1.0, np.sqrt(0.95), 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0])]
+        tol = qc.Tolerances(mat_eq=0.1)
+        p = qc.from_pvm(dict(zip("abc", (u @ m @ u.conj().T for m in diag))), tol)
+        q = qc.from_pvm(column_family(u, [1] * 4, "q"), tol)
+        assert instruments._support_frame(p._spectrum, tol)[0].shape == (4, 3)
+        got, pairs = direct_pairs(monkeypatch, p, q, tol)
+        assert got and loop_pvm_commute(p, q, tol)
+        assert pairs == [(x, y) for x in range(3) for y in range(4)]
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_traced_peak_stays_below_one_cubic_stack(self, rank):
+        # Rank-1 runs read the closed form of the block sums, wider ones
+        # square C_y C_y^dag in chunks, and delta is taken in chunks: no
+        # (d, d, d) stack of floats is built.
+        d = 64
+        drawn = qc.random_pvm(d, [rank] * (d // rank), qc.SeededGenerator(4))
+        p, q = qc.from_pvm(dict(drawn.projectors)), qc.from_pvm(dict(reversed(drawn.projectors.items())))
+        assert qc.pvm_commute(p, q)
+        assert traced_peak(lambda: qc.pvm_commute(p, q)) < d**3 * 8
 
 
 class TestInclusionHarness:

@@ -14,7 +14,7 @@ from qcomplement.linalg import _supports
 from qcomplement.operations import _core_norm
 from helpers import (
     E0, E1, MINUS, PLUS, effect_supports, largest_sine, loop_check_pvm, proj, qubit_x, qubit_z, qutrit_fine,
-    traced_peak, z_instrument,
+    rotated_pvm, traced_peak, z_instrument,
 )
 
 
@@ -364,20 +364,6 @@ class TestFromPvm:
             assert not report.complementary
             assert report.matched_bijection == {"a": "a", "b": "b"}
         assert qc.classify_relation(prop, qubit_x() if d == 2 else qutrit_fine(), tight).complementary
-
-
-def rotated_pvm(d: int, rank: int, theta: float, seed: int) -> dict:
-    """A Haar PVM of projectors of ``rank`` (the last one takes what is left)
-    whose first support vector is rotated by ``theta`` toward the second
-    support's first vector: every projector stays Hermitian and idempotent,
-    and the first pair's overlap |P_0 P_1|_F is about theta."""
-    rng = np.random.default_rng([seed, d])
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
-    edges = [*range(0, d, rank), d]
-    blocks = [u[:, a:b].copy() for a, b in zip(edges[:-1], edges[1:])]
-    blocks[0][:, 0] = np.cos(theta) * blocks[0][:, 0] + np.sin(theta) * blocks[1][:, 0]
-    return {f"p{i}": b @ b.conj().T for i, b in enumerate(blocks)}
 
 
 THETAS = [0.0, 1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 7e-9, 1e-8, 1.5e-8, 1e-7, 1e-6]
@@ -925,6 +911,55 @@ class TestStackedValidation:
         ins = perturbed_elementary(np.random.default_rng(3), 3, 6, 3, 0.0)
         assert qc.validate_instrument(ins) == loop_validate(ins)
         assert qc.validate_instrument(ins).is_valid
+
+
+def loop_support_projectors(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Oracle for ``_support_projectors``: each V_x V_x^dag on its own."""
+    frames = [vectors[:, kept] for vectors, kept in zip(v, keep)]
+    return np.stack([frame @ frame.conj().T for frame in frames])
+
+
+class TestStackedSupportProjectors:
+    """``_support_projectors`` stacks the products by support size; each must
+    be bit for bit the product the per-outcome loop takes."""
+
+    PROFILES = {
+        "rank1": lambda d: [1] * d,
+        "rank2": lambda d: [2] * (d // 2) + [1] * (d % 2),
+        "halves": lambda d: [d // 2, d - d // 2],
+        "mixed": lambda d: [1] * (d // 2) + [2] * ((d - d // 2) // 2) + [1] * ((d - d // 2) % 2),
+    }
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 32])
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    def test_bit_equal_to_the_loop(self, d, profile):
+        drawn = qc.random_pvm(d, self.PROFILES[profile](d), qc.SeededGenerator(d))
+        for prop in (drawn, qc.from_pvm(dict(drawn.projectors)), qc.to_elementary(drawn.base)):
+            for tol in (qc.DEFAULT_TOL, qc.DEFAULT_TOL.scaled(0.01)):
+                v, keep = _supports(prop._spectrum, tol)
+                assert np.array_equal(instruments._support_projectors(v, keep), loop_support_projectors(v, keep))
+
+    def test_bit_equal_with_an_empty_and_a_short_support(self):
+        # At mat_eq = 0.1: c keeps one of its two columns, and d none.
+        u = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))[0]
+        diag = [np.diag(entries) for entries in ([1.0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0],
+                                                 [0, 0, 1.0, np.sqrt(0.95), 0], [0, 0, 0, 0, 0.95])]
+        tol = qc.Tolerances(mat_eq=0.1)
+        prop = qc.from_pvm(dict(zip("abcd", (u @ m @ u.T for m in diag))), tol)
+        v, keep = _supports(prop._spectrum, tol)
+        assert keep.sum(axis=1).tolist() == [1, 1, 1, 0]
+        assert np.array_equal(instruments._support_projectors(v, keep), loop_support_projectors(v, keep))
+
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_deltas_are_the_norms_of_the_differences(self, d):
+        # In chunks of at most _CHUNK_CELLS / 2 entries, against one stack.
+        mats = rotated_pvm(d, 1, 3e-9, 0)
+        prop = qc.from_pvm(mats)
+        v, keep = _supports(prop._spectrum, qc.DEFAULT_TOL)
+        stack = np.stack(list(mats.values()))
+        want = np.linalg.norm(stack - loop_support_projectors(v, keep), axis=(1, 2))
+        for given in (stack, list(prop.projectors.values())):
+            assert np.array_equal(instruments._support_deltas(given, v, keep), want)
 
 
 class TestStackedExtraction:
