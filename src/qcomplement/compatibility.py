@@ -360,7 +360,7 @@ def _commutator_bound(
     Write Pi_x = V_x V_x^dag and G_y = W_y W_y^dag, E_x for the indicator of
     P's block x, Delta = U_P^dag U_P - I, s_P = |Delta|_F >= |Delta|_2 (s_Q
     likewise for U_Q), e_x = |Delta E_x|_F, and delta_x = |P_x - Pi_x|_F,
-    delta_y = |Q_y - G_y|_F (``_support_deltas``).
+    delta_y = |Q_y - G_y|_F (``_deltas``).
 
     - U_P^dag [Pi_x, G_y] U_P = (I + Delta) E_x K - K E_x (I + Delta) with
       K = C_y C_y^dag, so it is within 2 e_x |K|_2 of [E_x, K], whose norm
@@ -389,13 +389,21 @@ def _commutator_bound(
         return np.full(table.shape, np.inf)
     s_q = float(np.linalg.norm(u_q.conj().T @ u_q - np.eye(d)))
     e_p = np.sqrt(np.add.reduceat((np.abs(lean) ** 2).sum(axis=0), np.cumsum(ranks_p) - ranks_p))[:, None]
-    delta_p, delta_q = (_support_deltas(list(prop.projectors.values()), *_supports(prop._spectrum, tol))
-                        for prop in (p, q))
+    delta_p, delta_q = _deltas(p, tol), _deltas(q, tol)
     delta_p = delta_p[:, None]  # one row per outcome of p, against delta_q's columns
     rounding = 32 * d * d * (np.finfo(float).eps / 2) * (1.0 + tol.mat_eq)
     return ((table + 2.0 * e_p * (1.0 + s_p) * (1.0 + s_q)) / (1.0 - s_p)
             + 2.0 * (delta_p + delta_q + delta_p * delta_q)
             + 2.0 * (s_q * delta_p + s_p * delta_q) + rounding)
+
+
+def _deltas(prop: ElementaryProperty, tol: Tolerances) -> np.ndarray:
+    """``_support_deltas`` of ``prop`` at ``tol``: those its PVM check kept
+    where it cut the same supports, else computed."""
+    v, keep = _supports(prop._spectrum, tol)
+    if prop._deltas is not None and np.array_equal(prop._deltas[0], keep):
+        return prop._deltas[1]
+    return _support_deltas(list(prop.projectors.values()), v, keep)
 
 
 @dataclass(frozen=True)

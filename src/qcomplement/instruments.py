@@ -226,6 +226,7 @@ class ElementaryProperty:
     projector's map rho -> P rho P, all at ``DEFAULT_TOL``, else
     ``StructureError``. ``==`` is identity: two properties are equal when
     their outcome maps are, by ``choi_distance`` at a tolerance.
+    ``_deltas`` keeps the (keep, delta) of the PVM check, or None.
     """
 
     base: Instrument
@@ -237,14 +238,15 @@ class ElementaryProperty:
             raise StructureError("elementary properties need dim_in = dim_out")
         if set(self.projectors) != set(base.outcomes):
             raise StructureError("projector labels do not match instrument outcomes")
-        mats = {label: _read_only(label, self.projectors[label]) for label in base.labels}
-        spectrum = _check_pvm(mats, base.dim_in, DEFAULT_TOL)
-        residual = _projector_residuals(base, _kraus_groups(base), np.stack(list(mats.values())))
+        mats, stack = _read_only_family((label, self.projectors[label]) for label in base.labels)
+        spectrum, deltas = _check_pvm(base.labels, stack, base.dim_in, DEFAULT_TOL)
+        residual = _projector_residuals(base, _kraus_groups(base), stack)
         for label, res in zip(base.labels, residual):
             if not res <= DEFAULT_TOL.mat_eq:
                 raise StructureError(f"outcome {label!r}: operation is not its projector's map")
         object.__setattr__(self, "projectors", MappingProxyType(mats))
         object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_deltas", deltas)
 
     def __reduce__(self):
         # A mapping proxy does not pickle; the property is rebuilt from a dict
@@ -301,13 +303,12 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
             raise ExtractionError(
                 f"outcome {label!r}: projector map does not reproduce the operation"
             )
-    projectors = dict(zip(ins.labels, stack))
     # The exact spectrum of each V_x V_x^dag: eigenvalue 1 on the kept columns
     # of v, 0 on the rest. Its supports are the projectors' at any tolerance,
     # where E's own eigenvalues, a little below 1 on a support, are not.
     spectrum = (keep.astype(float), v)
-    _check_pvm(projectors, ins.dim_in, tol, ExtractionError, spectrum)
-    return _elementary(ins, projectors, spectrum)
+    _, deltas = _check_pvm(ins.labels, stack, ins.dim_in, tol, ExtractionError, spectrum)
+    return _elementary(ins, dict(zip(ins.labels, stack)), spectrum, deltas)
 
 
 @dataclass(frozen=True)
@@ -360,26 +361,28 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
     items = list(projectors.items() if isinstance(projectors, Mapping) else projectors)
     if not items:
         raise StructureError("a PVM needs at least one projector")
-    mats = _labelled((label, _read_only(label, p)) for label, p in items)
+    mats, stack = _read_only_family(items)
     d = next(iter(mats.values())).shape[0]
-    spectrum = _check_pvm(mats, d, tol)
+    spectrum, deltas = _check_pvm(list(mats), stack, d, tol)
     # Each checked projector is its outcome's one Kraus matrix, rho -> P rho P.
     ops = {label: _trusted(QuantumOperation, dim_in=d, dim_out=d, kraus=(p,)) for label, p in mats.items()}
-    return _elementary(Instrument(d, d, ops), mats, spectrum)
+    return _elementary(Instrument(d, d, ops), mats, spectrum, deltas)
 
 
-def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum) -> ElementaryProperty:
+def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum, deltas=None) -> ElementaryProperty:
     """An elementary property from projectors already checked against
     ``base``, in its outcome order, holding their effects' ``spectrum``; the
     arrays are made read-only and held in a read-only mapping, so no write
     can make the property's spectrum stale. A spectrum whose v is one (d, d)
-    frame holds it broadcast over the outcomes."""
+    frame holds it broadcast over the outcomes. ``deltas`` is the (keep,
+    delta) of the PVM check, or None."""
     for p in projectors.values():
         p.flags.writeable = False
     w, v = spectrum
     if v.ndim == 2:
         spectrum = (w, np.broadcast_to(v, (len(w), *v.shape)))
-    return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors), _spectrum=spectrum)
+    return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors),
+                    _spectrum=spectrum, _deltas=deltas)
 
 
 def _read_only(label: str, p) -> np.ndarray:
@@ -387,6 +390,26 @@ def _read_only(label: str, p) -> np.ndarray:
     mat = as_matrix(p, f"projector {label!r}").copy()
     mat.flags.writeable = False
     return mat
+
+
+def _read_only_family(pairs) -> tuple[dict[str, np.ndarray], np.ndarray | list]:
+    """The (label, matrix) pairs as a dict of read-only copies, and those
+    copies in order: one coerced (n, a, b) stack whose rows the dict holds as
+    views, or a list where their shapes differ. Any input the one stack does
+    not take runs ``_read_only`` and ``_labelled`` pair by pair, so the first
+    bad pair raises what it raises there."""
+    pairs = list(pairs)
+    try:
+        stack = np.array([p for _, p in pairs], dtype=complex)
+        if stack.ndim != 3:
+            raise ValueError
+        _check_entries(stack.view(float), "projector")
+    except Exception:  # whatever the stack cannot take, the pair-by-pair path raises as before
+        mats = _labelled((label, _read_only(label, p)) for label, p in pairs)
+        given = list(mats.values())
+        return mats, given if len({p.shape for p in given}) > 1 else np.stack(given)
+    stack.flags.writeable = False
+    return _labelled(zip([label for label, _ in pairs], stack)), stack
 
 
 def _support_projectors(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -434,43 +457,52 @@ def _support_frame(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
 _PROJECTOR_FAULTS = ("is not Hermitian", "is not idempotent", "is zero, it admits no verifier")
 
 
-def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=StructureError, spectrum=None):
-    """Raise ``error`` unless ``mats`` are nonzero d x d orthogonal projectors,
-    pairwise orthogonal and summing to the identity, all within ``mat_eq``.
+def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spectrum=None):
+    """Raise ``error`` unless the projectors ``given`` (one (n, ., .) stack,
+    or a list, labelled in order by ``labels``) are nonzero d x d orthogonal
+    projectors, pairwise orthogonal and summing to the identity, all within
+    ``mat_eq``; the message names the first projector, its first failed
+    check, or the first pair a loop over them would name.
 
-    The shapes are checked in a loop, then the Hermitian, idempotent and
-    nonzero checks run stacked over the projectors before the first bad
-    shape; the message names the first projector that fails, and its first
-    failed check, as a loop over projectors would.
+    From ``_GRAM_MIN_OUTCOMES`` well-shaped projectors on, ``_pvm_bounds``
+    certifies the Hermitian and idempotent checks of each projector, and the
+    orthogonality of each pair, whose bound is at most mat_eq / 2; the rest
+    run directly, stacked. Trace and completeness always run directly.
 
-    Returns the effects' spectrum the check read: ``spectrum`` when the
-    caller holds one, else ``_pvm_spectrum`` of the projectors, computed
-    once the per-projector checks have passed. A held spectrum must be the
-    exact 0/1 spectrum of ``mats`` themselves, as extraction's is, so each
-    projector is its own support projector and no V_x V_x^dag is rebuilt.
+    Returns the effects' spectrum the check read, ``spectrum`` when the
+    caller holds the exact 0/1 one of the projectors themselves (as
+    extraction does: each projector is then its own support's, delta 0),
+    else ``_pvm_spectrum``; and the (keep, delta) the bounds read, which
+    the property keeps for ``pvm_commute``, or None.
     """
-    labels, given = list(mats), list(mats.values())
-    shaped = next((i for i, p in enumerate(given) if p.shape != (d, d)), len(given))
-    if shaped:
-        stack = np.stack(given[:shaped])
-        failed = np.stack([
-            np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(1, 2)) > tol.mat_eq,
-            np.linalg.norm(stack @ stack - stack, axis=(1, 2)) > tol.mat_eq,
-            np.trace(stack, axis1=1, axis2=2).real < 0.5,
-        ], axis=1)
-        if failed.any():
-            i, check = np.argwhere(failed)[0]
-            raise error(f"projector {labels[i]!r} {_PROJECTOR_FAULTS[check]}")
-    if shaped < len(given):
-        raise error(f"projector {labels[shaped]!r} has shape {given[shaped].shape}, expected ({d}, {d})")
-    held = spectrum is not None
-    if not held:
+    # The n projectors before the first bad shape: all, or none of a stack.
+    if isinstance(given, np.ndarray):
+        n = len(given) if given.shape[1:] == (d, d) else 0
+    else:
+        n = next((i for i, p in enumerate(given) if p.shape != (d, d)), len(given))
+    stack, bounds = np.asarray(given[:n]).reshape(n, d, d), None
+    if n == len(given) and n >= _GRAM_MIN_OUTCOMES:
+        held = spectrum is not None
+        spectrum = spectrum if held else _pvm_spectrum(stack)
+        bounds = _pvm_bounds(stack, spectrum, tol, held)
+    # Certified projectors pass; the rest take the direct checks, stacked.
+    direct = np.ones(n, dtype=bool) if bounds is None else ~(np.maximum(bounds[1], bounds[2]) <= tol.mat_eq / 2)
+    failed = np.zeros((n, 3), dtype=bool)
+    if direct.any():
+        part = stack if direct.all() else stack[direct]
+        failed[direct, 0] = np.linalg.norm(part - part.conj().swapaxes(-1, -2), axis=(1, 2)) > tol.mat_eq
+        failed[direct, 1] = np.linalg.norm(part @ part - part, axis=(1, 2)) > tol.mat_eq
+    failed[:, 2] = np.trace(stack, axis1=1, axis2=2).real < 0.5
+    if failed.any():
+        i, check = np.argwhere(failed)[0]
+        raise error(f"projector {labels[i]!r} {_PROJECTOR_FAULTS[check]}")
+    if n < len(given):
+        raise error(f"projector {labels[n]!r} has shape {given[n].shape}, expected ({d}, {d})")
+    if spectrum is None:
         spectrum = _pvm_spectrum(stack)
-    n = len(stack)
     suspect = np.arange(n)[:, None] < np.arange(n)
-    if n >= _GRAM_MIN_OUTCOMES:
-        bound = _orthogonality_bound(stack, spectrum, tol, held)
-        suspect &= ~(bound <= tol.mat_eq / 2)
+    if bounds is not None:
+        suspect &= ~(bounds[3] <= tol.mat_eq / 2)
     for i in np.flatnonzero(suspect.any(axis=1)):
         pairs = np.flatnonzero(suspect[i])
         bad = pairs[np.linalg.norm(stack[i] @ stack[pairs], axis=(1, 2)) > tol.mat_eq]
@@ -478,7 +510,7 @@ def _check_pvm(mats: dict[str, np.ndarray], d: int, tol: Tolerances, error=Struc
             raise error(f"projectors {labels[i]!r} and {labels[bad[0]]!r} are not orthogonal")
     if float(np.linalg.norm(stack.sum(axis=0) - np.eye(d))) > tol.mat_eq:
         raise error("projectors do not sum to the identity (incomplete PVM)")
-    return spectrum
+    return spectrum, None if bounds is None else bounds[0]
 
 
 def _pvm_spectrum(stack: np.ndarray):
@@ -509,7 +541,7 @@ def _pvm_spectrum(stack: np.ndarray):
     sizes = np.bincount(np.clip(np.rint(lam), 0, n - 1).astype(int), minlength=n)
     starts = np.cumsum(sizes) - sizes
     w = np.zeros((n, d))
-    for k in np.unique(sizes[sizes > 0]).tolist():
+    for k in sorted(set(sizes[sizes > 0].tolist())):
         xs = np.flatnonzero(sizes == k)
         cols = starts[xs, None] + np.arange(k)
         # Every run of one length (rank-1 PVMs, equal blocks): no copy of the stack.
@@ -536,29 +568,36 @@ def _pvm_spectrum(stack: np.ndarray):
 _GRAM_MIN_OUTCOMES = 8
 
 
-def _orthogonality_bound(stack: np.ndarray, spectrum, tol: Tolerances, held: bool = False) -> np.ndarray:
-    """An (n, n) array whose entry (a, b) bounds |P_a P_b|_F from above.
+def _pvm_bounds(stack: np.ndarray, spectrum, tol: Tolerances, held: bool = False):
+    """``((keep, delta), hermitian, idempotent, pairs)``: upper bounds on the
+    computed |P_x - P_x^dag|_F, |P_x^2 - P_x|_F and, at (a, b), |P_a P_b|_F,
+    from the supports V_x of ``spectrum`` at ``tol``; None when a support is
+    empty, for it bounds nothing.
 
-    Not the Gram form <P_a^dag P_a, P_b P_b^dag> = |P_a P_b|_F^2: its rounding
-    of about 1e-16 is mat_eq^2, so exact PVMs at d = 32 fail it. Here each
-    entry of G = U^dag U, with U the ``_support_frame`` of ``spectrum`` at
-    ``tol``, is an inner product computed directly, so a block norm
-    |V_a^dag V_b|_F is itself good to about 1e-16. With
-    delta_x = |P_x - V_x V_x^dag|_F (``_support_deltas``),
-    |P_a P_b|_F <= |V_a^dag V_b|_F + delta_a + delta_b + delta_a delta_b.
-    ``held`` says that the spectrum is the exact 0/1 spectrum of the stack
-    itself, whose supports rebuild it bit for bit: every delta is 0.
-    A pair whose bound is at most mat_eq / 2 passes the direct check with
-    room to spare; ``_check_pvm`` runs that check on every other pair, in
-    order, so the first bad pair named is the one the pairwise loop names.
+    With delta_x = |P_x - V_x V_x^dag|_F (``_support_deltas``; 0 when
+    ``held``: the stack is its spectrum's own V_x V_x^dag, bit for bit) and
+    the Gram G = U^dag U of U = [V_1 | V_2 | ...], whose diagonal blocks
+    give eps_x = |V_x^dag V_x - I|_F, the bounds are 2 delta_x,
+    eps_x (1 + eps_x) + delta_x (3 + 2 eps_x + delta_x) and
+    |G_ab|_F + delta_a + delta_b + delta_a delta_b, each plus the rounding
+    term 16 d^2 u (1 + eps_a + delta_a)(1 + eps_b + delta_b), a = b = x for
+    the first two, u the unit roundoff (README, "Numerical conventions").
     """
     frame, ranks = _support_frame(spectrum, tol)
     if not ranks.all():
-        # An empty support bounds nothing: every pair runs the direct check.
-        return np.full((len(stack), len(stack)), np.inf)
-    delta = np.zeros(len(stack)) if held else _support_deltas(stack, *_supports(spectrum, tol))
-    # Columns of U come outcome by outcome, so block sums are reduceat sums.
+        return None
+    v, keep = _supports(spectrum, tol)
+    delta = np.zeros(len(stack)) if held else _support_deltas(stack, v, keep)
+    # G - I: the off-diagonal blocks stay the V_a^dag V_b. Columns of U come
+    # outcome by outcome, so block sums are reduceat sums.
+    gram = frame.conj().T @ frame
+    gram.flat[:: len(gram) + 1] -= 1.0
     starts = np.cumsum(ranks) - ranks
-    gram = np.abs(frame.conj().T @ frame) ** 2
-    norms = np.sqrt(np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts, axis=1))
-    return norms + delta[:, None] + delta * (1.0 + delta[:, None])
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(gram) ** 2, starts, axis=0), starts, axis=1))
+    eps, d = np.diagonal(norms), stack.shape[-1]
+    scale = 1.0 + eps + delta
+    rounding = 16 * d * d * (np.finfo(float).eps / 2) * scale[:, None] * scale
+    own = np.diagonal(rounding)
+    return ((keep, delta), 2.0 * delta + own,
+            eps * (1.0 + eps) + delta * (3.0 + 2.0 * eps + delta) + own,
+            norms + delta[:, None] + delta * (1.0 + delta[:, None]) + rounding)

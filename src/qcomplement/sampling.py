@@ -77,7 +77,7 @@ def _pvm_draw(d: int, profiles, gens) -> tuple[np.ndarray, np.ndarray, np.ndarra
     starts = np.cumsum(ranks) - ranks - owner * d
     rows = np.arange(d)[:, None]
     out = np.empty((len(ranks), d, d), dtype=complex)
-    for rank in np.unique(ranks).tolist():
+    for rank in sorted(set(ranks.tolist())):
         sel = np.flatnonzero(ranks == rank)
         cols = starts[sel, None, None] + np.arange(rank)
         blocks = u[owner[sel, None, None], rows, cols]

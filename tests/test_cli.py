@@ -502,6 +502,33 @@ def test_import_loads_no_submodule():
     assert _loaded(_LOADED_AFTER_IMPORT) == set()
 
 
+# Prints whether numpy.ma is loaded after the PVM paths, or "preloaded" where
+# importing numpy alone loads it (numpy 1.x).
+_MASKED_AFTER_PVM_PATHS = """
+import sys
+import numpy as np
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+import qcomplement as qc
+qc.from_pvm({f"p{i}": np.diag(np.eye(8)[i]) for i in range(8)})
+qc.random_pvm(4, [1, 1, 2], qc.SeededGenerator(0))
+qc.verifier_inclusion_harness(0, 3, 2)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_pvm_paths_import_no_masked_arrays():
+    # The first np.unique call imports numpy.ma: about 15 ms and 1.4 MB.
+    env = {**os.environ, "PYTHONPATH": str(Path(qc.__file__).resolve().parents[1])}
+    child = subprocess.run([sys.executable, "-c", _MASKED_AFTER_PVM_PATHS], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    if child.stdout.split() == ["preloaded"]:
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert child.stdout.split() == ["False"]
+
+
 PUBLIC_NAMES = [
     "ChoiMatrix", "ClassicalInstrument", "ClassicalOperation", "ClassicalState",
     "ComplementarityReport", "DEFAULT_TOL", "DegenerateSeedError", "DegreeKind",

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,6 +431,32 @@ class TestPvmCommuteParity:
                     assert got == loop_pvm_commute(a, b, tol)
                     verdicts.add(got)
         assert verdicts == {True, False}
+
+
+    def test_the_deltas_of_the_pvm_check_are_reused(self, monkeypatch):
+        # from_pvm keeps the (keep, delta) its check read. pvm_commute takes
+        # delta from there where it cuts the same supports; it computes it
+        # where the supports differ and for a pickled copy, which carries
+        # none. Outcome p0 keeps one direction at 1 - 4e-9: its effect reads
+        # 1 - 8e-9 there, inside the support at prob_eq = 1e-7, outside at
+        # prob_eq = 1e-9.
+        support_deltas, calls = compatibility._support_deltas, []
+        monkeypatch.setattr(compatibility, "_support_deltas",
+                            lambda projectors, v, keep: calls.append(len(keep)) or support_deltas(projectors, v, keep))
+        u = haar_unitary(16, np.random.default_rng(5))
+        mats = column_family(u, [2] * 8, "p")
+        mats["p0"] = (u[:, :2] * [1.0, 1.0 - 4e-9]) @ u[:, :2].conj().T
+        reverse = dict(reversed(mats.items()))
+        p, q = qc.from_pvm(mats), qc.from_pvm(reverse)
+        tight = qc.Tolerances(prob_eq=1e-9)
+        for (a, b), computed in [
+            ((p, q), []),
+            ((qc.from_pvm(mats, tight), qc.from_pvm(reverse, tight)), [8, 8]),
+            ((pickle.loads(pickle.dumps(p)), q), [8]),
+        ]:
+            calls.clear()
+            assert qc.pvm_commute(a, b) and loop_pvm_commute(a, b)
+            assert calls == computed
 
 
 class TestPvmCommuteGuards:

@@ -14,7 +14,7 @@ from qcomplement.linalg import _supports
 from qcomplement.operations import _core_norm
 from helpers import (
     E0, E1, MINUS, PLUS, effect_supports, largest_sine, loop_check_pvm, proj, qubit_x, qubit_z, qutrit_fine,
-    rotated_pvm, traced_peak, z_instrument,
+    haar_unitary, rotated_pvm, traced_peak, z_instrument,
 )
 
 
@@ -372,6 +372,14 @@ THETAS = [0.0, 1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 7e-9, 1e-8, 1.5e-8, 1e-7, 1e-6]
 PROFILES = {"rank1": lambda d: 1, "rank2": lambda d: 2, "halves": lambda d: d // 2}
 
 
+# Block ranks per profile of the bound-soundness sweep.
+SOUNDNESS_PROFILES = {
+    "rank1": lambda d: [1] * d,
+    "rank2": lambda d: [2] * (d // 2),
+    "mixed": lambda d: [1] * (d // 2) + [2] * (d // 4),
+}
+
+
 class TestPvmCheckOracle:
     """The frame-Gram check against the pairwise loop it replaces: the same
     accept/reject decision and the same message."""
@@ -415,13 +423,14 @@ class TestPvmCheckOracle:
         # At theta = 7e-9 the first pair's bound exceeds mat_eq / 2 while
         # |P_0 P_1|_F stays below mat_eq. Each frame is turned onto its
         # effect's range, so the deltas stay at rounding and the Gram block
-        # of p0 and p1 carries the overlap. After the stacked Hermitian and
-        # idempotent norms and the one stacked norm of the deltas, one direct
-        # product, of that pair alone, accepts it.
+        # of p0 and p1 carries the overlap. The deltas and the Gram's
+        # diagonal blocks certify every projector, so after the one stacked
+        # norm of the deltas, one direct product, of that pair alone,
+        # accepts it.
         mats = rotated_pvm(8, 1, 7e-9, 0)
         got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
         assert got == loop_check_pvm(mats, 8) and "orthogonal" not in str(got)
-        assert shapes == [(8, 8, 8)] * 3 + [(1, 8, 8)]
+        assert shapes == [(8, 8, 8), (1, 8, 8)]
 
     @pytest.mark.parametrize("skewed, partner", [("p0", "p1"), ("p1", "p2")])
     def test_a_skewed_projector_widens_its_bound(self, monkeypatch, skewed, partner):
@@ -430,17 +439,102 @@ class TestPvmCheckOracle:
         # exact pair's bound reads about 5e-15. P's effect, and the frame
         # turned onto it, tilts toward w by about 3e-9, and delta adds as
         # much again: the bound, 6e-9, sends that pair alone to the direct
-        # check, which accepts it, wherever P sits in sum_x x P_x.
+        # check, which accepts it, wherever P sits in sum_x x P_x. Its
+        # delta, 3e-9, also leaves P's own checks uncertified: after the
+        # stacked norm of the deltas, P alone takes the direct Hermitian and
+        # idempotent norms.
         mats = rotated_pvm(8, 1, 0.0, 0)
         u, w = (np.linalg.eigh(mats[label])[1][:, -1] for label in (skewed, partner))
         mats[skewed] = mats[skewed] + 3e-9 * np.outer(u, w.conj())
         got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
         assert got is None and loop_check_pvm(mats, 8) is None
-        assert shapes == [(8, 8, 8)] * 3 + [(1, 8, 8)]
+        assert shapes == [(8, 8, 8)] + [(1, 8, 8)] * 3
         a, b = (list(mats).index(label) for label in (skewed, partner))
         stack = np.stack(list(mats.values()))
-        bound = instruments._orthogonality_bound(stack, qc.from_pvm(mats)._spectrum, qc.DEFAULT_TOL)
+        bound = instruments._pvm_bounds(stack, qc.from_pvm(mats)._spectrum, qc.DEFAULT_TOL)[3]
         assert np.linalg.norm(stack[a] @ stack[b]) <= bound[a, b]
+
+    @staticmethod
+    def perturbed(d: int, ranks: list, kind: str, t: float) -> dict:
+        """A Haar PVM of ``ranks`` whose second-to-last projector P is
+        perturbed by t toward the last, Q: skewed to P + t u w^dag, scaled
+        to (1 + t) P, or turned by t in the plane of u and w, with u the
+        first support vector of P and w that of Q."""
+        u = haar_unitary(d, np.random.default_rng([d, len(ranks)]))
+        edges = np.cumsum([0, *ranks])
+        blocks = [u[:, a:b].copy() for a, b in zip(edges[:-1], edges[1:])]
+        first, last = blocks[-2][:, 0].copy(), blocks[-1][:, 0]
+        if kind == "rotation":
+            blocks[-2][:, 0] = np.cos(t) * first + np.sin(t) * last
+        mats = {f"p{i}": b @ b.conj().T for i, b in enumerate(blocks)}
+        label = f"p{len(ranks) - 2}"
+        if kind == "skew":
+            mats[label] = mats[label] + t * np.outer(first, last.conj())
+        elif kind == "scale":
+            mats[label] = (1.0 + t) * mats[label]
+        return mats
+
+    @staticmethod
+    def assert_bounds_hold(stack, spectrum, tol, held):
+        """Every computed direct norm of the PVM check is at most its bound."""
+        bounds = instruments._pvm_bounds(stack, spectrum, tol, held)
+        assert bounds is not None
+        _, hermitian, idempotent, pairs = bounds
+        assert (np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(1, 2)) <= hermitian).all()
+        assert (np.linalg.norm(stack @ stack - stack, axis=(1, 2)) <= idempotent).all()
+        a, b = np.triu_indices(len(stack), 1)
+        assert (np.linalg.norm(stack[a] @ stack[b], axis=(1, 2)) <= pairs[a, b]).all()
+
+    @pytest.mark.parametrize("d", [8, 16, 32])
+    @pytest.mark.parametrize("profile", list(SOUNDNESS_PROFILES))
+    def test_bounds_hold_and_every_path_matches_the_loop(self, d, profile):
+        # Perturbations from mat_eq / 8 to 8 mat_eq straddle each check: the
+        # skew breaks the Hermitian check, the scale the idempotent one, the
+        # turn orthogonality. The bounds hold either side, from the one frame
+        # of from_pvm and from extraction's exact 0/1 spectrum (delta 0).
+        ranks, seen, reached = SOUNDNESS_PROFILES[profile](d), set(), 0
+        for tol in (qc.DEFAULT_TOL, qc.DEFAULT_TOL.scaled(10), qc.DEFAULT_TOL.scaled(0.1)):
+            for kind in ("skew", "scale", "rotation"):
+                for factor in (1 / 8, 1 / 2, 1, 2, 8):
+                    mats = self.perturbed(d, ranks, kind, factor * tol.mat_eq)
+                    stack = np.stack(list(mats.values()))
+                    self.assert_bounds_hold(stack, instruments._pvm_spectrum(stack), tol, held=False)
+                    oracle = loop_check_pvm(mats, d, tol)
+                    seen.add(oracle)
+                    assert self.decide(lambda: qc.from_pvm(mats, tol)) == oracle
+                    ins = projective_instrument(mats)
+                    if tol is qc.DEFAULT_TOL:
+                        assert self.decide(lambda: qc.ElementaryProperty(ins, mats)) == oracle
+                    # Extraction checks the projectors onto its effects'
+                    # supports; a residual fault ("outcome ...") comes first.
+                    effects = instruments._effects(ins, instruments._kraus_groups(ins))
+                    v, keep = _supports(np.linalg.eigh(effects), tol)
+                    extracted = instruments._support_projectors(v, keep)
+                    self.assert_bounds_hold(extracted, (keep.astype(float), v), tol, held=True)
+                    try:
+                        instruments._extract_elementary(ins, tol)
+                        got = None
+                    except ExtractionError as err:
+                        got = str(err)
+                    if not (got or "").startswith("outcome"):
+                        assert got == loop_check_pvm(dict(zip(mats, extracted)), d, tol)
+                        reached += 1
+        assert {None, "Hermitian", "idempotent", "orthogonal"} <= {m and m.split()[-1] for m in seen}
+        assert reached >= 15
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-6, 1e-3])
+    def test_a_frame_off_orthonormal_carries_the_idempotent_bound(self, t):
+        # Columns scaled by sqrt(1 + t): each P_x = V_x V_x^dag is its own
+        # support projector (delta 0), but P_x^2 - P_x = t (1 + t) U_x U_x^dag,
+        # which eps_x = t sqrt(rank) bounds.
+        d, ranks = 8, [1, 2, 1, 3, 1]
+        v = np.broadcast_to(haar_unitary(d, np.random.default_rng(4)) * np.sqrt(1.0 + t), (len(ranks), d, d))
+        edges = np.cumsum([0, *ranks])
+        keep = (edges[:-1, None] <= np.arange(d)) & (np.arange(d) < edges[1:, None])
+        stack = instruments._support_projectors(v, keep)
+        idempotent = np.linalg.norm(stack @ stack - stack, axis=(1, 2))
+        assert np.allclose(idempotent, t * (1.0 + t) * np.sqrt(ranks), rtol=1e-6)
+        self.assert_bounds_hold(stack, (keep.astype(float), v), qc.DEFAULT_TOL, held=True)
 
     @pytest.mark.parametrize("theta", [0.0, 0.2])
     def test_an_empty_support_sends_every_pair_to_the_direct_check(self, monkeypatch, theta):
