@@ -297,9 +297,9 @@ def pvm_commute(
     pending[0, 0] = False
     # As for the PVM check: below 8 pairs the frames cost more than the loop.
     if pending.size >= _GRAM_MIN_OUTCOMES:
-        frames = (_support_frame(p._spectrum, tol), _support_frame(q._spectrum, tol))
-        if all(ranks.all() and frame.shape[1] == p.dim for frame, ranks in frames):
-            (u_p, ranks_p), (u_q, ranks_q) = frames
+        frames = (_support_frame(p._spectrum, len(first), tol), _support_frame(q._spectrum, len(second), tol))
+        if all(ranks.all() and frame.shape[1] == p.dim for frame, ranks, _ in frames):
+            (u_p, ranks_p, _), (u_q, ranks_q, _) = frames
             table = _frame_commutators(u_p.conj().T @ u_q, ranks_p, ranks_q)
             worst = np.unravel_index(np.argmax(table), table.shape)
             if pending[worst]:
@@ -355,7 +355,7 @@ def _commutator_bound(
 ) -> np.ndarray:
     """An (n_p, n_q) upper bound on the computed |P_x Q_y - Q_y P_x|_F, from
     the ``_frame_commutators`` table F of the ``_support_frame``s ``frames``
-    of p and q, U_P = [V_1 | V_2 | ...] and U_Q = [W_1 | W_2 | ...].
+    of p and q at ``tol``, U_P = [V_1 | V_2 | ...] and U_Q = [W_1 | W_2 | ...].
 
     Write Pi_x = V_x V_x^dag and G_y = W_y W_y^dag, E_x for the indicator of
     P's block x, Delta = U_P^dag U_P - I, s_P = |Delta|_F >= |Delta|_2 (s_Q
@@ -381,7 +381,7 @@ def _commutator_bound(
 
     Where s_P reaches 1, U_P may be singular and the bound is infinite.
     """
-    (u_p, ranks_p), (u_q, _) = frames
+    (u_p, ranks_p, _), (u_q, _, _) = frames
     d = p.dim
     lean = u_p.conj().T @ u_p - np.eye(d)
     s_p = float(np.linalg.norm(lean))
@@ -389,7 +389,7 @@ def _commutator_bound(
         return np.full(table.shape, np.inf)
     s_q = float(np.linalg.norm(u_q.conj().T @ u_q - np.eye(d)))
     e_p = np.sqrt(np.add.reduceat((np.abs(lean) ** 2).sum(axis=0), np.cumsum(ranks_p) - ranks_p))[:, None]
-    delta_p, delta_q = _deltas(p, tol), _deltas(q, tol)
+    delta_p, delta_q = _deltas(p, *frames[0]), _deltas(q, *frames[1])
     delta_p = delta_p[:, None]  # one row per outcome of p, against delta_q's columns
     rounding = 32 * d * d * (np.finfo(float).eps / 2) * (1.0 + tol.mat_eq)
     return ((table + 2.0 * e_p * (1.0 + s_p) * (1.0 + s_q)) / (1.0 - s_p)
@@ -397,13 +397,13 @@ def _commutator_bound(
             + 2.0 * (s_q * delta_p + s_p * delta_q) + rounding)
 
 
-def _deltas(prop: ElementaryProperty, tol: Tolerances) -> np.ndarray:
-    """``_support_deltas`` of ``prop`` at ``tol``: those its PVM check kept
-    where it cut the same supports, else computed."""
-    v, keep = _supports(prop._spectrum, tol)
+def _deltas(prop: ElementaryProperty, frame: np.ndarray, ranks: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``_support_deltas`` of ``prop`` for the supports ``frame`` that its
+    ``_support_frame`` cut by the mask ``keep``: those the property keeps
+    where they were cut by the same mask, else computed."""
     if prop._deltas is not None and np.array_equal(prop._deltas[0], keep):
         return prop._deltas[1]
-    return _support_deltas(list(prop.projectors.values()), v, keep)
+    return _support_deltas(list(prop.projectors.values()), frame, ranks)
 
 
 @dataclass(frozen=True)
@@ -420,22 +420,24 @@ class HarnessReport:
 
 
 def _check_inclusion(
-    composite: np.ndarray, frames: np.ndarray, mask: np.ndarray, tol: Tolerances
+    composite: np.ndarray, frames: np.ndarray, owner: np.ndarray, branch: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check verifier inclusion for every composite outcome at once.
 
     ``composite[y]`` is the one Kraus matrix of composite outcome y, which
-    reads one projective outcome alone: the projector onto the columns
-    ``mask[y]`` of the unitary ``frames[y]``, its branch's support as drawn.
-    One Kraus matrix is atomic when it is nonzero (squared norm above
-    ``mat_eq``). Each nonzero outcome's verifier support, from one batched
-    ``eigh`` of the composites' effects, must lie in its branch's: every row
-    of V_g^dag V_t has norm at least 1 - ``mat_eq``. Returns per outcome:
-    checked (nonzero), violated, and the dimensions of its support and of
-    its branch's.
+    reads one projective outcome alone, ``branch[y]``, of a PVM drawn with
+    the support frame ``frames[y]``, a unitary whose column i belongs to
+    outcome ``owner[y, i]``: its branch's support is the frame's columns
+    of that outcome. One Kraus matrix is atomic when it is nonzero (squared
+    norm above ``mat_eq``). Each nonzero outcome's verifier support, from
+    one batched ``eigh`` of the composites' effects, must lie in its
+    branch's: every row of V_g^dag V_t has norm at least 1 - ``mat_eq``.
+    Returns per outcome: checked (nonzero), violated, and the dimensions of
+    its support and of its branch's.
     """
     nonzero = np.linalg.norm(composite, axis=(1, 2)) ** 2 > tol.mat_eq
     v, g_in = _supports(np.linalg.eigh(composite.conj().swapaxes(-1, -2) @ composite), tol)
+    mask = owner == branch[:, None]
     cross = v.conj().swapaxes(-1, -2) @ frames
     row_norms = np.linalg.norm(cross * mask[:, None, :], axis=2)
     escapes = np.any(g_in & (row_norms < 1.0 - tol.mat_eq), axis=1)
@@ -485,15 +487,15 @@ def _quantum_batch(gens: list, dim: int, tol: Tolerances) -> list:
         for x, count in enumerate(np.bincount(branches[-1]).tolist()):
             parts.append(gen.child(x + 1).rng.standard_normal((count, 2, dim, dim)))
             counts.append(count)
-    projectors, frames, mask = _pvm_draw(dim, profiles, [gen.child(0) for gen in gens])
+    projectors, frames, owner = _pvm_draw(dim, profiles, [gen.child(0) for gen in gens])
     trial, local, branch = _case_index(branches, [len(p) for p in profiles])
     # The families come branch by branch; outcome y's matrix is at its rank
     # in the stable order by branch.
     kraus = np.empty((len(branch), dim, dim), dtype=complex)
     kraus[np.argsort(branch, kind="stable")] = _kraus_families(np.concatenate(parts), counts)
-    checked, violated, g_dim, t_dim = _check_inclusion(
-        kraus @ projectors[branch], frames[branch], mask[branch], tol)
     x = np.concatenate(branches)
+    checked, violated, g_dim, t_dim = _check_inclusion(
+        kraus @ projectors[branch], frames[trial], owner[trial], x, tol)
     return _trial_results(trial, local, checked, violated, lambda case: (
         f"x{x[case]}", int(g_dim[case]), int(t_dim[case])), len(gens))
 

@@ -110,17 +110,17 @@ def degree_for_verifier(
 
 def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The outcomes' verifier-support bases side by side, U = [A_x1 | A_x2 | ...],
-    cut by ``_supports`` from the spectrum of its effects that the property
-    holds (computed once, tied to no tolerance), and the block indicator whose
-    entry (i, x) is 1 when column i of U spans outcome x. An outcome whose
-    support is empty admits no verifier: ``StructureError``."""
-    frame, ranks = _support_frame(prop._spectrum, tol)
+    cut by ``_support_frame`` from the support frame of its effects that the
+    property holds (computed once, tied to no tolerance), and the block
+    indicator whose entry (i, x) is 1 when column i of U spans outcome x. An
+    outcome whose support is empty admits no verifier: ``StructureError``."""
+    frame, ranks, keep = _support_frame(prop._spectrum, len(prop.labels), tol)
     if not ranks.all():
         label = prop.labels[int(ranks.argmin())]
         raise StructureError(
             f"projector {label!r} has no eigenvalue within prob_eq of 1, it admits no verifier"
         )
-    owner = np.repeat(np.arange(len(ranks)), ranks)
+    owner = prop._spectrum[1][keep]
     return frame, (owner[:, None] == np.arange(len(ranks))).astype(float)
 
 

@@ -213,20 +213,21 @@ class ElementaryProperty:
 
     Downstream decisions work on the projectors, read-only copies in the
     base's outcome order held in a read-only mapping, and on ``_spectrum``,
-    a spectral decomposition (w, v) of their effects P^dag P in ``labels``
-    order, tied to no tolerance and set by every construction path:
-    ``to_elementary`` holds the exact 0/1 spectrum of the effects'
-    eigenvectors it built the projectors from; ``random_pvm`` the exact 0/1
-    spectrum of its one Haar unitary, and the constructor and ``from_pvm``
-    the spectrum their PVM check read (see ``_pvm_spectrum``). The last two
-    hold v as a read-only broadcast of one d x d frame over the outcomes.
+    the support frame (U, owner, w) of their effects P^dag P, tied to no
+    tolerance: the eigenvectors of eigenvalue w >= 1/2, one outcome's after
+    another's, owner[i] being column i's outcome (``_support_frame``).
+    ``to_elementary`` holds the kept eigenvectors of the effects it built
+    the projectors from and ``random_pvm`` its Haar unitary, both with
+    w = 1, and delta 0; the constructor and ``from_pvm`` the frame their
+    PVM check read (see ``_pvm_spectrum``).
 
     The constructor checks its input: ``base`` must be square, the
     projectors a PVM, and each outcome's operation within ``mat_eq`` of its
     projector's map rho -> P rho P, all at ``DEFAULT_TOL``, else
     ``StructureError``. ``==`` is identity: two properties are equal when
     their outcome maps are, by ``choi_distance`` at a tolerance.
-    ``_deltas`` keeps the (keep, delta) of the PVM check, or None.
+    ``_deltas`` keeps (keep, delta), delta_x = |P_x - V_x V_x^dag|_F for
+    the supports the mask ``keep`` on U's columns cuts, or None.
     """
 
     base: Instrument
@@ -250,10 +251,8 @@ class ElementaryProperty:
 
     def __reduce__(self):
         # A mapping proxy does not pickle; the property is rebuilt from a dict
-        # and the spectrum it holds. A frame every outcome shares (stride 0)
-        # travels once and is broadcast again on load.
-        w, v = self._spectrum
-        return _elementary, (self.base, dict(self.projectors), (w, v[0] if v.strides[0] == 0 else v))
+        # and the frame and deltas it holds.
+        return _elementary, (self.base, dict(self.projectors), self._spectrum, self._deltas)
 
     @property
     def dim(self) -> int:
@@ -294,7 +293,8 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     repeatability and per-outcome atomicity the caller has established."""
     groups = _kraus_groups(ins)
     v, keep = _supports(np.linalg.eigh(_effects(ins, groups)), tol)
-    stack = _support_projectors(v, keep)
+    frame = v.swapaxes(-1, -2)[keep].T  # the kept columns, outcome by outcome
+    stack = _support_projectors(frame, keep.sum(axis=1))
     residual = _projector_residuals(ins, groups, stack)
     for label, kept, res in zip(ins.labels, keep, residual):
         if not kept.any():
@@ -303,12 +303,13 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
             raise ExtractionError(
                 f"outcome {label!r}: projector map does not reproduce the operation"
             )
-    # The exact spectrum of each V_x V_x^dag: eigenvalue 1 on the kept columns
-    # of v, 0 on the rest. Its supports are the projectors' at any tolerance,
-    # where E's own eigenvalues, a little below 1 on a support, are not.
-    spectrum = (keep.astype(float), v)
-    _, deltas = _check_pvm(ins.labels, stack, ins.dim_in, tol, ExtractionError, spectrum)
-    return _elementary(ins, dict(zip(ins.labels, stack)), spectrum, deltas)
+    # Eigenvalue 1, the exact spectrum of each V_x V_x^dag: its supports are
+    # the projectors' at any tolerance, where E's own eigenvalues, a little
+    # below 1 on a support, are not; and delta is 0 on every column.
+    m = frame.shape[1]
+    spectrum = (frame, np.nonzero(keep)[0], np.ones(m))
+    _check_pvm(ins.labels, stack, ins.dim_in, tol, ExtractionError, spectrum)
+    return _elementary(ins, dict(zip(ins.labels, stack)), spectrum, (np.ones(m, dtype=bool), np.zeros(len(stack))))
 
 
 @dataclass(frozen=True)
@@ -371,16 +372,12 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
 
 def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum, deltas=None) -> ElementaryProperty:
     """An elementary property from projectors already checked against
-    ``base``, in its outcome order, holding their effects' ``spectrum``; the
-    arrays are made read-only and held in a read-only mapping, so no write
-    can make the property's spectrum stale. A spectrum whose v is one (d, d)
-    frame holds it broadcast over the outcomes. ``deltas`` is the (keep,
-    delta) of the PVM check, or None."""
+    ``base``, in its outcome order, holding their effects' support frame
+    ``spectrum`` = (U, owner, w) and ``deltas``, the (keep, delta) of its
+    ``_deltas`` or None; the projectors are made read-only and held in a
+    read-only mapping, so no write can make the property's frame stale."""
     for p in projectors.values():
         p.flags.writeable = False
-    w, v = spectrum
-    if v.ndim == 2:
-        spectrum = (w, np.broadcast_to(v, (len(w), *v.shape)))
     return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors),
                     _spectrum=spectrum, _deltas=deltas)
 
@@ -412,45 +409,49 @@ def _read_only_family(pairs) -> tuple[dict[str, np.ndarray], np.ndarray | list]:
     return _labelled(zip([label for label, _ in pairs], stack)), stack
 
 
-def _support_projectors(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The (n, d, d) stack of projectors V_x V_x^dag onto the supports of
-    ``_supports``, V_x being ``v[x][:, keep[x]]``: one stacked product per
-    support size, each V_x V_x^dag bit for bit the product of V_x alone."""
-    ranks = keep.sum(axis=1)
+def _support_projectors(frame: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The (n, d, d) stack of projectors V_x V_x^dag, V_x being the run of
+    ``ranks[x]`` columns of the d x m ``frame`` that belongs to outcome x,
+    one outcome's run after another's: one stacked product per support
+    size, each V_x V_x^dag bit for bit the product of V_x alone."""
+    d = frame.shape[0]
+    starts = np.cumsum(ranks) - ranks
     # Not np.unique: its first call imports numpy.ma (about 15 ms, 1.4 MB).
     sizes = sorted(set(ranks.tolist()))
-    out = None if len(sizes) == 1 else np.empty((len(keep), *v.shape[-2:]), dtype=complex)
+    out = None if len(sizes) == 1 else np.empty((len(ranks), d, d), dtype=complex)
     for k in sizes:
         xs = np.flatnonzero(ranks == k)
-        rows, cols = np.nonzero(keep[xs])
-        # Row i of frames[j] is column i of V_x, x = xs[j].
-        frames = v[xs[rows], :, cols].reshape(len(xs), k, v.shape[-2])
-        block = frames.swapaxes(-1, -2) @ frames.conj()
+        # Row i of rows[j] is column i of V_x, x = xs[j].
+        rows = frame.T[(starts[xs, None] + np.arange(k)).ravel()].reshape(len(xs), k, d)
+        block = rows.swapaxes(-1, -2) @ rows.conj()
         if out is None:
             return block
         out[xs] = block
     return out
 
 
-def _support_deltas(projectors, v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _support_deltas(projectors, frame: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """delta_x = |P_x - V_x V_x^dag|_F per outcome, ``projectors`` being the
-    P_x in order (a list or a stack) and V_x the supports of ``_supports``
-    as ``_support_projectors`` builds them, at most ``_CHUNK_CELLS / 2``
-    entries of V_x V_x^dag at a time."""
-    delta = np.empty(len(keep))
-    for part in _chunks(len(keep), 2 * v.shape[-1] ** 2):
-        supports = _support_projectors(v[part], keep[part])
+    P_x in order (a list or a stack) and V_x the runs of ``frame`` that
+    ``_support_projectors`` reads, at most ``_CHUNK_CELLS / 2`` entries of
+    V_x V_x^dag at a time."""
+    delta, ends = np.empty(len(ranks)), np.cumsum(ranks)
+    for part in _chunks(len(ranks), 2 * frame.shape[0] ** 2):
+        cols = slice(ends[part][0] - ranks[part][0], ends[part][-1])
+        supports = _support_projectors(frame[:, cols], ranks[part])
         supports -= projectors[part]
         delta[part] = np.linalg.norm(supports, axis=(1, 2))
     return delta
 
 
-def _support_frame(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The supports of ``spectrum`` at ``tol`` side by side, U = [V_1 | V_2 |
-    ...], one outcome's columns after another's, and the number of columns
-    of each outcome."""
-    v, keep = _supports(spectrum, tol)
-    return v.swapaxes(-1, -2)[keep].T, keep.sum(axis=1)
+def _support_frame(spectrum, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The supports at ``tol`` of the frame ``spectrum`` = (U, owner, w) of
+    n outcomes, cut by one mask ``keep`` = w >= 1 - prob_eq on U's columns:
+    the kept columns side by side, U_tol = [V_1 | V_2 | ...], one outcome's
+    after another's; the number of columns of each outcome; and ``keep``."""
+    u, owner, w = spectrum
+    keep = w >= 1.0 - tol.prob_eq
+    return u.T[keep].T, np.bincount(owner[keep], minlength=n), keep
 
 
 # The per-projector checks of ``_check_pvm``, in the order it reads them.
@@ -469,8 +470,8 @@ def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spe
     orthogonality of each pair, whose bound is at most mat_eq / 2; the rest
     run directly, stacked. Trace and completeness always run directly.
 
-    Returns the effects' spectrum the check read, ``spectrum`` when the
-    caller holds the exact 0/1 one of the projectors themselves (as
+    Returns the effects' support frame the check read, ``spectrum`` when
+    the caller holds the frame of the projectors themselves, with w = 1 (as
     extraction does: each projector is then its own support's, delta 0),
     else ``_pvm_spectrum``; and the (keep, delta) the bounds read, which
     the property keeps for ``pvm_commute``, or None.
@@ -514,33 +515,34 @@ def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spe
 
 
 def _pvm_spectrum(stack: np.ndarray):
-    """A spectrum (w, v) of the effects E_x = P_x^dag P_x of a checked PVM
-    stack, read from one eigh: v is one d x d matrix, broadcast read-only
-    over the n outcomes, whose columns are orthonormal within each outcome's
-    run.
+    """The support frame (U, owner, w) of the effects E_x = P_x^dag P_x of
+    a checked PVM stack, read from one eigh: U holds the columns of one
+    d x d matrix whose eigenvalue is at least 1/2, orthonormal within each
+    outcome's run.
 
     The eigenvalues of the Hermitian part of H = sum_x x P_x sit near the
     outcome indices, so eigenvector j goes to outcome clip(rint(lambda_j),
     0, n - 1); each outcome's columns U_x are a run, since lambda ascends.
     One power step, E_x U_x orthonormalised into Q_x, turns the run onto
     the effect's range, from which U_x leans by about the family's overlaps.
-    On its run, w[x] holds the eigenvalues of (P_x Q_x)^dag (P_x Q_x), the
-    effect compressed to Q_x, whose eigenvectors rotate Q_x; w[x] is 0 on
-    every other column. A rank-1 run reads |P_x q|^2 directly, and larger
-    ones take one stacked eigh per run length.
+    On its run, w holds the eigenvalues of (P_x Q_x)^dag (P_x Q_x), the
+    effect compressed to Q_x, whose eigenvectors rotate Q_x. A rank-1 run
+    reads |P_x q|^2 directly, and larger ones take one stacked eigh per run
+    length.
 
     By min-max, every eigenvalue of E_x off the top |U_x| is at most
-    tr E_x - tr(Q_x^dag E_x Q_x) = |P_x|_F^2 - sum(w[x]). Where that reaches
-    1/2, below every cut 1 - prob_eq, a run may miss a support direction
-    (eigenvalues of H off their index by 1/2 or more): the spectrum is then
-    the batched eigh of the effects, one per outcome.
+    tr E_x - tr(Q_x^dag E_x Q_x) = |P_x|_F^2 - sum(w on x's run). Where that
+    reaches 1/2, below every cut 1 - prob_eq, a run may miss a support
+    direction (eigenvalues of H off their index by 1/2 or more): the frame
+    is then read from the batched eigh of the effects, one per outcome.
     """
     n, d = stack.shape[:2]
     h = np.tensordot(np.arange(n, dtype=float), stack, axes=1)
     lam, u = np.linalg.eigh((h + h.conj().T) / 2.0)
-    sizes = np.bincount(np.clip(np.rint(lam), 0, n - 1).astype(int), minlength=n)
+    owner = np.clip(np.rint(lam), 0, n - 1).astype(int)
+    sizes = np.bincount(owner, minlength=n)
     starts = np.cumsum(sizes) - sizes
-    w = np.zeros((n, d))
+    w = np.zeros(d)
     for k in sorted(set(sizes[sizes > 0].tolist())):
         xs = np.flatnonzero(sizes == k)
         cols = starts[xs, None] + np.arange(k)
@@ -551,31 +553,36 @@ def _pvm_spectrum(stack: np.ndarray):
         frames = np.linalg.qr(turned)[0]
         images = p @ frames
         if k == 1:
-            w[xs[:, None], cols] = np.square(np.abs(images)).sum(axis=1)
+            w[cols] = np.square(np.abs(images)).sum(axis=1)
         else:
-            w[xs[:, None], cols], rot = np.linalg.eigh(images.conj().swapaxes(-1, -2) @ images)
+            w[cols], rot = np.linalg.eigh(images.conj().swapaxes(-1, -2) @ images)
             frames = frames @ rot
         u[:, cols] = frames.transpose(1, 0, 2)
     flat = stack.reshape(n, -1).view(float)
-    if not (np.einsum("ij,ij->i", flat, flat) - w.sum(axis=1) < 0.5).all():
-        return np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
-    return w, np.broadcast_to(u, (n, d, d))
+    if not (np.einsum("ij,ij->i", flat, flat) - np.bincount(owner, w, n) < 0.5).all():
+        w, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        u, owner, w = v.swapaxes(-1, -2).reshape(-1, d).T, np.repeat(np.arange(n), d), w.ravel()
+    half = w >= 0.5
+    return u.T[half].T, owner[half], w[half]
 
 
-# From this many outcomes on, one Gram of the support frames costs less than
-# the n(n-1)/2 direct products: at d = 8 on one BLAS thread the two are even
-# at 8 outcomes, and at 2 outcomes the Gram costs five times the one product.
+# From this many outcomes on, ``_check_pvm`` certifies the Hermitian and
+# idempotent checks and pairwise orthogonality from one Gram of the support
+# frame (``_pvm_bounds``), and from this many pairs on ``pvm_commute`` reads
+# its overlap table. Timed on the pairwise products alone: at d = 8 on one BLAS
+# thread they are even at 8 outcomes; at 2 the Gram costs five products.
 _GRAM_MIN_OUTCOMES = 8
 
 
 def _pvm_bounds(stack: np.ndarray, spectrum, tol: Tolerances, held: bool = False):
     """``((keep, delta), hermitian, idempotent, pairs)``: upper bounds on the
     computed |P_x - P_x^dag|_F, |P_x^2 - P_x|_F and, at (a, b), |P_a P_b|_F,
-    from the supports V_x of ``spectrum`` at ``tol``; None when a support is
-    empty, for it bounds nothing.
+    from the supports V_x that the mask ``keep`` of ``_support_frame`` cuts
+    from the frame ``spectrum`` at ``tol``; None when a support is empty,
+    for it bounds nothing.
 
     With delta_x = |P_x - V_x V_x^dag|_F (``_support_deltas``; 0 when
-    ``held``: the stack is its spectrum's own V_x V_x^dag, bit for bit) and
+    ``held``: the stack is its frame's own V_x V_x^dag, bit for bit) and
     the Gram G = U^dag U of U = [V_1 | V_2 | ...], whose diagonal blocks
     give eps_x = |V_x^dag V_x - I|_F, the bounds are 2 delta_x,
     eps_x (1 + eps_x) + delta_x (3 + 2 eps_x + delta_x) and
@@ -583,11 +590,10 @@ def _pvm_bounds(stack: np.ndarray, spectrum, tol: Tolerances, held: bool = False
     term 16 d^2 u (1 + eps_a + delta_a)(1 + eps_b + delta_b), a = b = x for
     the first two, u the unit roundoff (README, "Numerical conventions").
     """
-    frame, ranks = _support_frame(spectrum, tol)
+    frame, ranks, keep = _support_frame(spectrum, len(stack), tol)
     if not ranks.all():
         return None
-    v, keep = _supports(spectrum, tol)
-    delta = np.zeros(len(stack)) if held else _support_deltas(stack, v, keep)
+    delta = np.zeros(len(stack)) if held else _support_deltas(stack, frame, ranks)
     # G - I: the off-diagonal blocks stay the V_a^dag V_b. Columns of U come
     # outcome by outcome, so block sums are reduceat sums.
     gram = frame.conj().T @ frame

@@ -6,8 +6,8 @@ tolerance semantics are fixed in one place:
 
 * rank decisions use a relative cut ``eig_cut * sigma_max`` (scale invariant),
 * every verifier support a decision reads is an effect's eigenvalue
-  >= ``1 - prob_eq`` eigenspace, cut by ``_supports`` from a spectrum tied to
-  no tolerance (an elementary property holds its own, computed once),
+  >= ``1 - prob_eq`` eigenspace, cut by ``_supports`` from an eigh, or by
+  ``instruments._support_frame`` from the frame an elementary property holds,
 * PSD tests tolerate eigenvalues down to ``-eig_cut * max(1, spectral norm)``.
 
 Input is validated once, where it enters the package: public constructors run

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .instruments import ElementaryProperty, Instrument, _elementary, _labelled
+from .instruments import ElementaryProperty, Instrument, _elementary, _labelled, _support_projectors
 from .linalg import _index, _trusted
 from .operations import DensityState, QuantumOperation, _built_state, projector_operation
 
@@ -60,31 +60,22 @@ def haar_unitary(d: int, gen: SeededGenerator) -> np.ndarray:
 
 def _pvm_draw(d: int, profiles, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Haar-rotated coordinate-block PVM on C^d per (rank profile,
-    generator) pair, concatenated in order over all outcomes: the
-    (outcomes, d, d) projector stack, each outcome's (d, d) unitary, and the
-    (outcomes, d) mask of its block's columns.
+    generator) pair: the (outcomes, d, d) projector stack, all PVMs'
+    outcomes in order; the (PVMs, d, d) unitaries; and the (PVMs, d) owner
+    index, the outcome within its PVM of each unitary's column.
 
-    Each generator draws one Ginibre matrix; one stacked QR rotates them all,
-    and one stacked product per rank forms the projectors B B^dag of the
-    column blocks B, so the numbers are those of per-PVM calls, bit for bit.
-    The projector of an outcome is thus V diag(mask) V^dag with V its
-    unitary: the frame and its exact 0/1 spectrum come with the draw.
+    Each generator draws one Ginibre matrix; one stacked QR rotates them
+    all, and ``_support_projectors`` forms the projectors B B^dag of the
+    column blocks B, one stacked product per rank, so the numbers are those
+    of per-PVM calls, bit for bit. A PVM's unitary and owner index, with
+    eigenvalue 1 on every column, are thus its support frame (U, owner, w),
+    and each projector is its block's own product.
     Profiles are trusted: positive ranks summing to d.
     """
     u = _haar(np.stack([_ginibre(d, d, gen.rng) for gen in gens]))
     ranks = np.array([rank for p in profiles for rank in p])
-    owner = np.repeat(np.arange(len(profiles)), [len(p) for p in profiles])
-    starts = np.cumsum(ranks) - ranks - owner * d
-    rows = np.arange(d)[:, None]
-    out = np.empty((len(ranks), d, d), dtype=complex)
-    for rank in sorted(set(ranks.tolist())):
-        sel = np.flatnonzero(ranks == rank)
-        cols = starts[sel, None, None] + np.arange(rank)
-        blocks = u[owner[sel, None, None], rows, cols]
-        out[sel] = blocks @ blocks.conj().swapaxes(-1, -2)
-    column = np.arange(d)
-    mask = (starts[:, None] <= column) & (column < (starts + ranks)[:, None])
-    return out, u[owner], mask
+    owner = np.array([np.repeat(np.arange(len(p)), p) for p in profiles])
+    return _support_projectors(np.hstack(u), ranks), u, owner
 
 
 def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
@@ -95,14 +86,15 @@ def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
     ranks = [_index(r, "rank") for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != d:
         raise StructureError(f"ranks must be positive and sum to {d}, got {ranks}")
-    stack, frames, mask = _pvm_draw(d, [ranks], [gen])
+    stack, frames, owner = _pvm_draw(d, [ranks], [gen])
     projectors = {f"x{i}": p for i, p in enumerate(stack)}
     # Blocks of one unitary: orthogonal, idempotent and complete by
     # construction, each the projector of its block's columns, eigenvalue 1.
     outcomes = {label: projector_operation(p) for label, p in projectors.items()}
     ins = _trusted(Instrument, dim_in=d, dim_out=d, outcomes=outcomes)
-    # One unitary rotates every block: the property holds it once, broadcast.
-    return _elementary(ins, projectors, (mask.astype(float), frames[0].copy()))
+    # The unitary is the support frame, each projector its block's own product.
+    deltas = (np.ones(d, dtype=bool), np.zeros(len(ranks)))
+    return _elementary(ins, projectors, (frames[0], owner[0], np.ones(d)), deltas)
 
 
 def random_density(d: int, rank: int, gen: SeededGenerator) -> DensityState:

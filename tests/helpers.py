@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 
 import qcomplement as qc
+from qcomplement import instruments
 from qcomplement.errors import StructureError
 
 
@@ -208,6 +209,12 @@ def effect_supports(mats: dict, tol=qc.DEFAULT_TOL) -> list[np.ndarray]:
     stack = np.stack(list(mats.values()))
     w, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
     return [vectors[:, weights >= 1.0 - tol.prob_eq] for weights, vectors in zip(w, v)]
+
+
+def support_frame(prop: qc.ElementaryProperty, tol=qc.DEFAULT_TOL):
+    """``instruments._support_frame`` of the frame a property holds: its
+    supports at ``tol`` side by side, their ranks and the mask that cut them."""
+    return instruments._support_frame(prop._spectrum, len(prop.labels), tol)
 
 
 def largest_sine(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import numpy as np
@@ -16,7 +17,7 @@ from qcomplement.compatibility import (
     _trial_results,
 )
 from qcomplement.errors import StructureError
-from qcomplement.linalg import DEFAULT_TOL, _supports
+from qcomplement.linalg import DEFAULT_TOL
 from qcomplement.operations import _core_norm
 from qcomplement.sampling import _kraus_draw
 import helpers
@@ -32,6 +33,7 @@ from helpers import (
     qutrit_basis_proj,
     qutrit_fine,
     rotated_pvm,
+    support_frame,
     traced_peak,
     z_instrument,
 )
@@ -376,7 +378,7 @@ class TestPvmCommuteParity:
     def test_construction_paths_and_partners(self, d, profile):
         ranks = COMMUTE_PROFILES[profile](d)
         drawn = qc.random_pvm(d, ranks, qc.SeededGenerator(d))
-        u = drawn._spectrum[1][0]  # the one Haar frame of the draw
+        u = drawn._spectrum[0]  # the one Haar frame of the draw
         items = list(drawn.projectors.items())
         rng = np.random.default_rng([d, len(ranks)])
         shared = np.hstack([u[:, : ranks[0]] @ haar_unitary(ranks[0], rng),
@@ -406,7 +408,7 @@ class TestPvmCommuteParity:
         # are their supports' to rounding, each F_xy is |[P_x, Q_y]|_F.
         p, q = (qc.random_pvm(d, COMMUTE_PROFILES[name](d), qc.SeededGenerator(seed))
                 for seed, name in enumerate(profiles))
-        (u_p, ranks_p), (u_q, ranks_q) = (instruments._support_frame(prop._spectrum, DEFAULT_TOL) for prop in (p, q))
+        (u_p, ranks_p, _), (u_q, ranks_q, _) = (support_frame(prop, DEFAULT_TOL) for prop in (p, q))
         table = compatibility._frame_commutators(u_p.conj().T @ u_q, ranks_p, ranks_q)
         direct = [[_COMMUTATOR_NORM(a, b) for b in q.projectors.values()] for a in p.projectors.values()]
         assert np.abs(table - np.array(direct)).max() <= 1e-13
@@ -434,15 +436,15 @@ class TestPvmCommuteParity:
 
 
     def test_the_deltas_of_the_pvm_check_are_reused(self, monkeypatch):
-        # from_pvm keeps the (keep, delta) its check read. pvm_commute takes
-        # delta from there where it cuts the same supports; it computes it
-        # where the supports differ and for a pickled copy, which carries
-        # none. Outcome p0 keeps one direction at 1 - 4e-9: its effect reads
-        # 1 - 8e-9 there, inside the support at prob_eq = 1e-7, outside at
-        # prob_eq = 1e-9.
+        # from_pvm keeps the (keep, delta) its check read, and a pickled or
+        # deep-copied property carries it. pvm_commute takes delta from there
+        # where it cuts the same supports, and computes it where the supports
+        # differ. Outcome p0 keeps one direction at 1 - 4e-9: its effect
+        # reads 1 - 8e-9 there, inside the support at prob_eq = 1e-7, outside
+        # at prob_eq = 1e-9.
         support_deltas, calls = compatibility._support_deltas, []
         monkeypatch.setattr(compatibility, "_support_deltas",
-                            lambda projectors, v, keep: calls.append(len(keep)) or support_deltas(projectors, v, keep))
+                            lambda projectors, frame, ranks: calls.append(len(ranks)) or support_deltas(projectors, frame, ranks))
         u = haar_unitary(16, np.random.default_rng(5))
         mats = column_family(u, [2] * 8, "p")
         mats["p0"] = (u[:, :2] * [1.0, 1.0 - 4e-9]) @ u[:, :2].conj().T
@@ -452,7 +454,8 @@ class TestPvmCommuteParity:
         for (a, b), computed in [
             ((p, q), []),
             ((qc.from_pvm(mats, tight), qc.from_pvm(reverse, tight)), [8, 8]),
-            ((pickle.loads(pickle.dumps(p)), q), [8]),
+            ((pickle.loads(pickle.dumps(p)), q), []),
+            ((copy.deepcopy(p), q), []),
         ]:
             calls.clear()
             assert qc.pvm_commute(a, b) and loop_pvm_commute(a, b)
@@ -493,7 +496,7 @@ class TestPvmCommuteGuards:
         exact = rotated_pvm(8, 1, 0.0, 0)
         u, w = (np.linalg.eigh(exact[label])[1][:, -1] for label in ("p0", "p1"))
         q = qc.from_pvm({**exact, "p0": exact["p0"] + 6e-9 * np.outer(u, w.conj())})
-        delta = instruments._support_deltas(list(q.projectors.values()), *_supports(q._spectrum, DEFAULT_TOL))
+        delta = instruments._support_deltas(list(q.projectors.values()), *support_frame(q, DEFAULT_TOL)[:2])
         assert 5.9e-9 < delta[0] < 6.1e-9 and delta[1:].max() < 1e-14
         p = qc.from_pvm(exact)
         got, pairs = direct_pairs(monkeypatch, p, q)
@@ -506,7 +509,7 @@ class TestPvmCommuteGuards:
         # With the leaning family second, only P's frame counts, and the
         # table decides the rest as before.
         lean, exact = qc.from_pvm(rotated_pvm(8, 1, 7e-9, 0)), qc.from_pvm(rotated_pvm(8, 1, 0.0, 0))
-        frame = instruments._support_frame(lean._spectrum, DEFAULT_TOL)[0]
+        frame = support_frame(lean, DEFAULT_TOL)[0]
         assert 5e-9 < np.linalg.norm(frame.conj().T @ frame - np.eye(8)) < 2e-8
         got, pairs = direct_pairs(monkeypatch, lean, exact)
         assert got == loop_pvm_commute(lean, exact)
@@ -524,7 +527,7 @@ class TestPvmCommuteGuards:
         z = qc.from_pvm({f"z{i}": proj(e[i]) for i in range(8)})
         two = qc.from_pvm(column_family(np.kron(np.eye(4), haar_unitary(2, rng)), [2] * 4, "q"))
         p, q = (two, z) if swap else (z, two)
-        (u_p, ranks_p), (u_q, ranks_q) = (instruments._support_frame(prop._spectrum, DEFAULT_TOL) for prop in (p, q))
+        (u_p, ranks_p, _), (u_q, ranks_q, _) = (support_frame(prop, DEFAULT_TOL) for prop in (p, q))
         assert compatibility._frame_commutators(u_p.conj().T @ u_q, ranks_p, ranks_q).max() <= 1e-14
         for tol in COMMUTE_TOLS:
             got, pairs = direct_pairs(monkeypatch, p, q, tol)
@@ -556,7 +559,7 @@ class TestPvmCommuteGuards:
         tol = qc.Tolerances(mat_eq=0.1)
         p = qc.from_pvm(dict(zip("abc", (u @ m @ u.conj().T for m in diag))), tol)
         q = qc.from_pvm(column_family(u, [1] * 4, "q"), tol)
-        assert instruments._support_frame(p._spectrum, tol)[0].shape == (4, 3)
+        assert support_frame(p, tol)[0].shape == (4, 3)
         got, pairs = direct_pairs(monkeypatch, p, q, tol)
         assert got and loop_pvm_commute(p, q, tol)
         assert pairs == [(x, y) for x in range(3) for y in range(4)]
@@ -682,11 +685,11 @@ class TestArrayTrial:
         zero = np.zeros((2, 2))
         plus = proj(np.array([1.0, 1.0]) / np.sqrt(2.0))
         composite = np.array([plus, proj(E1), zero, proj(E1)], dtype=complex)
-        # The Z measurement's frame is the identity; x0 holds column 0, x1 column 1.
+        # The Z measurement's frame is the identity; x0 owns column 0, x1 column 1.
         frames = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2))
+        owner = np.broadcast_to(np.arange(2), (4, 2))
         branch = np.array([0, 1, 0, 0])
-        mask = np.eye(2, dtype=bool)[branch]
-        checked, violated, g_dim, t_dim = _check_inclusion(composite, frames, mask, DEFAULT_TOL)
+        checked, violated, g_dim, t_dim = _check_inclusion(composite, frames, owner, branch, DEFAULT_TOL)
         assert checked.tolist() == [True, True, False, True]
         assert np.flatnonzero(violated).tolist() == [0, 3]
         assert g_dim[[0, 3]].tolist() == [1, 1] and t_dim[[0, 3]].tolist() == [1, 1]

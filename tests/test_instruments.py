@@ -14,7 +14,7 @@ from qcomplement.linalg import _supports
 from qcomplement.operations import _core_norm
 from helpers import (
     E0, E1, MINUS, PLUS, effect_supports, largest_sine, loop_check_pvm, proj, qubit_x, qubit_z, qutrit_fine,
-    haar_unitary, rotated_pvm, traced_peak, z_instrument,
+    haar_unitary, rotated_pvm, support_frame, traced_peak, z_instrument,
 )
 
 
@@ -288,42 +288,40 @@ class TestFromPvm:
     def test_spectrum_is_one_unitary_from_the_outcome_index_sum(self, build, monkeypatch):
         # Projectors from outside: one eigh, of sum_x x P_x, frames every
         # outcome; eigenvector j goes to outcome rint(lambda_j). The frame,
-        # unitary on these exact families, is held once, broadcast read-only
-        # over the outcomes, and w[x] holds the effect P_x^dag P_x compressed
-        # to x's columns, 0 elsewhere.
+        # unitary on these exact families, is held as one d x d array with
+        # each column's owner, and w holds the effect P_x^dag P_x compressed
+        # to x's columns.
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         prop = build()
         stack = np.stack(list(prop.projectors.values()))
         n, d = stack.shape[:2]
-        w, v = prop._spectrum
-        assert v.shape == (n, d, d) and v.strides[0] == 0 and not v.flags.writeable
-        u = v[0]
+        u, owner, w = prop._spectrum
+        assert u.shape == (d, d) and owner.shape == w.shape == (d,)
         assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-14
         index = np.tensordot(np.arange(n), stack, axes=1)
-        owner = np.rint(np.real(np.einsum("ij,jk,ki->i", u.conj().T, index, u)))
+        assert np.array_equal(np.rint(np.real(np.einsum("ij,jk,ki->i", u.conj().T, index, u))), owner)
         assert np.array_equal(np.sort(owner), owner)
-        for x, (weights, p) in enumerate(zip(w, stack)):
+        for x, p in enumerate(stack):
             cols = owner == x
             assert cols.sum() == prop.rank_profile()[prop.labels[x]]
-            assert np.array_equal(weights[~cols], np.zeros(d - cols.sum()))
             compressed = (p @ u[:, cols]).conj().T @ (p @ u[:, cols])
-            assert np.linalg.norm(compressed - np.diag(weights[cols])) <= 1e-14
+            assert np.linalg.norm(compressed - np.diag(w[cols])) <= 1e-14
         # Rank-1 clusters read |P_x q|^2; each larger size takes one eigh.
         assert calls == [(d, d)] + [(n, 2, 2)] * (n < d)
 
     def test_extraction_keeps_the_projectors_exact_spectrum(self):
-        # Eigenvalue 1 on the kept eigenvectors of E, 0 on the rest: no second
-        # eigh, and every V diag(w) V^dag is the extracted projector itself.
+        # The kept eigenvectors of E, eigenvalue 1: no second eigh, and every
+        # outcome's columns V give the extracted projector V V^dag itself.
         ins = qc.random_pvm(4, [2, 1, 1], qc.SeededGenerator(3)).base
         effects = instruments._effects(ins, instruments._kraus_groups(ins))
         prop = qc.to_elementary(ins)
-        w, v = prop._spectrum
-        assert np.array_equal(v, np.linalg.eigh(effects)[1])
-        assert set(np.unique(w)) == {0.0, 1.0}
-        for weights, vectors, p in zip(w, v, prop.projectors.values()):
-            kept = vectors[:, weights == 1.0]
-            assert np.array_equal(kept @ kept.conj().T, p)
+        u, owner, w = prop._spectrum
+        v, keep = _supports(np.linalg.eigh(effects), qc.DEFAULT_TOL)
+        assert owner.tolist() == [0, 0, 1, 2] and np.array_equal(w, np.ones(4))
+        for x, (vectors, kept, p) in enumerate(zip(v, keep, prop.projectors.values())):
+            assert np.array_equal(u[:, owner == x], vectors[:, kept])
+            assert np.array_equal(u[:, owner == x] @ u[:, owner == x].conj().T, p)
 
     def test_random_pvm_holds_the_indicator_of_its_haar_blocks(self, monkeypatch):
         # The draw's unitary and block columns are the spectrum: no eigh is
@@ -333,12 +331,11 @@ class TestFromPvm:
         prop = qc.random_pvm(6, [2, 1, 3], qc.SeededGenerator(3))
         assert not qc.classify_relation(prop, prop).complementary
         assert calls == []
-        w, v = prop._spectrum
-        assert w.tolist() == [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
-        assert all(np.array_equal(u, v[0]) for u in v)
-        assert np.linalg.norm(v[0].conj().T @ v[0] - np.eye(6)) <= 1e-12
-        for weights, vectors, p in zip(w, v, prop.projectors.values()):
-            assert np.linalg.norm((vectors * weights) @ vectors.conj().T - p) <= 1e-14
+        u, owner, w = prop._spectrum
+        assert owner.tolist() == [0, 0, 1, 2, 2, 2] and w.tolist() == [1] * 6
+        assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= 1e-12
+        for x, p in enumerate(prop.projectors.values()):
+            assert np.linalg.norm(u[:, owner == x] @ u[:, owner == x].conj().T - p) <= 1e-14
 
     @staticmethod
     def short_effect_instrument(d: int, rank: int) -> qc.Instrument:
@@ -509,8 +506,9 @@ class TestPvmCheckOracle:
                     # supports; a residual fault ("outcome ...") comes first.
                     effects = instruments._effects(ins, instruments._kraus_groups(ins))
                     v, keep = _supports(np.linalg.eigh(effects), tol)
-                    extracted = instruments._support_projectors(v, keep)
-                    self.assert_bounds_hold(extracted, (keep.astype(float), v), tol, held=True)
+                    frame = v.swapaxes(-1, -2)[keep].T
+                    extracted = instruments._support_projectors(frame, keep.sum(axis=1))
+                    self.assert_bounds_hold(extracted, (frame, np.nonzero(keep)[0], np.ones(keep.sum())), tol, held=True)
                     try:
                         instruments._extract_elementary(ins, tol)
                         got = None
@@ -527,14 +525,13 @@ class TestPvmCheckOracle:
         # Columns scaled by sqrt(1 + t): each P_x = V_x V_x^dag is its own
         # support projector (delta 0), but P_x^2 - P_x = t (1 + t) U_x U_x^dag,
         # which eps_x = t sqrt(rank) bounds.
-        d, ranks = 8, [1, 2, 1, 3, 1]
-        v = np.broadcast_to(haar_unitary(d, np.random.default_rng(4)) * np.sqrt(1.0 + t), (len(ranks), d, d))
-        edges = np.cumsum([0, *ranks])
-        keep = (edges[:-1, None] <= np.arange(d)) & (np.arange(d) < edges[1:, None])
-        stack = instruments._support_projectors(v, keep)
+        d, ranks = 8, np.array([1, 2, 1, 3, 1])
+        u = haar_unitary(d, np.random.default_rng(4)) * np.sqrt(1.0 + t)
+        stack = instruments._support_projectors(u, ranks)
         idempotent = np.linalg.norm(stack @ stack - stack, axis=(1, 2))
         assert np.allclose(idempotent, t * (1.0 + t) * np.sqrt(ranks), rtol=1e-6)
-        self.assert_bounds_hold(stack, (keep.astype(float), v), qc.DEFAULT_TOL, held=True)
+        owner = np.repeat(np.arange(len(ranks)), ranks)
+        self.assert_bounds_hold(stack, (u, owner, np.ones(d)), qc.DEFAULT_TOL, held=True)
 
     @pytest.mark.parametrize("theta", [0.0, 0.2])
     def test_an_empty_support_sends_every_pair_to_the_direct_check(self, monkeypatch, theta):
@@ -573,21 +570,24 @@ class TestPvmCheckOracle:
                 assert str(err.value) == oracle
 
 
+def held_supports(prop, tol) -> list[np.ndarray]:
+    """The supports a property's frame keeps at ``tol``, one basis per outcome."""
+    frame, ranks, _ = support_frame(prop, tol)
+    return np.split(frame, np.cumsum(ranks)[:-1], axis=1)
+
+
 class TestOneFrameSupports:
     """The supports ``from_pvm`` cuts from its one frame against the
     eigenspaces of each effect's own eigh, the rule they replace."""
 
     @staticmethod
-    def held_supports(prop, tol) -> list[np.ndarray]:
-        v, keep = _supports(prop._spectrum, tol)
-        return [vectors[:, kept] for vectors, kept in zip(v, keep)]
-
-    @staticmethod
     def oracle_property(mats: dict) -> qc.ElementaryProperty:
-        """The property holding the batched eigh of its effects, as
-        ``from_pvm`` held before the one-frame spectrum."""
+        """The property holding the frame of the batched eigh of its
+        effects, as ``from_pvm`` held before the one-frame spectrum."""
         stack = np.stack([np.asarray(p, dtype=complex) for p in mats.values()])
-        spectrum = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        w, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        half = w >= 0.5
+        spectrum = (v.swapaxes(-1, -2)[half].T, np.nonzero(half)[0], w[half])
         return instruments._elementary(projective_instrument(mats), dict(zip(mats, stack)), spectrum)
 
     @pytest.mark.parametrize("d, profile", [
@@ -607,7 +607,7 @@ class TestOneFrameSupports:
                     continue
                 accepted += 1
                 want = effect_supports(mats, tol)
-                for held, oracle in zip(self.held_supports(prop, tol), want):
+                for held, oracle in zip(held_supports(prop, tol), want):
                     assert held.shape == oracle.shape
                     assert largest_sine(held, oracle) <= 1e-12
                     assert largest_sine(oracle, held) <= 1e-12
@@ -658,7 +658,7 @@ class TestOneFrameSupports:
         mats["p5"] = proj(e[d - 1])
         tol = qc.Tolerances(mat_eq=0.15)
         prop = qc.from_pvm(mats, tol)
-        held, want = self.held_supports(prop, tol), effect_supports(mats, tol)
+        held, want = held_supports(prop, tol), effect_supports(mats, tol)
         assert [h.shape[1] for h in held] == [o.shape[1] for o in want] == [1, 1, 1, 1, d - 5, 1]
         assert max(largest_sine(h, o) for h, o in zip(held, want)) <= 1e-12
         assert prop.rank_profile() == {"p0": 1, "p1": 1, "p2": 1, "p3": 1, "p4": d - 5, "p5": 1}
@@ -681,7 +681,7 @@ class TestOneFrameSupports:
         mats["p60"] = 1.0095 * mats["p60"]
         tol = qc.Tolerances(mat_eq=0.01)
         prop = qc.from_pvm(mats, tol)
-        held, want = self.held_supports(prop, tol), effect_supports(mats, tol)
+        held, want = held_supports(prop, tol), effect_supports(mats, tol)
         assert [h.shape[1] for h in held] == [o.shape[1] for o in want] == [1] * 64
         assert max(largest_sine(h, o) for h, o in zip(held, want)) <= 1e-12
         drawn = qc.from_pvm({f"q{x}": proj(u[:, x]) for x in range(64)})
@@ -696,9 +696,9 @@ class TestOneFrameSupports:
         mats = dict(zip("abc", (u @ m @ u.T for m in diag)))
         tol = qc.Tolerances(mat_eq=0.1)
         prop = qc.from_pvm(mats, tol)
-        w, v = prop._spectrum
-        assert np.allclose(np.sort(w[0])[-2:], [0.95, 1.0], rtol=0, atol=1e-14)
-        held, want = self.held_supports(prop, tol), effect_supports(mats, tol)
+        _, owner, w = prop._spectrum
+        assert np.allclose(np.sort(w[owner == 0]), [0.95, 1.0], rtol=0, atol=1e-14)
+        held, want = held_supports(prop, tol), effect_supports(mats, tol)
         assert [h.shape[1] for h in held] == [o.shape[1] for o in want] == [1, 1, 1]
         assert max(largest_sine(h, o) for h, o in zip(held, want)) <= 1e-12
         assert largest_sine(held[0], u[:, :1]) <= 1e-12
@@ -1007,10 +1007,10 @@ class TestStackedValidation:
         assert qc.validate_instrument(ins).is_valid
 
 
-def loop_support_projectors(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Oracle for ``_support_projectors``: each V_x V_x^dag on its own."""
-    frames = [vectors[:, kept] for vectors, kept in zip(v, keep)]
-    return np.stack([frame @ frame.conj().T for frame in frames])
+def loop_support_projectors(frame: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Oracle for ``_support_projectors``: each V_x V_x^dag on its own, V_x
+    the run of ``ranks[x]`` columns of the frame."""
+    return np.stack([v @ v.conj().T for v in np.split(frame, np.cumsum(ranks)[:-1], axis=1)])
 
 
 class TestStackedSupportProjectors:
@@ -1030,8 +1030,8 @@ class TestStackedSupportProjectors:
         drawn = qc.random_pvm(d, self.PROFILES[profile](d), qc.SeededGenerator(d))
         for prop in (drawn, qc.from_pvm(dict(drawn.projectors)), qc.to_elementary(drawn.base)):
             for tol in (qc.DEFAULT_TOL, qc.DEFAULT_TOL.scaled(0.01)):
-                v, keep = _supports(prop._spectrum, tol)
-                assert np.array_equal(instruments._support_projectors(v, keep), loop_support_projectors(v, keep))
+                frame, ranks, _ = support_frame(prop, tol)
+                assert np.array_equal(instruments._support_projectors(frame, ranks), loop_support_projectors(frame, ranks))
 
     def test_bit_equal_with_an_empty_and_a_short_support(self):
         # At mat_eq = 0.1: c keeps one of its two columns, and d none.
@@ -1040,20 +1040,20 @@ class TestStackedSupportProjectors:
                                                  [0, 0, 1.0, np.sqrt(0.95), 0], [0, 0, 0, 0, 0.95])]
         tol = qc.Tolerances(mat_eq=0.1)
         prop = qc.from_pvm(dict(zip("abcd", (u @ m @ u.T for m in diag))), tol)
-        v, keep = _supports(prop._spectrum, tol)
-        assert keep.sum(axis=1).tolist() == [1, 1, 1, 0]
-        assert np.array_equal(instruments._support_projectors(v, keep), loop_support_projectors(v, keep))
+        frame, ranks, _ = support_frame(prop, tol)
+        assert ranks.tolist() == [1, 1, 1, 0]
+        assert np.array_equal(instruments._support_projectors(frame, ranks), loop_support_projectors(frame, ranks))
 
     @pytest.mark.parametrize("d", [8, 64])
     def test_deltas_are_the_norms_of_the_differences(self, d):
         # In chunks of at most _CHUNK_CELLS / 2 entries, against one stack.
         mats = rotated_pvm(d, 1, 3e-9, 0)
         prop = qc.from_pvm(mats)
-        v, keep = _supports(prop._spectrum, qc.DEFAULT_TOL)
+        frame, ranks, _ = support_frame(prop)
         stack = np.stack(list(mats.values()))
-        want = np.linalg.norm(stack - loop_support_projectors(v, keep), axis=(1, 2))
+        want = np.linalg.norm(stack - loop_support_projectors(frame, ranks), axis=(1, 2))
         for given in (stack, list(prop.projectors.values())):
-            assert np.array_equal(instruments._support_deltas(given, v, keep), want)
+            assert np.array_equal(instruments._support_deltas(given, frame, ranks), want)
 
 
 class TestStackedExtraction:
@@ -1151,34 +1151,60 @@ SOURCES = {
 ROUND_TRIPS = {"pickle": lambda prop: pickle.loads(pickle.dumps(prop)), "deepcopy": copy.deepcopy}
 
 
+def drifted_family() -> dict:
+    """At mat_eq = 0.15 an accepted PVM whose outcome-index sum puts an
+    eigenvalue at 4.52: outcome 4's run misses a support direction, and the
+    property reads each effect's eigh."""
+    e = np.eye(7)
+    return {**{f"p{i}": proj(e[i]) for i in range(4)}, "p4": np.diag([0, 0, 0, 0, 1.0, 1.13, 0]), "p5": proj(e[6])}
+
+
 class TestHeldSpectrum:
-    # Every construction path sets the spectrum; no step computes it later.
+    # Every construction path sets the support frame; no step computes it later.
     @pytest.mark.parametrize("build", [
         *SOURCES.values(), *(lambda trip=trip: trip(qubit_z()) for trip in ROUND_TRIPS.values()),
-    ], ids=[*SOURCES, *ROUND_TRIPS])
+        lambda: qc.from_pvm(drifted_family(), qc.Tolerances(mat_eq=0.15)),
+    ], ids=[*SOURCES, *ROUND_TRIPS, "drift-fallback"])
     def test_every_construction_path_holds_its_spectrum(self, build):
+        # One d x m frame U, no (n, d, d) eigenvector stack, with each column's
+        # owner in outcome order and its eigenvalue w >= 1/2. At every cut
+        # up to prob_eq = 0.49, the supports are each effect's eigh's.
         assert not hasattr(qc.ElementaryProperty, "_spectrum")
         prop = build()
-        w, v = vars(prop)["_spectrum"]
-        n, d = len(prop.labels), prop.dim
-        assert w.shape == (n, d) and v.shape == (n, d, d)
+        u, owner, w = vars(prop)["_spectrum"]
+        assert u.shape == (prop.dim, len(owner)) and w.shape == owner.shape
+        assert np.array_equal(np.sort(owner), owner) and (w >= 0.5).all()
+        mats = dict(prop.projectors)
+        for tol in (qc.DEFAULT_TOL, qc.Tolerances(prob_eq=0.49)):
+            held, want = held_supports(prop, tol), effect_supports(mats, tol)
+            assert [h.shape[1] for h in held] == [o.shape[1] for o in want]
+            assert max(max(largest_sine(h, o), largest_sine(o, h)) for h, o in zip(held, want)) <= 1e-12
 
     @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
     @pytest.mark.parametrize("build", SOURCES.values(), ids=list(SOURCES))
     def test_round_trips_carry_the_spectrum_bit_for_bit(self, build, trip):
+        # The frame and the (keep, delta) of the PVM check travel with the
+        # property; the frame stays one d x m array.
         prop = build()
-        copied = vars(trip(prop))["_spectrum"]
-        assert [a.tobytes() for a in copied] == [a.tobytes() for a in prop._spectrum]
-        # One frame shared by every outcome stays one broadcast unitary.
-        assert (copied[1].strides[0] == 0) == (prop._spectrum[1].strides[0] == 0)
+        copied = trip(prop)
+        assert [a.tobytes() for a in vars(copied)["_spectrum"]] == [a.tobytes() for a in prop._spectrum]
+        assert copied._spectrum[0].shape == prop._spectrum[0].shape
+        assert (copied._deltas is None) == (prop._deltas is None)
+        if prop._deltas is not None:
+            assert [a.tobytes() for a in copied._deltas] == [a.tobytes() for a in prop._deltas]
 
     def test_a_shared_frame_pickles_once(self):
         # Rank-1 at d = 64: the projectors and the base's Kraus matrices (the
-        # same arrays) take 4 MiB; the one unitary 64 KiB more, not 64 copies.
-        drawn = qc.random_pvm(64, [1] * 64, qc.SeededGenerator(0))
-        for prop in (drawn, qc.from_pvm(drawn.projectors)):
-            assert prop._spectrum[1].strides[0] == 0
-            assert len(pickle.dumps(prop)) <= 4.2 * 2**20
+        # same arrays) take 4 MiB; the one frame 64 KiB more. An extracted
+        # property's base holds its own Kraus matrices, 4 MiB more, and its
+        # frame 64 KiB, not 64 eigenvector matrices. The draw builds its
+        # projectors once, with no second copy of the stack.
+        gen = qc.SeededGenerator(0)
+        drawn = qc.random_pvm(64, [1] * 64, gen)
+        for prop, mib in ((drawn, 4.2), (qc.from_pvm(drawn.projectors), 4.2), (qc.to_elementary(drawn.base), 8.2)):
+            assert prop._spectrum[0].shape == (64, 64)
+            assert len(pickle.dumps(prop)) <= mib * 2**20
+        assert traced_peak(lambda: qc.random_pvm(64, [1] * 64, gen)) <= 5 * 2**20
 
 
 # Values that hold arrays, each built twice from the same inputs: separately

@@ -93,23 +93,26 @@ class TestPvmDraw:
         assert hashlib.sha256(rounded.tobytes()).hexdigest().startswith(digest)
 
     def test_draw_is_the_random_pvm_projectors_bit_for_bit(self):
-        # The property holds the draw's projectors, and its frames and block
-        # masks as the spectrum (w, v).
+        # The property holds the draw's projectors, and its unitary and owner
+        # index, eigenvalue 1 on every column, as the support frame.
         for d, ranks, seed in ((2, [1, 1], 0), (4, [1, 2, 1], 11), (8, [1] * 8, 5)):
-            stack, frames, mask = _pvm_draw(d, [ranks], [qc.SeededGenerator(seed)])
+            stack, frames, owner = _pvm_draw(d, [ranks], [qc.SeededGenerator(seed)])
             prop = qc.random_pvm(d, ranks, qc.SeededGenerator(seed))
             assert stack.tobytes() == np.stack(list(prop.projectors.values())).tobytes()
-            w, v = prop._spectrum
-            assert np.array_equal(v, frames) and np.array_equal(w, mask.astype(float))
+            u, held_owner, w = prop._spectrum
+            assert np.array_equal(u, frames[0]) and np.array_equal(held_owner, owner[0])
+            assert np.array_equal(w, np.ones(d))
 
-    def test_each_projector_is_its_frames_masked_columns(self):
-        # Outcome x's unitary is its PVM's, and its mask marks its block.
-        stack, frames, mask = _pvm_draw(5, [[2, 1, 2], [5], [1, 4]], [qc.SeededGenerator(i) for i in range(3)])
-        assert np.flatnonzero(mask).tolist() == [0, 1, 7, 13, 14, 15, 16, 17, 18, 19, 20, 26, 27, 28, 29]
-        assert [np.array_equal(f, frames[0]) for f in frames] == [True] * 3 + [False] * 3
-        assert np.array_equal(frames[4], frames[5])
-        for p, u, cols in zip(stack, frames, mask):
-            assert np.array_equal(u[:, cols] @ u[:, cols].conj().T, p)
+    def test_each_projector_is_its_frames_owned_columns(self):
+        # One unitary per PVM; each column's owner is its outcome within
+        # that PVM, and each projector is the product of its own columns.
+        stack, frames, owner = _pvm_draw(5, [[2, 1, 2], [5], [1, 4]], [qc.SeededGenerator(i) for i in range(3)])
+        assert frames.shape == (3, 5, 5)
+        assert owner.tolist() == [[0, 0, 1, 2, 2], [0] * 5, [0, 1, 1, 1, 1]]
+        pvm, outcome = [0, 0, 0, 1, 2, 2], [0, 1, 2, 0, 0, 1]
+        for p, t, x in zip(stack, pvm, outcome):
+            cols = frames[t][:, owner[t] == x]
+            assert np.array_equal(cols @ cols.conj().T, p)
 
     def test_stacked_draw_equals_one_draw_per_pvm(self):
         # Several PVMs of mixed rank profiles in one call: one stacked QR and
