@@ -373,9 +373,9 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
 def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum, deltas=None) -> ElementaryProperty:
     """An elementary property from projectors already checked against
     ``base``, in its outcome order, holding their effects' support frame
-    ``spectrum`` = (U, owner, w) and ``deltas``, the (keep, delta) of its
-    ``_deltas`` or None; the projectors are made read-only and held in a
-    read-only mapping, so no write can make the property's frame stale."""
+    ``spectrum`` = (U, owner, w) and ``deltas`` = (keep, delta), or None;
+    the projectors are made read-only and held in a read-only mapping, so
+    no write can make the property's frame stale."""
     for p in projectors.values():
         p.flags.writeable = False
     return _trusted(ElementaryProperty, base=base, projectors=MappingProxyType(projectors),
