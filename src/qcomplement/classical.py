@@ -236,32 +236,43 @@ def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
     atomic when that entry exceeds ``prob_eq``, and its verifier points are
     then that one point or none, inside its branch's: inclusion holds by
     construction, so only the atomic composites are counted. Each trial
-    makes its draws in turn (the output points too, which nothing reads);
-    the entries then come from one pass over all trials.
+    makes its draws in turn, and the entries then come from one pass over all
+    trials.
+
+    Per branch, a trial draws one output point for each outcome reading it
+    (never read, since verifier points are columns, but part of the
+    stream), then whether each input (point, level) goes to one drawn
+    outcome or is split at random, then those outcomes or weights. The
+    output points and a trial's extra readers are drawn as scalars: a draw
+    with ``size`` pays about 4 us for ``np.prod(size)``, more than the one
+    to three values cost, and numpy's integer draws consume the same stream
+    either way. A branch with one reader skips its outcome draw, which
+    would consume nothing and return zeros.
     """
-    from .compatibility import _case_index
+    from .compatibility import _case_index, _draw_branches
 
     n, pad = size, _ANCILLA
-    perms, sigmas, levels, branches, single, choices, draws = ([] for _ in range(7))
+    perms, sigmas, levels, branches, readers, single, choices, draws = ([] for _ in range(8))
     for gen in gens:
         rng = gen.rng
         perms.append(rng.permutation(n))
         m = int(rng.integers(1, pad + 1))
         sigmas.append(rng.random((n, m)))
         levels.append(m)
-        extra = int(rng.integers(0, 3))
-        branches.append(np.concatenate([rng.permutation(n), rng.integers(0, n, size=extra)]))
-        # Per branch: each outcome reading it has one output point (drawn to
-        # keep the stream, never read: verifier points are columns), and each
-        # input (point, level) goes to one drawn outcome or is split at random.
-        for count in np.bincount(branches[-1]).tolist():
-            rng.integers(0, n, size=count)
+        reads, counts = _draw_branches(rng, n)
+        branches.append(reads)
+        readers.extend(counts)
+        for count in counts:
+            for _ in range(count):
+                rng.integers(0, n)
             single.append(rng.random() < 0.5)
-            if single[-1]:
+            if not single[-1]:
+                draws.append(rng.random((n * m, count)).ravel())
+            elif count > 1:
                 choices.append(rng.integers(0, count, size=n * m))
             else:
-                draws.append(rng.random((n * m, count)).ravel())
-    trial, _, branch = _case_index(branches, [n] * len(gens))
+                choices.append(np.zeros(n * m, dtype=int))
+    trial, _, _, branch = _case_index(branches, [n] * len(gens))
     cases = np.arange(len(branch))
     levels = np.array(levels)
     level = np.arange(pad)
@@ -270,7 +281,7 @@ def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
     # readers), normalised by its sum taken left to right, as numpy sums rows.
     inputs = n * levels.repeat(n)
     single = np.array(single).repeat(inputs)
-    readers = np.bincount(branch)
+    readers = np.array(readers)
     weights = np.zeros((len(single), 3))
     weights[np.flatnonzero(single), np.concatenate(choices or [np.empty(0, dtype=int)])] = 1.0
     weights[~single[:, None] & (np.arange(3) < readers.repeat(inputs)[:, None])] = np.concatenate(

@@ -444,15 +444,30 @@ def _check_inclusion(
     return nonzero, nonzero & escapes, g_in.sum(axis=1), mask.sum(axis=1)
 
 
-def _case_index(branches, outcomes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _draw_branches(rng: np.random.Generator, n: int) -> tuple[list[int], list[int]]:
+    """The branch each composite outcome of a trial reads, among ``n``: every
+    branch once in a random order, then zero to two more drawn at random;
+    and each branch's reader count. Plain lists, as the trial's own
+    bookkeeping costs less in Python than in numpy calls on a few values."""
+    extra = int(rng.integers(0, 3))
+    reads = rng.permutation(n).tolist() + [int(rng.integers(0, n)) for _ in range(extra)]
+    readers = [1] * n
+    for x in reads[n:]:
+        readers[x] += 1
+    return reads, readers
+
+
+def _case_index(branches, outcomes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For the composite outcomes of a chunk, ``branches[t][y]`` being the
     branch outcome y of trial t reads among the trial's ``outcomes[t]``:
-    each one's trial, its y, and its branch among all trials' branches."""
+    each one's trial, its y, that branch, and that branch among all
+    trials' branches."""
     sizes = [len(b) for b in branches]
     trial = np.repeat(np.arange(len(branches)), sizes)
     local = np.arange(len(trial)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     offsets = np.cumsum(outcomes) - outcomes
-    return trial, local, np.concatenate(branches) + offsets[trial]
+    x = np.array([b for reads in branches for b in reads])
+    return trial, local, x, x + offsets[trial]
 
 
 def _trial_results(trial, local, checked, violated, detail, count: int) -> list:
@@ -480,20 +495,17 @@ def _quantum_batch(gens: list, dim: int, tol: Tolerances) -> list:
         rng = gen.rng
         n_out = int(rng.integers(2, dim + 1))
         profiles.append(random_rank_profile(dim, n_out, rng))
-        extra = int(rng.integers(0, 3))
-        order = rng.permutation(n_out)
-        extras = [int(rng.integers(0, n_out)) for _ in range(extra)]
-        branches.append(np.concatenate([order, np.array(extras, dtype=int)]))
-        for x, count in enumerate(np.bincount(branches[-1]).tolist()):
+        reads, readers = _draw_branches(rng, n_out)
+        branches.append(reads)
+        for x, count in enumerate(readers):
             parts.append(gen.child(x + 1).rng.standard_normal((count, 2, dim, dim)))
-            counts.append(count)
+        counts.extend(readers)
     projectors, frames, owner = _pvm_draw(dim, profiles, [gen.child(0) for gen in gens])
-    trial, local, branch = _case_index(branches, [len(p) for p in profiles])
+    trial, local, x, branch = _case_index(branches, [len(p) for p in profiles])
     # The families come branch by branch; outcome y's matrix is at its rank
     # in the stable order by branch.
     kraus = np.empty((len(branch), dim, dim), dtype=complex)
     kraus[np.argsort(branch, kind="stable")] = _kraus_families(np.concatenate(parts), counts)
-    x = np.concatenate(branches)
     checked, violated, g_dim, t_dim = _check_inclusion(
         kraus @ projectors[branch], frames[trial], owner[trial], x, tol)
     return _trial_results(trial, local, checked, violated, lambda case: (
@@ -519,16 +531,14 @@ def _run_harness(
     grow with ``trials``. ``dim`` must lie in [2, ``_HARNESS_DIM_LIMIT``].
     """
     noun = "dimension" if theory == "quantum" else "size"
-    dim, seed, trials = _index(dim, noun), _index(seed, "seed"), _index(trials, "trials")
+    dim, trials = _index(dim, noun), _index(trials, "trials")
     if dim < 2:
         raise StructureError(f"harness needs {noun} at least 2")
     if dim > _HARNESS_DIM_LIMIT:
         raise StructureError(f"harness {noun} must be at most {_HARNESS_DIM_LIMIT}, got {dim}")
-    if seed < 0:
-        raise StructureError("seed must be nonnegative")
+    root = SeededGenerator(seed)
     if trials < 0:
         raise StructureError("trials must be nonnegative")
-    root = SeededGenerator(seed)
     # A trial's arrays hold O(dim**3) entries (up to about 180 * dim**3 bytes
     # for the quantum theory).
     chunk = max(1, _CHUNK_CELLS // dim**3)
@@ -544,7 +554,7 @@ def _run_harness(
             cases.extend((index,) + tuple(item) for item in violations)
     return HarnessReport(
         theory=theory,
-        seed=seed,
+        seed=root.seed,
         algorithm=STREAM_ALGORITHM,
         dim=dim,
         trials=trials,

@@ -22,10 +22,22 @@ STREAM_ALGORITHM = "pcg64"
 
 @dataclass(frozen=True)
 class SeededGenerator:
-    """A reproducible random stream with deterministic child derivation."""
+    """A reproducible random stream with deterministic child derivation.
+
+    The seed and every path index must be nonnegative integers; anything
+    else raises ``StructureError`` here, not numpy's error on first use.
+    """
 
     seed: int
     path: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _entropy(self.seed, "seed"))
+        try:
+            path = tuple(self.path)
+        except TypeError:
+            raise StructureError(f"path must be a sequence of child indices, got {self.path!r}") from None
+        object.__setattr__(self, "path", tuple(_entropy(i, "child index") for i in path))
 
     @property
     def rng(self) -> np.random.Generator:
@@ -35,7 +47,17 @@ class SeededGenerator:
 
     def child(self, index: int) -> "SeededGenerator":
         """Independent stream for one trial; safe to use concurrently."""
-        return SeededGenerator(self.seed, self.path + (_index(index, "child index"),))
+        # The seed and path are checked already; a harness makes hundreds of
+        # children per call.
+        return _trusted(SeededGenerator, seed=self.seed, path=self.path + (_entropy(index, "child index"),))
+
+
+def _entropy(value, name: str) -> int:
+    """``value`` as a nonnegative int, as ``SeedSequence`` takes it."""
+    value = _index(value, name)
+    if value < 0:
+        raise StructureError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,7 +134,7 @@ def random_rank_profile(d: int, parts: int, rng: np.random.Generator) -> list[in
     d, parts = _index(d, "dimension"), _index(parts, "parts")
     if not 1 <= parts <= d:
         raise StructureError(f"parts must be in [1, {d}], got {parts}")
-    cuts = np.sort(rng.choice(np.arange(1, d), size=parts - 1, replace=False))
+    cuts = np.sort(rng.choice(d - 1, size=parts - 1, replace=False) + 1)
     edges = np.concatenate(([0], cuts, [d]))
     return np.diff(edges).tolist()
 

@@ -321,6 +321,32 @@ class TestArrayTrial:
                 assert scalar.random() == batched.random()
                 assert np.array_equal(np.stack([scalar.random(k) for _ in range(4)]),
                                       batched.random((4, k)))
+        # The harness draws scalars where a sized draw would pay for
+        # np.prod(size): the output points and extra readers as scalar
+        # integers, between random() calls.
+        for seed in range(4):
+            scalar = np.random.Generator(np.random.PCG64(seed))
+            batched = np.random.Generator(np.random.PCG64(seed))
+            for n in range(2, 65):
+                for count in (1, 2, 3):
+                    assert [int(scalar.integers(0, n)) for _ in range(count)] == \
+                        batched.integers(0, n, size=count).tolist()
+                    assert scalar.random() == batched.random()
+        # A branch with one reader skips its outcome draw: a zero-range draw
+        # returns zeros and consumes nothing.
+        for k in (1, 6, 36):
+            skipped = np.random.Generator(np.random.PCG64(k))
+            drawn = np.random.Generator(np.random.PCG64(k))
+            assert drawn.integers(0, 1, size=k).tolist() == [0] * k
+            assert skipped.random() == drawn.random()
+        # random_rank_profile draws its cuts from range(d - 1), shifted by one.
+        for d in range(2, 65):
+            for parts in range(1, d + 1):
+                pool = np.random.Generator(np.random.PCG64(d))
+                shifted = np.random.Generator(np.random.PCG64(d))
+                assert np.array_equal(pool.choice(np.arange(1, d), size=parts - 1, replace=False),
+                                      shifted.choice(d - 1, size=parts - 1, replace=False) + 1)
+                assert pool.random() == shifted.random()
 
     def test_traced_peak_memory_at_size_48(self):
         tracemalloc.start()

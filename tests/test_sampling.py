@@ -209,6 +209,46 @@ class TestSeededGenerator:
     def test_child_accepts_numpy_integer(self):
         assert qc.SeededGenerator(0).child(np.int64(4)).path == (4,)
 
+    def test_negative_seed_raises_structure_error(self):
+        with pytest.raises(StructureError, match="seed must be nonnegative"):
+            qc.SeededGenerator(-1)
+
+    def test_negative_child_index_raises_structure_error(self):
+        with pytest.raises(StructureError, match="child index must be nonnegative"):
+            qc.SeededGenerator(1).child(-2)
+
+    def test_float_seed_raises_structure_error(self):
+        with pytest.raises(StructureError, match="seed must be an integer"):
+            qc.SeededGenerator(1.5)
+
+    def test_boolean_seed_raises_structure_error(self):
+        with pytest.raises(StructureError, match="seed must be an integer"):
+            qc.SeededGenerator(True)
+
+    @pytest.mark.parametrize("path", [(1, -2), (0.5,), 3])
+    def test_bad_path_raises_structure_error(self, path):
+        with pytest.raises(StructureError):
+            qc.SeededGenerator(0, path)
+
+    def test_seeds_past_64_bits_draw(self):
+        big = qc.SeededGenerator(2**70 + 3)
+        assert big.seed == 2**70 + 3
+        assert big.child(1).rng.random() == \
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(2**70 + 3, spawn_key=(1,)))).random()
+
+    def test_numpy_integer_seed_is_a_python_int_with_the_same_stream(self):
+        gen = qc.SeededGenerator(np.uint64(7), (np.int64(2),))
+        assert type(gen.seed) is int and gen.path == (2,)
+        assert gen.rng.random() == qc.SeededGenerator(7, (2,)).rng.random()
+
+    def test_child_is_built_without_rechecking(self, monkeypatch):
+        root = qc.SeededGenerator(5, (1,))
+        monkeypatch.setattr(qc.SeededGenerator, "__post_init__", lambda self: pytest.fail("re-checked"))
+        child = root.child(np.int64(3))
+        monkeypatch.undo()
+        assert child == qc.SeededGenerator(5, (1, 3))
+        assert type(child.path[-1]) is int
+
 
 class TestRandomInstrument:
     def test_validates(self):
