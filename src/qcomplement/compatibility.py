@@ -100,6 +100,7 @@ class ExclusionWitness:
 
 def trace_out_ancilla(d_keep: int, d_drop: int) -> QuantumOperation:
     """The channel B(x)E -> B discarding the trailing ancilla factor."""
+    d_keep, d_drop = _index(d_keep, "kept factor"), _index(d_drop, "discarded factor")
     mats = []
     for e in range(d_drop):
         bra = np.zeros((1, d_drop))
@@ -400,9 +401,9 @@ def _commutator_bound(
 def _deltas(prop: ElementaryProperty, frame: np.ndarray, ranks: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """``_support_deltas`` of ``prop`` for the supports ``frame`` that its
     ``_support_frame`` cut by the mask ``keep``: those the property keeps
-    where they were cut by the same mask, else computed."""
-    if prop._deltas is not None and np.array_equal(prop._deltas[0], keep):
-        return prop._deltas[1]
+    where the cut kept its whole frame, else computed."""
+    if prop._deltas is not None and keep.all():
+        return prop._deltas
     return _support_deltas(list(prop.projectors.values()), frame, ranks)
 
 

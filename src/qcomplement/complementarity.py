@@ -114,14 +114,14 @@ def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.nd
     property holds (computed once, tied to no tolerance), and the block
     indicator whose entry (i, x) is 1 when column i of U spans outcome x. An
     outcome whose support is empty admits no verifier: ``StructureError``."""
-    frame, ranks, keep = _support_frame(prop._spectrum, len(prop.labels), tol)
+    frame, ranks, _ = _support_frame(prop._spectrum, len(prop.labels), tol)
     if not ranks.all():
         label = prop.labels[int(ranks.argmin())]
         raise StructureError(
             f"projector {label!r} has no eigenvalue within prob_eq of 1, it admits no verifier"
         )
-    owner = prop._spectrum[1][keep]
-    return frame, (owner[:, None] == np.arange(len(ranks))).astype(float)
+    # The frame's columns come outcome by outcome, ranks[x] of them for x.
+    return frame, np.repeat(np.eye(len(ranks)), ranks, axis=0)
 
 
 def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerances):

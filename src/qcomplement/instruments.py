@@ -226,8 +226,8 @@ class ElementaryProperty:
     projector's map rho -> P rho P, all at ``DEFAULT_TOL``, else
     ``StructureError``. ``==`` is identity: two properties are equal when
     their outcome maps are, by ``choi_distance`` at a tolerance.
-    ``_deltas`` keeps (keep, delta), delta_x = |P_x - V_x V_x^dag|_F for
-    the supports the mask ``keep`` on U's columns cuts, or None.
+    ``_deltas`` holds delta_x = |P_x - V_x V_x^dag|_F, V_x all of x's
+    columns of U (``_pvm_bounds``), or None.
     """
 
     base: Instrument
@@ -309,7 +309,7 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     m = frame.shape[1]
     spectrum = (frame, np.nonzero(keep)[0], np.ones(m))
     _check_pvm(ins.labels, stack, ins.dim_in, tol, ExtractionError, spectrum)
-    return _elementary(ins, dict(zip(ins.labels, stack)), spectrum, (np.ones(m, dtype=bool), np.zeros(len(stack))))
+    return _elementary(ins, dict(zip(ins.labels, stack)), spectrum, np.zeros(len(stack)))
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,7 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
 def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum, deltas=None) -> ElementaryProperty:
     """An elementary property from projectors already checked against
     ``base``, in its outcome order, holding their effects' support frame
-    ``spectrum`` = (U, owner, w) and ``deltas`` = (keep, delta), or None;
+    ``spectrum`` = (U, owner, w) and its per-outcome ``deltas``, or None;
     the projectors are made read-only and held in a read-only mapping, so
     no write can make the property's frame stale."""
     for p in projectors.values():
@@ -446,11 +446,11 @@ def _support_deltas(projectors, frame: np.ndarray, ranks: np.ndarray) -> np.ndar
 
 def _support_frame(spectrum, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The supports at ``tol`` of the frame ``spectrum`` = (U, owner, w) of
-    n outcomes, cut by one mask ``keep`` = w >= 1 - prob_eq on U's columns:
+    n outcomes, cut by ``_supports`` as one mask ``keep`` on U's columns:
     the kept columns side by side, U_tol = [V_1 | V_2 | ...], one outcome's
     after another's; the number of columns of each outcome; and ``keep``."""
     u, owner, w = spectrum
-    keep = w >= 1.0 - tol.prob_eq
+    u, keep = _supports((w, u), tol)
     return u.T[keep].T, np.bincount(owner[keep], minlength=n), keep
 
 
@@ -473,8 +473,8 @@ def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spe
     Returns the effects' support frame the check read, ``spectrum`` when
     the caller holds the frame of the projectors themselves, with w = 1 (as
     extraction does: each projector is then its own support's, delta 0),
-    else ``_pvm_spectrum``; and the (keep, delta) the bounds read, which
-    the property keeps for ``pvm_commute``, or None.
+    else ``_pvm_spectrum``; and the delta of the whole frame that the
+    bounds read, which the property keeps for ``pvm_commute``, or None.
     """
     # The n projectors before the first bad shape: all, or none of a stack.
     if isinstance(given, np.ndarray):
@@ -575,11 +575,12 @@ _GRAM_MIN_OUTCOMES = 8
 
 
 def _pvm_bounds(stack: np.ndarray, spectrum, tol: Tolerances, held: bool = False):
-    """``((keep, delta), hermitian, idempotent, pairs)``: upper bounds on the
+    """``(delta, hermitian, idempotent, pairs)``: the delta below, or None
+    unless the cut kept every column of the frame, and upper bounds on the
     computed |P_x - P_x^dag|_F, |P_x^2 - P_x|_F and, at (a, b), |P_a P_b|_F,
-    from the supports V_x that the mask ``keep`` of ``_support_frame`` cuts
-    from the frame ``spectrum`` at ``tol``; None when a support is empty,
-    for it bounds nothing.
+    from the supports V_x that ``_support_frame`` cuts from the frame
+    ``spectrum`` at ``tol``; None when a support is empty, for it bounds
+    nothing.
 
     With delta_x = |P_x - V_x V_x^dag|_F (``_support_deltas``; 0 when
     ``held``: the stack is its frame's own V_x V_x^dag, bit for bit) and
@@ -604,6 +605,6 @@ def _pvm_bounds(stack: np.ndarray, spectrum, tol: Tolerances, held: bool = False
     scale = 1.0 + eps + delta
     rounding = 16 * d * d * (np.finfo(float).eps / 2) * scale[:, None] * scale
     own = np.diagonal(rounding)
-    return ((keep, delta), 2.0 * delta + own,
+    return (delta if keep.all() else None, 2.0 * delta + own,
             eps * (1.0 + eps) + delta * (3.0 + 2.0 * eps + delta) + own,
             norms + delta[:, None] + delta * (1.0 + delta[:, None]) + rounding)

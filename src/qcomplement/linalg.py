@@ -6,13 +6,13 @@ tolerance semantics are fixed in one place:
 
 * rank decisions use a relative cut ``eig_cut * sigma_max`` (scale invariant),
 * every verifier support a decision reads is an effect's eigenvalue
-  >= ``1 - prob_eq`` eigenspace, cut by ``_supports`` from an eigh, or by
-  ``instruments._support_frame`` from the frame an elementary property holds,
+  >= ``1 - prob_eq`` eigenspace, cut by ``_supports`` from an eigh or from
+  the frame an elementary property holds (``instruments._support_frame``),
 * PSD tests tolerate eigenvalues down to ``-eig_cut * max(1, spectral norm)``.
 
-Input is validated once, where it enters the package: public constructors run
-their checks, while values the package derives from already-checked values are
-assembled with ``_trusted`` and skip them.
+Input is validated once, where it enters the package: public constructors check
+what Python callers pass and the model reader (``serialize``) what a file holds;
+values built from checked values skip the constructors' checks via ``_trusted``.
 """
 
 from __future__ import annotations
@@ -149,6 +149,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "ambient_dim", _index(self.ambient_dim, "ambient_dim"))
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise StructureError(
@@ -168,9 +169,9 @@ class Subspace:
 
 def _supports(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Verifier supports from a spectral decomposition ``(w, v)`` of an
-    (n, d, d) stack of effects, such as their batched eigh: eigenvectors ``v``
-    (columns) and the mask ``keep`` of eigenvalues >= 1 - prob_eq; support i
-    is spanned by ``v[i][:, keep[i]]``."""
+    (n, d, d) stack of effects, such as their batched eigh, or of a support
+    frame: eigenvectors ``v`` (columns) and the mask ``keep`` of eigenvalues
+    >= 1 - prob_eq; support i is spanned by ``v[i][:, keep[i]]``."""
     w, v = spectrum
     return v, w >= 1.0 - tol.prob_eq
 

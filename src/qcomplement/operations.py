@@ -178,6 +178,7 @@ class DensityState:
 
     def reduce(self, keep: int) -> "DensityState":
         """Partial trace keeping only the tensor factor at index ``keep``."""
+        keep = _index(keep, "factor index")
         if not 0 <= keep < len(self.dims):
             raise StructureError(f"factor index {keep} out of range")
         n = len(self.dims)
@@ -240,14 +241,17 @@ def basis_state(d: int, index: int, dims=None) -> DensityState:
 
 
 def maximally_mixed(d: int, dims=None) -> DensityState:
+    d = _index(d, "dimension")
     return DensityState(tuple(dims) if dims is not None else (d,), np.eye(d) / d)
 
 
 def identity_operation(d: int) -> QuantumOperation:
+    d = _index(d, "dimension")
     return QuantumOperation(d, d, (np.eye(d, dtype=complex),))
 
 
 def zero_operation(dim_in: int, dim_out: int) -> QuantumOperation:
+    dim_in, dim_out = _index(dim_in, "dim_in"), _index(dim_out, "dim_out")
     return QuantumOperation(dim_in, dim_out, (np.zeros((dim_out, dim_in), dtype=complex),))
 
 

@@ -115,8 +115,7 @@ def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
     outcomes = {label: projector_operation(p) for label, p in projectors.items()}
     ins = _trusted(Instrument, dim_in=d, dim_out=d, outcomes=outcomes)
     # The unitary is the support frame, each projector its block's own product.
-    deltas = (np.ones(d, dtype=bool), np.zeros(len(ranks)))
-    return _elementary(ins, projectors, (frames[0], owner[0], np.ones(d)), deltas)
+    return _elementary(ins, projectors, (frames[0], owner[0], np.ones(d)), np.zeros(len(ranks)))
 
 
 def random_density(d: int, rank: int, gen: SeededGenerator) -> DensityState:

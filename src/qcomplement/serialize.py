@@ -2,8 +2,9 @@
 
 Complex scalars travel as two-element ``[re, im]`` arrays and matrices as
 row-major nested arrays. Model files carry a mandatory ``kind`` field naming
-the payload shape; schema violations report the JSON path of the offending
-entry, malformed JSON reports line and column.
+the payload shape; malformed JSON reports line and column. The reader checks a
+model file once, each schema violation naming the JSON path of its entry, and
+builds instruments with ``_trusted``: their constructors check Python callers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ModelParseError, SchemaError
 from .instruments import Instrument
-from .linalg import _ENTRY_LIMIT
+from .linalg import _ENTRY_LIMIT, _trusted
 from .operations import DensityState, QuantumOperation, pure_state
 
 if TYPE_CHECKING:
@@ -122,28 +123,6 @@ def _expect_count(data, key: str, path: str) -> int:
     return value
 
 
-def operation_from_dict(data, path: str = "$") -> QuantumOperation:
-    _expect(isinstance(data, dict), "operation must be an object", path)
-    dim_in = _expect_count(data, "dim_in", path)
-    dim_out = _expect_count(data, "dim_out", path)
-    _expect(
-        isinstance(data.get("kraus"), list) and data["kraus"],
-        "'kraus' must be a nonempty array of matrices",
-        f"{path}.kraus",
-    )
-    mats = tuple(
-        _matrix_from_lists(entry, f"{path}.kraus[{i}]", pairs=True)
-        for i, entry in enumerate(data["kraus"])
-    )
-    for i, k in enumerate(mats):
-        _expect(
-            k.shape == (dim_out, dim_in),
-            f"kraus matrix has shape {k.shape}, expected ({dim_out}, {dim_in})",
-            f"{path}.kraus[{i}]",
-        )
-    return QuantumOperation(dim_in, dim_out, mats)
-
-
 def instrument_to_dict(ins: Instrument) -> dict:
     return {
         "type": "quantum",
@@ -179,11 +158,25 @@ def instrument_from_dict(data, path: str = "$") -> Instrument:
     dim_out = _expect_count(data, "dim_out", path)
 
     def operation(entry, here):
-        return operation_from_dict(
-            {"dim_in": dim_in, "dim_out": dim_out, "kraus": entry.get("kraus")}, here
+        kraus = entry.get("kraus")
+        _expect(
+            isinstance(kraus, list) and kraus,
+            "'kraus' must be a nonempty array of matrices",
+            f"{here}.kraus",
         )
+        mats = tuple(
+            _matrix_from_lists(k, f"{here}.kraus[{i}]", pairs=True)
+            for i, k in enumerate(kraus)
+        )
+        for i, k in enumerate(mats):
+            _expect(
+                k.shape == (dim_out, dim_in),
+                f"kraus matrix has shape {k.shape}, expected ({dim_out}, {dim_in})",
+                f"{here}.kraus[{i}]",
+            )
+        return _trusted(QuantumOperation, dim_in=dim_in, dim_out=dim_out, kraus=mats)
 
-    return Instrument(dim_in, dim_out, _outcomes_from_list(data, path, operation))
+    return _trusted(Instrument, dim_in=dim_in, dim_out=dim_out, outcomes=_outcomes_from_list(data, path, operation))
 
 
 def classical_instrument_to_dict(ins: ClassicalInstrument) -> dict:
@@ -213,9 +206,9 @@ def classical_instrument_from_dict(data, path: str = "$") -> ClassicalInstrument
             f"matrix has shape {mat.shape}, expected ({size_out}, {size_in})",
             f"{here}.matrix",
         )
-        return ClassicalOperation(size_in, size_out, mat)
+        return _trusted(ClassicalOperation, size_in=size_in, size_out=size_out, matrix=mat)
 
-    return ClassicalInstrument(size_in, size_out, _outcomes_from_list(data, path, operation))
+    return _trusted(ClassicalInstrument, size_in=size_in, size_out=size_out, outcomes=_outcomes_from_list(data, path, operation))
 
 
 def state_to_dict(state: DensityState) -> dict:

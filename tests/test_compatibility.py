@@ -71,6 +71,11 @@ class TestExclusionWitnessConstruction:
         with pytest.raises(StructureError, match="must be an integer"):
             qc.ExclusionWitness(c=w.c, dims_out=dims_out, partition=w.partition, post=w.post)
 
+    @pytest.mark.parametrize("factors", [(2.5, 2), (2, 2.0), (True, 2)])
+    def test_rejects_non_integer_ancilla_factors(self, factors):
+        with pytest.raises(StructureError, match="must be an integer"):
+            compatibility.trace_out_ancilla(*factors)
+
 
 class TestSelfWitness:
     def test_z_instrument(self):
@@ -436,10 +441,10 @@ class TestPvmCommuteParity:
 
 
     def test_the_deltas_of_the_pvm_check_are_reused(self, monkeypatch):
-        # from_pvm keeps the (keep, delta) its check read, and a pickled or
-        # deep-copied property carries it. pvm_commute takes delta from there
-        # where it cuts the same supports, and computes it where the supports
-        # differ. Outcome p0 keeps one direction at 1 - 4e-9: its effect
+        # from_pvm keeps the delta its check read where its cut kept the whole
+        # frame, and a pickled or deep-copied property carries it. pvm_commute
+        # takes delta from there where its own cut keeps the whole frame, and
+        # computes it otherwise. Outcome p0 keeps one direction at 1 - 4e-9: its effect
         # reads 1 - 8e-9 there, inside the support at prob_eq = 1e-7, outside
         # at prob_eq = 1e-9.
         support_deltas, calls = compatibility._support_deltas, []

@@ -1179,11 +1179,16 @@ class TestHeldSpectrum:
             held, want = held_supports(prop, tol), effect_supports(mats, tol)
             assert [h.shape[1] for h in held] == [o.shape[1] for o in want]
             assert max(max(largest_sine(h, o), largest_sine(o, h)) for h, o in zip(held, want)) <= 1e-12
+        # delta, where held, is one entry per outcome over the whole frame.
+        deltas = vars(prop)["_deltas"]
+        if deltas is not None:
+            ranks = np.bincount(owner, minlength=len(mats))
+            assert np.array_equal(deltas, instruments._support_deltas(np.stack(list(mats.values())), u, ranks))
 
     @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
     @pytest.mark.parametrize("build", SOURCES.values(), ids=list(SOURCES))
     def test_round_trips_carry_the_spectrum_bit_for_bit(self, build, trip):
-        # The frame and the (keep, delta) of the PVM check travel with the
+        # The frame and the delta of the PVM check travel with the
         # property; the frame stays one d x m array.
         prop = build()
         copied = trip(prop)
@@ -1191,7 +1196,23 @@ class TestHeldSpectrum:
         assert copied._spectrum[0].shape == prop._spectrum[0].shape
         assert (copied._deltas is None) == (prop._deltas is None)
         if prop._deltas is not None:
-            assert [a.tobytes() for a in copied._deltas] == [a.tobytes() for a in prop._deltas]
+            assert copied._deltas.tobytes() == prop._deltas.tobytes()
+
+    def test_deltas_are_held_for_the_whole_frame_or_not_at_all(self):
+        # from_pvm at 8 outcomes holds the delta its check read when the cut
+        # kept every column of the frame. Outcome p0 keeps one direction at
+        # 1 - 4e-9, inside the support at prob_eq = 1e-7, outside at 1e-9:
+        # there the check cuts a column and holds no delta.
+        u = haar_unitary(16, np.random.default_rng(5))
+        mats = {f"p{x}": u[:, 2 * x:2 * x + 2] @ u[:, 2 * x:2 * x + 2].conj().T for x in range(8)}
+        mats["p0"] = (u[:, :2] * [1.0, 1.0 - 4e-9]) @ u[:, :2].conj().T
+        held = qc.from_pvm(mats)._deltas
+        assert held.shape == (8,) and held[0] > 0.0
+        assert qc.from_pvm(mats, qc.Tolerances(prob_eq=1e-9))._deltas is None
+        # Extraction and the draw hold their frames' own products: delta 0.
+        drawn = qc.random_pvm(16, [2] * 8, qc.SeededGenerator(1))
+        for prop in (drawn, qc.to_elementary(drawn.base)):
+            assert np.array_equal(prop._deltas, np.zeros(8))
 
     def test_a_shared_frame_pickles_once(self):
         # Rank-1 at d = 64: the projectors and the base's Kraus matrices (the

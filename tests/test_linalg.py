@@ -57,6 +57,11 @@ class TestSubspace:
         with pytest.raises(StructureError, match="not orthonormal"):
             Subspace(2, basis)
 
+    @pytest.mark.parametrize("ambient_dim", [2.0, 2.5, True])
+    def test_rejects_non_integer_ambient_dim(self, ambient_dim):
+        with pytest.raises(StructureError, match="must be an integer"):
+            Subspace(ambient_dim, np.eye(2))
+
 
 class TestSubspaceRelation:
     def test_reordered_basis_equal(self):

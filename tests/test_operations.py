@@ -345,6 +345,18 @@ class TestDensityState:
         with pytest.raises(StructureError, match="must be an integer"):
             qc.DensityState(dims, np.eye(2) / 2)
 
+    @pytest.mark.parametrize("call", [
+        lambda: qc.identity_operation(2.0),
+        lambda: qc.zero_operation(1.5, 1),
+        lambda: qc.zero_operation(1, True),
+        lambda: qc.maximally_mixed(2.0),
+        lambda: qc.basis_state(2, 0).reduce(1.0),
+        lambda: qc.basis_state(2, 0).reduce(True),
+    ], ids=["identity", "zero-in", "zero-out", "mixed", "reduce-float", "reduce-bool"])
+    def test_rejects_non_integer_dimensions_and_indices(self, call):
+        with pytest.raises(StructureError, match="must be an integer"):
+            call()
+
     def test_reduce_passes_the_constructor_checks(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))

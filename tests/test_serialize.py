@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,11 +13,11 @@ from qcomplement import serialize
 from qcomplement.errors import ModelParseError, SchemaError
 from qcomplement.serialize import (
     classical_instrument_from_dict,
+    instrument_from_dict,
     instrument_to_dict,
     matrix_to_lists,
     model_from_text,
     model_to_dict,
-    operation_from_dict,
     state_from_dict,
 )
 from helpers import z_instrument
@@ -194,8 +195,9 @@ def _parsed(kind: str, data):
     """The array the model parser makes of ``data`` in a ``kind`` document,
     without the state checks that random entries would fail."""
     if kind == "kraus":
-        return operation_from_dict({"dim_in": len(data[0]), "dim_out": len(data),
-                                    "kraus": [data]}).kraus[0]
+        doc = {"dim_in": len(data[0]), "dim_out": len(data),
+               "outcomes": [{"label": "a", "kraus": [data]}]}
+        return instrument_from_dict(doc)["a"].kraus[0]
     if kind == "classical":
         doc = {"size_in": len(data[0]), "size_out": len(data),
                "outcomes": [{"label": "a", "matrix": data}]}
@@ -295,3 +297,149 @@ def test_bad_entry_names_message_and_path(kind, name, bad, where, message, seed)
     with pytest.raises(SchemaError) as err:
         model_from_text(json.dumps(doc))
     assert str(err.value) == f"{path}: {message}"
+
+
+INSTRUMENT_KINDS = ("quantum-instrument", "classical-instrument", "witness")
+# The demo models that hold instruments: every quantum, classical and witness file.
+INSTRUMENT_MODELS = [
+    path.read_text() for path in sorted((Path(__file__).resolve().parents[1] / "demos" / "models").glob("*.json"))
+    if json.loads(path.read_text())["kind"] in INSTRUMENT_KINDS
+]
+
+
+def _instruments(model) -> list:
+    """The instruments a model file holds: itself, or a witness's C and
+    post-processings."""
+    if model.kind == "witness":
+        return [model.value.c, *model.value.post.values()]
+    return [model.value]
+
+
+class TestReaderChecksOnce:
+    """The reader checks a model file's fields and builds the instruments
+    from them: no constructor check runs a second time."""
+
+    def test_reading_runs_no_constructor_check(self, monkeypatch):
+        from qcomplement.classical import ClassicalInstrument, ClassicalOperation
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} checked twice")
+
+        for cls in (qc.QuantumOperation, qc.Instrument, ClassicalOperation, ClassicalInstrument):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        models = [model_from_text(text) for text in INSTRUMENT_MODELS]
+        assert {model.kind for model in models} == set(INSTRUMENT_KINDS)
+        assert all(ins.outcomes for model in models for ins in _instruments(model))
+
+    @pytest.mark.parametrize("text", [
+        *INSTRUMENT_MODELS,
+        json.dumps(model_to_dict(qc.random_instrument(3, 2, ["a", "b"], qc.SeededGenerator(5), kraus_per_outcome=2))),
+        json.dumps(model_to_dict(qc.fine_grained_instrument(3, permutation=[1, 0, 2]))),
+    ])
+    def test_parsed_matrices_are_the_constructors_bit_for_bit(self, text):
+        for ins in _instruments(model_from_text(text)):
+            for op in ins.outcomes.values():
+                if isinstance(ins, qc.Instrument):
+                    built = qc.QuantumOperation(op.dim_in, op.dim_out, op.kraus).kraus
+                    assert type(op.dim_in) is int and type(op.dim_out) is int
+                    got, dtype = op.kraus, np.complex128
+                else:
+                    built = (qc.ClassicalOperation(op.size_in, op.size_out, op.matrix).matrix,)
+                    got, dtype = (op.matrix,), np.float64
+                for k, want in zip(got, built, strict=True):
+                    assert k.dtype == dtype and k.flags.c_contiguous and k.ndim == 2
+                    assert k.tobytes() == want.tobytes() and k.shape == want.shape
+
+
+def _quantum_doc() -> dict:
+    return {"kind": "quantum-instrument", **instrument_to_dict(z_instrument())}
+
+
+def _classical_doc() -> dict:
+    return model_to_dict(qc.fine_grained_instrument(2))
+
+
+_DROP = object()
+
+
+def _set(doc: dict, where: tuple, value) -> dict:
+    container = doc
+    for step in where[:-1]:
+        container = container[step]
+    if value is _DROP:
+        del container[where[-1]]
+    else:
+        container[where[-1]] = value
+    return doc
+
+
+class TestReaderHasEachConstructorCheck:
+    """Every check a constructor makes of an instrument, made by the reader
+    with the JSON path of the entry it rejects."""
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, 2.0, True, "2", None, [2]])
+    @pytest.mark.parametrize("doc, key", [
+        (_quantum_doc, "dim_in"), (_quantum_doc, "dim_out"),
+        (_classical_doc, "size_in"), (_classical_doc, "size_out"),
+    ])
+    def test_dimensions_are_positive_integers(self, doc, key, value):
+        with pytest.raises(SchemaError) as err:
+            model_from_text(json.dumps(_set(doc(), (key,), value)))
+        assert str(err.value) == f"$.{key}: {key!r} must be a positive integer"
+
+    @pytest.mark.parametrize("doc, key", [(_quantum_doc, "dim_in"), (_classical_doc, "size_out")])
+    def test_dimensions_are_present(self, doc, key):
+        with pytest.raises(SchemaError) as err:
+            model_from_text(json.dumps(_set(doc(), (key,), _DROP)))
+        assert str(err.value) == f"$: missing field {key!r}"
+
+    @pytest.mark.parametrize("label", ["", 5, None, ["z0"]])
+    @pytest.mark.parametrize("doc", [_quantum_doc, _classical_doc])
+    def test_labels_are_nonempty_strings(self, doc, label):
+        with pytest.raises(SchemaError) as err:
+            model_from_text(json.dumps(_set(doc(), ("outcomes", 1, "label"), label)))
+        assert str(err.value) == "$.outcomes[1].label: 'label' must be a nonempty string"
+
+    @pytest.mark.parametrize("kraus", [[], _DROP, "k", None, {}])
+    def test_the_kraus_list_is_nonempty(self, kraus):
+        with pytest.raises(SchemaError) as err:
+            model_from_text(json.dumps(_set(_quantum_doc(), ("outcomes", 0, "kraus"), kraus)))
+        assert str(err.value) == "$.outcomes[0].kraus: 'kraus' must be a nonempty array of matrices"
+
+    @pytest.mark.parametrize("matrix, where, message", [
+        ([], "", "matrix must be a nonempty array of rows"),
+        (3, "", "matrix must be a nonempty array of rows"),
+        ([[]], "[0]", "matrix rows must be nonempty arrays"),
+        ([1.0, 0.0], "[0]", "matrix rows must be nonempty arrays"),
+    ])
+    @pytest.mark.parametrize("doc, at", [
+        (_quantum_doc, ("outcomes", 0, "kraus", 0)), (_classical_doc, ("outcomes", 0, "matrix")),
+    ])
+    def test_matrices_are_two_dimensional(self, doc, at, matrix, where, message):
+        with pytest.raises(SchemaError) as err:
+            model_from_text(json.dumps(_set(doc(), at, matrix)))
+        path = "$.outcomes[0]." + ("kraus[0]" if at[-2] == "kraus" else "matrix")
+        assert str(err.value) == f"{path}{where}: {message}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("doc, at, path", [
+        (_quantum_doc, ("outcomes", 0, "kraus", 0, 1, 0, 1), "$.outcomes[0].kraus[0][1][0]"),
+        (_classical_doc, ("outcomes", 1, "matrix", 0, 1), "$.outcomes[1].matrix[0][1]"),
+    ])
+    def test_entries_are_finite(self, doc, at, path, value):
+        # Python's JSON reader takes NaN and Infinity literals.
+        with pytest.raises(SchemaError) as err:
+            model_from_text(json.dumps(_set(doc(), at, value)))
+        assert str(err.value) == f"{path}: entries must be finite and at most 1e+30 in magnitude"
+
+    @pytest.mark.parametrize("doc, at, path, message", [
+        (_quantum_doc, ("outcomes", 1, "kraus", 0), "$.outcomes[1].kraus[0]",
+         "kraus matrix has shape (1, 2), expected (2, 2)"),
+        (_classical_doc, ("outcomes", 1, "matrix"), "$.outcomes[1].matrix",
+         "matrix has shape (1, 2), expected (2, 2)"),
+    ])
+    def test_shapes_match_the_dimensions(self, doc, at, path, message):
+        # Row 1 dropped: a 1 x 2 matrix in a d = 2 instrument.
+        with pytest.raises(SchemaError) as err:
+            model_from_text(json.dumps(_set(doc(), (*at, 1), _DROP)))
+        assert str(err.value) == f"{path}: {message}"
