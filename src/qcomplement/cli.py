@@ -182,20 +182,19 @@ def _cmd_comp(args, tol: Tolerances) -> tuple[int, dict]:
 
 def _cmd_compat(args, tol: Tolerances) -> tuple[int, dict]:
     from .compatibility import pvm_commute
-    from .complementarity import are_complementary
+    from .complementarity import _relation
 
     p, q = _elementary(args.p, tol), _elementary(args.q, tol)
-    report = are_complementary(p, q, tol)
-    # Elementary properties are weakly compatible iff not complementary.
-    compatible = not report.complementary
+    # Weakly compatible iff not complementary: the bijection decides, no witness is sought.
+    report = _relation(p, q, tol, tables=False, search=False)
     out = {
         "command": "compat",
-        "compatible": compatible,
+        "compatible": not report.complementary,
         "complementary": report.complementary,
         "pvm_commute": pvm_commute(p, q, tol),
         "bijection": report.matched_bijection,
     }
-    return (0 if compatible else 1), out
+    return (1 if report.complementary else 0), out
 
 
 def _cmd_witness(args, tol: Tolerances) -> tuple[int, dict]:

@@ -5,7 +5,9 @@ problem with no known general procedure, so this module verifies supplied
 witnesses (the realisation instrument, its outcome partition, and the
 post-processing family) and decides the elementary case through the
 support-matching theorem: elementary properties are weakly compatible exactly
-when they are non-complementary. A seeded harness exercises the
+when they are non-complementary, so the decision reads the bijection of
+complementarity's relation, with no witness search; ``pvm_commute`` reads its
+commutator table from that relation's overlap. A seeded harness exercises the
 verifier-inclusion theorem on randomly generated post-processings.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complementarity import are_complementary
+from .complementarity import _overlap, _relation
 from .errors import StructureError
 from .instruments import (
     _GRAM_MIN_OUTCOMES,
@@ -23,7 +25,6 @@ from .instruments import (
     Instrument,
     _chunks,
     _support_deltas,
-    _support_frame,
 )
 from .linalg import _CHUNK_CELLS, DEFAULT_TOL, Tolerances, _index, _supports
 from .operations import (
@@ -101,11 +102,10 @@ class ExclusionWitness:
 def trace_out_ancilla(d_keep: int, d_drop: int) -> QuantumOperation:
     """The channel B(x)E -> B discarding the trailing ancilla factor."""
     d_keep, d_drop = _index(d_keep, "kept factor"), _index(d_drop, "discarded factor")
-    mats = []
-    for e in range(d_drop):
-        bra = np.zeros((1, d_drop))
-        bra[0, e] = 1.0
-        mats.append(np.kron(np.eye(d_keep), bra))
+    if d_keep < 1 or d_drop < 1:
+        raise StructureError("operation dimensions must be positive")
+    # Kraus operator e is I (x) <e|, <e| row e of the identity on the ancilla.
+    mats = [np.kron(np.eye(d_keep), np.eye(1, d_drop, e)) for e in range(d_drop)]
     return QuantumOperation(d_keep * d_drop, d_keep, tuple(mats))
 
 
@@ -249,7 +249,7 @@ def are_compatible_elementary(
     incompatible. That equivalence makes the support comparison the decision
     procedure.
     """
-    return not are_complementary(p, q, tol).complementary
+    return _relation(p, q, tol, tables=False, search=False).matched_bijection is not None
 
 
 def pvm_commute(
@@ -267,7 +267,7 @@ def pvm_commute(
     - The first pair runs directly, before any frame work, so most
       non-commuting families exit there.
     - From 8 pairs on, with U_P = [V_1 | V_2 | ...] and U_Q = [W_1 | ...]
-      the ``_support_frame`` of each property, the table
+      the support frames that ``_overlap`` cuts, the table
       F_xy = |[V_x V_x^dag, W_y W_y^dag]|_F comes from one overlap
       C = U_P^dag U_Q. In P's frame W_y W_y^dag is C_y C_y^dag, C_y the
       columns of outcome y, so F_xy^2 = 2 sum_{x' != x} |C_{x,y} C_{x',y}^dag|_F^2
@@ -298,15 +298,13 @@ def pvm_commute(
     pending[0, 0] = False
     # As for the PVM check: below 8 pairs the frames cost more than the loop.
     if pending.size >= _GRAM_MIN_OUTCOMES:
-        frames = (_support_frame(p._spectrum, len(first), tol), _support_frame(q._spectrum, len(second), tol))
+        *frames, overlap = _overlap(p, q, tol)
         if all(ranks.all() and frame.shape[1] == p.dim for frame, ranks, _ in frames):
-            (u_p, ranks_p, _), (u_q, ranks_q, _) = frames
-            table = _frame_commutators(u_p.conj().T @ u_q, ranks_p, ranks_q)
+            table = _frame_commutators(overlap, frames[0][1], frames[1][1])
             worst = np.unravel_index(np.argmax(table), table.shape)
-            if pending[worst]:
-                pending[worst] = False
-                if not commutes(*worst):
-                    return False
+            if pending[worst] and not commutes(*worst):
+                return False
+            pending[worst] = False
             pending &= ~(_commutator_bound(p, q, frames, table, tol) <= tol.mat_eq)
     return all(commutes(x, y) for x, y in zip(*np.nonzero(pending)))
 
@@ -355,13 +353,14 @@ def _commutator_bound(
     p: ElementaryProperty, q: ElementaryProperty, frames, table: np.ndarray, tol: Tolerances
 ) -> np.ndarray:
     """An (n_p, n_q) upper bound on the computed |P_x Q_y - Q_y P_x|_F, from
-    the ``_frame_commutators`` table F of the ``_support_frame``s ``frames``
+    the ``_frame_commutators`` table F of the ``_overlap`` frames ``frames``
     of p and q at ``tol``, U_P = [V_1 | V_2 | ...] and U_Q = [W_1 | W_2 | ...].
 
     Write Pi_x = V_x V_x^dag and G_y = W_y W_y^dag, E_x for the indicator of
     P's block x, Delta = U_P^dag U_P - I, s_P = |Delta|_F >= |Delta|_2 (s_Q
     likewise for U_Q), e_x = |Delta E_x|_F, and delta_x = |P_x - Pi_x|_F,
-    delta_y = |Q_y - G_y|_F (``_deltas``).
+    delta_y = |Q_y - G_y|_F (``_support_deltas``; those the property holds
+    where its cut kept its whole frame).
 
     - U_P^dag [Pi_x, G_y] U_P = (I + Delta) E_x K - K E_x (I + Delta) with
       K = C_y C_y^dag, so it is within 2 e_x |K|_2 of [E_x, K], whose norm
@@ -390,21 +389,14 @@ def _commutator_bound(
         return np.full(table.shape, np.inf)
     s_q = float(np.linalg.norm(u_q.conj().T @ u_q - np.eye(d)))
     e_p = np.sqrt(np.add.reduceat((np.abs(lean) ** 2).sum(axis=0), np.cumsum(ranks_p) - ranks_p))[:, None]
-    delta_p, delta_q = _deltas(p, *frames[0]), _deltas(q, *frames[1])
+    delta_p, delta_q = (prop._deltas if prop._deltas is not None and keep.all()
+                        else _support_deltas(list(prop.projectors.values()), frame, ranks)
+                        for prop, (frame, ranks, keep) in zip((p, q), frames))
     delta_p = delta_p[:, None]  # one row per outcome of p, against delta_q's columns
     rounding = 32 * d * d * (np.finfo(float).eps / 2) * (1.0 + tol.mat_eq)
     return ((table + 2.0 * e_p * (1.0 + s_p) * (1.0 + s_q)) / (1.0 - s_p)
             + 2.0 * (delta_p + delta_q + delta_p * delta_q)
             + 2.0 * (s_q * delta_p + s_p * delta_q) + rounding)
-
-
-def _deltas(prop: ElementaryProperty, frame: np.ndarray, ranks: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``_support_deltas`` of ``prop`` for the supports ``frame`` that its
-    ``_support_frame`` cut by the mask ``keep``: those the property keeps
-    where the cut kept its whole frame, else computed."""
-    if prop._deltas is not None and keep.all():
-        return prop._deltas
-    return _support_deltas(list(prop.projectors.values()), frame, ranks)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ comparing the projector supports: the properties are non-complementary iff
 the support families match under a bijection of outcomes. Degrees (strong,
 mild, weak) are classified per verifier state from the outcome distribution
 it induces on the other property. Support matching, the witness search and
-both degree tables read one overlap matrix between the two support frames.
+both degree tables read one overlap matrix between the two support frames,
+which ``_overlap`` forms, as it does for ``compatibility.pvm_commute``.
 """
 
 from __future__ import annotations
@@ -108,20 +109,15 @@ def degree_for_verifier(
     return _degrees(np.array([probs]), q.labels, tol)[0]
 
 
-def _frame(prop: ElementaryProperty, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The outcomes' verifier-support bases side by side, U = [A_x1 | A_x2 | ...],
-    cut by ``_support_frame`` from the support frame of its effects that the
-    property holds (computed once, tied to no tolerance), and the block
-    indicator whose entry (i, x) is 1 when column i of U spans outcome x. An
-    outcome whose support is empty admits no verifier: ``StructureError``."""
-    frame, ranks, _ = _support_frame(prop._spectrum, len(prop.labels), tol)
-    if not ranks.all():
-        label = prop.labels[int(ranks.argmin())]
-        raise StructureError(
-            f"projector {label!r} has no eigenvalue within prob_eq of 1, it admits no verifier"
-        )
-    # The frame's columns come outcome by outcome, ranks[x] of them for x.
-    return frame, np.repeat(np.eye(len(ranks)), ranks, axis=0)
+def _overlap(p: ElementaryProperty, q: ElementaryProperty, tol: Tolerances):
+    """The one relation of a pair that complementarity and compatibility read:
+    the ``_support_frame`` (U, ranks, keep) of each at ``tol``, cut from the
+    frame of its effects the property holds (computed once, tied to no
+    tolerance), and C = U_P^dag U_Q. Unequal dimensions: ``StructureError``."""
+    if p.dim != q.dim:
+        raise StructureError(f"properties live on different dimensions: {p.dim} vs {q.dim}")
+    frames = [_support_frame(prop._spectrum, len(prop.labels), tol) for prop in (p, q)]
+    return *frames, frames[0][0].conj().T @ frames[1][0]
 
 
 def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerances):
@@ -150,22 +146,27 @@ def _witness_vector(frame, coords, weights, blocks, other_blocks, tol: Tolerance
 
 
 def _relation(
-    p: ElementaryProperty, q: ElementaryProperty, tol: Tolerances, tables: bool
+    p: ElementaryProperty, q: ElementaryProperty, tol: Tolerances, tables: bool, search: bool = True
 ) -> ComplementarityReport:
-    """One pass over the overlap C = U_P^dag U_Q of the two support frames.
+    """One pass over the ``_overlap`` C of the two properties.
 
     Block (x, y) of C compares the supports of x and y: they are equal when
     every row and every column of the block has norm at least 1 - mat_eq.
     Rows of C are P's support vectors in Q's frame (columns are Q's in P's),
-    which the witness search thresholds at prob_eq. Block sums of |C|^2 give
-    M[x, y] = tr(P_x Q_y), whose row x over rank P_x is the outcome
-    distribution of Q on the maximally mixed state of P_x's support.
+    which the witness search thresholds at prob_eq; without ``search`` none
+    runs and a complementary report carries no witness. Block sums of |C|^2
+    give M[x, y] = tr(P_x Q_y), whose row x over rank P_x is the outcome
+    distribution of Q on the maximally mixed state of P_x's support. An
+    outcome whose support is empty admits no verifier: ``StructureError``.
     """
-    if p.dim != q.dim:
-        raise StructureError(f"properties live on different dimensions: {p.dim} vs {q.dim}")
-    frame_p, blocks_p = _frame(p, tol)
-    frame_q, blocks_q = _frame(q, tol)
-    overlap = frame_p.conj().T @ frame_q
+    (frame_p, ranks_p, _), (frame_q, ranks_q, _), overlap = _overlap(p, q, tol)
+    for prop, ranks in ((p, ranks_p), (q, ranks_q)):
+        if not ranks.all():
+            raise StructureError(f"projector {prop.labels[int(ranks.argmin())]!r} has no eigenvalue "
+                                 "within prob_eq of 1, it admits no verifier")
+    # The frames' columns come outcome by outcome, ranks[x] of them for x:
+    # entry (i, x) of a block indicator is 1 when column i spans outcome x.
+    blocks_p, blocks_q = (np.repeat(np.eye(len(ranks)), ranks, axis=0) for ranks in (ranks_p, ranks_q))
     weight = np.abs(overlap) ** 2
     to_q = weight @ blocks_q
     to_p = weight.T @ blocks_p
@@ -179,7 +180,7 @@ def _relation(
     if (equal.sum(axis=0) == 1).all() and (equal.sum(axis=1) == 1).all():
         mapping = {x: q.labels[y] for x, y in zip(p.labels, equal.argmax(axis=1))}
     witness = None
-    if mapping is None:
+    if search and mapping is None:
         vector = _witness_vector(frame_p, overlap, to_q, blocks_p, blocks_q, tol)
         if vector is None:
             vector = _witness_vector(frame_q, overlap.conj().T, to_p, blocks_q, blocks_p, tol)

@@ -242,16 +242,22 @@ def basis_state(d: int, index: int, dims=None) -> DensityState:
 
 def maximally_mixed(d: int, dims=None) -> DensityState:
     d = _index(d, "dimension")
+    if d < 1:
+        raise StructureError("state dims must be positive")
     return DensityState(tuple(dims) if dims is not None else (d,), np.eye(d) / d)
 
 
 def identity_operation(d: int) -> QuantumOperation:
     d = _index(d, "dimension")
+    if d < 1:
+        raise StructureError("operation dimensions must be positive")
     return QuantumOperation(d, d, (np.eye(d, dtype=complex),))
 
 
 def zero_operation(dim_in: int, dim_out: int) -> QuantumOperation:
     dim_in, dim_out = _index(dim_in, "dim_in"), _index(dim_out, "dim_out")
+    if dim_in < 1 or dim_out < 1:
+        raise StructureError("operation dimensions must be positive")
     return QuantumOperation(dim_in, dim_out, (np.zeros((dim_out, dim_in), dtype=complex),))
 
 

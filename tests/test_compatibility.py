@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcomplement as qc
-from qcomplement import compatibility, instruments
+from qcomplement import cli, compatibility, complementarity, instruments
 from qcomplement.compatibility import (
     _CHUNK_CELLS,
     _HARNESS_DIM_LIMIT,
@@ -20,6 +21,7 @@ from qcomplement.errors import StructureError
 from qcomplement.linalg import DEFAULT_TOL
 from qcomplement.operations import _core_norm
 from qcomplement.sampling import _kraus_draw
+from qcomplement.serialize import SCHEMA_VERSION, model_to_dict
 import helpers
 from helpers import (
     E0,
@@ -74,6 +76,11 @@ class TestExclusionWitnessConstruction:
     @pytest.mark.parametrize("factors", [(2.5, 2), (2, 2.0), (True, 2)])
     def test_rejects_non_integer_ancilla_factors(self, factors):
         with pytest.raises(StructureError, match="must be an integer"):
+            compatibility.trace_out_ancilla(*factors)
+
+    @pytest.mark.parametrize("factors", [(0, 2), (-1, 2), (2, 0), (2, -1)])
+    def test_rejects_ancilla_factors_below_one(self, factors):
+        with pytest.raises(StructureError, match="operation dimensions must be positive"):
             compatibility.trace_out_ancilla(*factors)
 
 
@@ -321,6 +328,67 @@ class TestCompatibleElementary:
     def test_matches_complementarity_negation(self, seed, d):
         p, q = random_pvm_pair(seed, d)
         assert qc.are_compatible_elementary(p, q) == (not qc.are_complementary(p, q).complementary)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    @pytest.mark.parametrize("profile, kind", [
+        ("rank1", "independent"), ("rank1", "relabelled"), ("rank1", "shared"),
+        ("halves", "independent"), ("halves", "relabelled"),
+        ("rank2", "independent"), ("rank2", "relabelled"), ("rank2", "shared"),
+    ])
+    def test_comp_and_compat_agree_on_the_benchmark_pair_kinds(self, tmp_path, capsys, d, profile, kind):
+        ranks = {"rank1": [1] * d, "halves": [d // 2] * 2, "rank2": [2] * (d // 2)}[profile]
+        p, q = relation_pair(kind, ranks, np.random.default_rng([d, len(ranks)]))
+        compatible = qc.are_compatible_elementary(p, q)
+        assert compatible == (not qc.are_complementary(p, q).complementary) == (kind == "relabelled")
+        paths = [write_model(tmp_path / f"{name}.json", prop) for name, prop in (("p", p), ("q", q))]
+        reports = {}
+        for command, verdict in (("comp", not compatible), ("compat", compatible)):
+            assert cli.main(["--json", command, *paths]) == (0 if verdict else 1)
+            reports[command] = json.loads(capsys.readouterr().out)
+        assert reports["compat"]["compatible"] is compatible
+        assert reports["compat"]["bijection"] == reports["comp"]["bijection"]
+
+    def test_a_verdict_without_a_witness_runs_no_witness_search(self, monkeypatch, tmp_path, capsys):
+        # are_compatible_elementary and compat report no witness, so they
+        # search for none; are_complementary does.
+        def refuse(*args):
+            raise AssertionError("the witness search ran")
+
+        monkeypatch.setattr(complementarity, "_witness_vector", refuse)
+        z, x = qubit_z(), qubit_x()
+        assert not qc.are_compatible_elementary(z, x)
+        paths = [write_model(tmp_path / f"{name}.json", prop) for name, prop in (("z", z), ("x", x))]
+        assert cli.main(["--json", "compat", *paths]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "schema": SCHEMA_VERSION, "command": "compat", "compatible": False,
+            "complementary": True, "pvm_commute": False, "bijection": None,
+        }
+        with pytest.raises(AssertionError, match="the witness search ran"):
+            qc.are_complementary(z, x)
+
+
+def write_model(path, prop: qc.ElementaryProperty) -> str:
+    """Write the instrument of ``prop`` as a model file at ``path``."""
+    path.write_text(json.dumps(model_to_dict(prop.base)))
+    return str(path)
+
+
+def relation_pair(kind: str, ranks, rng):
+    """A pair of PVMs of ``ranks`` of one of the benchmark's relation kinds:
+    independent Haar frames; the same supports, each turned within itself
+    and listed in reverse order; or the first support shared and the rest
+    of the frame turned as a whole."""
+    d, first = sum(ranks), ranks[0]
+    u = haar_unitary(d, rng)
+    p = qc.from_pvm(column_family(u, ranks, "p"))
+    if kind == "independent":
+        return p, qc.from_pvm(column_family(haar_unitary(d, rng), ranks, "q"))
+    if kind == "relabelled":
+        edges = np.cumsum([0, *ranks])
+        turned = np.hstack([u[:, a:b] @ haar_unitary(b - a, rng) for a, b in zip(edges[:-1], edges[1:])])
+        return p, qc.from_pvm(dict(reversed(column_family(turned, ranks, "q").items())))
+    shared = np.hstack([u[:, :first] @ haar_unitary(first, rng), u[:, first:] @ haar_unitary(d - first, rng)])
+    return p, qc.from_pvm(column_family(shared, ranks, "q"))
 
 
 class TestPvmCommute:

@@ -357,6 +357,18 @@ class TestDensityState:
         with pytest.raises(StructureError, match="must be an integer"):
             call()
 
+    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize("call, message", [
+        (lambda d: qc.identity_operation(d), "operation dimensions must be positive"),
+        (lambda d: qc.zero_operation(d, 1), "operation dimensions must be positive"),
+        (lambda d: qc.zero_operation(1, d), "operation dimensions must be positive"),
+        (lambda d: qc.maximally_mixed(d), "state dims must be positive"),
+    ], ids=["identity", "zero-in", "zero-out", "mixed"])
+    def test_rejects_dimensions_below_one(self, call, message, d):
+        # A negative dimension gets the message 0 gets, not numpy's ValueError.
+        with pytest.raises(StructureError, match=message):
+            call(d)
+
     def test_reduce_passes_the_constructor_checks(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
