@@ -250,11 +250,11 @@ def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
     would consume nothing and return zeros.
     """
     from .compatibility import _case_index, _draw_branches
+    from .sampling import _streams
 
     n, pad = size, _ANCILLA
     perms, sigmas, levels, branches, readers, single, choices, draws = ([] for _ in range(8))
-    for gen in gens:
-        rng = gen.rng
+    for rng in _streams(gens):
         perms.append(rng.permutation(n))
         m = int(rng.integers(1, pad + 1))
         sigmas.append(rng.random((n, m)))

@@ -42,6 +42,7 @@ from .sampling import (
     SeededGenerator,
     _kraus_families,
     _pvm_draw,
+    _streams,
     random_instrument,
     random_pvm,
     random_rank_profile,
@@ -483,16 +484,17 @@ def _quantum_batch(gens: list, dim: int, tol: Tolerances) -> list:
     nonzero. Each trial makes its draws in turn; the QR, the normalisation,
     the products and the check then run once over all trials' matrices.
     """
-    profiles, branches, parts, counts = [], [], [], []
-    for gen in gens:
-        rng = gen.rng
+    profiles, branches, counts = [], [], []
+    for rng in _streams(gens):
         n_out = int(rng.integers(2, dim + 1))
         profiles.append(random_rank_profile(dim, n_out, rng))
         reads, readers = _draw_branches(rng, n_out)
         branches.append(reads)
-        for x, count in enumerate(readers):
-            parts.append(gen.child(x + 1).rng.standard_normal((count, 2, dim, dim)))
         counts.extend(readers)
+    # With every n_out drawn, branch x's Kraus parts come from child x + 1 of
+    # its trial, and the PVM from child 0: one pass over the chunk each.
+    kraus_gens = [gen.child(x + 1) for gen, profile in zip(gens, profiles) for x in range(len(profile))]
+    parts = [rng.standard_normal((count, 2, dim, dim)) for count, rng in zip(counts, _streams(kraus_gens))]
     projectors, frames, owner = _pvm_draw(dim, profiles, [gen.child(0) for gen in gens])
     trial, local, x, branch = _case_index(branches, [len(p) for p in profiles])
     # The families come branch by branch; outcome y's matrix is at its rank
@@ -519,7 +521,11 @@ def _run_harness(
     pair it returns for each trial.
 
     Trial ``i`` draws from child ``i`` of the seed's stream, so a report
-    depends only on the seed and the parameters, not on the chunking. A chunk
+    depends only on the seed and the parameters, not on the chunking. The
+    batches read a chunk's streams through ``sampling._streams``, which
+    derives them in one pass, bit-equal to ``PCG64(SeedSequence(seed,
+    spawn_key=path))`` (M. E. O'Neill's seed_seq mixing, which numpy
+    follows); ``SeededGenerator.rng`` is the reference they match. A chunk
     holds ``max(1, _CHUNK_CELLS // dim**3)`` trials, so peak memory does not
     grow with ``trials``. ``dim`` must lie in [2, ``_HARNESS_DIM_LIMIT``].
     """

@@ -4,10 +4,22 @@ Streams are numpy PCG64 generators keyed by ``SeedSequence(seed, spawn_key)``,
 so the same seed and parameters reproduce bit-identical draws, and per-trial
 children are statistically independent. The stream algorithm identifier is
 echoed into harness reports for reproducibility across releases.
+
+``SeededGenerator.rng`` is the public path and the reference; the public
+draws below read it. The harness batches and ``_pvm_draw`` read their
+streams from ``_streams`` instead, which derives the PCG64 states of a whole
+chunk of children in one array pass, bit-equal to
+``PCG64(SeedSequence(seed, spawn_key=path))``: ``SeedSequence`` mixes its
+entropy by fixed 32-bit hashing (M. E. O'Neill, "Developing a seed_seq
+Alternative", pcg-random.org, 2015), and PCG64 seeds from four of its output
+words by two 128-bit LCG steps. That derivation follows numpy's seeding
+algorithm as it stands; the parity test against ``SeededGenerator.rng`` is
+what catches a change to it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +72,120 @@ def _entropy(value, name: str) -> int:
     return value
 
 
+# numpy's SeedSequence hash and mix constants, and PCG64's LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a nonnegative int, least significant first, and
+    one word for 0: how ``SeedSequence`` splits its entropy."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(start: int, mult: int, count: int) -> list[int]:
+    """The ``count + 1`` hash constants from ``start`` on. The constant steps
+    between a hash's xor and its product, so hash k takes constants k and
+    k + 1; the steps do not depend on the data hashed."""
+    consts = [start]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+# The eight hashes that turn the pool into PCG64's seed run twice over its
+# four words: their first and second constants, one row per round.
+_OUTPUT_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+_OUTPUT_XOR, _OUTPUT_MUL = _OUTPUT_CONSTS[:-1].reshape(2, 4), _OUTPUT_CONSTS[1:].reshape(2, 4)
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """``SeedSequence``'s four-word pool once it has mixed in the seed's own
+    words, and the hash constant then: the part of the mixing that every
+    child of the seed shares, in Python ints. Seed words past the pool's
+    four are mixed in as numpy mixes extra entropy; a shorter seed is padded
+    with zeros, as numpy pads it before a spawn key (without one, it hashes
+    the same zeros into the pool)."""
+    words = _words(seed)
+    words += [0] * (4 - len(words))
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool, const
+
+
+def _streams(gens: list) -> Iterator[np.random.Generator]:
+    """The stream of each generator in ``gens``, in order, bit-equal to its
+    ``rng``, as one reused ``Generator`` set to each one's PCG64 state in
+    turn. Each stream must be finished before the next is read, for reading
+    the next resets it.
+
+    The states are derived together, a group per seed and path length in
+    32-bit words (an index of 2**32 or more takes several). ``SeedSequence``
+    hashes each entropy word, the seed's and then the path's, into each of
+    the four pool words in turn, with a hash constant that steps on every
+    hash whatever the data. So ``_seed_pool`` mixes the seed's part once per
+    group, and the path words of every child of the group are hashed at once
+    and mixed in one word position at a time, over uint32 arrays, whose
+    wrapping products are the algorithm's own. The pool then hashes into
+    eight output words, read as four little-endian uint64: PCG64 takes the
+    first two as its 128-bit initial state s and the last two as its stream
+    i, sets inc = 2i + 1 and steps its LCG twice, state = (inc + s) a + inc
+    mod 2**128 for its multiplier a.
+    """
+    words = [[word for index in gen.path for word in _words(index)] for gen in gens]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for row, (gen, path_words) in enumerate(zip(gens, words)):
+        groups.setdefault((gen.seed, len(path_words)), []).append(row)
+    states = [(0, 0)] * len(gens)
+    for (seed, count), rows in groups.items():
+        pool, const = _seed_pool(seed)
+        consts = np.array(_hash_consts(const, _MULT_A, 4 * count), dtype=np.uint32)
+        entropy = np.array([words[row] for row in rows], dtype=np.uint32).reshape(len(rows), count, 1)
+        # Each path word hashed for each pool word: (children, words, 4).
+        hashed = (entropy ^ consts[:-1].reshape(count, 4)) * consts[1:].reshape(count, 4)
+        hashed ^= hashed >> 16
+        mixer = np.array([pool] * len(rows), dtype=np.uint32)
+        for k in range(count):
+            mixer = mixer * np.uint32(_MIX_L) - hashed[:, k] * np.uint32(_MIX_R)
+            mixer ^= mixer >> 16
+        out = (mixer[:, None] ^ _OUTPUT_XOR) * _OUTPUT_MUL
+        out ^= out >> 16
+        for row, (s0, s1, s2, s3, i0, i1, i2, i3) in zip(rows, out.reshape(-1, 8).tolist()):
+            start = (s0 | s1 << 32) << 64 | s2 | s3 << 32
+            inc = ((i0 | i1 << 32) << 65 | (i2 | i3 << 32) << 1 | 1) & _MASK128
+            states[row] = ((start + inc) * _PCG64_MULT + inc) & _MASK128, inc
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in states:
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
@@ -86,15 +212,21 @@ def _pvm_draw(d: int, profiles, gens) -> tuple[np.ndarray, np.ndarray, np.ndarra
     outcomes in order; the (PVMs, d, d) unitaries; and the (PVMs, d) owner
     index, the outcome within its PVM of each unitary's column.
 
-    Each generator draws one Ginibre matrix; one stacked QR rotates them
-    all, and ``_support_projectors`` forms the projectors B B^dag of the
-    column blocks B, one stacked product per rank, so the numbers are those
-    of per-PVM calls, bit for bit. A PVM's unitary and owner index, with
-    eigenvalue 1 on every column, are thus its support frame (U, owner, w),
-    and each projector is its block's own product.
+    Each generator's stream, read through ``_streams``, draws one Ginibre
+    matrix; one stacked QR rotates them all, and ``_pvm_blocks`` cuts them.
     Profiles are trusted: positive ranks summing to d.
     """
-    u = _haar(np.stack([_ginibre(d, d, gen.rng) for gen in gens]))
+    return _pvm_blocks(_haar(np.stack([_ginibre(d, d, rng) for rng in _streams(gens)])), profiles)
+
+
+def _pvm_blocks(u: np.ndarray, profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_pvm_draw``'s three arrays for the (PVMs, d, d) unitaries ``u``, one
+    rank profile each. ``_support_projectors`` forms the projectors B B^dag
+    of the column blocks B, one stacked product per rank, so the numbers are
+    those of per-PVM calls, bit for bit. A PVM's unitary and owner index,
+    with eigenvalue 1 on every column, are thus its support frame
+    (U, owner, w), and each projector is its block's own product.
+    """
     ranks = np.array([rank for p in profiles for rank in p])
     owner = np.array([np.repeat(np.arange(len(p)), p) for p in profiles])
     return _support_projectors(np.hstack(u), ranks), u, owner
@@ -108,7 +240,7 @@ def random_pvm(d: int, ranks, gen: SeededGenerator) -> ElementaryProperty:
     ranks = [_index(r, "rank") for r in ranks]
     if any(r < 1 for r in ranks) or sum(ranks) != d:
         raise StructureError(f"ranks must be positive and sum to {d}, got {ranks}")
-    stack, frames, owner = _pvm_draw(d, [ranks], [gen])
+    stack, frames, owner = _pvm_blocks(_haar(_ginibre(d, d, gen.rng)[None]), [ranks])
     projectors = {f"x{i}": p for i, p in enumerate(stack)}
     # Blocks of one unitary: orthogonal, idempotent and complete by
     # construction, each the projector of its block's columns, eigenvalue 1.

@@ -245,6 +245,27 @@ class TestHarness:
         out = out.replace('"schema": "qcomplement/3"', '"schema": "qcomplement/1"', 1)
         assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
+    @pytest.mark.parametrize("theory, dim, digest", [
+        ("quantum", "3", "01f90661274cae66"),
+        ("quantum", "4", "586324d3df7425d3"),
+        ("quantum", "6", "3642ba85f2416610"),
+        ("classical", "6", "f458190d8a78ab5e"),
+        ("classical", "12", "69a919d5d54aa43f"),
+    ])
+    def test_seeded_report_opens_no_numpy_stream(self, capsys, monkeypatch, theory, dim, digest):
+        # The batches derive every chunk's streams in one pass; the pinned
+        # reports must come out with SeededGenerator.rng refusing to open one.
+        def refuse(gen):
+            raise RuntimeError("a numpy stream was opened")
+
+        monkeypatch.setattr(qc.SeededGenerator, "rng", property(refuse))
+        code = main(["--json", "harness", "--theory", theory, "--dim", dim,
+                     "--trials", "200", "--seed", "42"])
+        out = capsys.readouterr().out
+        assert code == 0
+        out = out.replace('"schema": "qcomplement/3"', '"schema": "qcomplement/1"', 1)
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
 
 class TestGlobalFlags:
     def test_tol_scaling_accepts_roughened_instrument(self, tmp_path, capsys):

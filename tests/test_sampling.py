@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import StructureError
-from qcomplement.sampling import STREAM_ALGORITHM, _pvm_draw
+from qcomplement.sampling import STREAM_ALGORITHM, _pvm_draw, _streams
 
 
 class TestHaarUnitary:
@@ -248,6 +248,55 @@ class TestSeededGenerator:
         monkeypatch.undo()
         assert child == qc.SeededGenerator(5, (1, 3))
         assert type(child.path[-1]) is int
+
+
+def _first_draws(rng):
+    """A stream's PCG64 state, then its first normal and integer draws."""
+    state = rng.bit_generator.state
+    return state, rng.standard_normal(3).tolist(), rng.integers(0, 2**40, size=2).tolist(), int(rng.integers(0, 7))
+
+
+def _refuse_numpy_stream(gen):
+    raise RuntimeError("a numpy stream was opened")
+
+
+class TestStreams:
+    """``_streams`` derives a batch's states itself; ``SeededGenerator.rng``
+    is the reference it must equal, state and draws."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3])
+    @pytest.mark.parametrize("paths", [
+        [(7,)],
+        [(7,), (8,)],
+        [(5, i) for i in range(2427)],  # the d = 3 harness chunk, all at path length 2
+        [(i,) for i in (0, 2**32 - 1, 2**32, 2**64)],
+        [(i, j) for i in (0, 2**32 - 1, 2**32, 2**64) for j in (0, 2**32 - 1, 2**32, 2**64)],
+        [(3, i) for i in range(2**32 - 5, 2**32 + 5)],  # straddles 2**32: one then two words
+        [()],
+    ], ids=["one", "two", "d3-chunk", "length-1", "length-2", "straddle", "root"])
+    def test_states_and_first_draws_equal_the_reference(self, seed, paths):
+        gens = [qc.SeededGenerator(seed, path) for path in paths]
+        assert [_first_draws(rng) for rng in _streams(gens)] == [_first_draws(g.rng) for g in gens]
+
+    def test_a_batch_may_mix_seeds_and_path_lengths(self):
+        # As _pvm_draw's callers may pass it; each generator keeps its place.
+        gens = [qc.SeededGenerator(s, p) for s, p in ((4, ()), (2**128 + 3, (1, 2**64)), (4, (9,)),
+                                                      (0, (2**32, 3, 1)), (4, ()))]
+        assert [_first_draws(rng) for rng in _streams(gens)] == [_first_draws(g.rng) for g in gens]
+
+    def test_one_generator_is_reused_for_every_stream(self):
+        rngs = list(_streams([qc.SeededGenerator(6).child(i) for i in range(3)]))
+        assert rngs[0] is rngs[1] is rngs[2]
+
+    def test_public_draws_read_the_reference_stream(self, monkeypatch):
+        # Only the harness batches and _pvm_draw read _streams (the pinned
+        # harness reports run without SeededGenerator.rng in test_cli).
+        monkeypatch.setattr(qc.SeededGenerator, "rng", property(_refuse_numpy_stream))
+        gen = qc.SeededGenerator(1)
+        for draw in (lambda: qc.random_pvm(2, [1, 1], gen), lambda: qc.haar_unitary(2, gen),
+                     lambda: qc.random_density(2, 1, gen), lambda: qc.random_instrument(2, 2, "ab", gen)):
+            with pytest.raises(RuntimeError, match="a numpy stream was opened"):
+                draw()
 
 
 class TestRandomInstrument:
