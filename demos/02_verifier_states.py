@@ -58,13 +58,16 @@ print("supported state fixed point:", qc.is_strong_verifier(op, supported))
 
 # ---------------------------------------------------------------------------
 # The verifier set in one object: the eigenvalue-1 eigenspace of the effect.
+# It comes as a (d, k) array whose columns are an orthonormal basis.
 support = qc.verifier_support(op)
-print("verifier support dimension:", support.dim)
+print("verifier support dimension:", support.shape[1])
 # The state's range lies inside the support iff projecting onto the support
-# keeps the norm of every vector of a range basis.
-inside = qc.range_subspace(supported.matrix).basis
-kept = np.linalg.norm(support.basis.conj().T @ inside, axis=0)
+# keeps the norm of every vector of a range basis: the state's eigenvectors
+# of nonzero eigenvalue.
+w, v = np.linalg.eigh(supported.matrix)
+inside = v[:, w > 1e-9 * w[-1]]
+kept = np.linalg.norm(support.conj().T @ inside, axis=0)
 print("state range inside support:", bool(np.all(kept >= 1 - 1e-8)))
 
 flat = qc.QuantumOperation(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2),))
-print("effect I/2 has verifiers:", qc.verifier_support(flat).dim > 0)
+print("effect I/2 has verifiers:", qc.verifier_support(flat).shape[1] > 0)

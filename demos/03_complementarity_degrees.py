@@ -63,8 +63,8 @@ print("relabelled Z complementary:", report.complementary, "bijection:", report.
 merge_fine = qc.coarse_grain(fine.base, qc.OutcomePartition({"low": ("f0", "f1"), "two": ("f2",)}))
 merge_pm = qc.coarse_grain(pm2.base, qc.OutcomePartition({"low": ("p", "m"), "two": ("t2",)}))
 for label in ("low", "two"):
-    a = qc.verifier_support(merge_fine[label]).basis
-    b = qc.verifier_support(merge_pm[label]).basis
+    a = qc.verifier_support(merge_fine[label])
+    b = qc.verifier_support(merge_pm[label])
     # Equal spans: the same dimension, and each vector of b keeps its norm in a.
     kept = np.linalg.norm(a.conj().T @ b, axis=0)
     same = a.shape == b.shape and bool(np.all(kept >= 1 - 1e-8))

@@ -38,9 +38,7 @@ _EXPORTS = {
             "coarse_grain", "from_pvm", "instrument_from_operations", "is_repeatable",
             "to_elementary", "validate_instrument",
         ),
-        "linalg": (
-            "DEFAULT_TOL", "Subspace", "Tolerances", "is_psd", "range_subspace",
-        ),
+        "linalg": ("DEFAULT_TOL", "Tolerances", "is_psd", "range_subspace"),
         "operations": (
             "ChoiMatrix", "DensityState", "OperationReport", "QuantumOperation", "apply",
             "basis_state", "choi", "choi_distance", "coarse_grain_ops", "compose_seq",

@@ -146,8 +146,8 @@ def _cmd_verifiers(args, tol: Tolerances) -> tuple[int, dict]:
     out = {
         "command": "verifiers",
         "outcome": args.outcome,
-        "support_dimension": support.dim,
-        "support_basis": matrix_to_lists(support.basis.T),
+        "support_dimension": support.shape[1],
+        "support_basis": matrix_to_lists(support.T),
     }
     if args.state is None:
         return 0, out
@@ -237,17 +237,28 @@ def _cmd_harness(args, tol: Tolerances) -> tuple[int, dict]:
 
 
 def _print_human(out: dict):
+    """One ``key: value`` line per leaf of ``out``. A character stdout cannot
+    encode, such as a label's lone surrogate, prints as a backslash escape."""
+    lines = []
+
     def emit(prefix: str, value):
         if isinstance(value, dict):
             for key, inner in value.items():
                 emit(f"{prefix}{key}.", inner)
         else:
-            print(f"{prefix.rstrip('.')}: {_short(value)}")
+            lines.append(f"{prefix.rstrip('.')}: {_short(value)}\n")
 
     for key, value in out.items():
         if key in ("support_basis", "witness", "cases"):
             continue
         emit(f"{key}.", value)
+    text = "".join(lines)
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError:
+        # A text stream encodes a whole write before it writes any of it.
+        encoding = sys.stdout.encoding
+        sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _short(value):

@@ -8,6 +8,8 @@ tolerance semantics are fixed in one place:
 * every verifier support a decision reads is an effect's eigenvalue
   >= ``1 - prob_eq`` eigenspace, cut by ``_supports`` from an eigh or from
   the frame an elementary property holds (``instruments._support_frame``),
+* a support or column space is a plain ``(d, k)`` array of orthonormal
+  columns, ``k = 0`` for the zero space,
 * PSD tests tolerate eigenvalues down to ``-eig_cut * max(1, spectral norm)``.
 
 Input is validated once, where it enters the package: public constructors check
@@ -137,36 +139,6 @@ def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(_is_psd(arr, tol))
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A subspace of C^ambient_dim given by an orthonormal basis.
-
-    ``basis`` has shape ``(ambient_dim, dim)``; a zero-column basis denotes
-    the trivial subspace. ``==`` is identity.
-    """
-
-    ambient_dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ambient_dim", _index(self.ambient_dim, "ambient_dim"))
-        basis = np.asarray(self.basis, dtype=complex)
-        if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
-            raise StructureError(
-                f"basis must have shape ({self.ambient_dim}, k), got {basis.shape}"
-            )
-        if basis.shape[1] > self.ambient_dim:
-            raise StructureError("basis has more columns than the ambient dimension")
-        gram = basis.conj().T @ basis
-        if basis.shape[1] and not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-10:
-            raise StructureError("basis columns are not orthonormal within 1e-10")
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 def _supports(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Verifier supports from a spectral decomposition ``(w, v)`` of an
     (n, d, d) stack of effects, such as their batched eigh, or of a support
@@ -176,16 +148,16 @@ def _supports(spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     return v, w >= 1.0 - tol.prob_eq
 
 
-def range_subspace(m, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the column space at numerical rank threshold
-    ``eig_cut * sigma_max``; an audit primitive, no decision reads it."""
+def range_subspace(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis, as the columns of a ``(d, k)`` array, of the column
+    space at numerical rank threshold ``eig_cut * sigma_max``; ``k = 0`` for
+    the zero space. An audit primitive, no decision reads it."""
     arr = as_matrix(m, limit=_FINITE)
     if arr.size == 0:
-        empty = np.zeros((arr.shape[0], 0), dtype=complex)
-        return _trusted(Subspace, ambient_dim=arr.shape[0], basis=empty)
+        return np.zeros((arr.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
         rank = int(np.count_nonzero(s > tol.eig_cut * s[0]))
-    return _trusted(Subspace, ambient_dim=arr.shape[0], basis=u[:, :rank])
+    return u[:, :rank]

@@ -337,5 +337,8 @@ def model_from_text(text: str) -> ModelFile:
 
 
 def model_from_path(path) -> ModelFile:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"file is not UTF-8: {exc.reason} at byte {exc.start}") from None
     return model_from_text(text)

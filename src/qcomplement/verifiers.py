@@ -4,7 +4,8 @@ A verifier of an operation is a state on which the outcome occurs with
 probability one; a strong verifier is left exactly invariant. For quantum
 projective operations the two notions coincide (every verifier is a fixed
 point), and the verifier set is characterised by a subspace: the eigenvalue-1
-eigenspace of the effect. States may carry ancilla factors; the operation then
+eigenspace of the effect, which ``verifier_support`` returns as a plain array of
+orthonormal basis columns. States may carry ancilla factors; the operation then
 acts on the first factor with identity on the rest, which with the unique
 deterministic effect (the trace) is fully general. Every verdict reads one
 number, Prob(x | rho) = Re tr(E_x rho_1) with rho_1 the state reduced to its
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSeedError, StructureError
 from .instruments import Instrument
-from .linalg import DEFAULT_TOL, Subspace, Tolerances, _supports, _trusted
+from .linalg import DEFAULT_TOL, Tolerances, _supports
 from .operations import DensityState, QuantumOperation, _outcome_probabilities, apply, apply_unnormalized
 
 
@@ -55,15 +56,16 @@ def is_strong_verifier(
     return float(np.linalg.norm(out - state.matrix)) <= tol.mat_eq
 
 
-def verifier_support(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Eigenspace of the effect for eigenvalues at least 1 - prob_eq.
+def verifier_support(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Eigenspace of the effect for eigenvalues at least 1 - prob_eq, as the
+    orthonormal columns of a ``(dim_in, k)`` array, highest eigenvalue first.
 
     A state is a verifier iff its range (of the reduced state on the system
-    factor) lies inside this subspace; the subspace may be empty, in which
-    case the operation has no verifiers.
+    factor) lies inside this subspace; ``k = 0`` means the operation has no
+    verifiers.
     """
     v, keep = _supports(np.linalg.eigh(op.effect()[None]), tol)
-    return _trusted(Subspace, ambient_dim=op.dim_in, basis=v[0][:, keep[0]][:, ::-1])
+    return v[0][:, keep[0]][:, ::-1]
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,8 @@ def traced_peak(call) -> int:
 
 
 # An independent subspace oracle: principal-angle comparison of orthonormal
-# bases (``qc.Subspace``), which no decision of the package reads.
+# bases, each a ``(d, k)`` array of columns, which no decision of the package
+# reads.
 class SubspaceRelation(enum.Enum):
     EQUAL = "equal"
     A_INSIDE_B = "a-inside-b"
@@ -93,31 +94,31 @@ class SubspaceRelation(enum.Enum):
     ORTHOGONAL = "orthogonal"
 
 
-def contains_vector(sub: qc.Subspace, v, tol=qc.DEFAULT_TOL) -> bool:
+def contains_vector(sub: np.ndarray, v, tol=qc.DEFAULT_TOL) -> bool:
     """True iff projecting ``v`` onto ``sub`` keeps its norm within ``mat_eq``."""
     vec = np.asarray(v, dtype=complex).reshape(-1)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         return True
-    if sub.dim == 0:
+    if sub.shape[1] == 0:
         return False
-    return float(np.linalg.norm(sub.basis.conj().T @ vec)) >= (1.0 - tol.mat_eq) * norm
+    return float(np.linalg.norm(sub.conj().T @ vec)) >= (1.0 - tol.mat_eq) * norm
 
 
-def subspace_relation(a: qc.Subspace, b: qc.Subspace, tol=qc.DEFAULT_TOL) -> SubspaceRelation:
+def subspace_relation(a: np.ndarray, b: np.ndarray, tol=qc.DEFAULT_TOL) -> SubspaceRelation:
     """How two subspaces of one ambient space relate. One lies inside the
     other when projecting each of its basis vectors onto the other keeps the
     norm within ``mat_eq``; ``ORTHOGONAL`` needs every cross inner product at
     most ``mat_eq``."""
-    if a.ambient_dim != b.ambient_dim:
-        raise StructureError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-    if a.dim == 0 and b.dim == 0:
+    if a.shape[0] != b.shape[0]:
+        raise StructureError(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[1] == 0 and b.shape[1] == 0:
         return SubspaceRelation.EQUAL
-    if a.dim == 0:
+    if a.shape[1] == 0:
         return SubspaceRelation.A_INSIDE_B
-    if b.dim == 0:
+    if b.shape[1] == 0:
         return SubspaceRelation.B_INSIDE_A
-    cross = a.basis.conj().T @ b.basis
+    cross = a.conj().T @ b
     a_in_b = bool(np.all(np.linalg.norm(cross, axis=1) >= 1.0 - tol.mat_eq))
     b_in_a = bool(np.all(np.linalg.norm(cross, axis=0) >= 1.0 - tol.mat_eq))
     if a_in_b and b_in_a:
@@ -131,7 +132,7 @@ def subspace_relation(a: qc.Subspace, b: qc.Subspace, tol=qc.DEFAULT_TOL) -> Sub
     return SubspaceRelation.OVERLAPPING
 
 
-def subspace_contained(inner: qc.Subspace, outer: qc.Subspace, tol=qc.DEFAULT_TOL) -> bool:
+def subspace_contained(inner: np.ndarray, outer: np.ndarray, tol=qc.DEFAULT_TOL) -> bool:
     """True iff ``inner`` lies in ``outer`` (equality included)."""
     rel = subspace_relation(inner, outer, tol)
     return rel in (SubspaceRelation.EQUAL, SubspaceRelation.A_INSIDE_B)

@@ -64,10 +64,10 @@ def test_criterion_02_qutrit_coarse_graining_caveat():
     low = qc.verifier_support(coarse_z["low"])
     two = qc.verifier_support(coarse_z["two"])
     explicit = (
-        low.dim == 2
+        low.shape[1] == 2
         and contains_vector(low, [1, 0, 0])
         and contains_vector(low, [0, 1, 0])
-        and two.dim == 1
+        and two.shape[1] == 1
         and contains_vector(two, [0, 0, 1])
     )
 

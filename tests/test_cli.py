@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -477,6 +479,38 @@ def test_closed_stdout_keeps_the_verdict(tmp_path):
     assert code == 0 and "Traceback" not in stderr
 
 
+def _labelled_z(tmp_path, label) -> str:
+    """The z model with its first outcome relabelled, written as ASCII JSON."""
+    doc = json.loads(Path(Z_MODEL).read_text())
+    doc["outcomes"][0]["label"] = label
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("label, encoding, shown", [
+    ("\ud800", "utf-8", "\\ud800"),
+    ("\u00e9", "ascii", "\\xe9"),
+    ("\u00e9", "utf-8", "\u00e9"),
+])
+def test_human_report_escapes_what_stdout_cannot_encode(label, encoding, shown, tmp_path):
+    """A label stdout cannot encode prints as a backslash escape, under the
+    verdict's exit code and with no traceback; one it can prints as is."""
+    argv = [sys.executable, "-m", "qcomplement", "classify", _labelled_z(tmp_path, label)]
+    env = {**os.environ, "PYTHONPATH": str(Path(qc.__file__).resolve().parents[1]),
+           "PYTHONIOENCODING": encoding}
+    child = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert f"\natomic.{shown}: True\n".encode(encoding) in child.stdout
+
+
+def test_human_report_into_a_string_buffer_keeps_a_lone_surrogate(tmp_path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["classify", _labelled_z(tmp_path, "\ud800")]) == 0
+    assert "\natomic.\ud800: True\n" in out.getvalue()
+
+
 # Runs ``python -m qcomplement <argv>`` in this child through runpy, then
 # prints the package's loaded submodules as the last line of stdout.
 _LOADED_AFTER_MAIN = """
@@ -556,7 +590,7 @@ PUBLIC_NAMES = [
     "DegreeVerdict", "DensityState", "ElementaryProperty", "ExclusionWitness",
     "ExtractionError", "HarnessReport", "Instrument", "InstrumentReport", "ModelFile",
     "ModelParseError", "OperationReport", "OutcomePartition", "PreconditionError",
-    "QuantumOperation", "SchemaError", "SeededGenerator", "StructureError", "Subspace",
+    "QuantumOperation", "SchemaError", "SeededGenerator", "StructureError",
     "Tolerances", "VerifierReport", "WitnessReport", "apply",
     "are_compatible_elementary", "are_complementary", "basis_state", "canonical_verifier",
     "choi", "choi_distance", "classical_is_elementary", "classical_theorem_harness",

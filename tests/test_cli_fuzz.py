@@ -132,6 +132,50 @@ def test_mutated_states_keep_the_exit_code_contract(target, text):
     _assert_contract("verifiers", COMMANDS["verifiers"][1], argv, text, code, out, err)
 
 
+# A demo document whose bytes are not UTF-8: in UTF-16 or UTF-32 with a
+# byte-order mark, in Latin-1 with a non-ASCII string, or with a byte that no
+# UTF-8 text holds (a stray continuation byte, a cut sequence, 0xff, an encoded
+# surrogate) spliced in anywhere. It is bad input: exit 2, with the offset of
+# the first bad byte. A UTF-8 byte-order mark is rejected as malformed JSON.
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(sorted(COMMANDS)),
+    name=st.sampled_from(NAMES),
+    slot=st.integers(0, 2),
+    encoding=st.sampled_from(["utf-16", "utf-32", "latin-1", "splice", "utf-8-sig"]),
+    spliced=st.sampled_from([b"\x80", b"\xc3", b"\xff", b"\xed\xa0\x80"]),
+    where=st.floats(0.0, 1.0),
+)
+def test_non_utf8_models_exit_2(command, name, slot, encoding, spliced, where):
+    text = json.dumps(DOCUMENTS[name], ensure_ascii=False)
+    if encoding == "latin-1":
+        data = (text[:-1] + ', "note": "\u00e9"}').encode("latin-1")
+    elif encoding == "splice":
+        data = text.encode()
+        cut = int(where * len(data))
+        data = data[:cut] + spliced + data[cut:]
+    else:
+        data = text.encode(encoding)
+    arity, verdict_key = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_bytes(data)
+        paths = [str(MODELS / name) for name in ("z.json", "z.json", "z_self_witness.json")[:arity]]
+        paths[slot % arity] = str(model)
+        argv = [command, *paths] + (["--outcome", "z0"] if command == "verifiers" else [])
+        code, out, err = _run(argv)
+    assert (code, out) == (2, ""), (argv, data, code, err)
+    if encoding == "utf-8-sig":
+        assert err == "error: invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+    else:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            assert err == f"error: file is not UTF-8: {exc.reason} at byte {exc.start}\n", (argv, data)
+        else:
+            raise AssertionError(f"{data!r} is UTF-8")
+
+
 # Option values around every boundary --tol and the harness sizes have. A
 # harness call's memory grows as the cube of --dim, so a dimension above 3 is
 # one past the cap, which exits 2 before anything is allocated.

@@ -721,8 +721,8 @@ def _loop_trial(gen, dim, tol):
         )
         support_g = qc.verifier_support(g_y, tol)
         support_t = qc.verifier_support(t[matched], tol)
-        if support_g.dim and not helpers.subspace_contained(support_g, support_t, tol):
-            violations.append((y, matched, support_g.dim, support_t.dim))
+        if support_g.shape[1] and not helpers.subspace_contained(support_g, support_t, tol):
+            violations.append((y, matched, support_g.shape[1], support_t.shape[1]))
     return checked, violations
 
 

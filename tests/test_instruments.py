@@ -1236,7 +1236,6 @@ LEAVES = {
     "ChoiMatrix": lambda: qc.choi(qc.projector_operation(proj(E0))),
     "DensityState": lambda: qc.basis_state(2, 0),
     "ElementaryProperty": qubit_z,
-    "Subspace": lambda: qc.range_subspace(proj(E0)),
     "ClassicalOperation": lambda: qc.fine_grained_instrument(2).outcomes["x0"],
     "ClassicalState": lambda: qc.point_mass(2, 0),
 }

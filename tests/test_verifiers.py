@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import qcomplement as qc
 from qcomplement.errors import DegenerateSeedError, StructureError
 from qcomplement.operations import apply_unnormalized
+from qcomplement.serialize import model_from_path
 from helpers import (
     E0,
     PLUS,
@@ -143,20 +146,20 @@ class TestFixedPoint:
 class TestVerifierSupport:
     def test_rank_one_projector(self):
         sub = qc.verifier_support(projector_op(proj(E0)))
-        assert sub.dim == 1 and contains_vector(sub, E0)
+        assert sub.shape[1] == 1 and contains_vector(sub, E0)
 
     def test_coarse_qutrit_operation(self):
         coarse = qc.coarse_grain_ops(
             [projector_op(np.diag([1.0, 0.0, 0.0])), projector_op(np.diag([0.0, 1.0, 0.0]))]
         )
         sub = qc.verifier_support(coarse)
-        assert sub.dim == 2
+        assert sub.shape[1] == 2
         assert contains_vector(sub, [1.0, 0.0, 0.0]) and contains_vector(sub, [0.0, 1.0, 0.0])
         assert not contains_vector(sub, [0.0, 0.0, 1.0])
 
     def test_flat_effect_has_no_verifiers(self):
         op = qc.QuantumOperation(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2.0),))
-        assert qc.verifier_support(op).dim == 0
+        assert qc.verifier_support(op).shape[1] == 0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -193,6 +196,33 @@ class TestVerifierSupport:
         qc.are_complementary(p, other)
         qc.verifier_support(phased["x1"])
         assert p.rank_profile() == {"x0": 1, "x1": 3} and not calls
+
+
+DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
+
+
+@pytest.mark.parametrize("name", ["z", "x", "qutrit_fine", "qutrit_coarse"])
+def test_supports_and_ranges_are_orthonormal_basis_arrays(name):
+    # Each is a complex (d, k) array of orthonormal columns: the verifier
+    # support holds the effect's eigenvectors of eigenvalue >= 1 - prob_eq,
+    # highest first, and the range the leading left singular vectors.
+    tol = qc.DEFAULT_TOL
+    ins = model_from_path(DEMO_MODELS / f"{name}.json").value
+    flat = qc.QuantumOperation(ins.dim_in, ins.dim_in, (np.eye(ins.dim_in, dtype=complex) / np.sqrt(2.0),))
+    for op in (*ins.outcomes.values(), flat):
+        effect = op.effect()
+        w, v = np.linalg.eigh(effect)
+        u, s, _ = np.linalg.svd(effect)
+        expected = {
+            "support": (qc.verifier_support(op, tol), v[:, w >= 1.0 - tol.prob_eq][:, ::-1]),
+            "range": (qc.range_subspace(effect, tol), u[:, :np.count_nonzero(s > tol.eig_cut * s[0])]),
+        }
+        for got, want in expected.values():
+            assert type(got) is np.ndarray and got.dtype == complex and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12)
+    assert qc.verifier_support(flat, tol).shape == (ins.dim_in, 0)
+    assert qc.range_subspace(np.zeros((ins.dim_in, ins.dim_in))).shape == (ins.dim_in, 0)
 
 
 class TestInstrumentVerifierReport:
