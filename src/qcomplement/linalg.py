@@ -95,9 +95,10 @@ _CHUNK_CELLS = 2**16
 
 def _check_entries(arr: np.ndarray, name: str, limit: float = _ENTRY_LIMIT) -> None:
     """Raise ``StructureError`` unless every entry of the real array ``arr``
-    is at most ``limit`` in magnitude; NaN and infinities fail the one
-    comparison too."""
-    if arr.size and not np.abs(arr).max() <= limit:
+    is at most ``limit`` in magnitude. The largest and smallest entries are
+    read without an ``abs`` copy; NaN propagates through both reductions and
+    fails, as do infinities."""
+    if arr.size and not (arr.max() <= limit and arr.min() >= -limit):
         raise StructureError(f"{name} entries must be finite and at most {limit:.0e} in magnitude")
 
 

@@ -141,8 +141,12 @@ def is_atomic(op: QuantumOperation, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the Choi matrix has numerical rank at most one.
 
     Atomic operations sit on extremal rays of the CP cone; a Kraus list
-    of mutually proportional matrices still counts as atomic.
+    of mutually proportional matrices still counts as atomic. One Kraus
+    matrix is atomic by its count: its core is 1 x 1, and no decomposition
+    runs.
     """
+    if len(op.kraus) == 1:
+        return True
     w = np.linalg.eigvalsh(_hermitized(_choi_core(op.kraus)))
     top = float(w[-1])
     if top <= 0.0:

@@ -82,7 +82,7 @@ def _floats(leaves: list) -> np.ndarray | None:
         arr = np.array(leaves, dtype=float)
     except OverflowError:
         return None
-    return arr if np.abs(arr).max() <= _ENTRY_LIMIT else None
+    return arr if arr.max() <= _ENTRY_LIMIT and arr.min() >= -_ENTRY_LIMIT else None
 
 
 def _complexes(pairs: list) -> np.ndarray | None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qcomplement as qc
 from qcomplement import instruments
 from qcomplement.errors import ExtractionError, PreconditionError, StructureError
-from qcomplement.linalg import _supports
+from qcomplement.linalg import _is_psd as linalg_is_psd, _supports
 from qcomplement.operations import _core_norm
 from helpers import (
     E0, E1, MINUS, PLUS, effect_supports, largest_sine, loop_check_pvm, proj, qubit_x, qubit_z, qutrit_fine,
@@ -965,6 +965,98 @@ class TestRepeatabilityTable:
     def test_traced_peak_does_not_grow_with_outcomes(self):
         four, eight = (traced_peak(lambda n=n: qc.is_repeatable(measure_and_prepare(16, n))) for n in (4, 8))
         assert eight < 1.25 * four
+
+
+def bench_family(kind: str, d: int, rng) -> qc.Instrument:
+    """A complete instrument of one of the benchmark's Kraus families: phased
+    rank-1 or coarse (d // 4 + 1 outcomes) projectors, or three jointly
+    normalised Gaussian outcomes of two Kraus matrices each."""
+    if kind == "gaussian":
+        raw = [gaussian(rng, (d, d)) / np.sqrt(2.0) for _ in range(6)]
+        w, v = np.linalg.eigh(sum(g.conj().T @ g for g in raw))
+        raw = [g @ ((v / np.sqrt(w)) @ v.conj().T) for g in raw]
+        return qc.Instrument(d, d, {f"r{x}": qc.QuantumOperation(d, d, tuple(raw[2 * x:2 * x + 2])) for x in range(3)})
+    ranks = [1] * d if kind == "rank1" else qc.random_rank_profile(d, d // 4 + 1, rng)
+    frame, edges = haar_unitary(d, rng), np.cumsum([0, *ranks])
+    blocks = [frame[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
+    return qc.Instrument(d, d, {
+        f"x{x}": qc.QuantumOperation(d, d, (np.exp(2j * np.pi * rng.random()) * v @ v.conj().T,))
+        for x, v in enumerate(blocks)
+    })
+
+
+def rescaled(ins: qc.Instrument, factor: float, only: str | None = None) -> qc.Instrument:
+    """``ins`` with the effect of every outcome, or of outcome ``only``,
+    multiplied by ``factor``."""
+    return qc.Instrument(ins.dim_in, ins.dim_out, {
+        label: qc.QuantumOperation(op.dim_in, op.dim_out, tuple(
+            np.sqrt(factor) * k if only in (None, label) else k for k in op.kraus
+        ))
+        for label, op in ins.outcomes.items()
+    })
+
+
+class TestValidationCertificate:
+    """A complete instrument's trace-non-increase is read from its summed
+    effect: lambda_min(I - E_x) >= lambda_min(I - sum E) >= -residual."""
+
+    @pytest.mark.parametrize("kind", ["rank1", "coarse", "gaussian"])
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_complete_instruments_run_no_per_outcome_check(self, kind, d, monkeypatch):
+        ins = bench_family(kind, d, np.random.default_rng([d, 7]))
+        oracle = loop_validate(ins)
+
+        def per_outcome_check(*args):
+            raise AssertionError("the summed effect certifies every outcome")
+
+        monkeypatch.setattr(instruments, "_is_psd", per_outcome_check)
+        report = qc.validate_instrument(ins)
+        assert report.is_valid and report == oracle
+        assert report.completeness_residual.hex() == oracle.completeness_residual.hex()
+
+    @pytest.mark.parametrize("kind", ["rank1", "coarse", "gaussian"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    @pytest.mark.parametrize("k", range(6, 13))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("only", [False, True])
+    def test_report_equals_the_loop_form_across_the_switch(self, kind, d, k, sign, only, monkeypatch):
+        # Effects scaled by 1 +- 10**-k, all of them or the first outcome's
+        # alone: the residual runs from about 1e-3 to 4e3 times eig_cut, and
+        # trace-increasing outcomes at 1 + 10**-k sit on both sides of the
+        # per-outcome test. Below eig_cut / 2 the certificate must hold; at
+        # eig_cut or above every outcome must be decomposed.
+        base = bench_family(kind, d, np.random.default_rng([d, k]))
+        ins = rescaled(base, 1.0 + sign * 10.0**-k, base.labels[0] if only else None)
+        calls = []
+
+        def counted(slack, tol):
+            calls.append(len(slack))
+            return linalg_is_psd(slack, tol)
+
+        monkeypatch.setattr(instruments, "_is_psd", counted)
+        report, oracle = qc.validate_instrument(ins), loop_validate(ins)
+        assert report == oracle
+        assert report.completeness_residual.hex() == oracle.completeness_residual.hex()
+        residual = report.completeness_residual
+        if residual >= qc.DEFAULT_TOL.eig_cut:
+            assert calls == [len(ins.outcomes)]
+        elif residual <= qc.DEFAULT_TOL.eig_cut / 2:
+            assert calls == []
+
+    @pytest.mark.parametrize("kind", ["rank1", "coarse", "gaussian"])
+    @pytest.mark.parametrize("top", [1.5, 1e58])
+    def test_one_trace_increasing_outcome_is_named_before_the_residual(self, kind, top):
+        # The second outcome's effect scaled to largest eigenvalue ``top``;
+        # at 1e58 its Kraus entries sit near the 1e30 cap.
+        base = bench_family(kind, 8, np.random.default_rng(11))
+        label = base.labels[1]
+        ins = rescaled(base, top / np.linalg.eigvalsh(base[label].effect())[-1], label)
+        report, oracle = qc.validate_instrument(ins), loop_validate(ins)
+        assert report == oracle
+        assert report.completeness_residual.hex() == oracle.completeness_residual.hex()
+        assert report.problems[0] == f"outcome {ins.labels[1]!r} is not trace-non-increasing"
+        assert report.problems[1].startswith("summed effect differs from identity by")
+        assert len(report.problems) == 2
 
 
 class TestStackedValidation:

@@ -73,10 +73,13 @@ class TestChoi:
 class TestEntryCap:
     # Entries beyond 1e30 overflowed the Kraus-space core to NaN, which passes
     # every `> tol` test: with this Kraus matrix, is_repeatable said True.
-    @pytest.mark.parametrize("entry", [1e200, -1e31, 1e30j * 2, np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [1e200, -1e31, 1e30j * 2, np.inf, -np.inf, np.nan])
     def test_quantum_operation_rejects_entries_beyond_the_cap(self, entry):
-        with pytest.raises(StructureError, match="must be finite"):
-            qc.QuantumOperation(2, 2, (np.diag([entry, 0.0]),))
+        # The bound is read from the largest and the smallest entry, which
+        # NaN at either end of the array must still fail.
+        for diagonal in ([entry, 0.0], [0.0, entry]):
+            with pytest.raises(StructureError, match="must be finite"):
+                qc.QuantumOperation(2, 2, (np.diag(diagonal),))
 
     def test_density_state_rejects_entries_beyond_the_cap(self):
         with pytest.raises(StructureError, match="must be finite and at most 1e\\+30"):
@@ -222,6 +225,20 @@ class TestIsAtomic:
 
     def test_zero_map(self):
         assert qc.is_atomic(qc.zero_operation(2, 2))
+
+    @pytest.mark.parametrize("kraus", [
+        np.zeros((3, 2)), np.full((3, 2), 1e-300), np.diag([1e30, -1e30j]),
+        np.random.default_rng(4).standard_normal((2, 3)) + 1j,
+    ])
+    def test_one_kraus_matrix_is_atomic_by_its_count(self, kraus, monkeypatch):
+        op = qc.QuantumOperation(kraus.shape[1], kraus.shape[0], (kraus,))
+        assert dense_rank_at_most_one(op)
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("a one-Kraus core needs no decomposition")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert qc.is_atomic(op) is True
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), phase=st.floats(0.0, 2 * np.pi))

@@ -421,13 +421,19 @@ class TestReaderHasEachConstructorCheck:
         path = "$.outcomes[0]." + ("kraus[0]" if at[-2] == "kraus" else "matrix")
         assert str(err.value) == f"{path}{where}: {message}"
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e31])
     @pytest.mark.parametrize("doc, at, path", [
         (_quantum_doc, ("outcomes", 0, "kraus", 0, 1, 0, 1), "$.outcomes[0].kraus[0][1][0]"),
         (_classical_doc, ("outcomes", 1, "matrix", 0, 1), "$.outcomes[1].matrix[0][1]"),
+        (_quantum_doc, ("outcomes", 0, "kraus", 0, 0, 0, 0), "$.outcomes[0].kraus[0][0][0]"),
+        (_quantum_doc, ("outcomes", 0, "kraus", 0, 1, 1, 1), "$.outcomes[0].kraus[0][1][1]"),
+        (_classical_doc, ("outcomes", 1, "matrix", 0, 0), "$.outcomes[1].matrix[0][0]"),
+        (_classical_doc, ("outcomes", 1, "matrix", 1, 1), "$.outcomes[1].matrix[1][1]"),
     ])
     def test_entries_are_finite(self, doc, at, path, value):
-        # Python's JSON reader takes NaN and Infinity literals.
+        # Python's JSON reader takes NaN and Infinity literals. The bound is
+        # read from the largest and the smallest entry of each matrix, which
+        # NaN at either end of it must still fail.
         with pytest.raises(SchemaError) as err:
             model_from_text(json.dumps(_set(doc(), at, value)))
         assert str(err.value) == f"{path}: entries must be finite and at most 1e+30 in magnitude"
