@@ -218,96 +218,62 @@ def fine_grained_instrument(size: int, permutation=None) -> ClassicalInstrument:
     return _trusted(ClassicalInstrument, size_in=size, size_out=size, outcomes=outcomes)
 
 
-# A trial's ancilla has 1 to _ANCILLA levels; a chunk pads each to _ANCILLA.
+# A trial's ancilla has 1 to _ANCILLA levels, drawn uniformly.
 _ANCILLA = 3
 
 
 def _classical_batch(gens: list, size: int, tol: Tolerances) -> list:
-    """Harness trials for the classical verifier-inclusion theorem, one per
-    generator.
+    """Harness trials for the classical verifier-inclusion theorem: each
+    generator's count of atomic composites, with no violations.
 
-    The repeatable instrument is fine-grained by construction (repeatable
-    draws are measure-zero otherwise): outcome x heralds and verifies point
-    perm[x] alone. The realisation tensors a random ancilla distribution
-    sigma_x onto each heralded point, and the post-processing routes each
-    branch to outcomes with a deterministic output point. A composite g_y
-    therefore reads only the point its branch heralds: its one possibly
-    nonzero entry, (w_y . sigma).sum, sits in that point's column. It is
-    atomic when that entry exceeds ``prob_eq``, and its verifier points are
-    then that one point or none, inside its branch's: inclusion holds by
-    construction, so only the atomic composites are counted. Each trial
-    makes its draws in turn, and the entries then come from one pass over all
-    trials.
+    Outcome x of the fine-grained repeatable instrument heralds point
+    perm[x]; the realisation puts sigma_x on its levels, and composite y of
+    branch x has the one possibly nonzero entry sum_a w_y[perm[x], a]
+    sigma_x[a], so only the m rows at perm[x] of x's weights are read. With
+    one reader, w_y is 1 on every input (x / x for a split), so the entry is
+    about 1, above every ``prob_eq`` (below 1/2), and counts with no
+    arithmetic.
 
-    Per branch, a trial draws one output point for each outcome reading it
-    (never read, since verifier points are columns, but part of the
-    stream), then whether each input (point, level) goes to one drawn
-    outcome or is split at random, then those outcomes or weights. The
-    output points and a trial's extra readers are drawn as scalars: a draw
-    with ``size`` pays about 4 us for ``np.prod(size)``, more than the one
-    to three values cost, and numpy's integer draws consume the same stream
-    either way. A branch with one reader skips its outcome draw, which
-    would consume nothing and return zeros.
+    Per branch, a trial draws one output point for each reader (never read,
+    since verifier points are columns, but part of the stream), whether
+    each input goes to one drawn reader or is split at random, then those
+    readers or weights for every input. Draws of one to three values are
+    scalars: a draw with ``size`` pays about 4 us for ``np.prod(size)``,
+    and numpy's integer draws consume the same stream either way. A branch
+    with one reader skips its reader draw, which would consume nothing.
     """
-    from .compatibility import _case_index, _draw_branches
+    from .compatibility import _draw_branches
     from .sampling import _streams
 
-    n, pad = size, _ANCILLA
-    perms, sigmas, levels, branches, readers, single, choices, draws = ([] for _ in range(8))
+    n = size
+    results = []
     for rng in _streams(gens):
-        perms.append(rng.permutation(n))
-        m = int(rng.integers(1, pad + 1))
-        sigmas.append(rng.random((n, m)))
-        levels.append(m)
-        reads, counts = _draw_branches(rng, n)
-        branches.append(reads)
-        readers.extend(counts)
-        for count in counts:
+        perm = rng.permutation(n)
+        m = int(rng.integers(1, _ANCILLA + 1))
+        sigma = rng.random((n, m)) + 1e-3
+        _, counts = _draw_branches(rng, n)
+        atomic = 0
+        for x, count in enumerate(counts):
             for _ in range(count):
                 rng.integers(0, n)
-            single.append(rng.random() < 0.5)
-            if not single[-1]:
-                draws.append(rng.random((n * m, count)).ravel())
+            split = not rng.random() < 0.5
+            if split:
+                drawn = rng.random((n * m, count))
             elif count > 1:
-                choices.append(rng.integers(0, count, size=n * m))
+                drawn = rng.integers(0, count, size=n * m)
+            if count == 1:
+                atomic += 1
+                continue
+            rows = drawn[perm[x] * m:perm[x] * m + m]
+            if split:
+                weights = rows + 1e-3
+                weights /= weights.sum(axis=1, keepdims=True)
             else:
-                choices.append(np.zeros(n * m, dtype=int))
-    trial, _, _, branch = _case_index(branches, [n] * len(gens))
-    cases = np.arange(len(branch))
-    levels = np.array(levels)
-    level = np.arange(pad)
-
-    # One row per branch and input of width 3 (a branch has at most 3
-    # readers), normalised by its sum taken left to right, as numpy sums rows.
-    inputs = n * levels.repeat(n)
-    single = np.array(single).repeat(inputs)
-    readers = np.array(readers)
-    weights = np.zeros((len(single), 3))
-    weights[np.flatnonzero(single), np.concatenate(choices or [np.empty(0, dtype=int)])] = 1.0
-    weights[~single[:, None] & (np.arange(3) < readers.repeat(inputs)[:, None])] = np.concatenate(
-        draws or [np.empty(0)]) + 1e-3
-    weights /= ((weights[:, 0] + weights[:, 1]) + weights[:, 2])[:, None]
-
-    # Outcome y's weights w_y[point[y], a]: its branch's rows at the point
-    # the branch heralds, at y's rank among the branch's readers.
-    point = np.concatenate(perms)[branch]
-    by_branch = np.argsort(branch, kind="stable")
-    rank = np.empty_like(branch)
-    rank[by_branch] = cases - (np.cumsum(readers) - readers)[branch[by_branch]]
-    m_y = levels[trial][:, None]
-    row = (np.cumsum(inputs) - inputs)[branch][:, None] + point[:, None] * m_y + level
-    w = np.where(level < m_y, weights[np.where(level < m_y, row, 0), rank[:, None]], 0.0)
-
-    sigma = np.zeros((len(gens), n, pad))
-    sigma[np.broadcast_to(level < levels[:, None, None], sigma.shape)] = np.concatenate(
-        [s.ravel() for s in sigmas]) + 1e-3
-    sigma = (sigma / sigma.sum(axis=2, keepdims=True)).reshape(-1, pad)
-
-    # The realisation of x takes perm[x] to (perm[x], a) with weight
-    # sigma_x[a], and post_y takes (p, a) to its output point with weight
-    # w_y[p, a]: g_y's one entry, in column point[y].
-    atomic = (w * sigma[branch]).sum(axis=1) > tol.prob_eq
-    return [(c, []) for c in np.bincount(trial[atomic], minlength=len(gens)).tolist()]
+                weights = (rows[:, None] == np.arange(count)).astype(float)
+            entries = (weights * (sigma[x] / sigma[x].sum())[:, None]).sum(axis=0)
+            atomic += int(np.count_nonzero(entries > tol.prob_eq))
+        results.append((atomic, []))
+    return results
 
 
 def classical_theorem_harness(
@@ -315,11 +281,15 @@ def classical_theorem_harness(
 ) -> HarnessReport:
     """Random trials of the verifier-inclusion theorem in classical theory.
 
-    Each atomic composite reads only the point its branch heralds, so its
-    verifier points lie inside its branch's by construction: the report
-    counts the atomic composites and its violations are always 0. The
-    harness driver lives in ``compatibility``, which is imported here so
-    that the rest of this module loads without it."""
+    Each trial draws a fine-grained repeatable instrument, a realisation
+    that tensors a random ancilla distribution onto each heralded point, and
+    a post-processing that routes each branch's inputs to outcomes with a
+    deterministic output point. An atomic composite (one entry above
+    ``prob_eq``) reads only the point its branch heralds, so its verifier
+    points lie inside its branch's by construction: the report counts the
+    atomic composites and its violations are always 0. The harness driver
+    lives in ``compatibility``, which is imported here so that the rest of
+    this module loads without it."""
     from .compatibility import _run_harness
 
     return _run_harness("classical", _classical_batch, seed, size, trials, tol)

@@ -346,6 +346,10 @@ def main(argv=None) -> int:
             DegenerateSeedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A fault of the package, not a verdict: never exit 1 for it.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     out = {"schema": SCHEMA_VERSION, **out}
     try:
         if args.json:

@@ -507,8 +507,9 @@ def _quantum_batch(gens: list, dim: int, tol: Tolerances) -> list:
         f"x{x[case]}", int(g_dim[case]), int(t_dim[case])), len(gens))
 
 
-# The largest harness dimension (quantum) or size (classical): one trial there
-# takes up to about 50 MB. A larger value raises StructureError before
+# The largest harness dimension (quantum) or size (classical). One quantum
+# trial there takes up to about 50 MB; a classical trial holds only its own
+# draws, but keeps the same cap. A larger value raises StructureError before
 # anything is drawn or allocated.
 _HARNESS_DIM_LIMIT = 64
 

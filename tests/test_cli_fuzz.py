@@ -5,10 +5,10 @@ key or an array element, or puts a boolean, a string, null, a huge number, a
 nested list or an array nested 100000 deep where a value belongs) and runs
 ``cli.main`` in-process with the mutated document in one argument slot of a
 subcommand, or as the ``--state`` file of ``verifiers``. The result must be 0,
-1 or 2; no other exception may escape, 2 must come with an error message, and
-1 (a false verdict) only with the verdict in the report. A last test draws
-whole argument vectors: every subcommand, with arguments missing, extra or
-unknown, and bad option values.
+1 or 2; no other exception may escape, 2 must come with an error message that
+names the input, not an internal error, and 1 (a false verdict) only with the
+verdict in the report. A last test draws whole argument vectors: every
+subcommand, with arguments missing, extra or unknown, and bad option values.
 """
 
 import contextlib
@@ -17,6 +17,8 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -234,9 +236,35 @@ def _assert_contract(command, verdict_key, argv, text, code, out, err):
     assert code in (0, 1, 2), (argv, text, code)
     if code == 2:
         assert err.startswith("error: ") or "error:" in err, (argv, text, err)
+        # Bad input is named as such, never caught as a fault of the package.
+        assert "internal error" not in err, (argv, text, err)
         assert out == ""
     else:
         report = json.loads(out)
         assert report["command"] == command
         if code == 1:
             assert verdict_key in report, (argv, text, report)
+
+
+# A fault inside the package is not a verdict: the kernel raising an
+# exception that no handler expects exits 2 with one line and no traceback.
+# An interrupt is not caught.
+def test_internal_error_exits_2_with_one_line(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    code, out, err = _run(["classify", str(MODELS / "qutrit_fine.json")])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: internal error: LinAlgError: Eigenvalues did not converge")
+    assert "Traceback" not in err
+
+
+def test_interrupt_propagates(monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np.linalg, "eigh", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _run(["classify", str(MODELS / "qutrit_fine.json")])
