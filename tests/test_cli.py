@@ -49,6 +49,12 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def assert_bad_input(err):
+    """An exit 2 names the input as bad; it is never a caught fault of the package."""
+    assert "error: " in err, err
+    assert "internal error" not in err, err
+
+
 class TestValidate:
     def test_valid_instrument(self, models, capsys):
         code, out = run_json(capsys, ["--json", "validate", models["z"]])
@@ -69,6 +75,7 @@ class TestValidate:
 
     def test_missing_file_is_structural(self, capsys):
         assert main(["validate", "/nonexistent/thing.json"]) == 2
+        assert_bad_input(capsys.readouterr().err)
 
     def test_witness(self, capsys):
         code, out = run_json(capsys, ["--json", "validate", str(MODELS / "z_self_witness.json")])
@@ -156,8 +163,9 @@ class TestVerifiers:
         assert code == 1
         assert out["verifier_report"]["is_verifier"] is False
 
-    def test_unknown_outcome(self, models):
+    def test_unknown_outcome(self, models, capsys):
         assert main(["verifiers", models["z"], "--outcome", "nope"]) == 2
+        assert_bad_input(capsys.readouterr().err)
 
 
 class TestComp:
@@ -177,12 +185,13 @@ class TestComp:
         assert out["complementary"] is False
         assert out["bijection"] == {"z0": "z0", "z1": "z1"}
 
-    def test_non_elementary_input_is_structural(self, models, tmp_path):
+    def test_non_elementary_input_is_structural(self, models, tmp_path, capsys):
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         ins = qc.instrument_from_operations([("u", qc.QuantumOperation(2, 2, (x,)))])
         path = tmp_path / "unitary.json"
         path.write_text(json.dumps(model_to_dict(ins)))
         assert main(["comp", str(path), models["z"]]) == 2
+        assert_bad_input(capsys.readouterr().err)
 
 
 class TestCompat:
@@ -209,6 +218,7 @@ class TestWitness:
     def test_mismatched_target(self, models, capsys):
         code = main(["witness", models["fine"], models["z"], models["witness"]])
         assert code == 2
+        assert_bad_input(capsys.readouterr().err)
 
 
 class TestHarness:
@@ -315,10 +325,13 @@ def test_huge_kraus_entry(entry, codes, tmp_path, capsys):
     doc["outcomes"][0]["kraus"][0][0][0] = [entry, 0.0]
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
-    got = tuple(main(argv) for argv in (
-        ["validate", str(path)], ["classify", str(path)], ["comp", str(path), X_MODEL]))
+    got = []
+    for argv in (["validate", str(path)], ["classify", str(path)], ["comp", str(path), X_MODEL]):
+        got.append(main(argv))
+        if got[-1] == 2:
+            assert_bad_input(capsys.readouterr().err)
     capsys.readouterr()
-    assert got == codes
+    assert tuple(got) == codes
 
 
 def _one_by_one_instrument(dim_in="1", entry="[1, 0]"):
@@ -368,8 +381,8 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     child = subprocess.run([sys.executable, "-m", "qcomplement", *argv], env=env,
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 2
-    assert "error" in child.stderr
     assert "Traceback" not in child.stderr
+    assert_bad_input(child.stderr)
 
 
 MODELS = Path(Z_MODEL).parent
