@@ -36,12 +36,14 @@ from .operations import (
     zero_operation,
 )
 # bench/workloads.py wraps the three random_* names here for its traced run;
-# the harness calls only random_rank_profile, and draws its PVMs by _pvm_draw.
+# the harness calls only random_rank_profile, and cuts its PVMs by _pvm_blocks.
 from .sampling import (
     STREAM_ALGORITHM,
     SeededGenerator,
+    _ginibre,
+    _haar,
     _kraus_families,
-    _pvm_draw,
+    _pvm_blocks,
     _streams,
     random_instrument,
     random_pvm,
@@ -481,21 +483,24 @@ def _quantum_batch(gens: list, dim: int, tol: Tolerances) -> list:
     post-processing in which each composite outcome y reads one branch,
     ``branch[y]``, with one Kraus matrix K_y, drawn jointly normalised per
     branch; so the composite A_y = K_y P_branch[y] is atomic whenever it is
-    nonzero. Each trial makes its draws in turn; the QR, the normalisation,
-    the products and the check then run once over all trials' matrices.
+    nonzero. Each trial makes its draws in turn, then draws its PVM's
+    Ginibre matrix from its child 0; the QR, the normalisation, the products
+    and the check then run once over all trials' matrices.
     """
-    profiles, branches, counts = [], [], []
-    for rng in _streams(gens):
+    profiles, branches, counts, ginibre = [], [], [], []
+    streams = _streams([g for gen in gens for g in (gen, gen.child(0))])
+    for rng in streams:
         n_out = int(rng.integers(2, dim + 1))
         profiles.append(random_rank_profile(dim, n_out, rng))
         reads, readers = _draw_branches(rng, n_out)
         branches.append(reads)
         counts.extend(readers)
+        ginibre.append(_ginibre(dim, dim, next(streams)))
     # With every n_out drawn, branch x's Kraus parts come from child x + 1 of
-    # its trial, and the PVM from child 0: one pass over the chunk each.
+    # its trial: one more pass over the chunk.
     kraus_gens = [gen.child(x + 1) for gen, profile in zip(gens, profiles) for x in range(len(profile))]
     parts = [rng.standard_normal((count, 2, dim, dim)) for count, rng in zip(counts, _streams(kraus_gens))]
-    projectors, frames, owner = _pvm_draw(dim, profiles, [gen.child(0) for gen in gens])
+    projectors, frames, owner = _pvm_blocks(_haar(np.stack(ginibre)), profiles)
     trial, local, x, branch = _case_index(branches, [len(p) for p in profiles])
     # The families come branch by branch; outcome y's matrix is at its rank
     # in the stable order by branch.
@@ -527,8 +532,9 @@ def _run_harness(
     derives them in one pass, bit-equal to ``PCG64(SeedSequence(seed,
     spawn_key=path))`` (M. E. O'Neill's seed_seq mixing, which numpy
     follows); ``SeededGenerator.rng`` is the reference they match. A chunk
-    holds ``max(1, _CHUNK_CELLS // dim**3)`` trials, so peak memory does not
-    grow with ``trials``. ``dim`` must lie in [2, ``_HARNESS_DIM_LIMIT``].
+    holds ``max(1, _CHUNK_CELLS // dim**3)`` quantum trials, or
+    ``max(1, _CHUNK_CELLS // dim**2)`` classical ones, so peak memory does
+    not grow with ``trials``. ``dim`` must lie in [2, ``_HARNESS_DIM_LIMIT``].
     """
     noun = "dimension" if theory == "quantum" else "size"
     dim, trials = _index(dim, noun), _index(trials, "trials")
@@ -539,9 +545,10 @@ def _run_harness(
     root = SeededGenerator(seed)
     if trials < 0:
         raise StructureError("trials must be nonnegative")
-    # A trial's arrays hold O(dim**3) entries (up to about 180 * dim**3 bytes
-    # for the quantum theory).
-    chunk = max(1, _CHUNK_CELLS // dim**3)
+    # A quantum trial's arrays hold O(dim**3) entries (up to about
+    # 180 * dim**3 bytes); a classical trial's hold O(dim), so a classical
+    # chunk holds O(_CHUNK_CELLS / dim) entries.
+    chunk = max(1, _CHUNK_CELLS // (dim**3 if theory == "quantum" else dim**2))
     cases = []
     checked_cases = 0
     filtered = 0

@@ -54,8 +54,8 @@ class ComplementarityReport:
 def outcome_entropy(probabilities) -> float:
     """Shannon entropy of an outcome distribution, in bits.
 
-    Entries must be nonnegative and sum to one within ``prob_eq``; the
-    convention 0 log 0 = 0 applies.
+    Entries must be nonnegative and sum to one within ``prob_eq``; they are
+    clamped to [0, 1], and the convention 0 log 0 = 0 applies.
     """
     probs = [float(p) for p in probabilities]
     # Written so that NaN fails each test.
@@ -63,7 +63,7 @@ def outcome_entropy(probabilities) -> float:
         raise StructureError("probabilities must be nonnegative")
     if not abs(sum(probs) - 1.0) <= DEFAULT_TOL.prob_eq:
         raise StructureError(f"probabilities sum to {sum(probs)!r}, expected 1")
-    return _entropy(max(p, 0.0) for p in probs)
+    return _entropy(min(max(p, 0.0), 1.0) for p in probs)
 
 
 def _entropy(probs) -> float:

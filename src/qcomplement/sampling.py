@@ -6,15 +6,17 @@ children are statistically independent. The stream algorithm identifier is
 echoed into harness reports for reproducibility across releases.
 
 ``SeededGenerator.rng`` is the public path and the reference; the public
-draws below read it. The harness batches and ``_pvm_draw`` read their
-streams from ``_streams`` instead, which derives the PCG64 states of a whole
-chunk of children in one array pass, bit-equal to
-``PCG64(SeedSequence(seed, spawn_key=path))``: ``SeedSequence`` mixes its
+draws below read it. The harness batches read their streams from
+``_streams`` instead, which derives the PCG64 states of a whole chunk of
+children in one array pass, bit-equal to
+``PCG64(SeedSequence(seed, spawn_key=path))``. ``SeedSequence`` mixes its
 entropy by fixed 32-bit hashing (M. E. O'Neill, "Developing a seed_seq
-Alternative", pcg-random.org, 2015), and PCG64 seeds from four of its output
-words by two 128-bit LCG steps. That derivation follows numpy's seeding
-algorithm as it stands; the parity test against ``SeededGenerator.rng`` is
-what catches a change to it.
+Alternative", pcg-random.org, 2015): numpy's ``SeedSequence(seed)`` mixes
+the seed, and ``_streams`` derives only the hashes of the path words, the
+eight output hashes and PCG64's two 128-bit LCG steps from four of its
+output words. That derivation follows numpy's seeding algorithm as it
+stands; the parity test against ``SeededGenerator.rng`` is what catches a
+change to it.
 """
 
 from __future__ import annotations
@@ -105,39 +107,6 @@ _OUTPUT_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)
 _OUTPUT_XOR, _OUTPUT_MUL = _OUTPUT_CONSTS[:-1].reshape(2, 4), _OUTPUT_CONSTS[1:].reshape(2, 4)
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """``SeedSequence``'s four-word pool once it has mixed in the seed's own
-    words, and the hash constant then: the part of the mixing that every
-    child of the seed shares, in Python ints. Seed words past the pool's
-    four are mixed in as numpy mixes extra entropy; a shorter seed is padded
-    with zeros, as numpy pads it before a spawn key (without one, it hashes
-    the same zeros into the pool)."""
-    words = _words(seed)
-    words += [0] * (4 - len(words))
-    const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool, const
-
-
 def _streams(gens: list) -> Iterator[np.random.Generator]:
     """The stream of each generator in ``gens``, in order, bit-equal to its
     ``rng``, as one reused ``Generator`` set to each one's PCG64 state in
@@ -148,14 +117,16 @@ def _streams(gens: list) -> Iterator[np.random.Generator]:
     32-bit words (an index of 2**32 or more takes several). ``SeedSequence``
     hashes each entropy word, the seed's and then the path's, into each of
     the four pool words in turn, with a hash constant that steps on every
-    hash whatever the data. So ``_seed_pool`` mixes the seed's part once per
-    group, and the path words of every child of the group are hashed at once
-    and mixed in one word position at a time, over uint32 arrays, whose
-    wrapping products are the algorithm's own. The pool then hashes into
-    eight output words, read as four little-endian uint64: PCG64 takes the
-    first two as its 128-bit initial state s and the last two as its stream
-    i, sets inc = 2i + 1 and steps its LCG twice, state = (inc + s) a + inc
-    mod 2**128 for its multiplier a.
+    hash whatever the data. So the seed's part is mixed once per group, by
+    numpy's ``SeedSequence(seed)``, whose ``pool`` holds it; the constant
+    has by then stepped once per hash: 4 fill the pool, 12 mix across it,
+    and 4 more come for each seed word past four. The path words of every child of the group
+    are hashed at once and mixed in one word position at a time, over
+    uint32 arrays, whose wrapping products are the algorithm's own. The
+    pool then hashes into eight output words, read as four little-endian
+    uint64: PCG64 takes the first two as its 128-bit initial state s and the
+    last two as its stream i, sets inc = 2i + 1 and steps its LCG twice,
+    state = (inc + s) a + inc mod 2**128 for its multiplier a.
     """
     words = [[word for index in gen.path for word in _words(index)] for gen in gens]
     groups: dict[tuple[int, int], list[int]] = {}
@@ -163,13 +134,13 @@ def _streams(gens: list) -> Iterator[np.random.Generator]:
         groups.setdefault((gen.seed, len(path_words)), []).append(row)
     states = [(0, 0)] * len(gens)
     for (seed, count), rows in groups.items():
-        pool, const = _seed_pool(seed)
+        const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, len(_words(seed)) - 4), 2**32) & _MASK32
         consts = np.array(_hash_consts(const, _MULT_A, 4 * count), dtype=np.uint32)
         entropy = np.array([words[row] for row in rows], dtype=np.uint32).reshape(len(rows), count, 1)
         # Each path word hashed for each pool word: (children, words, 4).
         hashed = (entropy ^ consts[:-1].reshape(count, 4)) * consts[1:].reshape(count, 4)
         hashed ^= hashed >> 16
-        mixer = np.array([pool] * len(rows), dtype=np.uint32)
+        mixer = np.tile(np.random.SeedSequence(seed).pool, (len(rows), 1))
         for k in range(count):
             mixer = mixer * np.uint32(_MIX_L) - hashed[:, k] * np.uint32(_MIX_R)
             mixer ^= mixer >> 16
@@ -206,23 +177,13 @@ def haar_unitary(d: int, gen: SeededGenerator) -> np.ndarray:
     return _haar(_ginibre(d, d, gen.rng))
 
 
-def _pvm_draw(d: int, profiles, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Haar-rotated coordinate-block PVM on C^d per (rank profile,
-    generator) pair: the (outcomes, d, d) projector stack, all PVMs'
-    outcomes in order; the (PVMs, d, d) unitaries; and the (PVMs, d) owner
-    index, the outcome within its PVM of each unitary's column.
-
-    Each generator's stream, read through ``_streams``, draws one Ginibre
-    matrix; one stacked QR rotates them all, and ``_pvm_blocks`` cuts them.
-    Profiles are trusted: positive ranks summing to d.
-    """
-    return _pvm_blocks(_haar(np.stack([_ginibre(d, d, rng) for rng in _streams(gens)])), profiles)
-
-
 def _pvm_blocks(u: np.ndarray, profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_pvm_draw``'s three arrays for the (PVMs, d, d) unitaries ``u``, one
-    rank profile each. ``_support_projectors`` forms the projectors B B^dag
-    of the column blocks B, one stacked product per rank, so the numbers are
+    """The coordinate-block PVM on C^d rotated by each of the (PVMs, d, d)
+    unitaries ``u``, cut by its trusted rank profile (positive ranks summing
+    to d): the (outcomes, d, d) projector stack, all PVMs' outcomes in
+    order; the unitaries; and the (PVMs, d) owner index, the outcome within
+    its PVM of each unitary's column. ``_support_projectors`` forms the
+    projectors B B^dag of the column blocks B, one stacked product per rank, so the numbers are
     those of per-PVM calls, bit for bit. A PVM's unitary and owner index,
     with eigenvalue 1 on every column, are thus its support frame
     (U, owner, w), and each projector is its block's own product.
@@ -293,12 +254,6 @@ def _kraus_families(parts: np.ndarray, counts) -> np.ndarray:
     return raw @ np.repeat(inv_sqrt, counts, axis=0)
 
 
-def _kraus_draw(d_in: int, d_out: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` jointly normalised Gaussian Kraus matrices, as a
-    (count, d_out, d_in) array: sum K^dag K = I."""
-    return _kraus_families(rng.standard_normal((count, 2, d_out, d_in)), [count])
-
-
 def random_instrument(
     d_in: int, d_out: int, labels, gen: SeededGenerator, kraus_per_outcome: int = 1
 ) -> Instrument:
@@ -315,7 +270,8 @@ def random_instrument(
         raise StructureError("dimensions and kraus_per_outcome must be positive")
     if len(labels) * kraus_per_outcome * d_out < d_in:
         raise StructureError("the Kraus matrices need at least d_in rows in total to normalise")
-    kraus = _kraus_draw(d_in, d_out, len(labels) * kraus_per_outcome, gen.rng)
+    count = len(labels) * kraus_per_outcome
+    kraus = _kraus_families(gen.rng.standard_normal((count, 2, d_out, d_in)), [count])
     kraus = kraus.reshape(len(labels), kraus_per_outcome, d_out, d_in)
     outcomes = _labelled(
         (label, _trusted(QuantumOperation, dim_in=d_in, dim_out=d_out, kraus=tuple(mats)))

@@ -385,7 +385,7 @@ class TestArrayTrial:
 class TestChunks:
     @pytest.mark.parametrize("size", [2, 3])
     def test_small_chunks_match_loop_reference_at_chunk_edges(self, monkeypatch, size):
-        monkeypatch.setattr(compatibility, "_CHUNK_CELLS", 4 * size**3)
+        monkeypatch.setattr(compatibility, "_CHUNK_CELLS", 4 * size**2)
         for trials in (0, 1, 3, 4, 5, 9):
             for seed in range(4):
                 want = _run_harness("classical", _loop_batch, seed, size, trials, DEFAULT_TOL)
@@ -393,15 +393,25 @@ class TestChunks:
 
     def test_default_chunk_edges_match_loop_reference(self):
         size = 16
-        chunk = _CHUNK_CELLS // size**3
+        chunk = _CHUNK_CELLS // size**2
         assert chunk > 1
+        # Each reference trial depends on its generator alone, so it is run
+        # once and reused across the trial counts.
+        done = {}
+
+        def loop_batch(gens, size, tol):
+            for gen in gens:
+                if gen.path not in done:
+                    done[gen.path] = _loop_trial(gen, size, tol)
+            return [done[gen.path] for gen in gens]
+
         for trials in (0, 1, chunk - 1, chunk, chunk + 1):
-            want = _run_harness("classical", _loop_batch, 7, size, trials, DEFAULT_TOL)
+            want = _run_harness("classical", loop_batch, 7, size, trials, DEFAULT_TOL)
             assert _run_harness("classical", _classical_batch, 7, size, trials, DEFAULT_TOL) == want
 
     def test_traced_peak_does_not_grow_with_trials(self):
-        size = 16
-        chunk = _CHUNK_CELLS // size**3
+        size = 64
+        chunk = _CHUNK_CELLS // size**2
         one, four = (traced_peak(lambda: qc.classical_theorem_harness(5, size, trials))
                      for trials in (chunk, 4 * chunk))
         assert four < 2 * one

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcomplement as qc
-from qcomplement import cli, compatibility, complementarity, instruments
+from qcomplement import cli, compatibility, complementarity, instruments, sampling
 from qcomplement.compatibility import (
     _CHUNK_CELLS,
     _HARNESS_DIM_LIMIT,
@@ -20,7 +20,7 @@ from qcomplement.compatibility import (
 from qcomplement.errors import StructureError
 from qcomplement.linalg import DEFAULT_TOL
 from qcomplement.operations import _core_norm
-from qcomplement.sampling import _kraus_draw
+from qcomplement.sampling import _ginibre
 from qcomplement.serialize import SCHEMA_VERSION, model_to_dict
 import helpers
 from helpers import (
@@ -738,8 +738,17 @@ class TestArrayTrial:
             got = _run_harness("quantum", _quantum_batch, seed, dim, 3, DEFAULT_TOL)
             assert got == want, (dim, seed)
 
-    def test_kraus_draw_equals_random_instrument(self):
-        # One batched normal draw holds what one _ginibre call per matrix drew.
+    def test_random_instrument_equals_one_ginibre_call_per_matrix(self, monkeypatch):
+        # One batched normal draw holds what one _ginibre call per matrix drew
+        # on the same stream; the matrices are those draws normalised jointly.
+        drawn = []
+        families = sampling._kraus_families
+
+        def capture(parts, counts):
+            drawn.append((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0))
+            return families(parts, counts)
+
+        monkeypatch.setattr(sampling, "_kraus_families", capture)
         for seed in range(20):
             for d_in, d_out, n_labels, per_outcome in (
                 (1, 1, 1, 1), (2, 2, 3, 1), (3, 3, 2, 2), (4, 2, 2, 1), (2, 5, 1, 3), (8, 8, 4, 1),
@@ -747,8 +756,55 @@ class TestArrayTrial:
                 gen = qc.SeededGenerator(seed, (d_in, d_out))
                 labels = [f"o{i}" for i in range(n_labels)]
                 ins = qc.random_instrument(d_in, d_out, labels, gen, per_outcome)
-                drawn = _kraus_draw(d_in, d_out, n_labels * per_outcome, gen.rng)
-                assert np.array_equal(np.stack([k for x in labels for k in ins[x].kraus]), drawn)
+                rng = gen.rng
+                raw = [_ginibre(d_out, d_in, rng) for _ in range(n_labels * per_outcome)]
+                assert np.array_equal(drawn.pop(), np.stack(raw))
+                total = np.zeros((d_in, d_in), dtype=complex)
+                for g in raw:
+                    total += g.conj().T @ g
+                w, v = np.linalg.eigh(total)
+                inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+                kraus = np.stack([k for x in labels for k in ins[x].kraus])
+                assert np.max(np.abs(kraus - np.stack([g @ inv_sqrt for g in raw]))) <= 1e-12
+
+    def test_a_chunk_opens_two_stream_passes(self, monkeypatch):
+        # The first pass reads each trial's stream and then its PVM's (child
+        # 0); the second reads the Kraus streams, whose count the first drew.
+        calls = []
+        streams = sampling._streams
+
+        def counted(gens):
+            calls.append(len(gens))
+            return streams(gens)
+
+        monkeypatch.setattr(compatibility, "_streams", counted)
+        monkeypatch.setattr(sampling, "_streams", counted)
+        qc.verifier_inclusion_harness(5, 3, 25)
+        assert len(calls) == 2 and calls[0] == 50
+
+    def test_each_pvm_is_random_pvm_of_the_trials_child_0(self, monkeypatch):
+        # The batch cuts every trial's PVM from one stacked QR; each trial's
+        # projectors and frame are those random_pvm draws from its child 0.
+        drawn = []
+        blocks = compatibility._pvm_blocks
+
+        def capture(u, profiles):
+            drawn.append((profiles, blocks(u, profiles)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(compatibility, "_pvm_blocks", capture)
+        for seed, dim, trials in ((3, 2, 6), (8, 3, 5), (1, 6, 4)):
+            qc.verifier_inclusion_harness(seed, dim, trials)
+            [(profiles, (stack, frames, owner))] = drawn
+            drawn.clear()
+            assert len(profiles) == trials
+            offsets = np.cumsum([len(p) for p in profiles]) - [len(p) for p in profiles]
+            for t, (profile, start) in enumerate(zip(profiles, offsets)):
+                prop = qc.random_pvm(dim, profile, qc.SeededGenerator(seed).child(t).child(0))
+                want = np.stack(list(prop.projectors.values()))
+                assert stack[start:start + len(profile)].tobytes() == want.tobytes()
+                u, held_owner, _ = prop._spectrum
+                assert frames[t].tobytes() == u.tobytes() and np.array_equal(owner[t], held_owner)
 
     def test_check_reports_a_support_outside_the_matched_range(self):
         # Composite outcomes read from a qubit Z measurement, branch by branch,

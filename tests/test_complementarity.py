@@ -270,6 +270,11 @@ class TestOutcomeEntropy:
         with pytest.raises(StructureError):
             qc.outcome_entropy([1.2, -0.2])
 
+    @pytest.mark.parametrize("probs", [[1 + 5e-8], [-1e-9, 1 + 1e-9]])
+    def test_certain_outcome_past_one_within_tolerance_has_zero_entropy(self, probs):
+        # Entries are clamped to [0, 1], so roundoff past 1 is no negative entropy.
+        assert qc.outcome_entropy(probs) == 0.0
+
     def test_rejects_unnormalised(self):
         with pytest.raises(StructureError):
             qc.outcome_entropy([0.5, 0.4])

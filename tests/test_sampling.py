@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import StructureError
-from qcomplement.sampling import STREAM_ALGORITHM, _pvm_draw, _streams
+from qcomplement.sampling import STREAM_ALGORITHM, _ginibre, _haar, _pvm_blocks, _streams
+
+
+def _draw_pvms(d, profiles, gens):
+    """One PVM per (rank profile, generator) pair, as the harness draws
+    them: one Ginibre matrix per generator, one stacked QR, then the cut."""
+    return _pvm_blocks(_haar(np.stack([_ginibre(d, d, gen.rng) for gen in gens])), profiles)
 
 
 class TestHaarUnitary:
@@ -74,7 +80,7 @@ class TestRandomPvm:
             assert np.linalg.norm(recovered.projectors[label] - prop.projectors[label]) <= 1e-8
 
 
-class TestPvmDraw:
+class TestPvmBlocks:
     # sha256 prefixes of each projector stack, taken before the projectors
     # were drawn as one stack. The stack is rounded to 8 decimals, with signed
     # zeros folded, because the last bits of a QR depend on the BLAS kernel
@@ -96,7 +102,7 @@ class TestPvmDraw:
         # The property holds the draw's projectors, and its unitary and owner
         # index, eigenvalue 1 on every column, as the support frame.
         for d, ranks, seed in ((2, [1, 1], 0), (4, [1, 2, 1], 11), (8, [1] * 8, 5)):
-            stack, frames, owner = _pvm_draw(d, [ranks], [qc.SeededGenerator(seed)])
+            stack, frames, owner = _draw_pvms(d, [ranks], [qc.SeededGenerator(seed)])
             prop = qc.random_pvm(d, ranks, qc.SeededGenerator(seed))
             assert stack.tobytes() == np.stack(list(prop.projectors.values())).tobytes()
             u, held_owner, w = prop._spectrum
@@ -106,7 +112,7 @@ class TestPvmDraw:
     def test_each_projector_is_its_frames_owned_columns(self):
         # One unitary per PVM; each column's owner is its outcome within
         # that PVM, and each projector is the product of its own columns.
-        stack, frames, owner = _pvm_draw(5, [[2, 1, 2], [5], [1, 4]], [qc.SeededGenerator(i) for i in range(3)])
+        stack, frames, owner = _draw_pvms(5, [[2, 1, 2], [5], [1, 4]], [qc.SeededGenerator(i) for i in range(3)])
         assert frames.shape == (3, 5, 5)
         assert owner.tolist() == [[0, 0, 1, 2, 2], [0] * 5, [0, 1, 1, 1, 1]]
         pvm, outcome = [0, 0, 0, 1, 2, 2], [0, 1, 2, 0, 0, 1]
@@ -122,8 +128,8 @@ class TestPvmDraw:
             rng = root.rng
             profiles = [qc.random_rank_profile(d, int(rng.integers(1, d + 1)), rng) for _ in range(7)]
             gens = [root.child(i) for i in range(7)]
-            one_by_one = [_pvm_draw(d, [p], [g]) for p, g in zip(profiles, gens)]
-            for part, stacked in zip(zip(*one_by_one), _pvm_draw(d, profiles, gens)):
+            one_by_one = [_draw_pvms(d, [p], [g]) for p, g in zip(profiles, gens)]
+            for part, stacked in zip(zip(*one_by_one), _draw_pvms(d, profiles, gens)):
                 assert stacked.tobytes() == np.concatenate(part).tobytes()
 
 
@@ -264,7 +270,7 @@ class TestStreams:
     """``_streams`` derives a batch's states itself; ``SeededGenerator.rng``
     is the reference it must equal, state and draws."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, 2**200 + 12345, 3**150])
     @pytest.mark.parametrize("paths", [
         [(7,)],
         [(7,), (8,)],
@@ -279,7 +285,8 @@ class TestStreams:
         assert [_first_draws(rng) for rng in _streams(gens)] == [_first_draws(g.rng) for g in gens]
 
     def test_a_batch_may_mix_seeds_and_path_lengths(self):
-        # As _pvm_draw's callers may pass it; each generator keeps its place.
+        # As the quantum batch mixes path lengths (a trial's stream, then its
+        # child 0); each generator keeps its place.
         gens = [qc.SeededGenerator(s, p) for s, p in ((4, ()), (2**128 + 3, (1, 2**64)), (4, (9,)),
                                                       (0, (2**32, 3, 1)), (4, ()))]
         assert [_first_draws(rng) for rng in _streams(gens)] == [_first_draws(g.rng) for g in gens]
@@ -289,8 +296,8 @@ class TestStreams:
         assert rngs[0] is rngs[1] is rngs[2]
 
     def test_public_draws_read_the_reference_stream(self, monkeypatch):
-        # Only the harness batches and _pvm_draw read _streams (the pinned
-        # harness reports run without SeededGenerator.rng in test_cli).
+        # Only the harness batches read _streams (the pinned harness reports
+        # run without SeededGenerator.rng in test_cli).
         monkeypatch.setattr(qc.SeededGenerator, "rng", property(_refuse_numpy_stream))
         gen = qc.SeededGenerator(1)
         for draw in (lambda: qc.random_pvm(2, [1, 1], gen), lambda: qc.haar_unitary(2, gen),
