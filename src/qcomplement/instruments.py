@@ -532,11 +532,17 @@ def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spe
 
 def _pvm_spectrum(stack: np.ndarray):
     """The support frame (U, owner, w) of the effects E_x = P_x^dag P_x of
-    a checked PVM stack, read from one eigh: U holds the columns of one
-    d x d matrix whose eigenvalue is at least 1/2, orthonormal within each
-    outcome's run.
+    a checked PVM stack: U holds the columns whose eigenvalue is at least
+    1/2, orthonormal within each outcome's run.
 
-    The eigenvalues of the Hermitian part of H = sum_x x P_x sit near the
+    A family of n = d projectors, each of rank 1 if it is a complete PVM,
+    is read with no eigh: outcome x's column is its pivoted column
+    P_x e_j / |P_x e_j| at j = argmax Re diag P_x, the first step of
+    Cholesky with complete pivoting (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, 10.3), with w = |P_x u_x|^2.
+
+    Other families are read from one eigh, of one d x d matrix. The
+    eigenvalues of the Hermitian part of H = sum_x x P_x sit near the
     outcome indices, so eigenvector j goes to outcome clip(rint(lambda_j),
     0, n - 1); each outcome's columns U_x are a run, since lambda ascends.
     One power step, E_x U_x orthonormalised into Q_x, turns the run onto
@@ -550,9 +556,22 @@ def _pvm_spectrum(stack: np.ndarray):
     tr E_x - tr(Q_x^dag E_x Q_x) = |P_x|_F^2 - sum(w on x's run). Where that
     reaches 1/2, below every cut 1 - prob_eq, a run may miss a support
     direction (eigenvalues of H off their index by 1/2 or more): the frame
-    is then read from the batched eigh of the effects, one per outcome.
+    is then read from the batched eigh of the effects, one per outcome. The
+    pivoted columns take the same test, with w_x alone on x's run; where it
+    fails, the family is read as any other.
     """
     n, d = stack.shape[:2]
+    flat = stack.reshape(n, -1).view(float)
+    squares = np.einsum("ij,ij->i", flat, flat)
+    if n == d:
+        cols = stack[np.arange(n), :, np.argmax(np.diagonal(stack, axis1=1, axis2=2).real, axis=1)]
+        norms = np.linalg.norm(cols, axis=1)
+        if norms.all():
+            u = cols / norms[:, None]
+            w = np.square(np.abs(stack @ u[..., None])).sum(axis=(1, 2))
+            if (squares - w < 0.5).all():
+                half = w >= 0.5
+                return u[half].T, np.flatnonzero(half), w[half]
     h = np.tensordot(np.arange(n, dtype=float), stack, axes=1)
     lam, u = np.linalg.eigh((h + h.conj().T) / 2.0)
     owner = np.clip(np.rint(lam), 0, n - 1).astype(int)
@@ -574,8 +593,7 @@ def _pvm_spectrum(stack: np.ndarray):
             w[cols], rot = np.linalg.eigh(images.conj().swapaxes(-1, -2) @ images)
             frames = frames @ rot
         u[:, cols] = frames.transpose(1, 0, 2)
-    flat = stack.reshape(n, -1).view(float)
-    if not (np.einsum("ij,ij->i", flat, flat) - np.bincount(owner, w, n) < 0.5).all():
+    if not (squares - np.bincount(owner, w, n) < 0.5).all():
         w, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
         u, owner, w = v.swapaxes(-1, -2).reshape(-1, d).T, np.repeat(np.arange(n), d), w.ravel()
     half = w >= 0.5

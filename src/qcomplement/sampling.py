@@ -117,7 +117,7 @@ def _streams(gens: list) -> Iterator[np.random.Generator]:
     32-bit words (an index of 2**32 or more takes several). ``SeedSequence``
     hashes each entropy word, the seed's and then the path's, into each of
     the four pool words in turn, with a hash constant that steps on every
-    hash whatever the data. So the seed's part is mixed once per group, by
+    hash whatever the data. So the seed's part is mixed once per seed, by
     numpy's ``SeedSequence(seed)``, whose ``pool`` holds it; the constant
     has by then stepped once per hash: 4 fill the pool, 12 mix across it,
     and 4 more come for each seed word past four. The path words of every child of the group
@@ -132,6 +132,7 @@ def _streams(gens: list) -> Iterator[np.random.Generator]:
     groups: dict[tuple[int, int], list[int]] = {}
     for row, (gen, path_words) in enumerate(zip(gens, words)):
         groups.setdefault((gen.seed, len(path_words)), []).append(row)
+    pools = {seed: np.random.SeedSequence(seed).pool for seed in {gen.seed for gen in gens}}
     states = [(0, 0)] * len(gens)
     for (seed, count), rows in groups.items():
         const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, len(_words(seed)) - 4), 2**32) & _MASK32
@@ -140,7 +141,7 @@ def _streams(gens: list) -> Iterator[np.random.Generator]:
         # Each path word hashed for each pool word: (children, words, 4).
         hashed = (entropy ^ consts[:-1].reshape(count, 4)) * consts[1:].reshape(count, 4)
         hashed ^= hashed >> 16
-        mixer = np.tile(np.random.SeedSequence(seed).pool, (len(rows), 1))
+        mixer = np.tile(pools[seed], (len(rows), 1))
         for k in range(count):
             mixer = mixer * np.uint32(_MIX_L) - hashed[:, k] * np.uint32(_MIX_R)
             mixer ^= mixer >> 16

@@ -561,12 +561,16 @@ class TestPvmCommuteGuards:
         assert got and loop_pvm_commute(p, q)
         assert pairs[0] == (0, 0) and len(pairs) <= 2
 
-    def test_a_skewed_projector_sends_its_pairs_direct(self, monkeypatch):
-        # Q_0 + 6e-9 u w^dag, u in Q_0's support and w in Q_1's, stays
-        # idempotent and within mat_eq of Hermitian; its delta, 6e-9, puts
-        # every pair of Q_0 within the margin of mat_eq, and those pairs
-        # alone run directly.
-        exact = rotated_pvm(8, 1, 0.0, 0)
+    @staticmethod
+    def skewed_pair(monkeypatch, d: int):
+        """P, rank-1 projectors on C^d with the last two joined when d is
+        odd, and Q, the same with Q_0 + 6e-9 u w^dag, u in Q_0's support and
+        w in Q_1's: idempotent and within mat_eq of Hermitian, delta 6e-9.
+        Returns the pairs ``pvm_commute`` ran directly, its verdict checked
+        against the loop, and the overlap table of the two frames."""
+        exact = rotated_pvm(d, 1, 0.0, 0)
+        if d % 2:
+            exact[f"p{d - 2}"] = exact[f"p{d - 2}"] + exact.pop(f"p{d - 1}")
         u, w = (np.linalg.eigh(exact[label])[1][:, -1] for label in ("p0", "p1"))
         q = qc.from_pvm({**exact, "p0": exact["p0"] + 6e-9 * np.outer(u, w.conj())})
         delta = instruments._support_deltas(list(q.projectors.values()), *support_frame(q, DEFAULT_TOL)[:2])
@@ -574,7 +578,26 @@ class TestPvmCommuteGuards:
         p = qc.from_pvm(exact)
         got, pairs = direct_pairs(monkeypatch, p, q)
         assert got and loop_pvm_commute(p, q)
+        (u_p, ranks_p, _), (u_q, ranks_q, _) = (support_frame(prop, DEFAULT_TOL) for prop in (p, q))
+        return pairs, compatibility._frame_commutators(u_p.conj().T @ u_q, ranks_p, ranks_q)
+
+    def test_a_skewed_projector_sends_its_pairs_direct(self, monkeypatch):
+        # Q_0's delta, 6e-9, puts every pair of Q_0 within the margin of
+        # mat_eq, and those pairs alone run directly. Eight outcomes on C^9
+        # take their frames from sum_x x P_x; Q_0's, turned onto its effect,
+        # tilts toward w, and its pairs top the overlap table.
+        pairs, _ = self.skewed_pair(monkeypatch, 9)
         assert sorted(set(pairs)) == [(x, 0) for x in range(8)] and len(pairs) == 8
+
+    def test_a_skewed_pivoted_column_sends_its_pairs_direct(self, monkeypatch):
+        # Eight rank-1 outcomes on C^8 read pivoted columns, Q_0's along u,
+        # untilted: the table is rounding throughout, and the pair of its
+        # largest entry runs directly besides Q_0's.
+        pairs, table = self.skewed_pair(monkeypatch, 8)
+        worst = tuple(int(i) for i in np.unravel_index(np.argmax(table), table.shape))
+        assert table.max() < 1e-14
+        expected = sorted({(x, 0) for x in range(8)} | {worst})
+        assert sorted(set(pairs)) == expected and len(pairs) == len(expected)
 
     def test_a_leaning_frame_sends_its_blocks_direct(self, monkeypatch):
         # P_0 and P_1 overlap by about 7e-9, so P's frame is orthonormal

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcomplement as qc
-from qcomplement import DegreeKind
+from qcomplement import DegreeKind, instruments
 from qcomplement.complementarity import _degrees
 from qcomplement.errors import StructureError
 from helpers import (
@@ -144,25 +144,55 @@ class TestAreComplementary:
         assert report.matched_bijection == {"lo": "lo", "hi": "hi"}
         assert report.degree_table["lo"].probabilities == {"lo": 1.0, "hi": 0.0}
 
-    def test_each_spectrum_is_computed_once_for_any_tolerance(self, monkeypatch):
-        # Rotated by 3e-4 rad, the supports differ at mat_eq = 1e-8 but are
-        # equal at ten times that, so the two tolerances give two verdicts.
-        theta = 3e-4
-        def build():
-            return qubit_z(), qc.from_pvm({"a": proj([np.cos(theta), np.sin(theta)]),
-                                           "b": proj([-np.sin(theta), np.cos(theta)])})
-        eigh, calls = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-        # Construction computes each spectrum, the three decisions none.
-        p, q = build()
-        assert len(calls) == 2
+    @staticmethod
+    def rotated_families(d: int):
+        """A basis family on C^d and the same with its first two vectors
+        rotated by 3e-4 rad, the other d - 2 joining outcome 1: the supports
+        differ at mat_eq = 1e-8 but are equal at ten times that, so the two
+        tolerances give two verdicts."""
+        theta, rest = 3e-4, np.diag([0.0, 0.0] + [1.0] * (d - 2))
+        basis, turned, across = np.eye(d), np.zeros(d), np.zeros(d)
+        turned[:2] = np.cos(theta), np.sin(theta)
+        across[:2] = -np.sin(theta), np.cos(theta)
+        return (qc.from_pvm({"z0": proj(basis[0]), "z1": proj(basis[1]) + rest}),
+                qc.from_pvm({"a": proj(turned), "b": proj(across) + rest}))
+
+    @staticmethod
+    def decide(p, q) -> qc.ComplementarityReport:
+        """The three decisions, the last at ten times the tolerances."""
         assert qc.classify_relation(p, q).complementary
         assert not qc.are_compatible_elementary(p, q)
-        scaled = qc.are_complementary(p, q, qc.DEFAULT_TOL.scaled(10))
-        assert len(calls) == 2
-        fresh = qc.are_complementary(*build(), qc.DEFAULT_TOL.scaled(10))
+        return qc.are_complementary(p, q, qc.DEFAULT_TOL.scaled(10))
+
+    def assert_a_fresh_pair_agrees(self, scaled, d: int):
+        fresh = qc.are_complementary(*self.rotated_families(d), qc.DEFAULT_TOL.scaled(10))
         assert scaled == fresh
         assert not scaled.complementary and scaled.matched_bijection == {"z0": "a", "z1": "b"}
+
+    def test_each_spectrum_is_computed_once_for_any_tolerance(self, monkeypatch):
+        # Two outcomes on C^3 take one eigh of sum_x x P_x each, and their
+        # rank-2 outcome one more. Construction computes each spectrum, the
+        # three decisions none.
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        p, q = self.rotated_families(3)
+        assert calls == [(3, 3), (1, 2, 2)] * 2
+        scaled = self.decide(p, q)
+        assert calls == [(3, 3), (1, 2, 2)] * 2
+        self.assert_a_fresh_pair_agrees(scaled, 3)
+
+    def test_each_pivoted_frame_is_computed_once_for_any_tolerance(self, monkeypatch):
+        # Two outcomes on C^2 read their pivoted columns: construction
+        # computes each frame with no eigh, the three decisions none.
+        eigh, calls, spectrum, frames = np.linalg.eigh, [], instruments._pvm_spectrum, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        monkeypatch.setattr(instruments, "_pvm_spectrum", lambda stack: frames.append(stack.shape) or spectrum(stack))
+        p, q = self.rotated_families(2)
+        assert calls == [] and frames == [(2, 2, 2)] * 2
+        assert [prop._spectrum[1].tolist() for prop in (p, q)] == [[0, 1]] * 2
+        scaled = self.decide(p, q)
+        assert calls == [] and frames == [(2, 2, 2)] * 2
+        self.assert_a_fresh_pair_agrees(scaled, 2)
 
     @pytest.mark.parametrize("decide", [qc.are_complementary, qc.classify_relation])
     def test_outcome_without_verifier_raises(self, decide):

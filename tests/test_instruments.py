@@ -163,6 +163,8 @@ def projective_instrument(mats: dict) -> qc.Instrument:
 
 
 X_PVM = {"xp": proj(PLUS), "xm": proj([1.0, -1.0])}
+# A mixed rank profile, n < d outcomes: its frame comes from sum_x x P_x.
+PLUS_REST = {"xp": proj([1.0, 1.0, 0.0]), "rest": proj([1.0, -1.0, 0.0]) + np.diag([0.0, 0.0, 1.0])}
 
 
 class TestFromPvm:
@@ -280,17 +282,17 @@ class TestFromPvm:
             qc.instrument_from_operations(ops)
 
     @pytest.mark.parametrize("build", [
-        lambda: qc.from_pvm({"a": proj(PLUS), "b": proj([1.0, -1.0])}),
-        lambda: qc.ElementaryProperty(projective_instrument(X_PVM), X_PVM),
+        lambda: qc.from_pvm(PLUS_REST),
+        lambda: qc.ElementaryProperty(projective_instrument(PLUS_REST), PLUS_REST),
         lambda: qc.from_pvm(rotated_pvm(6, 2, 0.0, 4)),
-        lambda: qc.from_pvm({"lo": proj(E0), "hi": proj(E1)}),
+        lambda: qc.from_pvm({"lo": np.diag([1.0, 0.0, 0.0]), "hi": np.diag([0.0, 1.0, 1.0])}),
     ], ids=["from_pvm", "constructor", "rank2", "diagonal"])
     def test_spectrum_is_one_unitary_from_the_outcome_index_sum(self, build, monkeypatch):
-        # Projectors from outside: one eigh, of sum_x x P_x, frames every
-        # outcome; eigenvector j goes to outcome rint(lambda_j). The frame,
-        # unitary on these exact families, is held as one d x d array with
-        # each column's owner, and w holds the effect P_x^dag P_x compressed
-        # to x's columns.
+        # Projectors from outside, fewer than d: one eigh, of sum_x x P_x,
+        # frames every outcome; eigenvector j goes to outcome rint(lambda_j).
+        # The frame, unitary on these exact families, is held as one d x d
+        # array with each column's owner, and w holds the effect P_x^dag P_x
+        # compressed to x's columns.
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         prop = build()
@@ -308,7 +310,33 @@ class TestFromPvm:
             compressed = (p @ u[:, cols]).conj().T @ (p @ u[:, cols])
             assert np.linalg.norm(compressed - np.diag(w[cols])) <= 1e-14
         # Rank-1 clusters read |P_x q|^2; each larger size takes one eigh.
-        assert calls == [(d, d)] + [(n, 2, 2)] * (n < d)
+        ranks = np.bincount(owner, minlength=n)
+        assert calls == [(d, d)] + [(int((ranks == k).sum()), k, k) for k in sorted(set(ranks.tolist())) if k > 1]
+
+    @pytest.mark.parametrize("build", [
+        lambda: qc.from_pvm({"a": proj(PLUS), "b": proj([1.0, -1.0])}),
+        lambda: qc.ElementaryProperty(projective_instrument(X_PVM), X_PVM),
+        lambda: qc.from_pvm(rotated_pvm(6, 1, 0.0, 4)),
+        lambda: qc.from_pvm({"lo": proj(E0), "hi": proj(E1)}),
+    ], ids=["from_pvm", "constructor", "rank1", "diagonal"])
+    def test_a_rank1_family_reads_its_pivoted_columns(self, build, monkeypatch):
+        # d projectors on C^d: no eigh. Outcome x's one column is P_x's
+        # column at the largest diagonal entry, normalised, and w its
+        # |P_x u|^2; the frame is unitary on these exact families.
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        prop = build()
+        assert calls == []
+        stack = np.stack(list(prop.projectors.values()))
+        d = len(stack)
+        u, owner, w = prop._spectrum
+        assert u.shape == (d, d) and np.array_equal(owner, np.arange(d))
+        assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-14
+        for x, p in enumerate(stack):
+            pivoted = p[:, np.argmax(np.diagonal(p).real)]
+            assert np.linalg.norm(u[:, x] - pivoted / np.linalg.norm(pivoted)) <= 1e-15
+            assert abs(np.linalg.norm(u[:, x]) - 1.0) <= 1e-15
+            assert abs(w[x] - np.linalg.norm(p @ u[:, x]) ** 2) <= 1e-15
 
     def test_extraction_keeps_the_projectors_exact_spectrum(self):
         # The kept eigenvectors of E, eigenvalue 1: no second eigh, and every
@@ -429,27 +457,52 @@ class TestPvmCheckOracle:
         assert got == loop_check_pvm(mats, 8) and "orthogonal" not in str(got)
         assert shapes == [(8, 8, 8), (1, 8, 8)]
 
-    @pytest.mark.parametrize("skewed, partner", [("p0", "p1"), ("p1", "p2")])
-    def test_a_skewed_projector_widens_its_bound(self, monkeypatch, skewed, partner):
-        # P + 3e-9 u w^dag, u in P's support and w in its partner's, stays
-        # idempotent and within mat_eq of Hermitian, and |P Q|_F = 3e-9; an
-        # exact pair's bound reads about 5e-15. P's effect, and the frame
-        # turned onto it, tilts toward w by about 3e-9, and delta adds as
-        # much again: the bound, 6e-9, sends that pair alone to the direct
-        # check, which accepts it, wherever P sits in sum_x x P_x. Its
-        # delta, 3e-9, also leaves P's own checks uncertified: after the
-        # stacked norm of the deltas, P alone takes the direct Hermitian and
-        # idempotent norms.
-        mats = rotated_pvm(8, 1, 0.0, 0)
+    def skewed_norms(self, monkeypatch, d: int, skewed: str, partner: str) -> tuple[list, int, int, list]:
+        """Rank-1 projectors on C^d, the last two joined when d is odd, with
+        ``skewed`` turned to P + 3e-9 u w^dag, u in P's support and w in
+        ``partner``'s. Checks that ``from_pvm`` accepts it as the loop does
+        and that its frame's bounds leave P's own checks alone uncertified;
+        returns the stacked norms ``from_pvm`` took, the pair's positions,
+        and the pairs the bounds leave uncertified."""
+        mats = rotated_pvm(d, 1, 0.0, 0)
+        if d % 2:
+            mats[f"p{d - 2}"] = mats[f"p{d - 2}"] + mats.pop(f"p{d - 1}")
         u, w = (np.linalg.eigh(mats[label])[1][:, -1] for label in (skewed, partner))
         mats[skewed] = mats[skewed] + 3e-9 * np.outer(u, w.conj())
         got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
-        assert got is None and loop_check_pvm(mats, 8) is None
-        assert shapes == [(8, 8, 8)] + [(1, 8, 8)] * 3
+        assert got is None and loop_check_pvm(mats, d) is None
         a, b = (list(mats).index(label) for label in (skewed, partner))
         stack = np.stack(list(mats.values()))
-        bound = instruments._pvm_bounds(stack, qc.from_pvm(mats)._spectrum, qc.DEFAULT_TOL)[3]
-        assert np.linalg.norm(stack[a] @ stack[b]) <= bound[a, b]
+        bounds = instruments._pvm_bounds(stack, qc.from_pvm(mats)._spectrum, qc.DEFAULT_TOL)
+        assert np.linalg.norm(stack[a] @ stack[b]) <= bounds[3][a, b]
+        # The direct norms are those the bounds leave uncertified.
+        _, hermitian, idempotent, pairs = bounds
+        assert np.flatnonzero(~(np.maximum(hermitian, idempotent) <= qc.DEFAULT_TOL.mat_eq / 2)).tolist() == [a]
+        return shapes, a, b, np.argwhere(np.triu(~(pairs <= qc.DEFAULT_TOL.mat_eq / 2), 1)).tolist()
+
+    @pytest.mark.parametrize("skewed, partner", [("p0", "p1"), ("p1", "p2")])
+    def test_a_skewed_projector_widens_its_bound(self, monkeypatch, skewed, partner):
+        # |P Q|_F = 3e-9 for the skewed P and its partner Q, and P stays
+        # idempotent and within mat_eq of Hermitian; an exact pair's bound
+        # reads about 5e-15. Eight outcomes on C^9 take the frame from
+        # sum_x x P_x: P's effect, and the frame turned onto it, tilts
+        # toward w by about 3e-9, and delta adds as much again. The bound,
+        # 6e-9, sends that pair alone to the direct check, which accepts it,
+        # wherever P sits in sum_x x P_x. Its delta, 3e-9, also leaves P's
+        # own checks uncertified: after the stacked norm of the deltas, P
+        # alone takes the direct Hermitian and idempotent norms.
+        shapes, a, b, direct = self.skewed_norms(monkeypatch, 9, skewed, partner)
+        assert direct == [[a, b]]
+        assert shapes == [(8, 9, 9)] + [(1, 9, 9)] * 3
+
+    @pytest.mark.parametrize("skewed, partner", [("p0", "p1"), ("p1", "p2")])
+    def test_a_pivoted_column_certifies_a_skewed_pair(self, monkeypatch, skewed, partner):
+        # The same skew on eight rank-1 projectors on C^8: P's pivoted
+        # column P e_j lies along u, untilted, so the pair's bound is about
+        # delta, 3e-9, and certifies it. P's own checks still run directly.
+        shapes, a, b, direct = self.skewed_norms(monkeypatch, 8, skewed, partner)
+        assert direct == []
+        assert shapes == [(8, 8, 8)] + [(1, 8, 8)] * 2
 
     @staticmethod
     def perturbed(d: int, ranks: list, kind: str, t: float) -> dict:
@@ -568,6 +621,109 @@ class TestPvmCheckOracle:
                 with pytest.raises(ExtractionError) as err:
                     qc.to_elementary(ins)
                 assert str(err.value) == oracle
+
+
+def missing_family(d: int = 8) -> dict:
+    """d Haar-rotated diagonal outcomes on C^d that pass the PVM check at
+    mat_eq = 0.3: p0 holds eigenvalues 1 and 0.75, so |P_0|_F^2 - w_0 reaches
+    1/2 off its pivoted column, and the family is read as one with n < d."""
+    diag = np.zeros((d, d))
+    diag[0, :2] = 1.0, 0.75
+    diag[1, 1:3] = 0.25, 0.3
+    diag[2, 2] = 0.7
+    diag[3:, 3:] = np.eye(d - 3)
+    u = haar_unitary(d, np.random.default_rng(6))
+    return {f"p{x}": (u * row) @ u.conj().T for x, row in enumerate(diag)}
+
+
+class TestPivotedFrames:
+    """A family of d outcomes on C^d reads each projector's pivoted column,
+    with no eigh, where the min-max test admits it, and decides as the
+    pairwise loop does either way."""
+
+    @staticmethod
+    def decide_counting_eigh(monkeypatch, mats: dict, tol=qc.DEFAULT_TOL) -> tuple[str | None, list]:
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        got = TestPvmCheckOracle.decide(lambda: qc.from_pvm(mats, tol))
+        monkeypatch.undo()
+        return got, calls
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64, 128])
+    def test_exact_rank1_families_certify_every_check(self, d):
+        # Each projector's Hermitian and idempotent bounds, and each pair's,
+        # are within mat_eq / 2. Both they and those of the frame the min-max
+        # fallback reads, from the effects' batched eigh, are the rounding
+        # term 16 d^2 u to within a few percent.
+        stack = np.stack(list(rotated_pvm(d, 1, 0.0, d).values()))
+        spectrum = instruments._pvm_spectrum(stack)
+        assert np.array_equal(spectrum[1], np.arange(d))
+        w, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        fallback = (v[:, :, -1].T, np.arange(d), w[:, -1])
+        off = ~np.eye(d, dtype=bool)
+        bounds, reference = (instruments._pvm_bounds(stack, frame, qc.DEFAULT_TOL) for frame in (spectrum, fallback))
+        for got, want in zip((*bounds[1:3], bounds[3][off]), (*reference[1:3], reference[3][off])):
+            assert got.max() <= qc.DEFAULT_TOL.mat_eq / 2
+            assert got.max() <= 1.05 * want.max()
+        if d <= 32:
+            TestPvmCheckOracle.assert_bounds_hold(stack, spectrum, qc.DEFAULT_TOL, held=False)
+
+    @pytest.mark.parametrize("tol", [qc.Tolerances(mat_eq=0.3), qc.Tolerances(mat_eq=0.15), qc.DEFAULT_TOL],
+                             ids=["accepted", "loose", "default"])
+    def test_a_family_the_min_max_test_refuses_falls_back(self, monkeypatch, tol):
+        # p0's pivoted column leaves 0.5625 of |P_0|_F^2: the frame comes
+        # from sum_x x P_x, its rank-2 run from one more eigh, and the
+        # verdict and message are the loop's.
+        mats = missing_family()
+        stack = np.stack(list(mats.values()))
+        flat = stack.reshape(8, -1)
+        pivoted = stack[np.arange(8), :, np.argmax(np.diagonal(stack, axis1=1, axis2=2).real, axis=1)]
+        w = np.linalg.norm(stack @ (pivoted / np.linalg.norm(pivoted, axis=1)[:, None])[..., None], axis=(1, 2)) ** 2
+        assert (np.linalg.norm(flat, axis=1) ** 2 - w)[0] > 0.5
+        got, calls = self.decide_counting_eigh(monkeypatch, mats, tol)
+        assert got == loop_check_pvm(mats, 8, tol)
+        assert calls[0] == (8, 8)
+        if got is None:
+            assert qc.from_pvm(mats, tol)._spectrum[1].tolist() == [0, 0, 3, 4, 5, 6, 7]
+
+    def test_a_zero_projector_falls_back_to_its_message(self, monkeypatch):
+        # No pivoted column exists; nothing divides by zero, and the check
+        # names the zero projector as the loop does.
+        mats = rotated_pvm(8, 1, 0.0, 0)
+        mats["p3"] = np.zeros((8, 8), dtype=complex)
+        got, calls = self.decide_counting_eigh(monkeypatch, mats)
+        assert got == loop_check_pvm(mats, 8) == "projector 'p3' is zero, it admits no verifier"
+        assert calls[0] == (8, 8)
+
+    @pytest.mark.parametrize("d", [8, 16, 32])
+    def test_sweeps_match_the_loop_on_pivoted_columns(self, monkeypatch, d):
+        # Rotation sweeps and the perturbations of the soundness sweep, all
+        # d outcomes of rank 1: no eigh, and the loop's verdict and message.
+        families = [rotated_pvm(d, 1, theta, 0) for theta in THETAS]
+        families += [TestPvmCheckOracle.perturbed(d, [1] * d, kind, factor * qc.DEFAULT_TOL.mat_eq)
+                     for kind in ("skew", "scale", "rotation") for factor in (1 / 8, 1, 8)]
+        seen = set()
+        for mats in families:
+            got, calls = self.decide_counting_eigh(monkeypatch, mats)
+            assert got == loop_check_pvm(mats, d) and calls == []
+            seen.add(got and got.split()[-1])
+        assert {None, "Hermitian", "idempotent", "orthogonal"} <= seen
+
+    def test_the_drifted_family_matches_the_loop(self, monkeypatch):
+        # Six outcomes on C^7, one run missing a support direction: each
+        # effect's eigh frames the family, and the loop decides the same.
+        tol = qc.Tolerances(mat_eq=0.15)
+        got, calls = self.decide_counting_eigh(monkeypatch, drifted_family(), tol)
+        assert got is None and loop_check_pvm(drifted_family(), 7, tol) is None
+        assert calls == [(7, 7), (1, 2, 2), (6, 7, 7)]
+
+    @pytest.mark.parametrize("trip", ["pickle", "deepcopy"])
+    def test_round_trips_carry_the_pivoted_frame_bit_for_bit(self, trip):
+        prop = qc.from_pvm(rotated_pvm(16, 1, 0.0, 2))
+        assert np.array_equal(prop._spectrum[1], np.arange(16)) and prop._deltas is not None
+        copied = ROUND_TRIPS[trip](prop)
+        assert [a.tobytes() for a in copied._spectrum] == [a.tobytes() for a in prop._spectrum]
+        assert copied._spectrum[0].shape == (16, 16) and copied._deltas.tobytes() == prop._deltas.tobytes()
 
 
 def held_supports(prop, tol) -> list[np.ndarray]:

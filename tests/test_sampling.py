@@ -291,6 +291,17 @@ class TestStreams:
                                                       (0, (2**32, 3, 1)), (4, ()))]
         assert [_first_draws(rng) for rng in _streams(gens)] == [_first_draws(g.rng) for g in gens]
 
+    def test_each_seed_is_mixed_once(self, monkeypatch):
+        # The quantum batch's trial streams and their child 0 hold paths of
+        # one word and of two: one SeedSequence per distinct seed.
+        gens = [qc.SeededGenerator(seed, path) for seed in (5, 2**128 + 3) for path in ((1,), (1, 0), (2**32, 0, 1))]
+        made, seed_sequence = [], np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence", lambda entropy: made.append(entropy) or seed_sequence(entropy))
+        states = [_first_draws(rng) for rng in _streams(gens)]
+        monkeypatch.undo()
+        assert sorted(made) == [5, 2**128 + 3]
+        assert states == [_first_draws(g.rng) for g in gens]
+
     def test_one_generator_is_reused_for_every_stream(self):
         rngs = list(_streams([qc.SeededGenerator(6).child(i) for i in range(3)]))
         assert rngs[0] is rngs[1] is rngs[2]
