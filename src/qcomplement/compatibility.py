@@ -24,6 +24,7 @@ from .instruments import (
     ElementaryProperty,
     Instrument,
     _chunks,
+    _labels,
     _support_deltas,
 )
 from .linalg import _CHUNK_CELLS, DEFAULT_TOL, Tolerances, _index, _supports
@@ -76,11 +77,9 @@ class ExclusionWitness:
                 f"declared factors {d_b}x{d_e} do not multiply to the realisation "
                 f"output dimension {self.c.dim_out}"
             )
-        partition = {x: tuple(zs) for x, zs in self.partition.items()}
+        partition = {x: _labels(zs, f"partition block {x!r}") for x, zs in self.partition.items()}
         seen: set[str] = set()
         for x, zs in partition.items():
-            if not zs:
-                raise StructureError(f"partition block {x!r} is empty")
             for z in zs:
                 if z not in self.c.outcomes:
                     raise StructureError(f"partition block {x!r} names unknown outcome {z!r}")

@@ -9,7 +9,7 @@ insertion order, so reports and bijection search are deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import reduce
 from math import isqrt
@@ -328,6 +328,17 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     return _elementary(ins, dict(zip(ins.labels, stack)), spectrum, np.zeros(len(stack)))
 
 
+def _labels(value, name: str) -> tuple[str, ...]:
+    """``value`` as a nonempty tuple of str labels, else ``StructureError``;
+    a bare str, which ``tuple`` would split into its characters, is refused."""
+    labels = tuple(value) if isinstance(value, Iterable) and not isinstance(value, str) else (None,)
+    if not all(isinstance(label, str) for label in labels):
+        raise StructureError(f"{name} must be an iterable of str labels, got {value!r}")
+    if not labels:
+        raise StructureError(f"{name} is empty")
+    return labels
+
+
 @dataclass(frozen=True)
 class OutcomePartition:
     """Disjoint blocks of old outcome labels, keyed by the new labels."""
@@ -335,13 +346,11 @@ class OutcomePartition:
     blocks: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
-        blocks = {new: tuple(olds) for new, olds in self.blocks.items()}
+        blocks = {new: _labels(olds, f"block {new!r}") for new, olds in self.blocks.items()}
         if not blocks:
             raise StructureError("partition needs at least one block")
         seen: set[str] = set()
-        for new, olds in blocks.items():
-            if not olds:
-                raise StructureError(f"block {new!r} is empty")
+        for olds in blocks.values():
             for old in olds:
                 if old in seen:
                     raise StructureError(f"label {old!r} appears in more than one block")
@@ -533,71 +542,61 @@ def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spe
 def _pvm_spectrum(stack: np.ndarray):
     """The support frame (U, owner, w) of the effects E_x = P_x^dag P_x of
     a checked PVM stack: U holds the columns whose eigenvalue is at least
-    1/2, orthonormal within each outcome's run.
+    1/2, orthonormal within each outcome's run (README, "Numerical
+    conventions").
 
-    A family of n = d projectors, each of rank 1 if it is a complete PVM,
-    is read with no eigh: outcome x's column is its pivoted column
-    P_x e_j / |P_x e_j| at j = argmax Re diag P_x, the first step of
-    Cholesky with complete pivoting (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, 10.3), with w = |P_x u_x|^2.
-
-    Other families are read from one eigh, of one d x d matrix. The
-    eigenvalues of the Hermitian part of H = sum_x x P_x sit near the
-    outcome indices, so eigenvector j goes to outcome clip(rint(lambda_j),
-    0, n - 1); each outcome's columns U_x are a run, since lambda ascends.
-    One power step, E_x U_x orthonormalised into Q_x, turns the run onto
-    the effect's range, from which U_x leans by about the family's overlaps.
-    On its run, w holds the eigenvalues of (P_x Q_x)^dag (P_x Q_x), the
-    effect compressed to Q_x, whose eigenvectors rotate Q_x. A rank-1 run
-    reads |P_x q|^2 directly, and larger ones take one stacked eigh per run
-    length.
-
-    By min-max, every eigenvalue of E_x off the top |U_x| is at most
-    tr E_x - tr(Q_x^dag E_x Q_x) = |P_x|_F^2 - sum(w on x's run). Where that
-    reaches 1/2, below every cut 1 - prob_eq, a run may miss a support
-    direction (eigenvalues of H off their index by 1/2 or more): the frame
-    is then read from the batched eigh of the effects, one per outcome. The
-    pivoted columns take the same test, with w_x alone on x's run; where it
-    fails, the family is read as any other.
+    Outcome x's run is read from k_x = min(rint(|P_x|_F^2), d) columns of
+    P_x, chosen by Cholesky with complete pivoting (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, 10.3): on a projector
+    every pivot is at least 1/d, so they are independent. A rank-1 column
+    is only normalised, to u, with w = |P_x u|^2; a wider run is
+    orthonormalised, one stacked QR per rank, and w holds the eigenvalues
+    of the effect compressed to it, whose eigenvectors rotate it: one
+    stacked k x k eigh per rank. By min-max, every eigenvalue of E_x off
+    the top k_x is at most |P_x|_F^2 - sum(w on x's run); where that
+    reaches 1/2, below every cut 1 - prob_eq, the frame is read from the
+    batched eigh of the effects instead.
     """
     n, d = stack.shape[:2]
     flat = stack.reshape(n, -1).view(float)
     squares = np.einsum("ij,ij->i", flat, flat)
-    if n == d:
-        cols = stack[np.arange(n), :, np.argmax(np.diagonal(stack, axis1=1, axis2=2).real, axis=1)]
-        norms = np.linalg.norm(cols, axis=1)
-        if norms.all():
-            u = cols / norms[:, None]
-            w = np.square(np.abs(stack @ u[..., None])).sum(axis=(1, 2))
-            if (squares - w < 0.5).all():
-                half = w >= 0.5
-                return u[half].T, np.flatnonzero(half), w[half]
-    h = np.tensordot(np.arange(n, dtype=float), stack, axes=1)
-    lam, u = np.linalg.eigh((h + h.conj().T) / 2.0)
-    owner = np.clip(np.rint(lam), 0, n - 1).astype(int)
-    sizes = np.bincount(owner, minlength=n)
-    starts = np.cumsum(sizes) - sizes
-    w = np.zeros(d)
-    for k in sorted(set(sizes[sizes > 0].tolist())):
-        xs = np.flatnonzero(sizes == k)
-        cols = starts[xs, None] + np.arange(k)
-        # Every run of one length (rank-1 PVMs, equal blocks): no copy of the stack.
-        p = stack if len(xs) == n else stack[xs]
-        # E_x U_x = ((P_x U_x)^dag P_x)^dag, without a conjugate copy of P_x.
-        turned = ((p @ u[:, cols].transpose(1, 0, 2)).conj().swapaxes(-1, -2) @ p).conj().swapaxes(-1, -2)
-        frames = np.linalg.qr(turned)[0]
-        images = p @ frames
+    ranks = np.minimum(np.rint(squares), d).astype(int)
+    diag = np.diagonal(stack, axis1=1, axis2=2).real
+    ends = np.cumsum(ranks)
+    starts, rows, w = ends - ranks, np.empty((ends[-1], d), dtype=complex), np.empty(ends[-1])
+    for k in sorted(set(ranks[ranks > 0].tolist())):
+        xs = np.flatnonzero(ranks == k)
+        # Every run of one rank (rank-1 PVMs, equal blocks): no copy of the stack.
+        p, at = stack if len(xs) == n else stack[xs], np.arange(len(xs))
         if k == 1:
-            w[cols] = np.square(np.abs(images)).sum(axis=1)
-        else:
-            w[cols], rot = np.linalg.eigh(images.conj().swapaxes(-1, -2) @ images)
-            frames = frames @ rot
-        u[:, cols] = frames.transpose(1, 0, 2)
+            cols = p[at, :, np.argmax(diag[xs], axis=1)]
+            norms = np.linalg.norm(cols, axis=1)
+            # A zero column stays zero, w = 0, and the min-max test refuses it.
+            rows[starts[xs]] = u = cols / np.where(norms > 0.0, norms, 1.0)[:, None]
+            w[starts[xs]] = np.square(np.abs(p @ u[..., None])).sum(axis=(1, 2))
+            continue
+        # Each pivot is the largest diagonal entry of the Schur complement the
+        # earlier steps leave; row j of chol[i] is column j of xs[i]'s factor.
+        res, floor = diag[xs].copy(), np.finfo(float).eps * squares[xs]
+        chol = np.zeros((len(xs), k, d), dtype=complex)
+        for j in range(k):
+            piv = np.argmax(res, axis=1)
+            col, pivot = p[at, :, piv] - (chol[at, :j, piv].conj()[:, None] @ chol[:, :j])[:, 0], res[at, piv]
+            # A pivot at rounding level adds no direction: its column stays zero.
+            chol[:, j] = col * (np.where(pivot > floor, pivot, np.inf) ** -0.5)[:, None]
+            res -= np.square(np.abs(chol[:, j]))
+            res[at, piv] = -np.inf
+        frames = np.linalg.qr(chol.swapaxes(-1, -2))[0]
+        images = p @ frames
+        run = starts[xs, None] + np.arange(k)
+        w[run], rot = np.linalg.eigh(images.conj().swapaxes(-1, -2) @ images)
+        rows[run] = (frames @ rot).swapaxes(-1, -2)
+    owner = np.repeat(np.arange(n), ranks)
     if not (squares - np.bincount(owner, w, n) < 0.5).all():
         w, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
-        u, owner, w = v.swapaxes(-1, -2).reshape(-1, d).T, np.repeat(np.arange(n), d), w.ravel()
+        rows, owner, w = v.swapaxes(-1, -2).reshape(-1, d), np.repeat(np.arange(n), d), w.ravel()
     half = w >= 0.5
-    return u.T[half].T, owner[half], w[half]
+    return rows[half].T, owner[half], w[half]
 
 
 # From this many outcomes on, ``_check_pvm`` certifies the Hermitian and

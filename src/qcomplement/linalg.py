@@ -42,8 +42,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("eig_cut", "mat_eq", "prob_eq"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:  # an infinite threshold passes every test it bounds
+                raise ValueError(f"{name} must be {'finite' if value > 0.0 else 'strictly positive'}")
         if not self.prob_eq < 0.5:
             raise ValueError("prob_eq must be below 0.5")
 

@@ -73,6 +73,15 @@ class TestExclusionWitnessConstruction:
         with pytest.raises(StructureError, match="must be an integer"):
             qc.ExclusionWitness(c=w.c, dims_out=dims_out, partition=w.partition, post=w.post)
 
+    @pytest.mark.parametrize("block", ["z0", "z1", None, ("z0", 1), [b"z1"], ()])
+    def test_rejects_a_partition_block_that_is_not_str_labels(self, block):
+        # A bare str would be copied as its characters: ("z", "0").
+        w = qc.self_witness(z_instrument())
+        partition = {**w.partition, "z1": block}
+        fault = "is empty" if block == () else "must be an iterable of str labels"
+        with pytest.raises(StructureError, match=f"partition block 'z1' {fault}"):
+            qc.ExclusionWitness(c=w.c, dims_out=w.dims_out, partition=partition, post=w.post)
+
     @pytest.mark.parametrize("factors", [(2.5, 2), (2, 2.0), (True, 2)])
     def test_rejects_non_integer_ancilla_factors(self, factors):
         with pytest.raises(StructureError, match="must be an integer"):
@@ -562,17 +571,20 @@ class TestPvmCommuteGuards:
         assert pairs[0] == (0, 0) and len(pairs) <= 2
 
     @staticmethod
-    def skewed_pair(monkeypatch, d: int):
+    def skewed_pair(monkeypatch, d: int, tilt: bool = False):
         """P, rank-1 projectors on C^d with the last two joined when d is
         odd, and Q, the same with Q_0 + 6e-9 u w^dag, u in Q_0's support and
-        w in Q_1's: idempotent and within mat_eq of Hermitian, delta 6e-9.
-        Returns the pairs ``pvm_commute`` ran directly, its verdict checked
-        against the loop, and the overlap table of the two frames."""
+        w in Q_1's, or with ``tilt`` Q_0 + 6e-9 w u^dag, whose columns lean
+        toward Q_1's support: idempotent and within mat_eq of Hermitian,
+        delta 6e-9. Returns the pairs ``pvm_commute`` ran directly, its
+        verdict checked against the loop, and the overlap table of the two
+        frames."""
         exact = rotated_pvm(d, 1, 0.0, 0)
         if d % 2:
             exact[f"p{d - 2}"] = exact[f"p{d - 2}"] + exact.pop(f"p{d - 1}")
         u, w = (np.linalg.eigh(exact[label])[1][:, -1] for label in ("p0", "p1"))
-        q = qc.from_pvm({**exact, "p0": exact["p0"] + 6e-9 * np.outer(u, w.conj())})
+        skew = np.outer(w, u.conj()) if tilt else np.outer(u, w.conj())
+        q = qc.from_pvm({**exact, "p0": exact["p0"] + 6e-9 * skew})
         delta = instruments._support_deltas(list(q.projectors.values()), *support_frame(q, DEFAULT_TOL)[:2])
         assert 5.9e-9 < delta[0] < 6.1e-9 and delta[1:].max() < 1e-14
         p = qc.from_pvm(exact)
@@ -583,10 +595,10 @@ class TestPvmCommuteGuards:
 
     def test_a_skewed_projector_sends_its_pairs_direct(self, monkeypatch):
         # Q_0's delta, 6e-9, puts every pair of Q_0 within the margin of
-        # mat_eq, and those pairs alone run directly. Eight outcomes on C^9
-        # take their frames from sum_x x P_x; Q_0's, turned onto its effect,
-        # tilts toward w, and its pairs top the overlap table.
-        pairs, _ = self.skewed_pair(monkeypatch, 9)
+        # mat_eq, and those pairs alone run directly. Eight outcomes on C^9,
+        # the last of rank 2: Q_0's pivoted column Q_0 e_j leans toward w by
+        # about 6e-9, and its pairs top the overlap table.
+        pairs, _ = self.skewed_pair(monkeypatch, 9, tilt=True)
         assert sorted(set(pairs)) == [(x, 0) for x in range(8)] and len(pairs) == 8
 
     def test_a_skewed_pivoted_column_sends_its_pairs_direct(self, monkeypatch):

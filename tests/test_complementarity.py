@@ -170,15 +170,15 @@ class TestAreComplementary:
         assert not scaled.complementary and scaled.matched_bijection == {"z0": "a", "z1": "b"}
 
     def test_each_spectrum_is_computed_once_for_any_tolerance(self, monkeypatch):
-        # Two outcomes on C^3 take one eigh of sum_x x P_x each, and their
-        # rank-2 outcome one more. Construction computes each spectrum, the
-        # three decisions none.
+        # Two outcomes on C^3: the rank-2 outcome's run takes one 2 x 2 eigh
+        # of its compressed effect, the rank-1 one none. Construction computes
+        # each spectrum, the three decisions none.
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         p, q = self.rotated_families(3)
-        assert calls == [(3, 3), (1, 2, 2)] * 2
+        assert calls == [(1, 2, 2)] * 2
         scaled = self.decide(p, q)
-        assert calls == [(3, 3), (1, 2, 2)] * 2
+        assert calls == [(1, 2, 2)] * 2
         self.assert_a_fresh_pair_agrees(scaled, 3)
 
     def test_each_pivoted_frame_is_computed_once_for_any_tolerance(self, monkeypatch):

@@ -142,6 +142,14 @@ class TestCoarseGrain:
         with pytest.raises(StructureError):
             qc.coarse_grain(z_instrument(), qc.OutcomePartition({"a": ("z0", "nope")}))
 
+    @pytest.mark.parametrize("block", ["z0", "ab", None, ("z0", 1), [b"z0"], ()])
+    def test_partition_refuses_a_block_that_is_not_str_labels(self, block):
+        # A bare str would be read as its characters: ("z", "0"), and a
+        # coarse grain would then report "label 'z'" or two labels "a", "b".
+        fault = "is empty" if block == () else "must be an iterable of str labels"
+        with pytest.raises(StructureError, match=f"block 'a' {fault}"):
+            qc.OutcomePartition({"a": block})
+
     def test_partition_rejects_overlap(self):
         with pytest.raises(StructureError):
             qc.OutcomePartition({"a": ("z0",), "b": ("z0", "z1")})
@@ -163,7 +171,7 @@ def projective_instrument(mats: dict) -> qc.Instrument:
 
 
 X_PVM = {"xp": proj(PLUS), "xm": proj([1.0, -1.0])}
-# A mixed rank profile, n < d outcomes: its frame comes from sum_x x P_x.
+# A mixed rank profile, n < d outcomes: a rank-1 and a rank-2 run.
 PLUS_REST = {"xp": proj([1.0, 1.0, 0.0]), "rest": proj([1.0, -1.0, 0.0]) + np.diag([0.0, 0.0, 1.0])}
 
 
@@ -287,31 +295,37 @@ class TestFromPvm:
         lambda: qc.from_pvm(rotated_pvm(6, 2, 0.0, 4)),
         lambda: qc.from_pvm({"lo": np.diag([1.0, 0.0, 0.0]), "hi": np.diag([0.0, 1.0, 1.0])}),
     ], ids=["from_pvm", "constructor", "rank2", "diagonal"])
-    def test_spectrum_is_one_unitary_from_the_outcome_index_sum(self, build, monkeypatch):
-        # Projectors from outside, fewer than d: one eigh, of sum_x x P_x,
-        # frames every outcome; eigenvector j goes to outcome rint(lambda_j).
-        # The frame, unitary on these exact families, is held as one d x d
-        # array with each column's owner, and w holds the effect P_x^dag P_x
-        # compressed to x's columns.
-        eigh, calls = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    def test_spectrum_is_one_unitary_from_pivoted_runs(self, build, monkeypatch):
+        # Projectors from outside, fewer than d: outcome x's run is read from
+        # rint(|P_x|_F^2) pivoted columns of P_x, in its range. The frame,
+        # unitary on these exact families, is held as one d x d array with
+        # each column's owner, and w holds the effect P_x^dag P_x compressed
+        # to x's columns.
+        calls = {name: [] for name in ("eigh", "qr")}
+        for name, shapes in calls.items():
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, f=getattr(np.linalg, name), s=shapes, **kw:
+                                s.append(a.shape) or f(a, *args, **kw))
         prop = build()
         stack = np.stack(list(prop.projectors.values()))
         n, d = stack.shape[:2]
         u, owner, w = prop._spectrum
         assert u.shape == (d, d) and owner.shape == w.shape == (d,)
         assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-14
-        index = np.tensordot(np.arange(n), stack, axes=1)
-        assert np.array_equal(np.rint(np.real(np.einsum("ij,jk,ki->i", u.conj().T, index, u))), owner)
         assert np.array_equal(np.sort(owner), owner)
         for x, p in enumerate(stack):
             cols = owner == x
             assert cols.sum() == prop.rank_profile()[prop.labels[x]]
+            assert np.linalg.norm(p @ u[:, cols] - u[:, cols]) <= 1e-14
             compressed = (p @ u[:, cols]).conj().T @ (p @ u[:, cols])
             assert np.linalg.norm(compressed - np.diag(w[cols])) <= 1e-14
-        # Rank-1 clusters read |P_x q|^2; each larger size takes one eigh.
+        # Rank-1 runs read |P_x q|^2; each larger rank takes one stacked QR
+        # of its pivoted columns and one stacked eigh of its compressions.
         ranks = np.bincount(owner, minlength=n)
-        assert calls == [(d, d)] + [(int((ranks == k).sum()), k, k) for k in sorted(set(ranks.tolist())) if k > 1]
+        wide = [(int((ranks == k).sum()), k) for k in sorted(set(ranks.tolist())) if k > 1]
+        # Not counted: the Haar unitary's unstacked QR, and the constructor's
+        # QRs of Kraus-space stacks, d^2 rows high.
+        stacked = [s for s in calls["qr"] if len(s) == 3 and s[1] == d]
+        assert calls["eigh"] == [(m, k, k) for m, k in wide] and stacked == [(m, d, k) for m, k in wide]
 
     @pytest.mark.parametrize("build", [
         lambda: qc.from_pvm({"a": proj(PLUS), "b": proj([1.0, -1.0])}),
@@ -397,6 +411,14 @@ THETAS = [0.0, 1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 7e-9, 1e-8, 1.5e-8, 1e-7, 1e-6]
 PROFILES = {"rank1": lambda d: 1, "rank2": lambda d: 2, "halves": lambda d: d // 2}
 
 
+# Block ranks per profile of wider runs, d >= 2 (the last block takes the rest).
+WIDE_PROFILES = {
+    "halves": lambda d: [d // 2, d - d // 2],
+    "rank2": lambda d: [2] * (d // 2) + [1] * (d % 2),
+    "mixed": lambda d: [1] * (d // 2) + [2] * (d // 4) + [1] * (d - d // 2 - 2 * (d // 4)),
+}
+
+
 # Block ranks per profile of the bound-soundness sweep.
 SOUNDNESS_PROFILES = {
     "rank1": lambda d: [1] * d,
@@ -446,8 +468,8 @@ class TestPvmCheckOracle:
 
     def test_fallback_decides_the_pairs_the_bound_cannot(self, monkeypatch):
         # At theta = 7e-9 the first pair's bound exceeds mat_eq / 2 while
-        # |P_0 P_1|_F stays below mat_eq. Each frame is turned onto its
-        # effect's range, so the deltas stay at rounding and the Gram block
+        # |P_0 P_1|_F stays below mat_eq. Each pivoted column lies in its
+        # projector's range, so the deltas stay at rounding and the Gram block
         # of p0 and p1 carries the overlap. The deltas and the Gram's
         # diagonal blocks certify every projector, so after the one stacked
         # norm of the deltas, one direct product, of that pair alone,
@@ -457,10 +479,12 @@ class TestPvmCheckOracle:
         assert got == loop_check_pvm(mats, 8) and "orthogonal" not in str(got)
         assert shapes == [(8, 8, 8), (1, 8, 8)]
 
-    def skewed_norms(self, monkeypatch, d: int, skewed: str, partner: str) -> tuple[list, int, int, list]:
+    def skewed_norms(self, monkeypatch, d: int, skewed: str, partner: str,
+                     tilt: bool = False) -> tuple[list, int, int, list]:
         """Rank-1 projectors on C^d, the last two joined when d is odd, with
         ``skewed`` turned to P + 3e-9 u w^dag, u in P's support and w in
-        ``partner``'s. Checks that ``from_pvm`` accepts it as the loop does
+        ``partner``'s, or with ``tilt`` to P + 3e-9 w u^dag, whose columns
+        lean toward w. Checks that ``from_pvm`` accepts it as the loop does
         and that its frame's bounds leave P's own checks alone uncertified;
         returns the stacked norms ``from_pvm`` took, the pair's positions,
         and the pairs the bounds leave uncertified."""
@@ -468,7 +492,7 @@ class TestPvmCheckOracle:
         if d % 2:
             mats[f"p{d - 2}"] = mats[f"p{d - 2}"] + mats.pop(f"p{d - 1}")
         u, w = (np.linalg.eigh(mats[label])[1][:, -1] for label in (skewed, partner))
-        mats[skewed] = mats[skewed] + 3e-9 * np.outer(u, w.conj())
+        mats[skewed] = mats[skewed] + 3e-9 * (np.outer(w, u.conj()) if tilt else np.outer(u, w.conj()))
         got, shapes = self.stacked_norms(monkeypatch, lambda: qc.from_pvm(mats))
         assert got is None and loop_check_pvm(mats, d) is None
         a, b = (list(mats).index(label) for label in (skewed, partner))
@@ -482,16 +506,16 @@ class TestPvmCheckOracle:
 
     @pytest.mark.parametrize("skewed, partner", [("p0", "p1"), ("p1", "p2")])
     def test_a_skewed_projector_widens_its_bound(self, monkeypatch, skewed, partner):
-        # |P Q|_F = 3e-9 for the skewed P and its partner Q, and P stays
+        # |Q P|_F = 3e-9 for the skewed P and its partner Q, and P stays
         # idempotent and within mat_eq of Hermitian; an exact pair's bound
-        # reads about 5e-15. Eight outcomes on C^9 take the frame from
-        # sum_x x P_x: P's effect, and the frame turned onto it, tilts
-        # toward w by about 3e-9, and delta adds as much again. The bound,
-        # 6e-9, sends that pair alone to the direct check, which accepts it,
-        # wherever P sits in sum_x x P_x. Its delta, 3e-9, also leaves P's
-        # own checks uncertified: after the stacked norm of the deltas, P
-        # alone takes the direct Hermitian and idempotent norms.
-        shapes, a, b, direct = self.skewed_norms(monkeypatch, 9, skewed, partner)
+        # reads about 5e-15. Eight outcomes on C^9, the last of rank 2: P's
+        # pivoted column P e_j leans toward w by about 3e-9, and delta adds
+        # as much again. The bound, 6e-9, sends that pair alone to the
+        # direct check, which accepts it, wherever P sits in the family. Its
+        # delta, 3e-9, also leaves P's own checks uncertified: after the
+        # stacked norm of the deltas, P alone takes the direct Hermitian and
+        # idempotent norms.
+        shapes, a, b, direct = self.skewed_norms(monkeypatch, 9, skewed, partner, tilt=True)
         assert direct == [[a, b]]
         assert shapes == [(8, 9, 9)] + [(1, 9, 9)] * 3
 
@@ -625,8 +649,8 @@ class TestPvmCheckOracle:
 
 def missing_family(d: int = 8) -> dict:
     """d Haar-rotated diagonal outcomes on C^d that pass the PVM check at
-    mat_eq = 0.3: p0 holds eigenvalues 1 and 0.75, so |P_0|_F^2 - w_0 reaches
-    1/2 off its pivoted column, and the family is read as one with n < d."""
+    mat_eq = 0.3: p0 holds eigenvalues 1 and 0.75, so one pivoted column
+    would leave 0.5625 of |P_0|_F^2 = 1.5625, which rounds to rank 2."""
     diag = np.zeros((d, d))
     diag[0, :2] = 1.0, 0.75
     diag[1, 1:3] = 0.25, 0.3
@@ -636,10 +660,32 @@ def missing_family(d: int = 8) -> dict:
     return {f"p{x}": (u * row) @ u.conj().T for x, row in enumerate(diag)}
 
 
+def refused_family(d: int = 9) -> dict:
+    """d - 1 Haar-rotated diagonal outcomes on C^d that pass the PVM check at
+    mat_eq = 0.3: p0 holds eigenvalue 0.8 twice, so |P_0|_F^2 = 1.28 rounds
+    to rank 1, and its one pivoted column leaves at least 0.64 of it."""
+    diag = np.zeros((d - 1, d))
+    diag[0, :2] = 0.8
+    diag[1:, 2:] = np.eye(d - 2)
+    u = haar_unitary(d, np.random.default_rng(7))
+    return {f"p{x}": (u * row) @ u.conj().T for x, row in enumerate(diag)}
+
+
+def tied_family(d: int = 4) -> dict:
+    """P_a onto span{(e0 + e1)/sqrt 2, (e2 + e3)/sqrt 2} and P_b onto the
+    rest of C^4, then coordinate projectors onto e4, ..., e_{d-1}: P_a's
+    diagonal is 1/2 throughout, and its columns 0 and 1 are equal."""
+    e = np.eye(d)
+    a = np.stack([e[0] + e[1], e[2] + e[3]], axis=1) / np.sqrt(2.0)
+    b = np.stack([e[0] - e[1], e[2] - e[3]], axis=1) / np.sqrt(2.0)
+    return {"a": a @ a.T, "b": b @ b.T, **{f"e{i}": proj(e[i]) for i in range(4, d)}}
+
+
 class TestPivotedFrames:
-    """A family of d outcomes on C^d reads each projector's pivoted column,
-    with no eigh, where the min-max test admits it, and decides as the
-    pairwise loop does either way."""
+    """Each outcome reads the pivoted columns of its projector, rank-1 runs
+    with no eigh and wider ones with one k x k eigh per rank, where the
+    min-max test admits them, and decides as the pairwise loop does either
+    way."""
 
     @staticmethod
     def decide_counting_eigh(monkeypatch, mats: dict, tol=qc.DEFAULT_TOL) -> tuple[str | None, list]:
@@ -671,29 +717,114 @@ class TestPivotedFrames:
     @pytest.mark.parametrize("tol", [qc.Tolerances(mat_eq=0.3), qc.Tolerances(mat_eq=0.15), qc.DEFAULT_TOL],
                              ids=["accepted", "loose", "default"])
     def test_a_family_the_min_max_test_refuses_falls_back(self, monkeypatch, tol):
-        # p0's pivoted column leaves 0.5625 of |P_0|_F^2: the frame comes
-        # from sum_x x P_x, its rank-2 run from one more eigh, and the
-        # verdict and message are the loop's.
-        mats = missing_family()
+        # p0's pivoted column leaves at least 0.64 of |P_0|_F^2: eight
+        # outcomes on C^9 take the frame from the effects' batched eigh, one
+        # (n, d, d) call, before the check, and the verdict and message are
+        # the loop's.
+        mats = refused_family()
         stack = np.stack(list(mats.values()))
-        flat = stack.reshape(8, -1)
-        pivoted = stack[np.arange(8), :, np.argmax(np.diagonal(stack, axis1=1, axis2=2).real, axis=1)]
-        w = np.linalg.norm(stack @ (pivoted / np.linalg.norm(pivoted, axis=1)[:, None])[..., None], axis=(1, 2)) ** 2
-        assert (np.linalg.norm(flat, axis=1) ** 2 - w)[0] > 0.5
+        pivoted = stack[0][:, np.argmax(np.diagonal(stack[0]).real)]
+        u = pivoted / np.linalg.norm(pivoted)
+        assert np.linalg.norm(stack[0]) ** 2 - np.linalg.norm(stack[0] @ u) ** 2 > 0.5
         got, calls = self.decide_counting_eigh(monkeypatch, mats, tol)
-        assert got == loop_check_pvm(mats, 8, tol)
-        assert calls[0] == (8, 8)
+        assert got == loop_check_pvm(mats, 9, tol)
+        assert calls == [(8, 9, 9)]
         if got is None:
-            assert qc.from_pvm(mats, tol)._spectrum[1].tolist() == [0, 0, 3, 4, 5, 6, 7]
+            # Both of p0's directions have effect eigenvalue 0.64 >= 1/2.
+            assert qc.from_pvm(mats, tol)._spectrum[1].tolist() == [0, 0, 1, 2, 3, 4, 5, 6, 7]
 
-    def test_a_zero_projector_falls_back_to_its_message(self, monkeypatch):
-        # No pivoted column exists; nothing divides by zero, and the check
-        # names the zero projector as the loop does.
+    def test_a_zero_pivoted_column_falls_back_to_the_loops_message(self, monkeypatch):
+        # P_3 = e_0 e_1^dag has rank 1 by its norm, but a zero diagonal, so
+        # its pivoted column is zero: nothing divides by zero, its w is 0,
+        # the min-max test refuses the frame, and the check names P_3 as
+        # the loop does.
+        mats = rotated_pvm(8, 1, 0.0, 0)
+        mats["p3"] = np.outer(np.eye(8)[0], np.eye(8)[1]).astype(complex)
+        got, calls = self.decide_counting_eigh(monkeypatch, mats)
+        assert got == loop_check_pvm(mats, 8) == "projector 'p3' is not Hermitian"
+        assert calls == [(8, 8, 8)]
+
+    def test_a_family_one_pivoted_column_misses_reads_its_rank2_run(self, monkeypatch):
+        # p0's Frobenius norm rounds its rank to 2, and its two pivoted
+        # columns span its range: no run misses a direction, one 2 x 2 eigh
+        # compresses p0's run, and the verdict is the loop's.
+        mats, tol = missing_family(), qc.Tolerances(mat_eq=0.3)
+        got, calls = self.decide_counting_eigh(monkeypatch, mats, tol)
+        assert got is None and loop_check_pvm(mats, 8, tol) is None
+        assert calls == [(1, 2, 2)]
+        assert qc.from_pvm(mats, tol)._spectrum[1].tolist() == [0, 0, 3, 4, 5, 6, 7]
+
+    def test_a_zero_projector_gets_no_columns_and_its_message(self, monkeypatch):
+        # |P_3|_F^2 = 0 rounds to rank 0: p3 gets no columns, nothing
+        # divides by zero, no eigh runs, and the check names the zero
+        # projector as the loop does.
         mats = rotated_pvm(8, 1, 0.0, 0)
         mats["p3"] = np.zeros((8, 8), dtype=complex)
         got, calls = self.decide_counting_eigh(monkeypatch, mats)
         assert got == loop_check_pvm(mats, 8) == "projector 'p3' is zero, it admits no verifier"
-        assert calls[0] == (8, 8)
+        assert calls == []
+        assert instruments._pvm_spectrum(np.stack(list(mats.values())))[1].tolist() == [0, 1, 2, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_tied_diagonals_pivot_past_a_dependent_column(self, monkeypatch, d):
+        # P_a's two largest diagonal entries, ties broken by index, sit at
+        # columns 0 and 1, which are equal: as a run they would span one
+        # direction. Complete pivoting takes column 0, then the largest
+        # diagonal entry of the Schur complement, which column 0 empties at
+        # index 1: column 2. Each run spans its range with no fallback, and
+        # the supports and verdict are those of each effect's eigh.
+        mats = tied_family(d)
+        assert np.array_equal(mats["a"][:, 0], mats["a"][:, 1])
+        got, calls = self.decide_counting_eigh(monkeypatch, mats)
+        assert got is None and loop_check_pvm(mats, d) is None
+        assert calls == [(2, 2, 2)]
+        held, want = held_supports(qc.from_pvm(mats), qc.DEFAULT_TOL), effect_supports(mats)
+        assert [h.shape[1] for h in held] == [o.shape[1] for o in want] == [2, 2] + [1] * (d - 4)
+        assert max(largest_sine(h, o) for h, o in zip(held, want)) <= 1e-12
+
+    def test_near_tied_rotations_keep_every_support(self):
+        # The tied family on C^4 turned by exp(i t H), t from 1e-17 to 1e-6:
+        # P_a's largest diagonal entries may sit at two columns dependent to
+        # within t. Orthonormalised as they are, rounding would leave a
+        # direction of w anywhere in (1/2, 1), which the min-max test
+        # admits and the cut drops. The pivoted runs keep each support.
+        rng = np.random.default_rng(0)
+        for t in 10.0 ** rng.uniform(-17, -6, 200):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            lam, v = np.linalg.eigh(g + g.conj().T)
+            turn = (v * np.exp(1j * t * lam)) @ v.conj().T
+            mats = {label: turn @ p @ turn.conj().T for label, p in tied_family().items()}
+            held, want = held_supports(qc.from_pvm(mats), qc.DEFAULT_TOL), effect_supports(mats)
+            assert [h.shape[1] for h in held] == [o.shape[1] for o in want] == [2, 2]
+            assert max(largest_sine(h, o) for h, o in zip(held, want)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("profile", list(WIDE_PROFILES))
+    def test_exact_wide_families_certify_every_check(self, monkeypatch, d, profile):
+        # Runs of rank 2 and more take only k x k eighs. Each projector's
+        # Hermitian and idempotent bounds, and each pair's, are within
+        # mat_eq / 2; from d = 8 on, where the rounding term 16 d^2 u
+        # dominates them, within 5% of those of the frame from the effects'
+        # batched eigh.
+        ranks = WIDE_PROFILES[profile](d)
+        u = haar_unitary(d, np.random.default_rng([d, len(ranks)]))
+        edges = np.cumsum([0, *ranks])
+        stack = np.stack([u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(edges[:-1], edges[1:])])
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        spectrum = instruments._pvm_spectrum(stack)
+        monkeypatch.undo()
+        assert np.array_equal(spectrum[1], np.repeat(np.arange(len(ranks)), ranks))
+        assert calls == [(ranks.count(k), k, k) for k in sorted(set(ranks)) if k > 1]
+        w, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        half = w >= 0.5
+        fallback = (v.swapaxes(-1, -2)[half].T, np.nonzero(half)[0], w[half])
+        off = ~np.eye(len(ranks), dtype=bool)
+        bounds, reference = (instruments._pvm_bounds(stack, frame, qc.DEFAULT_TOL) for frame in (spectrum, fallback))
+        for got, want in zip((*bounds[1:3], bounds[3][off]), (*reference[1:3], reference[3][off])):
+            if got.size:
+                assert got.max() <= qc.DEFAULT_TOL.mat_eq / 2
+                assert d < 8 or got.max() <= 1.05 * want.max()
 
     @pytest.mark.parametrize("d", [8, 16, 32])
     def test_sweeps_match_the_loop_on_pivoted_columns(self, monkeypatch, d):
@@ -710,12 +841,13 @@ class TestPivotedFrames:
         assert {None, "Hermitian", "idempotent", "orthogonal"} <= seen
 
     def test_the_drifted_family_matches_the_loop(self, monkeypatch):
-        # Six outcomes on C^7, one run missing a support direction: each
-        # effect's eigh frames the family, and the loop decides the same.
+        # Six outcomes on C^7, P_4 = diag(1, 1.13) on e4, e5: its two
+        # pivoted columns are its run, one 2 x 2 eigh compresses it, and the
+        # loop decides the same.
         tol = qc.Tolerances(mat_eq=0.15)
         got, calls = self.decide_counting_eigh(monkeypatch, drifted_family(), tol)
         assert got is None and loop_check_pvm(drifted_family(), 7, tol) is None
-        assert calls == [(7, 7), (1, 2, 2), (6, 7, 7)]
+        assert calls == [(1, 2, 2)]
 
     @pytest.mark.parametrize("trip", ["pickle", "deepcopy"])
     def test_round_trips_carry_the_pivoted_frame_bit_for_bit(self, trip):
@@ -750,9 +882,8 @@ class TestOneFrameSupports:
         (d, profile) for d in (2, 3, 4, 8, 16, 32, 64) for profile in PROFILES if PROFILES[profile](d) < d
     ])
     def test_supports_match_the_effects_eigenspaces(self, d, profile):
-        # Non-orthogonal ranges have no common frame: the frame from
-        # sum_x x P_x leans from p0's range by about theta, and the power
-        # step on each effect turns it back onto that range.
+        # Non-orthogonal ranges have no common frame: each run is read from
+        # its own projector's pivoted columns, which lie in its range.
         accepted = 0
         for theta in THETAS:
             mats = rotated_pvm(d, PROFILES[profile](d), theta, 0)
@@ -802,11 +933,10 @@ class TestOneFrameSupports:
     @pytest.mark.parametrize("variant", ["rank2", "rank1"])
     def test_a_run_that_misses_a_support_direction_reads_each_effect(self, variant):
         # At mat_eq = 0.15, P_4 = diag(1, 1.13) on e4, e5 (or 1.13 e4 e4^dag
-        # at d = 6) passes every check, but sum_x x P_x has eigenvalue 4.52,
-        # which rounds to outcome 5: outcome 4's run misses a direction whose
-        # effect eigenvalue, 1.28 or 1, no tolerance leaves out. The spectrum
-        # is then each effect's eigh, and the supports and verdicts are those
-        # of that rule.
+        # at d = 6) passes every check. |P_4|_F^2, 2.28 or 1.28, rounds to
+        # P_4's rank, and its pivoted columns read every direction, of
+        # effect eigenvalue 1.28 or 1, that no tolerance leaves out: the
+        # supports and verdicts are those of each effect's eigh.
         d = 7 if variant == "rank2" else 6
         e = np.eye(d)
         mats = {f"p{i}": proj(e[i]) for i in range(4)}
@@ -829,9 +959,9 @@ class TestOneFrameSupports:
         assert qc.classify_relation(prop, coarse, tol).matched_bijection == {f"p{i}": f"q{i}" for i in range(6)}
 
     def test_a_drifted_index_far_down_the_sum_reads_each_effect(self):
-        # 64 rank-1 outcomes at mat_eq = 0.01: P_60 scaled by 1.0095 passes,
-        # and drifts its eigenvalue of sum_x x P_x to 60.57, into outcome
-        # 61's run. Every support keeps rank 1, as each effect's eigh says.
+        # 64 rank-1 outcomes at mat_eq = 0.01: P_60 scaled by 1.0095 passes.
+        # Its pivoted column reads it as any other: every support keeps rank
+        # 1, as each effect's eigh says.
         u = np.linalg.qr(np.random.default_rng(5).standard_normal((64, 64)))[0]
         mats = {f"p{x}": proj(u[:, x]) for x in range(64)}
         mats["p60"] = 1.0095 * mats["p60"]
@@ -1400,9 +1530,9 @@ ROUND_TRIPS = {"pickle": lambda prop: pickle.loads(pickle.dumps(prop)), "deepcop
 
 
 def drifted_family() -> dict:
-    """At mat_eq = 0.15 an accepted PVM whose outcome-index sum puts an
-    eigenvalue at 4.52: outcome 4's run misses a support direction, and the
-    property reads each effect's eigh."""
+    """At mat_eq = 0.15 an accepted PVM with P_4 = diag(1, 1.13) on e4, e5,
+    whose effect has eigenvalues 1 and 1.28: its two pivoted columns read it
+    as one run."""
     e = np.eye(7)
     return {**{f"p{i}": proj(e[i]) for i in range(4)}, "p4": np.diag([0, 0, 0, 0, 1.0, 1.13, 0]), "p5": proj(e[6])}
 

@@ -114,6 +114,14 @@ class TestTolerances:
         with pytest.raises(ValueError):
             qc.Tolerances(eig_cut=0.0)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["eig_cut", "mat_eq", "prob_eq"])
+    def test_rejects_non_finite(self, name, value):
+        # An infinite threshold passes every PSD test, PVM check and witness
+        # residual it bounds; NaN fails the positivity test.
+        with pytest.raises(ValueError, match=f"{name} must be (finite|strictly positive)"):
+            qc.Tolerances(**{name: value})
+
     def test_rejects_large_prob_eq(self):
         with pytest.raises(ValueError):
             qc.Tolerances(prob_eq=0.5)
