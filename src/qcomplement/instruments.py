@@ -18,7 +18,19 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ExtractionError, PreconditionError, StructureError
-from .linalg import _CHUNK_CELLS, _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_psd, _supports, _trusted, as_matrix
+from .linalg import (
+    _CHUNK_CELLS,
+    _FINITE,
+    DEFAULT_TOL,
+    Tolerances,
+    _check_entries,
+    _index,
+    _is_psd,
+    _sq_norms,
+    _supports,
+    _trusted,
+    as_matrix,
+)
 from .operations import QuantumOperation, _choi_core, coarse_grain_ops, is_atomic
 
 
@@ -465,7 +477,7 @@ def _support_deltas(projectors, frame: np.ndarray, ranks: np.ndarray) -> np.ndar
         cols = slice(ends[part][0] - ranks[part][0], ends[part][-1])
         supports = _support_projectors(frame[:, cols], ranks[part])
         supports -= projectors[part]
-        delta[part] = np.linalg.norm(supports, axis=(1, 2))
+        delta[part] = np.sqrt(_sq_norms(supports))
     return delta
 
 
@@ -516,8 +528,8 @@ def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spe
     failed = np.zeros((n, 3), dtype=bool)
     if direct.any():
         part = stack if direct.all() else stack[direct]
-        failed[direct, 0] = np.linalg.norm(part - part.conj().swapaxes(-1, -2), axis=(1, 2)) > tol.mat_eq
-        failed[direct, 1] = np.linalg.norm(part @ part - part, axis=(1, 2)) > tol.mat_eq
+        failed[direct, 0] = np.sqrt(_sq_norms(part - part.conj().swapaxes(-1, -2))) > tol.mat_eq
+        failed[direct, 1] = np.sqrt(_sq_norms(part @ part - part)) > tol.mat_eq
     failed[:, 2] = np.trace(stack, axis1=1, axis2=2).real < 0.5
     if failed.any():
         i, check = np.argwhere(failed)[0]
@@ -531,7 +543,7 @@ def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spe
         suspect &= ~(bounds[3] <= tol.mat_eq / 2)
     for i in np.flatnonzero(suspect.any(axis=1)):
         pairs = np.flatnonzero(suspect[i])
-        bad = pairs[np.linalg.norm(stack[i] @ stack[pairs], axis=(1, 2)) > tol.mat_eq]
+        bad = pairs[np.sqrt(_sq_norms(stack[i] @ stack[pairs])) > tol.mat_eq]
         if bad.size:
             raise error(f"projectors {labels[i]!r} and {labels[bad[0]]!r} are not orthogonal")
     if float(np.linalg.norm(stack.sum(axis=0) - np.eye(d))) > tol.mat_eq:
@@ -558,8 +570,7 @@ def _pvm_spectrum(stack: np.ndarray):
     batched eigh of the effects instead.
     """
     n, d = stack.shape[:2]
-    flat = stack.reshape(n, -1).view(float)
-    squares = np.einsum("ij,ij->i", flat, flat)
+    squares = _sq_norms(stack)
     ranks = np.minimum(np.rint(squares), d).astype(int)
     diag = np.diagonal(stack, axis1=1, axis2=2).real
     ends = np.cumsum(ranks)

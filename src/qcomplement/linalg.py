@@ -113,6 +113,15 @@ def as_matrix(m, name: str = "matrix", limit: float = _ENTRY_LIMIT) -> np.ndarra
     return arr
 
 
+def _sq_norms(stack: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of each matrix of an (n, a, b) float or
+    complex stack: one sum of squares over the real and imaginary parts of
+    its float view, which reads a contiguous stack once and copies nothing."""
+    n, a, b = stack.shape
+    flat = np.ascontiguousarray(stack).reshape(n, a * b).view(float)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
 def _is_hermitian(arr: np.ndarray, tol: Tolerances) -> bool:
     """True iff the square matrix ``arr``, which ``as_matrix`` already
     coerced, is within ``mat_eq * max(1, ||arr||_F)`` of its adjoint."""

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 import time
 
 import numpy as np
@@ -440,12 +441,20 @@ class TestPvmCheckOracle:
         return None
 
     def stacked_norms(self, monkeypatch, call) -> tuple[str | None, list]:
-        """The decision of ``call`` and the shapes of the stacked norms it took."""
-        norm, shapes = np.linalg.norm, []
-        monkeypatch.setattr(np.linalg, "norm", lambda a, *args, **kw: shapes.append(a.shape) or norm(a, *args, **kw))
+        """The decision of ``call`` and the shapes of the stacked norms its
+        PVM check took: the deltas and the direct checks, not the
+        |P_x|_F^2 that ``_pvm_spectrum`` reads through the same kernel."""
+        sq_norms, shapes = instruments._sq_norms, []
+
+        def spy(a):
+            if sys._getframe(1).f_code.co_name != "_pvm_spectrum":
+                shapes.append(a.shape)
+            return sq_norms(a)
+
+        monkeypatch.setattr(instruments, "_sq_norms", spy)
         got = self.decide(call)
         monkeypatch.undo()
-        return got, [s for s in shapes if len(s) == 3]
+        return got, shapes
 
     @pytest.mark.parametrize("d, profile", [
         (d, profile) for d in (2, 3, 4, 8, 16, 32, 64) for profile in PROFILES if PROFILES[profile](d) < d

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qcomplement as qc
 from qcomplement.errors import StructureError
+from qcomplement.linalg import _ENTRY_LIMIT, _sq_norms
 from helpers import SubspaceRelation, contains_vector, subspace_relation
 
 
@@ -103,6 +104,45 @@ class TestSubspaceRelation:
             SubspaceRelation.ORTHOGONAL: SubspaceRelation.ORTHOGONAL,
         }
         assert subspace_relation(b, a) is swapped[subspace_relation(a, b)]
+
+
+class TestSqNorms:
+    """The squared Frobenius norms of a stack against ``np.linalg.norm``,
+    within 2 d^2 u relative: each sums the squares of 2 d^2 real parts."""
+
+    U = np.finfo(float).eps / 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 64])
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_matches_the_norms(self, d, kind):
+        rng = np.random.default_rng([d, kind == "real"])
+        a = rng.normal(size=(5, d, d))
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=(5, d, d))
+        want = np.linalg.norm(a, axis=(1, 2)) ** 2
+        assert np.allclose(_sq_norms(a), want, rtol=2 * d * d * self.U, atol=0.0)
+
+    def test_a_non_contiguous_view(self):
+        a = np.random.default_rng(3).normal(size=(4, 9, 9, 2)) @ np.array([1.0, 1j])
+        for view in (a[::2, 1::2, :5], a.swapaxes(1, 2), a.real, a.imag):
+            assert not view.flags.c_contiguous
+            want = np.linalg.norm(view, axis=(1, 2)) ** 2
+            assert np.allclose(_sq_norms(view), want, rtol=2 * 81 * self.U, atol=0.0)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_empty_stacks(self, dtype):
+        assert _sq_norms(np.zeros((0, 4, 4), dtype=dtype)).shape == (0,)
+        assert np.array_equal(_sq_norms(np.zeros((3, 0, 0), dtype=dtype)), np.zeros(3))
+
+    def test_entries_at_the_cap_stay_finite(self):
+        # 2 d^2 squares of the cap at d = 8: 1.28e62, far inside a double.
+        a = np.full((2, 8, 8), _ENTRY_LIMIT * (1 + 1j))
+        assert np.allclose(_sq_norms(a), 128 * _ENTRY_LIMIT**2, rtol=2 * 64 * self.U, atol=0.0)
+
+    def test_an_inf_entry_gives_inf(self):
+        a = np.zeros((3, 4, 4), dtype=complex)
+        a[1, 2, 3] = complex(0.0, np.inf)
+        assert _sq_norms(a).tolist() == [0.0, np.inf, 0.0]
 
 
 class TestTolerances:
