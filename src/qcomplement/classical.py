@@ -17,18 +17,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StructureError
-from .linalg import DEFAULT_TOL, Tolerances, _check_entries, _index, _trusted
+from .linalg import DEFAULT_TOL, Tolerances, _as_array, _index, _trusted
 
 if TYPE_CHECKING:
     from .compatibility import HarnessReport
-
-
-def _as_real_matrix(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise StructureError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    _check_entries(arr, name)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +39,7 @@ class ClassicalOperation:
     def __post_init__(self):
         object.__setattr__(self, "size_in", _index(self.size_in, "size_in"))
         object.__setattr__(self, "size_out", _index(self.size_out, "size_out"))
-        arr = _as_real_matrix(self.matrix, "classical matrix")
+        arr = _as_array(self.matrix, "classical matrix", 2, float)
         if arr.shape != (self.size_out, self.size_in):
             raise StructureError(
                 f"matrix has shape {arr.shape}, expected ({self.size_out}, {self.size_in})"
@@ -95,7 +87,8 @@ class ClassicalState:
 
     def __post_init__(self):
         object.__setattr__(self, "size", _index(self.size, "size"))
-        probs = np.asarray(self.probs, dtype=float).reshape(-1)
+        # NaN is left to the checks below, which name it as a probability.
+        probs = _as_array(self.probs, "probs", None, float, None).reshape(-1)
         if probs.shape != (self.size,):
             raise StructureError(f"probs has length {probs.size}, expected {self.size}")
         # Written so that NaN fails each test.

@@ -118,7 +118,7 @@ def _cmd_classify(args, tol: Tolerances) -> tuple[int, dict]:
     if report.is_valid and repeatable and all(atomic.values()):
         try:
             ranks = _extract_elementary(ins, tol).rank_profile()
-        except (StructureError, ExtractionError):
+        except ExtractionError:
             pass
     elementary = ranks is not None
     out = {

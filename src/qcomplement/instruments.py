@@ -23,6 +23,7 @@ from .linalg import (
     _FINITE,
     DEFAULT_TOL,
     Tolerances,
+    _as_array,
     _check_entries,
     _index,
     _is_psd,
@@ -267,8 +268,8 @@ class ElementaryProperty:
             raise StructureError("elementary properties need dim_in = dim_out")
         if set(self.projectors) != set(base.outcomes):
             raise StructureError("projector labels do not match instrument outcomes")
-        mats, stack = _read_only_family((label, self.projectors[label]) for label in base.labels)
-        spectrum, deltas = _check_pvm(base.labels, stack, base.dim_in, DEFAULT_TOL)
+        mats, stack = _read_only_family(((label, self.projectors[label]) for label in base.labels), base.dim_in)
+        spectrum, deltas = _check_pvm(base.labels, stack, DEFAULT_TOL)
         residual = _projector_residuals(base, _kraus_groups(base), stack)
         for label, res in zip(base.labels, residual):
             if not res <= DEFAULT_TOL.mat_eq:
@@ -336,7 +337,7 @@ def _extract_elementary(ins: Instrument, tol: Tolerances) -> ElementaryProperty:
     # below 1 on a support, are not; and delta is 0 on every column.
     m = frame.shape[1]
     spectrum = (frame, np.nonzero(keep)[0], np.ones(m))
-    _check_pvm(ins.labels, stack, ins.dim_in, tol, ExtractionError, spectrum)
+    _check_pvm(ins.labels, stack, tol, ExtractionError, spectrum)
     return _elementary(ins, dict(zip(ins.labels, stack)), spectrum, np.zeros(len(stack)))
 
 
@@ -400,8 +401,8 @@ def from_pvm(projectors, tol: Tolerances = DEFAULT_TOL) -> ElementaryProperty:
     if not items:
         raise StructureError("a PVM needs at least one projector")
     mats, stack = _read_only_family(items)
-    d = next(iter(mats.values())).shape[0]
-    spectrum, deltas = _check_pvm(list(mats), stack, d, tol)
+    d = stack.shape[1]
+    spectrum, deltas = _check_pvm(list(mats), stack, tol)
     # Each checked projector is its outcome's one Kraus matrix, rho -> P rho P.
     ops = {label: _trusted(QuantumOperation, dim_in=d, dim_out=d, kraus=(p,)) for label, p in mats.items()}
     return _elementary(Instrument(d, d, ops), mats, spectrum, deltas)
@@ -419,31 +420,28 @@ def _elementary(base: Instrument, projectors: dict[str, np.ndarray], spectrum, d
                     _spectrum=spectrum, _deltas=deltas)
 
 
-def _read_only(label: str, p) -> np.ndarray:
-    """A read-only copy, so no write can make a property's spectrum stale."""
-    mat = as_matrix(p, f"projector {label!r}").copy()
-    mat.flags.writeable = False
-    return mat
-
-
-def _read_only_family(pairs) -> tuple[dict[str, np.ndarray], np.ndarray | list]:
-    """The (label, matrix) pairs as a dict of read-only copies, and those
-    copies in order: one coerced (n, a, b) stack whose rows the dict holds as
-    views, or a list where their shapes differ. Any input the one stack does
-    not take runs ``_read_only`` and ``_labelled`` pair by pair, so the first
-    bad pair raises what it raises there."""
+def _read_only_family(pairs, d: int | None = None) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The projector boundary: the (label, matrix) pairs as one read-only
+    (n, d, d) complex stack, so no write can make a property's frame stale,
+    and a dict of its rows by label, d the first matrix's row count unless
+    given. Entries come first: where the one conversion refuses the family,
+    the first pair a pair-by-pair read (``as_matrix``, ``_labelled``)
+    refuses raises; then the first matrix that is not d x d."""
     pairs = list(pairs)
     try:
-        stack = np.array([p for _, p in pairs], dtype=complex)
-        if stack.ndim != 3:
-            raise ValueError
-        _check_entries(stack.view(float), "projector")
-    except Exception:  # whatever the stack cannot take, the pair-by-pair path raises as before
-        mats = _labelled((label, _read_only(label, p)) for label, p in pairs)
-        given = list(mats.values())
-        return mats, given if len({p.shape for p in given}) > 1 else np.stack(given)
-    stack.flags.writeable = False
-    return _labelled(zip([label for label, _ in pairs], stack)), stack
+        stack = _as_array([p for _, p in pairs], "projector", 3)
+        stack.flags.writeable = False  # before its rows are taken, which keep the flag
+        mats = _labelled(zip([label for label, _ in pairs], stack))
+    except StructureError as exc:
+        refused, stack = exc, None
+        mats = _labelled((label, as_matrix(p, f"projector {label!r}")) for label, p in pairs)
+    d = next(iter(mats.values())).shape[0] if d is None else d
+    if stack is not None and stack.shape[1:] == (d, d):
+        return mats, stack
+    for label, p in mats.items():
+        if p.shape != (d, d):
+            raise StructureError(f"projector {label!r} has shape {p.shape}, expected ({d}, {d})")
+    raise refused
 
 
 def _support_projectors(frame: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -495,15 +493,15 @@ def _support_frame(spectrum, n: int, tol: Tolerances) -> tuple[np.ndarray, np.nd
 _PROJECTOR_FAULTS = ("is not Hermitian", "is not idempotent", "is zero, it admits no verifier")
 
 
-def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spectrum=None):
-    """Raise ``error`` unless the projectors ``given`` (one (n, ., .) stack,
-    or a list, labelled in order by ``labels``) are nonzero d x d orthogonal
-    projectors, pairwise orthogonal and summing to the identity, all within
-    ``mat_eq``; the message names the first projector, its first failed
-    check, or the first pair a loop over them would name.
+def _check_pvm(labels, stack: np.ndarray, tol: Tolerances, error=StructureError, spectrum=None):
+    """Raise ``error`` unless the (n, d, d) ``stack``, labelled in order by
+    ``labels``, holds nonzero orthogonal projectors, pairwise orthogonal and
+    summing to the identity, all within ``mat_eq``; the message names the
+    first projector and its first failed check, or the first pair a loop
+    over them would name. Shapes are the boundary's (``_read_only_family``).
 
-    From ``_GRAM_MIN_OUTCOMES`` well-shaped projectors on, ``_pvm_bounds``
-    certifies the Hermitian and idempotent checks of each projector, and the
+    From ``_GRAM_MIN_OUTCOMES`` projectors on, ``_pvm_bounds`` certifies
+    the Hermitian and idempotent checks of each projector, and the
     orthogonality of each pair, whose bound is at most mat_eq / 2; the rest
     run directly, stacked. Trace and completeness always run directly.
 
@@ -513,13 +511,8 @@ def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spe
     else ``_pvm_spectrum``; and the delta of the whole frame that the
     bounds read, which the property keeps for ``pvm_commute``, or None.
     """
-    # The n projectors before the first bad shape: all, or none of a stack.
-    if isinstance(given, np.ndarray):
-        n = len(given) if given.shape[1:] == (d, d) else 0
-    else:
-        n = next((i for i, p in enumerate(given) if p.shape != (d, d)), len(given))
-    stack, bounds = np.asarray(given[:n]).reshape(n, d, d), None
-    if n == len(given) and n >= _GRAM_MIN_OUTCOMES:
+    (n, d), bounds = stack.shape[:2], None
+    if n >= _GRAM_MIN_OUTCOMES:
         held = spectrum is not None
         spectrum = spectrum if held else _pvm_spectrum(stack)
         bounds = _pvm_bounds(stack, spectrum, tol, held)
@@ -534,8 +527,6 @@ def _check_pvm(labels, given, d: int, tol: Tolerances, error=StructureError, spe
     if failed.any():
         i, check = np.argwhere(failed)[0]
         raise error(f"projector {labels[i]!r} {_PROJECTOR_FAULTS[check]}")
-    if n < len(given):
-        raise error(f"projector {labels[n]!r} has shape {given[n].shape}, expected ({d}, {d})")
     if spectrum is None:
         spectrum = _pvm_spectrum(stack)
     suspect = np.arange(n)[:, None] < np.arange(n)

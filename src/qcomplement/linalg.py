@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("eig_cut", "mat_eq", "prob_eq"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not 0.0 < value < np.inf:  # an infinite threshold passes every test it bounds
                 raise ValueError(f"{name} must be {'finite' if value > 0.0 else 'strictly positive'}")
         if not self.prob_eq < 0.5:
@@ -103,14 +106,27 @@ def _check_entries(arr: np.ndarray, name: str, limit: float = _ENTRY_LIMIT) -> N
         raise StructureError(f"{name} entries must be finite and at most {limit:.0e} in magnitude")
 
 
-def as_matrix(m, name: str = "matrix", limit: float = _ENTRY_LIMIT) -> np.ndarray:
-    """Coerce to a 2-d C-ordered complex array whose real and imaginary parts
-    are at most ``limit`` in magnitude, or raise ``StructureError``."""
-    arr = np.asarray(m, dtype=complex, order="C")
-    if arr.ndim != 2:
-        raise StructureError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    _check_entries(arr.view(float), name, limit)
+def _as_array(value, name: str, ndim: int | None, dtype=complex, limit: float | None = _ENTRY_LIMIT) -> np.ndarray:
+    """The one conversion of an array a Python caller passes: a C-ordered
+    ``dtype`` array with ``ndim`` axes and entries at most ``limit`` in
+    magnitude (real and imaginary parts apart; either None: unchecked), else
+    ``StructureError`` naming ``name``, as for what numpy cannot read as
+    numbers (a non-numeric string, an object, an int past a double) or ragged."""
+    try:
+        arr = np.asarray(value, dtype=dtype, order="C")
+    except (TypeError, ValueError, OverflowError):
+        raise StructureError(f"{name} must be a rectangular array of numbers a double can hold") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise StructureError(f"{name} must be {ndim}-dimensional, got ndim={arr.ndim}")
+    if limit is not None:
+        _check_entries(arr.ravel().view(float), name, limit)
     return arr
+
+
+def as_matrix(m, name: str = "matrix", limit: float = _ENTRY_LIMIT) -> np.ndarray:
+    """``m`` as a 2-d C-ordered complex array whose real and imaginary parts
+    are at most ``limit`` in magnitude, or ``StructureError`` (``_as_array``)."""
+    return _as_array(m, name, 2, limit=limit)
 
 
 def _sq_norms(stack: np.ndarray) -> np.ndarray:

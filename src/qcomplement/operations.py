@@ -18,7 +18,7 @@ from math import prod
 import numpy as np
 
 from .errors import StructureError
-from .linalg import _FINITE, DEFAULT_TOL, Tolerances, _check_entries, _index, _is_hermitian, _is_psd, _trusted, as_matrix
+from .linalg import _FINITE, DEFAULT_TOL, Tolerances, _as_array, _index, _is_hermitian, _is_psd, _trusted, as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +224,7 @@ def _built_state(dims, matrix) -> DensityState:
 
 def pure_state(vector, dims=None) -> DensityState:
     """Density state |v><v| from a (normalised or unnormalised) state vector."""
-    vec = np.ravel(np.asarray(vector, dtype=complex))
-    _check_entries(vec.view(float), "state vector")
+    vec = _as_array(vector, "state vector", None).ravel()
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise StructureError("cannot build a state from the zero vector")

@@ -182,11 +182,13 @@ def loop_degree(probs: dict, tol=qc.DEFAULT_TOL) -> qc.DegreeVerdict:
 
 def loop_check_pvm(mats: dict, d: int, tol=qc.DEFAULT_TOL) -> str | None:
     """Oracle for the PVM check: the ``StructureError`` message of the
-    per-projector checks, then every pair's direct product |P_a P_b|_F in
-    order, then completeness; None when the family passes."""
+    first wrong shape, then of the per-projector checks, then every pair's
+    direct product |P_a P_b|_F in order, then completeness; None when the
+    family passes."""
     for label, p in mats.items():
         if p.shape != (d, d):
             return f"projector {label!r} has shape {p.shape}, expected ({d}, {d})"
+    for label, p in mats.items():
         if float(np.linalg.norm(p - p.conj().T)) > tol.mat_eq:
             return f"projector {label!r} is not Hermitian"
         if float(np.linalg.norm(p @ p - p)) > tol.mat_eq:
